@@ -1,6 +1,6 @@
 # Convenience targets for the reproduction workflow.
 
-.PHONY: install test bench bench-quick bench-figures chaos cluster \
+.PHONY: install test bench bench-quick stagebench-smoke bench-figures chaos cluster \
 	cluster-trace netchaos server preempt figures csv scoreboard examples \
 	trace-demo all clean
 
@@ -16,6 +16,9 @@ bench:
 bench-quick:
 	python -m repro.cli bench --quick --out benchmarks/history \
 		--baseline benchmarks/baseline/BENCH_baseline.json --scope counters
+
+stagebench-smoke:
+	python -m benchmarks.stagebench --seed 1 --smoke
 
 bench-figures:
 	pytest benchmarks/ --benchmark-only

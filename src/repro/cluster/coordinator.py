@@ -80,7 +80,12 @@ from repro.engine.recovery import RecoveryConfig
 from repro.obs import JobObservability
 from repro.cluster.journal import Journal, replay_journal
 from repro.cluster.quarantine import QuarantineConfig, QuarantineTracker
-from repro.cluster.rpc import RpcError, recv_message, send_message
+from repro.cluster.rpc import (
+    RpcError,
+    close_listener,
+    recv_message,
+    send_message,
+)
 from repro.cluster.telemetry import ClusterTelemetry, TraceContext
 
 __all__ = [
@@ -1634,10 +1639,7 @@ class Coordinator:
                 state.finished.set()
         self._active.clear()
         self._broadcast("shutdown", {})
-        try:
-            self._listener.close()
-        except OSError:
-            pass
+        close_listener(self._listener)
         with self._workers_cond:
             handles = list(self._workers.values())
         for handle in handles:

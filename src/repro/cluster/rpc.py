@@ -38,6 +38,7 @@ __all__ = [
     "MAX_MESSAGE_BYTES",
     "MESSAGE_KINDS",
     "RpcError",
+    "close_listener",
     "decode_message",
     "encode_message",
     "recv_message",
@@ -213,3 +214,20 @@ def recv_message(
     if length > MAX_MESSAGE_BYTES:
         raise RpcError(f"message length {length} exceeds limit")
     return _decode_frame_body(_recv_exact(sock, length))
+
+
+def close_listener(listener: socket.socket) -> None:
+    """Close a listening socket *and* wake a thread blocked in ``accept``.
+
+    Closing the descriptor alone leaves the accept call (and with it the
+    kernel socket) alive until a connection happens to arrive; shutting
+    the socket down first makes ``accept`` fail at once.
+    """
+    try:
+        listener.shutdown(socket.SHUT_RDWR)
+    except OSError:
+        pass  # already closed, or never listening
+    try:
+        listener.close()
+    except OSError:
+        pass

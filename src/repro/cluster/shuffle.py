@@ -37,7 +37,12 @@ from repro.engine.recovery import (
     FetchAttemptError,
     FetchTimeoutError,
 )
-from repro.cluster.rpc import RpcError, recv_message, send_message
+from repro.cluster.rpc import (
+    RpcError,
+    close_listener,
+    recv_message,
+    send_message,
+)
 
 __all__ = [
     "LocationTable",
@@ -204,10 +209,7 @@ class ShuffleServer:
 
     def close(self) -> None:
         self._closing.set()
-        try:
-            self._listener.close()
-        except OSError:
-            pass
+        close_listener(self._listener)
         self._thread.join(timeout=2.0)
 
 

@@ -11,6 +11,7 @@ Public surface:
 """
 
 from repro.core.api import (
+    BatchReduceContext,
     Combiner,
     FunctionCombiner,
     MapContext,
@@ -18,7 +19,6 @@ from repro.core.api import (
     Reducer,
     ReduceContext,
     group_sorted_records,
-    singleton_groups,
 )
 from repro.core.classify import TABLE_1, ClassificationEntry, classify, format_table_1
 from repro.core.job import JobSpec, MemoryConfig, split_input
@@ -67,6 +67,7 @@ from repro.core.types import (
 __all__ = [
     "AggregationReducer",
     "BarrierlessReducer",
+    "BatchReduceContext",
     "ClassificationEntry",
     "Combiner",
     "Counters",
@@ -114,6 +115,5 @@ __all__ = [
     "format_table_1",
     "group_sorted_records",
     "make_records",
-    "singleton_groups",
     "split_input",
 ]

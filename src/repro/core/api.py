@@ -11,7 +11,7 @@ measures it: an application opts into barrier-less execution by overriding
 from __future__ import annotations
 
 import abc
-from typing import Callable, Iterable, Iterator
+from typing import Callable, Iterable, Iterator, Sequence
 
 from repro.core.types import (
     Counters,
@@ -61,8 +61,8 @@ class ReduceContext:
     In barrier mode the framework exposes grouped input through
     ``next_key``/``current_key``/``current_values`` exactly like Hadoop's
     ``Context`` (the paper's Algorithm 1/2 pseudo-code drives this
-    interface).  In barrier-less mode the same iterator yields singleton
-    value groups, one per record, in shuffle arrival order.
+    interface).  Barrier-less input goes through the same interface on
+    :class:`BatchReduceContext`.
     """
 
     def __init__(
@@ -110,6 +110,61 @@ class ReduceContext:
         out = self._written
         self._written = []
         return out
+
+
+class BatchReduceContext(ReduceContext):
+    """Barrier-less reduce input: whole record batches, one record a step.
+
+    ``reduce`` is "only passed a single record, as opposed to a key and
+    all its corresponding values" (§3.1): every record of every batch is
+    presented as its own single-value group, in arrival order.  The
+    engine hands over the decoded wire batches as they are, so
+    ``next_key`` is an index bump and everything the engine owes per
+    batch (counters, flow control, the store write-back, checkpoint
+    cuts) is paid by the batch source between two batches.  ``on_record``
+    is called before each record is presented — the fault injectors'
+    per-record hook; without one the path makes no per-record call.
+    """
+
+    def __init__(
+        self,
+        batches: Iterable[Sequence[Record]],
+        counters: Counters | None = None,
+        on_record: Callable[[], None] | None = None,
+    ):
+        super().__init__((), counters)
+        self._batches = iter(batches)
+        self._batch: Sequence[Record] = ()
+        self._size = 0
+        self._index = 0
+        self._record: Record | None = None
+        self._on_record = on_record
+
+    def next_key(self) -> bool:
+        index = self._index + 1
+        while index >= self._size:
+            # Asking for the next batch is what tells the source that
+            # this one is fully folded.
+            batch = next(self._batches, None)
+            if batch is None:
+                self._batch, self._size, self._record = (), 0, None
+                return False
+            self._batch, self._size, index = batch, len(batch), 0
+        self._index = index
+        if self._on_record is not None:
+            self._on_record()
+        self._record = self._batch[index]
+        return True
+
+    def current_key(self) -> Key:
+        if self._record is None:
+            raise RuntimeError("no current key; call next_key() first")
+        return self._record.key
+
+    def current_values(self) -> list[Value]:
+        if self._record is None:
+            raise RuntimeError("no current values; call next_key() first")
+        return [self._record.value]
 
 
 class Mapper(abc.ABC):
@@ -203,13 +258,3 @@ def group_sorted_records(
             bucket.append(record.value)
     if bucket is not None:
         yield current_key, bucket
-
-
-def singleton_groups(records: Iterable[Record]) -> Iterator[tuple[Key, list[Value]]]:
-    """Present each record as its own single-value group, in arrival order.
-
-    This is the barrier-less framing: ``reduce`` is "only passed a single
-    record, as opposed to a key and all its corresponding values" (§3.1).
-    """
-    for record in records:
-        yield record.key, [record.value]

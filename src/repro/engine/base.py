@@ -20,15 +20,16 @@ from __future__ import annotations
 
 import abc
 import time
-from typing import Iterable, Sequence
+from itertools import islice
+from typing import Any, Callable, Iterable, Iterator, Sequence
 
 from repro.core.api import (
+    BatchReduceContext,
     MapContext,
     Mapper,
     ReduceContext,
     Reducer,
     group_sorted_records,
-    singleton_groups,
 )
 from repro.core.job import JobSpec
 from repro.core.types import (
@@ -41,7 +42,12 @@ from repro.core.types import (
     Value,
 )
 from repro.dfs.wire import WireConfig
-from repro.memory import make_store
+from repro.memory import WriteBackStore, make_store
+
+#: Slice size when a flat record stream stands in for wire batches: the
+#: wire format's own default, so the deterministic engines fold (and
+#: write back) at the granularity the concurrent ones see.
+BATCH_RECORDS = WireConfig.max_batch_records
 
 
 def run_map_task(
@@ -176,24 +182,45 @@ def interleave_arrival(map_outputs: Sequence[list[Record]]) -> list[Record]:
 
 
 def make_reduce_context(
-    job: JobSpec, records: Iterable[Record], counters: Counters
+    job: JobSpec,
+    records: Iterable,
+    counters: Counters,
+    on_record: Callable[[], None] | None = None,
 ) -> ReduceContext:
     """Build the reduce-side context for the job's execution mode.
 
-    In barrier mode, a job with ``value_sort_key`` gets each key group's
-    values delivered in that order — the framework-level secondary sort
-    Selection operations rely on (§4.4).
+    In barrier mode ``records`` is the key-sorted record stream, and a
+    job with ``value_sort_key`` gets each key group's values delivered in
+    that order — the framework-level secondary sort Selection operations
+    rely on (§4.4).  In barrier-less mode ``records`` is an iterable of
+    record *batches* in arrival order (see :func:`record_batches` for a
+    flat stream) and ``on_record`` is the per-record fault-injection hook.
     """
-    if job.mode is ExecutionMode.BARRIER:
-        grouped = group_sorted_records(records)
-        if job.value_sort_key is not None:
-            sort_key = job.value_sort_key
-            grouped = (
-                (key, sorted(values, key=sort_key)) for key, values in grouped
-            )
-    else:
-        grouped = singleton_groups(records)
+    if job.mode is not ExecutionMode.BARRIER:
+        return BatchReduceContext(records, counters, on_record)
+    grouped = group_sorted_records(records)
+    if job.value_sort_key is not None:
+        sort_key = job.value_sort_key
+        grouped = (
+            (key, sorted(values, key=sort_key)) for key, values in grouped
+        )
     return ReduceContext(grouped, counters)
+
+
+def record_batches(
+    records: Iterable[Record], flush: Callable[[], None]
+) -> Iterator[list[Record]]:
+    """Cut a flat record stream into fixed :data:`BATCH_RECORDS` slices.
+
+    ``flush`` (the reducer's :func:`store_flush`) runs when the consumer
+    comes back for the next slice, i.e. once the previous one is fully
+    folded — the same batch boundary the pipelined engines get from the
+    wire.  Fixed slices keep ``LocalEngine`` deterministic.
+    """
+    stream = iter(records)
+    while batch := list(islice(stream, BATCH_RECORDS)):
+        yield batch
+        flush()
 
 
 def prepare_reducer(job: JobSpec, on_sample=None) -> Reducer:
@@ -202,7 +229,11 @@ def prepare_reducer(job: JobSpec, on_sample=None) -> Reducer:
     A reducer that exposes ``attach_store`` (i.e. derives from
     :class:`~repro.core.patterns.BarrierlessReducer`) receives a store built
     from the job's :class:`~repro.core.job.MemoryConfig` — or from
-    ``job.store_factory`` when the application supplies its own.
+    ``job.store_factory`` when the application supplies its own.  In
+    barrier-less mode a batch-scoped
+    :class:`~repro.memory.writeback.WriteBackStore` goes in front of it;
+    whoever feeds the reducer must call :func:`store_flush`'s callable at
+    every batch boundary.
     """
     reducer = job.reducer_factory()
     attach = getattr(reducer, "attach_store", None)
@@ -211,8 +242,28 @@ def prepare_reducer(job: JobSpec, on_sample=None) -> Reducer:
             store = job.store_factory()
         else:
             store = make_store(job.memory, merge_fn=job.merge_fn, on_sample=on_sample)
+        if job.mode is not ExecutionMode.BARRIER:
+            store = WriteBackStore(store)
         attach(store)
     return reducer
+
+
+def store_flush(reducer: Reducer) -> Callable[[], None]:
+    """The reducer's write-back flush (a no-op when it has none)."""
+    return getattr(getattr(reducer, "_store", None), "flush", lambda: None)
+
+
+def innermost_store(store: Any) -> Any:
+    """Unwrap write-back, locking and ``store_factory`` proxies.
+
+    Every wrapper in the repo (and stagebench's timing proxy) holds the
+    store it wraps as ``_inner``; the concrete store has no such field.
+    """
+    while True:
+        inner = getattr(store, "_inner", None)
+        if inner is None:
+            return store
+        store = inner
 
 
 def harvest_store_counters(reducer: Reducer, counters: Counters) -> None:
@@ -227,7 +278,7 @@ def harvest_store_counters(reducer: Reducer, counters: Counters) -> None:
     if store is None:
         return
     counters.increment("store.builds")
-    inner = getattr(store, "_inner", store)  # unwrap locking facades
+    inner = innermost_store(store)
     hits = getattr(inner, "cache_hits", None)
     if isinstance(hits, int):
         counters.increment("store.cache_hits", hits)
@@ -283,8 +334,10 @@ def run_reduce_task(
     counters: Counters,
     on_sample=None,
 ) -> list[Record]:
-    """Execute one reduce task over its partition's record stream."""
+    """Execute one reduce task over its partition's (flat) record stream."""
     reducer = prepare_reducer(job, on_sample=on_sample)
+    if job.mode is not ExecutionMode.BARRIER:
+        records = record_batches(records, store_flush(reducer))
     context = make_reduce_context(job, records, counters)
     reducer.run(context)
     harvest_store_counters(reducer, counters)

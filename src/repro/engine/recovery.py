@@ -32,6 +32,7 @@ dedup the re-fetch instead — the asymmetry the §8 claim glosses over.
 
 from __future__ import annotations
 
+import itertools
 import queue
 import threading
 import time
@@ -55,6 +56,7 @@ __all__ = [
     "MapOutputService",
     "RecoveryConfig",
     "ReducerCrashError",
+    "reduce_record_hook",
     "run_fetch_stream",
     "stable_fraction",
 ]
@@ -327,6 +329,28 @@ class FetchFaultInjector:
     @property
     def may_stall_reduce(self) -> bool:
         return bool(self.stall_reducer_seconds)
+
+
+def reduce_record_hook(
+    injector: FetchFaultInjector | None, reducer: int
+) -> Callable[[], None] | None:
+    """The per-record ``on_record`` hook of a barrier-less reduce context.
+
+    Reduce input is delivered in batches, but the fault-injection
+    contract is per record: ``check_reduce(reducer, consumed)`` runs
+    before each record is presented, with the number already consumed
+    (crash thresholds, the cluster worker's SIGKILL and throttle
+    injectors all key on it).  No injector, no hook — and then the
+    reduce path makes no per-record call at all.
+    """
+    if injector is None:
+        return None
+    consumed = itertools.count()
+
+    def on_record() -> None:
+        injector.check_reduce(reducer, next(consumed))
+
+    return on_record
 
 
 # ---------------------------------------------------------------------------

@@ -2,7 +2,7 @@
 
 The threaded engine and the networked cluster runtime execute the same
 reduce task — fetch a partition from per-mapper sequenced batch streams,
-optionally sort (barrier) or fold record-by-record (barrier-less), with
+optionally sort (barrier) or fold batch-by-batch (barrier-less), with
 retry/backoff/dedup/checkpoint semantics from :mod:`repro.engine.recovery`
 — but against different transports: in-process queues versus TCP sockets.
 This module is the transport-agnostic middle layer extracted from
@@ -41,13 +41,16 @@ from repro.dfs.wire import WireBatch, WireConfig, compression_ratio, decode_batc
 from repro.engine.base import (
     Stopwatch,
     harvest_store_counters,
+    innermost_store,
     make_reduce_context,
     prepare_reducer,
+    store_flush,
 )
 from repro.engine.recovery import (
     FetchFaultInjector,
     FetchLedger,
     RecoveryConfig,
+    reduce_record_hook,
     run_fetch_stream,
 )
 from repro.memory.checkpoint import (
@@ -255,15 +258,16 @@ class ReduceTaskRecovery:
 class RecordStream:
     """Iterator over a FIFO queue fed by ``producers`` fetch threads.
 
-    Yields records until every producer has sent its sentinel; this is the
-    "single buffer" of the barrier-less reducer with the reduce thread
-    consuming "in a first-in first-out manner".  Items are
-    ``(records, wire_bytes, mapper, seq, epoch)`` tuples; once a batch is
-    fully consumed its bytes are handed to ``on_batch_done`` (the
-    flow-control release) and its provenance to ``on_batch_folded``.
-    Both callbacks run on the consuming thread at the batch boundary —
-    i.e. after the consumer has processed every record of the batch — so
-    ``on_batch_folded`` is a consistent point to snapshot the store.
+    Yields whole decoded record batches until every producer has sent its
+    sentinel; this is the "single buffer" of the barrier-less reducer
+    with the reduce thread consuming "in a first-in first-out manner".
+    Items are ``(records, wire_bytes, mapper, seq, epoch)`` tuples; once
+    the consumer comes back for the next batch — i.e. after it has
+    processed every record of this one — the batch's bytes are handed to
+    ``on_batch_done`` (the flow-control release) and its provenance to
+    ``on_batch_folded``.  Both callbacks run on the consuming thread at
+    that batch boundary, so ``on_batch_folded`` is a consistent point to
+    write the store back and snapshot it.
     """
 
     def __init__(
@@ -286,7 +290,7 @@ class RecordStream:
                 finished += 1
                 continue
             records, nbytes, mapper, seq, epoch = item
-            yield from records
+            yield records
             if self._on_batch_done is not None:
                 self._on_batch_done(nbytes)
             if self._on_batch_folded is not None:
@@ -528,7 +532,7 @@ def run_pipelined_reduce_attempt(
     shuffle_start = watch.elapsed()
     fetch_errors: list[BaseException] = []
     # The FIFO buffer's occupancy in records: delivered batches add,
-    # each record the reduce thread takes out subtracts.
+    # each batch the reduce thread has finished folding subtracts.
     depth = LiveGauge()
     depth_token = (
         inst.buffer_depth.add(depth.value) if inst is not None else None
@@ -547,16 +551,17 @@ def run_pipelined_reduce_attempt(
     local_counters = Counters()
     reducer = prepare_reducer(job)
     store = getattr(reducer, "_store", None)
+    flush = store_flush(reducer)
     if inst is not None and store is not None:
         store_token = inst.store_bytes.add(store.memory_used)
 
     rec = recovery
+    backing = innermost_store(store)
     ckpt_active = (
         rec is not None
         and rec.can_checkpoint
-        and store is not None
-        and hasattr(store, "checkpoint")
-        and hasattr(store, "restore")
+        and hasattr(backing, "checkpoint")
+        and hasattr(backing, "restore")
     )
     # Per-mapper fold progress of THIS attempt:
     # mapper -> [next batch seq, epoch of those batches, records folded].
@@ -668,6 +673,11 @@ def run_pipelined_reduce_attempt(
     def on_batch_folded(
         mapper: int, seq: int, epoch: int, count: int, nbytes: int
     ) -> None:
+        # Everything owed per batch is paid here, once: the write-back
+        # first, so snapshots and preempt cuts see a consistent store.
+        flush()
+        local_counters.increment("shuffle.records", count)
+        depth.add(-count)
         state = progress.get(mapper)
         base = state[2] if state is not None else 0
         prior = (
@@ -765,28 +775,21 @@ def run_pipelined_reduce_attempt(
     for thread in threads:
         thread.start()
 
-    def counted(records):
-        consumed = 0
-        for record in records:
-            if injector is not None:
-                injector.check_reduce(reducer_index, consumed)
-            consumed += 1
-            local_counters.increment("shuffle.records")
-            depth.add(-1)
-            yield record
-
-    stream = counted(
-        RecordStream(
-            shared,
-            num_maps,
-            on_batch_done=flow.release if flow is not None else None,
-            on_batch_folded=on_batch_folded,
-        )
+    stream = RecordStream(
+        shared,
+        num_maps,
+        on_batch_done=flow.release if flow is not None else None,
+        on_batch_folded=on_batch_folded,
     )
     try:
         def run_reduce():
-            context = make_reduce_context(job, stream, local_counters)
-            reducer.run(context)  # consumes records as they arrive
+            context = make_reduce_context(
+                job,
+                stream,
+                local_counters,
+                reduce_record_hook(injector, reducer_index),
+            )
+            reducer.run(context)  # consumes batches as they arrive
             for thread in threads:
                 thread.join()
             return context

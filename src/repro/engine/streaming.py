@@ -16,7 +16,7 @@ counts — which is only possible because the reduce path never waits for
 a batch run over the concatenated input would produce.
 
 Each reducer runs ``Reducer.run`` unmodified on its own thread, consuming
-a blocking record queue, so every barrier-less reducer written for the
+a blocking queue of record batches, so every barrier-less reducer written for the
 batch engines works on streams without change.
 
 Fault tolerance: a crashed reducer (injected through a
@@ -29,8 +29,9 @@ re-consuming its input, and the stream then continues live.
 
 With a :class:`~repro.engine.recovery.RecoveryConfig` carrying a
 :class:`~repro.memory.checkpoint.CheckpointPolicy`, each session also
-snapshots its store periodically (on the reduce thread, at record
-boundaries, so the snapshot's ``records`` count is exact).  A restart
+snapshots its store periodically (on the reduce thread, at batch
+boundaries, after the store write-back, so the snapshot's ``records``
+count is exact).  A restart
 then restores the snapshot and replays only the journal *tail* past it —
 resume instead of refold.  A torn snapshot, or one whose record count
 exceeds the journal (a leftover from some other stream's life), fails
@@ -46,7 +47,7 @@ import threading
 import time
 from typing import Iterator, Sequence
 
-from repro.core.api import ReduceContext
+from repro.core.api import BatchReduceContext
 from repro.core.job import JobSpec
 from repro.core.patterns import BarrierlessReducer
 from repro.core.types import (
@@ -60,6 +61,7 @@ from repro.core.types import (
     Value,
 )
 from repro.engine.base import (
+    BATCH_RECORDS,
     finish_result,
     harvest_store_counters,
     partition_records,
@@ -67,17 +69,21 @@ from repro.engine.base import (
     reducer_is_checkpointable,
     reducer_is_store_backed,
     run_map_task,
+    store_flush,
 )
 from repro.dfs.wire import (
     WireConfig,
     account_batches,
     compression_ratio,
     decode_batch,
-    decode_batches,
     encode_record_batches,
 )
 from repro.engine.faults import TaskAttemptError
-from repro.engine.recovery import FetchFaultInjector, RecoveryConfig
+from repro.engine.recovery import (
+    FetchFaultInjector,
+    RecoveryConfig,
+    reduce_record_hook,
+)
 from repro.memory.checkpoint import (
     CheckpointError,
     CheckpointPolicy,
@@ -85,7 +91,8 @@ from repro.memory.checkpoint import (
     discard_checkpoint,
     peek_checkpoint_meta,
 )
-from repro.obs import JobObservability, MetricsTicker
+from repro.memory import WriteBackStore
+from repro.obs import JobObservability, LiveGauge, MetricsTicker
 
 _SENTINEL = None
 
@@ -152,45 +159,32 @@ class _LockedStore:
             return len(self._inner)
 
 
-class _QueueGroups:
-    """Blocking grouped-record iterable feeding a reducer thread.
+class _QueueBatches:
+    """Blocking record-batch iterable feeding a reducer thread.
 
-    With a fault injector attached it also counts consumed records and
-    raises the injector's :class:`ReducerCrashError` at the configured
-    consumption point — the crash fires *inside* ``Reducer.run``, exactly
-    where a real mid-fold failure would.
+    Queue items are record lists.  Once the reducer comes back for the
+    next one, the previous batch is fully folded: the store write-back is
+    flushed and ``on_folded(count)`` runs — a valid snapshot point on the
+    reduce thread.  A :class:`_SyncToken` therefore arms only after every
+    batch queued before it is in the store.
     """
 
-    def __init__(
-        self,
-        records: "queue.Queue",
-        injector: FetchFaultInjector | None = None,
-        reducer_index: int = 0,
-        on_folded=None,
-    ):
-        self._records = records
-        self._injector = injector
-        self._reducer_index = reducer_index
+    def __init__(self, batches: "queue.Queue", flush, on_folded):
+        self._batches = batches
+        self._flush = flush
         self._on_folded = on_folded
 
-    def __iter__(self) -> Iterator[tuple[Key, list[Value]]]:
-        consumed = 0
+    def __iter__(self) -> Iterator[list[Record]]:
         while True:
-            item = self._records.get()
+            item = self._batches.get()
             if item is _SENTINEL:
                 return
             if isinstance(item, _SyncToken):
                 item.arm()
                 continue
-            if self._injector is not None:
-                self._injector.check_reduce(self._reducer_index, consumed)
-            consumed += 1
-            yield item.key, [item.value]
-            # The generator resumes only once the reducer asks for the
-            # next group, i.e. the yielded record is fully folded into
-            # the store — a valid snapshot point on the reduce thread.
-            if self._on_folded is not None:
-                self._on_folded()
+            yield item
+            self._flush()
+            self._on_folded(len(item))
 
 
 class _ReducerSession:
@@ -234,13 +228,19 @@ class _ReducerSession:
 
     def _start(self) -> None:
         self.queue: "queue.Queue" = queue.Queue()
+        #: Records queued or in the batch being folded right now.
+        self.depth = LiveGauge()
         self.lock = threading.Lock()
         self.counters = Counters()
         self.reducer = prepare_reducer(self._job)
         self.store = None
         if isinstance(self.reducer, BarrierlessReducer):
-            locked = _LockedStore(self.reducer.store, self.lock)
-            self.reducer.attach_store(locked)
+            # The lock goes *under* the write-back: snapshots read the
+            # locked store from other threads and see it as of the last
+            # batch boundary, while the reduce thread's per-record
+            # traffic stays in its private dict.
+            locked = _LockedStore(self.reducer.store._inner, self.lock)
+            self.reducer.attach_store(WriteBackStore(locked))
             self.store = locked
         self.folded = 0
         self._since_records = 0
@@ -251,14 +251,16 @@ class _ReducerSession:
             and self.store is not None
             and hasattr(self.store._inner, "checkpoint")
         )
-        self.context = ReduceContext(
-            _QueueGroups(
+        self.context = BatchReduceContext(
+            _QueueBatches(
                 self.queue,
-                self._injector,
-                self._index,
-                on_folded=self._on_folded if can_ckpt else self._count_folded,
+                store_flush(self.reducer),
+                self._on_folded if can_ckpt else self._count_folded,
             ),
             self.counters,
+            # The crash fires *inside* ``Reducer.run``, at the configured
+            # consumed-record index, where a real mid-fold failure would.
+            reduce_record_hook(self._injector, self._index),
         )
         self.thread = threading.Thread(
             target=self._guarded_run,
@@ -278,12 +280,20 @@ class _ReducerSession:
 
     # -- checkpointing (reduce thread) ---------------------------------------
 
-    def _count_folded(self) -> None:
-        self.folded += 1
+    def enqueue(self, records: list[Record]) -> None:
+        """Hand the reducer thread records, in write-back-sized batches."""
+        for start in range(0, len(records), BATCH_RECORDS):
+            batch = records[start : start + BATCH_RECORDS]
+            self.depth.add(len(batch))
+            self.queue.put(batch)
 
-    def _on_folded(self) -> None:
-        self.folded += 1
-        self._since_records += 1
+    def _count_folded(self, count: int) -> None:
+        self.folded += count
+        self.depth.add(-count)
+
+    def _on_folded(self, count: int) -> None:
+        self._count_folded(count)
+        self._since_records += count
         if self._policy.due(
             self._since_records, 0, time.monotonic() - self._since_t
         ):
@@ -381,15 +391,10 @@ class _ReducerSession:
                 if skip >= batch.count:
                     skip -= batch.count
                     continue
-                records = decode_batch(batch, self._wire)
-                if skip:
-                    records = records[skip:]
-                    skip = 0
-                for record in records:
-                    self.queue.put(record)
+                self.enqueue(decode_batch(batch, self._wire)[skip:])
+                skip = 0
         else:
-            for record in self.journal[skip:]:
-                self.queue.put(record)
+            self.enqueue(self.journal[skip:])
 
 
 class StreamingEngine:
@@ -494,7 +499,7 @@ class StreamingEngine:
         self._ticker.start()
 
     def _queued_records(self) -> int:
-        return sum(session.queue.qsize() for session in self._sessions)
+        return sum(session.depth.value() for session in self._sessions)
 
     def _store_bytes(self) -> int:
         return sum(
@@ -545,12 +550,11 @@ class StreamingEngine:
                 batches = encode_record_batches(part, self._wire)
                 account_batches(self.obs.counters, batches)
                 session.journal.extend(batches)
-                for record in decode_batches(batches, self._wire):
-                    session.queue.put(record)
+                for batch in batches:
+                    session.enqueue(decode_batch(batch, self._wire))
             else:
-                for record in part:
-                    session.journal.append(record)
-                    session.queue.put(record)
+                session.journal.extend(part)
+                session.enqueue(part)
             routed += len(part)
         self._routed_records += routed
         self.obs.metrics.observe_max(

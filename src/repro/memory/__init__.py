@@ -9,6 +9,11 @@ implementations:
 - :class:`SpillingKVStore` — LRU-cached log-backed KV store, the
   BerkeleyDB stand-in (§5.2).
 
+:class:`WriteBackStore` is not a fourth technique but what the engines
+put in front of any of the three in barrier-less mode: a dict that
+absorbs one wire batch's reads and writes and writes each dirty key back
+once at the batch boundary.
+
 All three stores support atomic, CRC-verified ``checkpoint``/``restore``
 (:mod:`repro.memory.checkpoint`) so a restarted reduce attempt can resume
 from its last snapshot instead of refolding the partition from zero.
@@ -42,6 +47,7 @@ from repro.memory.policies import FIFOCache, LRUCache
 from repro.memory.spill import SpillMergeStore
 from repro.memory.store import TreeMapStore
 from repro.memory.treemap import TreeMap
+from repro.memory.writeback import WriteBackStore
 
 __all__ = [
     "ENTRY_OVERHEAD_BYTES",
@@ -55,6 +61,7 @@ __all__ = [
     "SpillingKVStore",
     "TreeMap",
     "TreeMapStore",
+    "WriteBackStore",
     "checkpoint_exists",
     "deep_size",
     "discard_checkpoint",

@@ -51,9 +51,27 @@ def deep_size(obj: Any, _depth: int = 0) -> int:
     return shallow_size(obj)
 
 
+#: Exact types :func:`deep_size` sizes with one ``sys.getsizeof`` and no
+#: recursion.  Subclasses are excluded on purpose: a ``str`` subclass may
+#: define ``__sizeof__`` and must keep going through ``shallow_size``.
+_FLAT_TYPES = frozenset(
+    (type(None), bool, int, float, complex, str, bytes, bytearray)
+)
+
+
 def entry_size(key: Any, value: Any) -> int:
-    """Estimated heap cost of storing one (key, value) partial result."""
-    return ENTRY_OVERHEAD_BYTES + deep_size(key) + deep_size(value)
+    """Estimated heap cost of storing one (key, value) partial result.
+
+    Always ``ENTRY_OVERHEAD_BYTES + deep_size(key) + deep_size(value)``;
+    flat scalars — nearly every key and most aggregation partials — take
+    a shortcut to the same number, so spill points do not move.
+    """
+    getsizeof = sys.getsizeof
+    return (
+        ENTRY_OVERHEAD_BYTES
+        + (getsizeof(key) if type(key) in _FLAT_TYPES else deep_size(key))
+        + (getsizeof(value) if type(value) in _FLAT_TYPES else deep_size(value))
+    )
 
 
 class MemoryTracker:

@@ -36,6 +36,9 @@ from repro.memory.estimator import MemoryTracker, entry_size
 from repro.memory.treemap import TreeMap
 
 
+_MISSING = object()
+
+
 class _SpillFileReader:
     """Sequential reader over one wire-framed spill file."""
 
@@ -72,6 +75,15 @@ class SpillMergeStore:
     results for a single key may be spilled onto multiple different spill
     files", requiring the merge function to be commutative/associative.
 
+    A partial that ``get`` has handed out is *checked out* until the
+    key's next ``put``: the caller is about to fold into it and write the
+    result back, so spilling it meanwhile would put the same folds on
+    disk and in the buffer, and the merge would count them twice.  A
+    spill therefore holds checked-out entries back in the buffer.  With
+    record-at-a-time use the window is empty (``put`` follows ``get``);
+    behind a :class:`~repro.memory.writeback.WriteBackStore` it spans a
+    batch, and another key's write-back can spill inside it.
+
     ``on_sample`` receives the footprint estimate after every mutation so
     heap traces (Figure 5(b)) can be collected.
     """
@@ -90,6 +102,8 @@ class SpillMergeStore:
         self._buffer = TreeMap()
         self._tracker = MemoryTracker()
         self._sizes: dict[Key, int] = {}
+        #: Keys read since they were last written (see the class docstring).
+        self._checked_out: set[Key] = set()
         self._spill_paths: list[str] = []
         self._owned_dir: tempfile.TemporaryDirectory | None = None
         if spill_dir is None:
@@ -107,11 +121,16 @@ class SpillMergeStore:
     # -- PartialResultStore protocol ----------------------------------------
 
     def get(self, key: Key, default: Value = None) -> Value:
-        return self._buffer.get(key, default)
+        value = self._buffer.get(key, _MISSING)
+        if value is _MISSING:
+            return default
+        self._checked_out.add(key)
+        return value
 
     def put(self, key: Key, value: Value) -> None:
         if self._finalized:
             raise RuntimeError("store already finalized")
+        self._checked_out.discard(key)
         new_cost = entry_size(key, value)
         old_cost = self._sizes.get(key, 0)
         # Spill *before* inserting: the entry being written must survive in
@@ -231,18 +250,32 @@ class SpillMergeStore:
         return count, written
 
     def _spill(self) -> None:
-        """Drain the buffer to a new spill file, sorted by key."""
+        """Drain the buffer to a new spill file, sorted by key.
+
+        Checked-out entries stay behind, still charged.
+        """
         if len(self._buffer) == 0:
             return
-        path = os.path.join(self._dir, f"spill-{self.spill_count:05d}.wire")
-        count, written = self._write_run(path, self._buffer.items())
-        self.spilled_entries += count
-        self.spill_bytes_written += written
-        self._spill_paths.append(path)
-        self.spill_count += 1
-        self._buffer.clear()
+        held = [
+            (key, self._buffer.get(key), self._sizes[key])
+            for key in self._checked_out
+        ]
+        for key, _value, _cost in held:
+            self._buffer.remove(key)
+        if len(self._buffer):
+            path = os.path.join(self._dir, f"spill-{self.spill_count:05d}.wire")
+            count, written = self._write_run(path, self._buffer.items())
+            self.spilled_entries += count
+            self.spill_bytes_written += written
+            self._spill_paths.append(path)
+            self.spill_count += 1
+            self._buffer.clear()
         self._sizes.clear()
         self._tracker.reset()
+        for key, value, cost in held:
+            self._buffer.put(key, value)
+            self._sizes[key] = cost
+            self._tracker.charge(cost)
         if self._on_sample is not None:
             self._on_sample(self._tracker.used)
 

@@ -39,7 +39,7 @@ class TreeMapStore:
     ) -> None:
         self._tree = TreeMap()
         self._tracker = MemoryTracker()
-        self._sizes = TreeMap()  # key -> charged bytes, for replace accounting
+        self._sizes: dict[Key, int] = {}  # charged bytes, for replace accounting
         self._heap_limit = heap_limit_bytes
         self._on_sample = on_sample
 
@@ -52,7 +52,7 @@ class TreeMapStore:
         new_cost = entry_size(key, value)
         old_cost = self._sizes.get(key, 0)
         self._tree.put(key, value)
-        self._sizes.put(key, new_cost)
+        self._sizes[key] = new_cost
         if new_cost >= old_cost:
             self._tracker.charge(new_cost - old_cost)
         else:
@@ -87,8 +87,7 @@ class TreeMapStore:
         """Drop a key (used by window-style reducers retiring results)."""
         if not self._tree.remove(key):
             return False
-        self._tracker.discharge(self._sizes.get(key, 0))
-        self._sizes.remove(key)
+        self._tracker.discharge(self._sizes.pop(key, 0))
         if self._on_sample is not None:
             self._on_sample(self._tracker.used)
         return True
@@ -96,8 +95,7 @@ class TreeMapStore:
     def pop_first(self) -> tuple[Key, Value]:
         """Remove and return the smallest-key entry (spill drain order)."""
         key, value = self._tree.pop_first()
-        self._tracker.discharge(self._sizes.get(key, 0))
-        self._sizes.remove(key)
+        self._tracker.discharge(self._sizes.pop(key, 0))
         return key, value
 
     def checkpoint(

@@ -12,7 +12,7 @@ from repro.apps.blackscholes import (
     make_job,
     reference_statistics,
 )
-from repro.core.api import MapContext, ReduceContext, singleton_groups
+from repro.core.api import BatchReduceContext, MapContext, ReduceContext
 from repro.core.types import ExecutionMode, Record
 from repro.engine.local import LocalEngine
 from repro.workloads.options import (
@@ -41,7 +41,7 @@ class TestMeanStdReducer:
         values = [1.0, 2.0, 3.0, 4.0]
         reducer = MeanStdReducer()
         records = [Record(0, (v, v * v)) for v in values]
-        ctx = ReduceContext(singleton_groups(records))
+        ctx = BatchReduceContext([records])
         reducer.run(ctx)
         out = {r.key: r.value for r in ctx.drain()}
         mean = sum(values) / len(values)
@@ -59,7 +59,7 @@ class TestMeanStdReducer:
     def test_constant_values_zero_stddev(self):
         reducer = MeanStdReducer()
         records = [Record(0, (5.0, 25.0))] * 10
-        ctx = ReduceContext(singleton_groups(records))
+        ctx = BatchReduceContext([records])
         reducer.run(ctx)
         out = {r.key: r.value for r in ctx.drain()}
         assert out["stddev"] == pytest.approx(0.0, abs=1e-12)

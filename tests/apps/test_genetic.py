@@ -9,7 +9,7 @@ from repro.apps.genetic import (
     SelectionCrossoverReducer,
     make_job,
 )
-from repro.core.api import MapContext, ReduceContext, singleton_groups
+from repro.core.api import BatchReduceContext, MapContext
 from repro.core.types import ExecutionMode, Record
 from repro.engine.local import LocalEngine
 from repro.workloads.population import (
@@ -30,7 +30,7 @@ class TestSelectionCrossoverReducer:
     def _run(self, genomes, window=4):
         reducer = SelectionCrossoverReducer(window_size=window, genome_bits=8)
         records = [Record(g, onemax_fitness(g)) for g in genomes]
-        ctx = ReduceContext(singleton_groups(records))
+        ctx = BatchReduceContext([records])
         reducer.run(ctx)
         return ctx.drain()
 

@@ -12,7 +12,7 @@ from repro.apps.knn import (
     merge_topk,
     training_pairs,
 )
-from repro.core.api import MapContext, ReduceContext, singleton_groups
+from repro.core.api import BatchReduceContext, MapContext, ReduceContext
 from repro.core.types import ExecutionMode, Record
 from repro.engine.local import LocalEngine
 from repro.memory.store import TreeMapStore
@@ -37,7 +37,7 @@ class TestReducers:
         reducer = KnnBarrierlessReducer(k=2)
         reducer.attach_store(TreeMapStore())
         records = [Record(7, (10, 3)), Record(7, (20, 13)), Record(7, (8, 1))]
-        ctx = ReduceContext(singleton_groups(records))
+        ctx = BatchReduceContext([records])
         reducer.run(ctx)
         assert [r.value for r in ctx.drain()] == [(8, 1), (10, 3)]
 
@@ -45,7 +45,7 @@ class TestReducers:
         reducer = KnnBarrierlessReducer(k=2)
         reducer.attach_store(TreeMapStore())
         records = [Record(0, ("first", 5)), Record(0, ("second", 5))]
-        ctx = ReduceContext(singleton_groups(records))
+        ctx = BatchReduceContext([records])
         reducer.run(ctx)
         assert [r.value[0] for r in ctx.drain()] == ["first", "second"]
 

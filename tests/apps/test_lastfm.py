@@ -11,7 +11,7 @@ from repro.apps.lastfm import (
     make_job,
     merge_user_sets,
 )
-from repro.core.api import MapContext, ReduceContext, singleton_groups
+from repro.core.api import BatchReduceContext, MapContext, ReduceContext
 from repro.core.job import MemoryConfig
 from repro.core.types import ExecutionMode, Record
 from repro.engine.local import LocalEngine
@@ -36,7 +36,7 @@ class TestReducers:
         reducer = BarrierlessUniqueListensReducer()
         reducer.attach_store(TreeMapStore())
         records = [Record("t", u) for u in ["u1", "u2", "u1"]]
-        ctx = ReduceContext(singleton_groups(records))
+        ctx = BatchReduceContext([records])
         reducer.run(ctx)
         assert ctx.drain() == [Record("t", 2)]
 

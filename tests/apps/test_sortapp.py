@@ -66,14 +66,14 @@ class TestSortJob:
         # §6.1.1: duplicate values must not consume extra memory.  A store
         # holding counts keeps one entry however many duplicates arrive.
         from repro.apps.sortapp import BarrierlessSortReducer
-        from repro.core.api import ReduceContext, singleton_groups
+        from repro.core.api import BatchReduceContext
         from repro.core.types import Record
         from repro.memory.store import TreeMapStore
 
         reducer = BarrierlessSortReducer()
         store = TreeMapStore()
         reducer.attach_store(store)
-        ctx = ReduceContext(singleton_groups([Record(5, 5)] * 100))
+        ctx = BatchReduceContext([[Record(5, 5)] * 100])
         reducer.run(ctx)
         assert len(store) == 1
         assert len(ctx.drain()) == 100

@@ -12,7 +12,7 @@ from repro.apps.wordcount import (
     merge_counts,
     reference_output,
 )
-from repro.core.api import MapContext, ReduceContext, singleton_groups
+from repro.core.api import BatchReduceContext, MapContext, ReduceContext
 from repro.core.job import MemoryConfig
 from repro.core.types import ExecutionMode, Record
 from repro.memory.store import TreeMapStore
@@ -42,7 +42,7 @@ class TestBarrierlessIntSumReducer:
         reducer = BarrierlessIntSumReducer()
         reducer.attach_store(TreeMapStore())
         records = [Record("b", 1), Record("a", 1), Record("b", 1)]
-        ctx = ReduceContext(singleton_groups(records))
+        ctx = BatchReduceContext([records])
         reducer.run(ctx)
         # Output swept from the TreeMap is in key order (Algorithm 2's
         # final loop over the TreeMap).

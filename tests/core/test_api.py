@@ -7,12 +7,12 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from repro.core.api import (
+    BatchReduceContext,
     FunctionCombiner,
     MapContext,
     ReduceContext,
     Reducer,
     group_sorted_records,
-    singleton_groups,
 )
 from repro.core.types import Record
 
@@ -75,10 +75,34 @@ class TestGrouping:
     def test_group_single(self):
         assert list(group_sorted_records([Record("x", 0)])) == [("x", [0])]
 
-    def test_singleton_groups_preserve_arrival_order(self):
-        records = [Record("b", 1), Record("a", 2), Record("b", 3)]
-        groups = list(singleton_groups(records))
+    def test_batch_context_preserves_arrival_order(self):
+        # Barrier-less framing: every record is its own single-value
+        # group, batch after batch, empty batches skipped.
+        batches = [[Record("b", 1), Record("a", 2)], [], [Record("b", 3)]]
+        ctx = BatchReduceContext(batches)
+        groups = []
+        while ctx.next_key():
+            groups.append((ctx.current_key(), ctx.current_values()))
         assert groups == [("b", [1]), ("a", [2]), ("b", [3])]
+        assert not ctx.next_key()
+        with pytest.raises(RuntimeError):
+            ctx.current_key()
+
+    def test_batch_context_boundary_and_record_hooks(self):
+        # The source learns a batch is folded when the context comes back
+        # for the next one; on_record runs before each record, so a hook
+        # that raises on its n-th call stops the fold at record index n.
+        log = []
+
+        def source():
+            for number, batch in enumerate([[Record(1, 1)] * 3, [Record(2, 2)] * 2]):
+                yield batch
+                log.append(f"folded-{number}")
+
+        ctx = BatchReduceContext(source(), on_record=lambda: log.append("r"))
+        while ctx.next_key():
+            pass
+        assert log == ["r", "r", "r", "folded-0", "r", "r", "folded-1"]
 
     @given(
         st.lists(

@@ -18,7 +18,7 @@ from repro.core.patterns import (
     SortingReducer,
 )
 from repro.core.types import Record
-from repro.core.api import singleton_groups
+from repro.core.api import BatchReduceContext
 from repro.memory.store import TreeMapStore
 
 
@@ -26,7 +26,7 @@ def run_barrierless(reducer, records):
     """Drive a reducer over singleton-record groups, returning its output."""
     if isinstance(reducer, BarrierlessReducer):
         reducer.attach_store(TreeMapStore())
-    ctx = ReduceContext(singleton_groups([Record(k, v) for k, v in records]))
+    ctx = BatchReduceContext([[Record(k, v) for k, v in records]])
     reducer.run(ctx)
     return [(r.key, r.value) for r in ctx.drain()]
 
@@ -48,7 +48,7 @@ class TestIdentity:
 
     def test_no_store_needed(self):
         reducer = IdentityBarrierlessReducer()
-        ctx = ReduceContext(singleton_groups([Record("x", 1)]))
+        ctx = BatchReduceContext([[Record("x", 1)]])
         reducer.run(ctx)  # must not raise despite no attached store
         assert ctx.drain() == [Record("x", 1)]
 

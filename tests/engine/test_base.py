@@ -9,13 +9,17 @@ from repro.core.job import JobSpec
 from repro.core.types import Counters, ExecutionMode, Record
 from repro.core.patterns import AggregationReducer
 from repro.engine.base import (
+    BATCH_RECORDS,
     apply_combiner,
     barrier_merge_sort,
+    innermost_store,
     interleave_arrival,
     partition_records,
     prepare_reducer,
     run_map_task,
+    run_reduce_task,
 )
+from repro.memory import WriteBackStore
 from repro.memory.spill import SpillMergeStore
 from repro.memory.store import TreeMapStore
 
@@ -102,7 +106,8 @@ class TestShuffleVariants:
 class TestPrepareReducer:
     def test_attaches_store_from_memory_config(self):
         reducer = prepare_reducer(_wc_spec())
-        assert isinstance(reducer.store, TreeMapStore)
+        assert isinstance(reducer.store, WriteBackStore)
+        assert isinstance(innermost_store(reducer.store), TreeMapStore)
 
     def test_honours_custom_store_factory(self):
         spec = _wc_spec(
@@ -111,7 +116,13 @@ class TestPrepareReducer:
             )
         )
         reducer = prepare_reducer(spec)
-        assert isinstance(reducer.store, SpillMergeStore)
+        assert isinstance(innermost_store(reducer.store), SpillMergeStore)
+
+    def test_barrier_mode_store_has_no_write_back(self):
+        # Nothing flushes a barrier-mode reducer at batch boundaries, so
+        # a store-backed reducer run with the barrier gets the bare store.
+        reducer = prepare_reducer(_wc_spec(mode=ExecutionMode.BARRIER))
+        assert isinstance(reducer.store, TreeMapStore)
 
     def test_plain_reducer_gets_no_store(self):
         from repro.core.api import Reducer
@@ -119,3 +130,89 @@ class TestPrepareReducer:
         spec = _wc_spec(reducer_factory=Reducer)
         reducer = prepare_reducer(spec)
         assert not hasattr(reducer, "store")
+
+
+class _CountingProxy:
+    """A ``store_factory`` proxy in stagebench's shape: ``_inner`` + puts."""
+
+    def __init__(self, inner):
+        self._inner = inner
+        self.puts = 0
+
+    def put(self, key, value):
+        self.puts += 1
+        self._inner.put(key, value)
+
+    def __getattr__(self, name):
+        return getattr(self._inner, name)
+
+
+class TestBatchNativeReduce:
+    def test_real_puts_equal_distinct_keys_per_batch(self):
+        # 600 records over 7 keys: three slices (256, 256, 88), so the
+        # store behind the write-back sees one put per distinct key per
+        # slice instead of two per record.
+        proxies = []
+
+        def factory():
+            proxies.append(_CountingProxy(TreeMapStore()))
+            return proxies[-1]
+
+        records = [Record(f"k{i % 7}", 1) for i in range(600)]
+        batches = [
+            records[start : start + BATCH_RECORDS]
+            for start in range(0, len(records), BATCH_RECORDS)
+        ]
+        out = run_reduce_task(
+            _wc_spec(store_factory=factory), iter(records), Counters()
+        )
+        assert {r.key: r.value for r in out} == {
+            f"k{i}": len(range(i, 600, 7)) for i in range(7)
+        }
+        (proxy,) = proxies
+        assert proxy.puts == sum(len({r.key for r in b}) for b in batches) == 21
+
+    def test_heap_limit_trips_at_most_one_batch_late(self):
+        from repro.core.job import MemoryConfig
+        from repro.core.types import ReducerOutOfMemoryError
+
+        limit = 10_000
+        records = [Record(f"word-{i:05d}", 1) for i in range(3 * BATCH_RECORDS)]
+        # Record-at-a-time against the bare store: where the limit trips.
+        bare = TreeMapStore(heap_limit_bytes=limit)
+        with pytest.raises(ReducerOutOfMemoryError):
+            for tripped_at, record in enumerate(records):
+                bare.put(record.key, 0)
+                bare.put(record.key, bare.get(record.key) + 1)
+        assert 0 < tripped_at < BATCH_RECORDS
+
+        pulled = []
+
+        def stream():
+            for record in records:
+                pulled.append(record)
+                yield record
+
+        spec = _wc_spec(
+            memory=MemoryConfig(store="inmemory", heap_limit_bytes=limit)
+        )
+        with pytest.raises(ReducerOutOfMemoryError):
+            run_reduce_task(spec, stream(), Counters())
+        # Raised by the write-back of the batch that crossed the limit.
+        assert len(pulled) == BATCH_RECORDS
+
+    def test_store_counters_survive_any_number_of_wrappers(self):
+        # write-back -> proxy -> spill store: the spill statistics live
+        # two levels down and must still be harvested.
+        spec = _wc_spec(
+            store_factory=lambda: _CountingProxy(
+                SpillMergeStore(lambda a, b: a + b, spill_threshold_bytes=512)
+            )
+        )
+        counters = Counters()
+        records = [Record(f"k{i:04d}", 1) for i in range(400)]
+        out = run_reduce_task(spec, records, counters)
+        assert len(out) == 400
+        assert counters.get("store.spills") > 0
+        assert counters.get("memory.spill.files") == counters.get("store.spills")
+        assert counters.get("memory.spill.bytes") > 0

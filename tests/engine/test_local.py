@@ -83,6 +83,29 @@ class TestLocalEngine:
         with pytest.raises(ReducerOutOfMemoryError):
             local_engine.run(job, docs, num_maps=4)
 
+    def test_oom_and_heap_samples_fire_at_the_batch_write_back(self):
+        # The heap model sits behind the batch write-back: the store is
+        # charged (and sampled) once per distinct key when a batch is
+        # written back, so the limit trips inside the first write-back
+        # that crosses it — never later than the end of that batch.
+        docs = generate_documents(40, words_per_doc=60, vocab_size=5000, seed=3)
+        limit = 10_000
+        job = wordcount.make_job(
+            ExecutionMode.BARRIERLESS,
+            num_reducers=1,
+            memory=MemoryConfig(store="inmemory", heap_limit_bytes=limit),
+        )
+        samples: list[int] = []
+        engine = LocalEngine(heap_sample_hook=lambda _i, used: samples.append(used))
+        with pytest.raises(ReducerOutOfMemoryError) as caught:
+            engine.run(job, docs, num_maps=4)
+        # One sample per real put, strictly growing (all keys of the first
+        # 256-record batch are new), and every one at or under the limit:
+        # the put that crossed it raised instead of sampling.
+        assert samples == sorted(set(samples)) and samples[-1] <= limit
+        assert len(samples) < 256
+        assert limit < caught.value.used_bytes < limit + 200
+
     def test_stage_times_monotone(self, local_engine, small_corpus):
         result = local_engine.run(
             wordcount.make_job(ExecutionMode.BARRIER), small_corpus, num_maps=4

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from hypothesis import given, settings
+
 from repro.memory.estimator import (
     ENTRY_OVERHEAD_BYTES,
     MemoryTracker,
@@ -9,6 +11,10 @@ from repro.memory.estimator import (
     entry_size,
     shallow_size,
 )
+
+# The value space the shuffle can carry is the value space a store can
+# be asked to size: reuse the wire fuzzers' strategies.
+from tests.dfs.test_wire_fuzz import _keys, _values
 
 
 class TestDeepSize:
@@ -51,6 +57,25 @@ class TestEntrySize:
 
     def test_monotone_in_value_size(self):
         assert entry_size("k", "v" * 1000) > entry_size("k", "v")
+
+    @settings(max_examples=300, deadline=None)
+    @given(_keys, _values)
+    def test_fast_path_equals_deep_size(self, key, value):
+        # Flat scalars skip the recursion but must be charged the very
+        # same bytes, or spill points (and memory.spill.*) would move.
+        expected = ENTRY_OVERHEAD_BYTES + deep_size(key) + deep_size(value)
+        assert entry_size(key, value) == expected
+        assert entry_size(value, key) == expected  # sizing never hashes
+
+    def test_scalar_subclasses_take_the_general_path(self):
+        class Fat(str):
+            def __sizeof__(self):
+                return 10_000
+
+        assert entry_size(Fat("k"), 1) == (
+            ENTRY_OVERHEAD_BYTES + deep_size(Fat("k")) + deep_size(1)
+        )
+        assert entry_size(Fat("k"), 1) > 10_000
 
 
 class TestMemoryTracker:

@@ -163,6 +163,24 @@ class TestReplacementDuringSpill:
         assert merged["big"] == total + 1_000_000
         store.close()
 
+    def test_checked_out_partial_is_held_back_from_a_spill(self):
+        # get() hands a partial out; until that key's put() lands, another
+        # key's put may spill the buffer.  The handed-out entry must stay
+        # behind (it is about to be replaced), or the merge adds it twice.
+        store = SpillMergeStore(add, spill_threshold_bytes=1_000)
+        store.put("k", 5)
+        store.put("bystander", 1)
+        partial = store.get("k")
+        store.put("filler", "x" * 2_000)  # spills everything it may
+        assert store.num_spill_files == 1
+        assert store.contains("k") and not store.contains("bystander")
+        assert store.memory_used() > 0  # the held entry is still charged
+        store.put("k", partial + 1)
+        store.finalize()
+        merged = dict(store.items())
+        assert merged["k"] == 6 and merged["bystander"] == 1
+        store.close()
+
     def test_fold_correct_under_tiny_threshold(self):
         # Every put spills: the stress case for replacement handling.
         store = SpillMergeStore(add, spill_threshold_bytes=1)
