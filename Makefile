@@ -1,6 +1,6 @@
 # Convenience targets for the reproduction workflow.
 
-.PHONY: install test bench bench-quick stagebench-smoke bench-figures chaos cluster \
+.PHONY: install test stagebench-smoke bench-figures chaos cluster \
 	cluster-trace netchaos server preempt figures csv scoreboard examples \
 	trace-demo all clean
 
@@ -9,13 +9,6 @@ install:
 
 test:
 	pytest tests/
-
-bench:
-	python -m repro.cli bench --out benchmarks/history
-
-bench-quick:
-	python -m repro.cli bench --quick --out benchmarks/history \
-		--baseline benchmarks/baseline/BENCH_baseline.json --scope counters
 
 stagebench-smoke:
 	python -m benchmarks.stagebench --seed 1 --smoke
@@ -77,7 +70,7 @@ trace-demo:
 		-o results/wc.trace.json --summary
 	python -m repro.cli counters wc --records 2000 --diff
 
-all: test bench
+all: test stagebench-smoke
 
 clean:
 	rm -rf results/ .pytest_cache .hypothesis build *.egg-info src/*.egg-info

@@ -19,8 +19,8 @@ from __future__ import annotations
 import math
 
 from repro.apps import blackscholes
+from repro.cluster import ClusterEngine
 from repro.core import ExecutionMode
-from repro.engine import MultiprocessEngine
 from repro.workloads import (
     OptionParams,
     black_scholes_closed_form,
@@ -37,7 +37,7 @@ def main() -> None:
     )
 
     job = blackscholes.make_job(ExecutionMode.BARRIERLESS)
-    result = MultiprocessEngine(processes=2).run(job, batches, num_maps=8)
+    result = ClusterEngine(workers=2).run(job, batches, num_maps=8)
     out = result.output_as_dict()
 
     analytic = black_scholes_closed_form(params)

@@ -10,8 +10,7 @@ simulator that regenerates the paper's evaluation.
 Subpackages
 -----------
 - :mod:`repro.core` — the programming model and barrier-less runtime.
-- :mod:`repro.engine` — local execution engines (sequential, threaded,
-  multiprocess).
+- :mod:`repro.engine` — local execution engines (sequential, threaded).
 - :mod:`repro.memory` — partial-result stores: in-memory red-black tree,
   disk spill-and-merge, disk-spilling key/value store.
 - :mod:`repro.sim` — discrete-event cluster simulator (the testbed

@@ -131,7 +131,7 @@ def make_job(
     """
     exp = list(experimental)
     # functools.partial / operator.itemgetter keep every factory picklable,
-    # which the multiprocessing engine needs to ship jobs to its workers.
+    # which the cluster coordinator needs to ship jobs to its workers.
     if mode is ExecutionMode.BARRIER:
         if secondary_sort:
             reducer_factory = functools.partial(KnnSecondarySortReducer, k)

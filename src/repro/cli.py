@@ -43,7 +43,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub.add_parser("classify", help="print Table 1 (Reduce classification)")
     sub.add_parser("effort", help="print Table 2 (programmer effort, LoC)")
 
-    def add_execution_args(command, engines=("local", "threaded", "multiproc")):
+    def add_execution_args(command):
         command.add_argument(
             "app", choices=["grep", "sort", "wc", "knn", "pp", "ga", "bs"]
         )
@@ -52,7 +52,8 @@ def build_parser() -> argparse.ArgumentParser:
                              help="synthetic input size (records/documents/listens)")
         command.add_argument("--reducers", type=int, default=4)
         command.add_argument("--maps", type=int, default=4)
-        command.add_argument("--engine", choices=list(engines), default="local")
+        command.add_argument("--engine", choices=["local", "threaded"],
+                             default="local")
         command.add_argument("--store",
                              choices=["inmemory", "spillmerge", "kvstore"],
                              default="inmemory")
@@ -214,49 +215,6 @@ def build_parser() -> argparse.ArgumentParser:
     pipeline.add_argument("--seed", type=int, default=0)
     pipeline.add_argument("--top", type=int, default=10)
 
-    bench = sub.add_parser(
-        "bench",
-        help="run the perf-regression bench matrix and diff vs a baseline",
-    )
-    bench.add_argument("--quick", action="store_true",
-                       help="tiny inputs, fewer repeats (the CI smoke shape)")
-    bench.add_argument("--apps", nargs="+", metavar="APP",
-                       choices=["grep", "sort", "wc", "knn", "pp", "ga", "bs"],
-                       help="subset of apps (default: all seven)")
-    bench.add_argument("--modes", nargs="+", metavar="MODE",
-                       choices=["barrier", "barrierless"],
-                       help="subset of modes (default: both)")
-    bench.add_argument("--repeats", type=int, help="timed runs per cell")
-    bench.add_argument("--records", type=int, help="synthetic input size")
-    bench.add_argument("--reducers", type=int)
-    bench.add_argument("--maps", type=int)
-    bench.add_argument("--seed", type=int)
-    bench.add_argument("--out", metavar="DIR", default="benchmarks/history",
-                       help="snapshot directory (default: benchmarks/history)")
-    bench.add_argument("--no-write", action="store_true",
-                       help="run and diff without writing a snapshot")
-    bench.add_argument("--baseline", metavar="FILE",
-                       help="diff against this snapshot instead of the "
-                            "latest one in --out")
-    bench.add_argument("--threshold", type=float, default=0.10,
-                       help="relative regression threshold (default: 0.10)")
-    bench.add_argument("--min-seconds", type=float, default=0.02,
-                       help="absolute timing noise floor (default: 0.02)")
-    bench.add_argument("--scope", choices=["timing", "counters", "all"],
-                       default="all",
-                       help="which tracked quantities to diff "
-                            "(CI uses 'counters' across machines)")
-    bench.add_argument("--diff", nargs=2, metavar=("OLD", "NEW"),
-                       help="diff two existing snapshots and exit; "
-                            "no bench runs")
-    bench.add_argument("--codec", choices=["wire", "pickle", "off"],
-                       help="shuffle wire codec for the bench runs "
-                            "(default: wire)")
-    bench.add_argument("--wire", action="store_true",
-                       help="compare the wire codec against legacy pickle "
-                            "framing (shuffle bytes + output equivalence) "
-                            "and exit; no snapshot")
-
     metrics_cmd = sub.add_parser(
         "metrics",
         help="record a run's time-series metrics and print sparklines",
@@ -393,14 +351,11 @@ def _make_app_job_and_input(args, mode: ExecutionMode | None = None):
 
 def _make_engine(name: str, obs=None):
     from repro.engine import LocalEngine, ThreadedEngine
-    from repro.engine.multiproc import MultiprocessEngine
 
     if name == "local":
         return LocalEngine(obs=obs)
     if name == "threaded":
         return ThreadedEngine(obs=obs)
-    if name == "multiproc":
-        return MultiprocessEngine(obs=obs)
     raise AssertionError(name)
 
 
@@ -1033,92 +988,6 @@ def _cmd_figure(names: list[str]) -> int:
     return 0
 
 
-def _cmd_bench(args) -> int:
-    """Run the bench matrix, snapshot it, diff against the baseline.
-
-    Exit code 1 means at least one tracked quantity regressed past the
-    threshold — the snapshot is still written so the run can be inspected.
-    """
-    from repro.bench import (
-        WIRE_COMPARISON_APPS,
-        BenchConfig,
-        diff_snapshots,
-        load_snapshot,
-        previous_snapshot,
-        render_diff,
-        render_wire_comparison,
-        run_bench,
-        run_wire_comparison,
-        write_snapshot,
-    )
-
-    if args.wire:
-        overrides = {"apps": tuple(args.apps or WIRE_COMPARISON_APPS)}
-        if args.modes:
-            overrides["modes"] = tuple(args.modes)
-        if args.repeats is not None:
-            overrides["repeats"] = args.repeats
-        if args.records is not None:
-            overrides["records"] = args.records
-        config = BenchConfig.quick(**overrides)
-        report = run_wire_comparison(config)
-        print(render_wire_comparison(report))
-        return 0 if report["passed"] else 1
-
-    if args.diff:
-        baseline = load_snapshot(args.diff[0])
-        current = load_snapshot(args.diff[1])
-        regressions = diff_snapshots(
-            baseline, current, threshold=args.threshold,
-            min_seconds=args.min_seconds, scope=args.scope,
-        )
-        print(render_diff(baseline, current, regressions))
-        return 1 if regressions else 0
-
-    overrides = {}
-    for cli_name, config_name in (
-        ("repeats", "repeats"),
-        ("records", "records"),
-        ("reducers", "num_reducers"),
-        ("maps", "num_maps"),
-        ("seed", "seed"),
-    ):
-        value = getattr(args, cli_name)
-        if value is not None:
-            overrides[config_name] = value
-    if args.apps:
-        overrides["apps"] = tuple(args.apps)
-    if args.modes:
-        overrides["modes"] = tuple(args.modes)
-    if args.codec:
-        overrides["codec"] = args.codec
-    config = (
-        BenchConfig.quick(**overrides) if args.quick
-        else BenchConfig(**overrides)
-    )
-
-    # Resolve the baseline before writing, so a fresh snapshot never
-    # diffs against itself.
-    if args.baseline:
-        baseline = load_snapshot(args.baseline)
-    else:
-        baseline = previous_snapshot(args.out)
-
-    snapshot = run_bench(config, log=print)
-    if not args.no_write:
-        print(f"wrote {write_snapshot(args.out, snapshot)}")
-    if baseline is None:
-        print("no baseline snapshot yet — nothing to diff against")
-        return 0
-    regressions = diff_snapshots(
-        baseline, snapshot, threshold=args.threshold,
-        min_seconds=args.min_seconds, scope=args.scope,
-    )
-    print()
-    print(render_diff(baseline, snapshot, regressions))
-    return 1 if regressions else 0
-
-
 def _cmd_metrics(args) -> int:
     from repro.analysis import render_metrics_table
     from repro.obs import load_metrics
@@ -1477,8 +1346,6 @@ def main(argv: Sequence[str] | None = None) -> int:
         return _cmd_cluster(args)
     if args.command == "pipeline":
         return _cmd_pipeline(args)
-    if args.command == "bench":
-        return _cmd_bench(args)
     if args.command == "metrics":
         return _cmd_metrics(args)
     if args.command == "top":

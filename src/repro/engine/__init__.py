@@ -4,9 +4,9 @@
   oracle for the test suite).
 - :class:`ThreadedEngine` — per-mapper fetch threads and a pipelined
   reduce thread, structurally faithful to the paper's §3.1.
-- :class:`MultiprocessEngine` — tasks in worker processes.
 
-All engines run both :class:`~repro.core.types.ExecutionMode` variants.
+Each engine runs both :class:`~repro.core.types.ExecutionMode` variants.
+Tasks in worker processes are :class:`repro.cluster.ClusterEngine`.
 """
 
 from repro.engine.base import (
@@ -33,7 +33,6 @@ from repro.engine.instrument import (
     stage_boundaries,
 )
 from repro.engine.local import LocalEngine
-from repro.engine.multiproc import MultiprocessEngine
 from repro.engine.recovery import (
     BackoffPolicy,
     FetchAttemptError,
@@ -68,7 +67,6 @@ __all__ = [
     "TaskAttemptError",
     "TaskPermanentlyFailedError",
     "LocalEngine",
-    "MultiprocessEngine",
     "TaskEvent",
     "TaskLog",
     "ThreadedEngine",

@@ -1,15 +1,15 @@
 """Shared machinery for the local execution engines.
 
 An *engine* executes a :class:`~repro.core.job.JobSpec` over in-memory
-input and returns a :class:`~repro.core.types.JobResult`.  Three engines
+input and returns a :class:`~repro.core.types.JobResult`.  These engines
 share this module's helpers:
 
 - :class:`repro.engine.local.LocalEngine` — deterministic, single-threaded
   reference implementation (the semantics oracle for tests);
 - :class:`repro.engine.threaded.ThreadedEngine` — per-mapper fetch threads
   and a pipelined reduce thread, structurally faithful to §3.1;
-- :class:`repro.engine.multiproc.MultiprocessEngine` — map tasks in worker
-  processes.
+- :class:`repro.cluster.ClusterEngine` — tasks in forked worker
+  processes, shuffled over sockets.
 
 The helpers implement the stages every engine needs: running one map task
 (with optional combiner), partitioning its output, the barrier merge-sort,
@@ -289,8 +289,8 @@ def harvest_store_counters(reducer: Reducer, counters: Counters) -> None:
         counters.increment(
             "store.spilled_entries", getattr(inner, "spilled_entries", 0)
         )
-    # memory.* namespace: the substrate-level statistics the bench
-    # harness tracks across runs (spill file churn, cache effectiveness).
+    # memory.* namespace: substrate-level statistics (spill file churn,
+    # cache effectiveness).
     files = getattr(inner, "num_spill_files", None)
     if isinstance(files, int):
         counters.increment("memory.spill.files", files)

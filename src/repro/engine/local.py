@@ -2,7 +2,7 @@
 
 ``LocalEngine`` is the semantics oracle: it executes jobs with no
 concurrency, so its output is exactly reproducible, and every other engine
-(threaded, multiprocess, simulated) is tested for output equivalence
+(threaded, streaming, cluster) is tested for output equivalence
 against it.  Both shuffle modes are supported:
 
 - **barrier**: buffer all map output per reducer, merge-sort it, invoke

@@ -82,13 +82,11 @@ class JobRecord:
 
     ``state`` walks ``queued → running → done|failed`` (or straight to
     ``cancelled`` from the queue; through ``preempted`` and back to
-    ``running`` any number of times on the cluster backend).  ``result``
-    holds the backend's
-    :class:`JobResult` once done; ``digest`` is the SHA-256 of the
-    pickled *normalised* output — the value differential tests and the
-    RPC status verb compare, because two byte-identical runs must agree
-    on it while raw ``JobResult`` objects carry timings that never
-    match.
+    ``running`` any number of times on the cluster backend).  ``digest``
+    is the SHA-256 of the pickled *normalised* output — the value
+    differential tests and the RPC status verb compare, because two
+    byte-identical runs must agree on it while raw ``JobResult`` objects
+    carry timings that never match.
     """
 
     def __init__(self, job_id: str, tenant: str, spec: dict) -> None:
@@ -102,7 +100,6 @@ class JobRecord:
         self.job = None
         self.pairs = None
         self.state = "queued"
-        self.result: JobResult | None = None
         self.error: str | None = None
         self.digest: str | None = None
         #: Chaos kill-spec forwarded to the cluster backend (tests).
@@ -415,7 +412,6 @@ class JobServer:
         terminal = True
         try:
             result = self._execute(record, resumed)
-            record.result = result
             record.digest = output_digest(record.spec["app"], result)
             record.state = "done"
             self.obs.counters.increment("server.jobs.completed")

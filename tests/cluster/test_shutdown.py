@@ -39,7 +39,12 @@ def test_shuffle_server_close_wakes_accept():
 
 def test_cluster_runtime_shutdown_does_not_wait_for_workers_to_time_out():
     runtime = ClusterRuntime(2)
-    time.sleep(0.2)  # let both workers' shuffle servers park in accept()
+    # Let both workers' shuffle servers park in accept().  Not a multiple
+    # of the workers' 50 ms heartbeat: a beat that reaches the coordinator
+    # just after it closed the link is answered with a reset, which can
+    # overtake the unread "shutdown" and send the worker into its
+    # reconnect loop — a different wait from the one this test is about.
+    time.sleep(0.225)
     started = time.perf_counter()
     runtime.shutdown()
     assert time.perf_counter() - started < 1.0

@@ -141,15 +141,16 @@ class TestAllEnginesWithSpilledMapOutput:
         result = ThreadedEngine(map_slots=2).run(job, corpus, num_maps=3)
         assert result.output_as_dict() == wordcount.reference_output(corpus)
 
-    def test_multiprocess_engine(self):
-        from repro.engine.multiproc import MultiprocessEngine
+    def test_cluster_engine(self):
+        from repro.cluster import ClusterEngine
         from repro.workloads.text import generate_documents
 
         corpus = generate_documents(15, 25, 60, seed=3)
         job = wordcount.make_job(ExecutionMode.BARRIER, num_reducers=2)
         job.map_output_buffer_bytes = 1024
-        result = MultiprocessEngine(processes=2).run(job, corpus, num_maps=3)
+        result = ClusterEngine(workers=2).run(job, corpus, num_maps=3)
         assert result.output_as_dict() == wordcount.reference_output(corpus)
+        assert result.counters.get("map.output_spills") > 0
 
 
 class _ExplodingMapper(Mapper):

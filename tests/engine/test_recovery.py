@@ -21,7 +21,6 @@ from repro.apps.demo import APP_CHOICES, demo_job_and_input, normalized_output
 from repro.core.types import ExecutionMode, Record
 from repro.engine.faults import FaultInjector
 from repro.engine.local import LocalEngine
-from repro.engine.multiproc import MultiprocessEngine
 from repro.engine.recovery import (
     BackoffPolicy,
     FetchAttemptError,
@@ -253,26 +252,6 @@ def test_streaming_reducer_crash_is_replayed():
     assert snapshot.keys() <= set(result.output_as_dict())
     assert obs.counters.get("reduce.restarts") >= 1
     assert obs.counters.get("store.resets") >= 1
-
-
-# ---------------------------------------------------------------------------
-# multiprocessing engine: process-level re-execution of crashed attempts
-# ---------------------------------------------------------------------------
-
-
-@pytest.mark.parametrize("mode", list(ExecutionMode))
-def test_multiproc_retries_crashed_attempts(mode):
-    job, pairs = _demo("wc", mode)
-    obs = JobObservability()
-    injector = FaultInjector(
-        fail_first_attempt_of=frozenset({"map-1", "reduce-0"})
-    )
-    engine = MultiprocessEngine(processes=2, obs=obs, fault_injector=injector)
-    result = engine.run(job, pairs, num_maps=NUM_MAPS)
-    assert normalized_output("wc", result) == _baseline("wc", mode)
-    assert injector.injected == 2
-    assert obs.counters.get("task.retries") == 2
-    assert obs.counters.get("reduce.restarts") == 1
 
 
 # ---------------------------------------------------------------------------

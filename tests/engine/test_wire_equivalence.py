@@ -13,6 +13,7 @@ import pytest
 
 from repro.apps.demo import demo_job_and_input, normalized_output
 from repro.apps.registry import REGISTRY
+from repro.cluster import ClusterEngine
 from repro.core.types import ExecutionMode
 from repro.dfs.wire import (
     BATCHES_COUNTER,
@@ -20,7 +21,6 @@ from repro.dfs.wire import (
     WIRE_BYTES_COUNTER,
     WireConfig,
 )
-from repro.engine.multiproc import MultiprocessEngine
 from repro.engine.streaming import StreamingEngine
 from repro.engine.threaded import ThreadedEngine
 from repro.obs import JobObservability
@@ -68,9 +68,9 @@ def _run_threaded(app, mode, wire):
     return normalized_output(app, result), obs.counters.as_dict()
 
 
-def _run_multiproc(app, mode, wire):
+def _run_cluster(app, mode, wire):
     obs = JobObservability()
-    engine = MultiprocessEngine(processes=2, obs=obs, wire=wire)
+    engine = ClusterEngine(workers=2, obs=obs, wire=wire)
     job, pairs = demo_job_and_input(app, mode, records=300, seed=5)
     result = engine.run(job, pairs, num_maps=3)
     return normalized_output(app, result), obs.counters.as_dict()
@@ -102,18 +102,6 @@ def test_threaded_wire_on_off_equivalent(app, mode):
     )
 
 
-@pytest.mark.parametrize("mode", MODES, ids=[mode.value for mode in MODES])
-@pytest.mark.parametrize("app", APPS)
-def test_multiproc_wire_on_off_equivalent(app, mode):
-    on_output, on_counters = _run_multiproc(app, mode, WIRE_ON)
-    off_output, off_counters = _run_multiproc(app, mode, WIRE_OFF)
-    assert on_output == off_output, f"{app}/{mode.value}: outputs diverged"
-    assert _strip_wire(on_counters) == _strip_wire(off_counters)
-    _check_reconciliation(
-        JobObservabilityCounters(on_counters), WIRE_ON
-    )
-
-
 @pytest.mark.parametrize("app", APPS)
 def test_streaming_wire_on_off_equivalent(app):
     on_output, on_counters = _run_streaming(app, WIRE_ON)
@@ -129,9 +117,9 @@ def test_streaming_wire_on_off_equivalent(app):
 def test_wire_counters_identical_across_engines(app):
     """The wire's byte accounting is engine-invariant, not just present."""
     _, threaded = _run_threaded(app, ExecutionMode.BARRIERLESS, WIRE_ON)
-    _, multiproc = _run_multiproc(app, ExecutionMode.BARRIERLESS, WIRE_ON)
+    _, cluster = _run_cluster(app, ExecutionMode.BARRIERLESS, WIRE_ON)
     for name in (RAW_BYTES_COUNTER, WIRE_BYTES_COUNTER, BATCHES_COUNTER):
-        assert threaded[name] == multiproc[name], name
+        assert threaded[name] == cluster[name], name
 
 
 class JobObservabilityCounters:

@@ -1,4 +1,4 @@
-"""CLI observability commands: `repro trace` and `repro counters`."""
+"""CLI observability commands: `repro trace`, `counters` and `metrics`."""
 
 from __future__ import annotations
 
@@ -10,7 +10,7 @@ from repro.cli import main
 from repro.obs.export import spans_from_chrome_trace, validate_span_nesting
 
 
-@pytest.mark.parametrize("engine", ["local", "threaded", "multiproc"])
+@pytest.mark.parametrize("engine", ["local", "threaded"])
 def test_trace_emits_valid_chrome_trace(engine, tmp_path, capsys):
     path = tmp_path / f"wc-{engine}.trace.json"
     assert main([
@@ -72,3 +72,23 @@ def test_counters_diff_runs_both_modes(capsys):
     for line in out.splitlines():
         if line.startswith("map.output_records"):
             assert line.rstrip().endswith("=")
+
+
+def test_metrics_command_prints_sparklines(capsys):
+    assert main(["metrics", "wc", "--records", "300", "--events"]) == 0
+    out = capsys.readouterr().out
+    assert "shuffle.buffer.depth" in out
+    assert "high-water marks" in out
+    assert "task.start" in out
+
+
+def test_metrics_file_rendering(tmp_path, capsys):
+    path = str(tmp_path / "m.json")
+    assert main(["metrics", "wc", "--records", "300", "-o", path]) == 0
+    capsys.readouterr()
+    assert main(["metrics", "--file", path]) == 0
+    assert "reduce.records_per_s" in capsys.readouterr().out
+
+
+def test_metrics_requires_app_or_file(capsys):
+    assert main(["metrics"]) == 2

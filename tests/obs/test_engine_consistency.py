@@ -1,10 +1,8 @@
-"""Cross-engine counter consistency: one semantics, three executions.
+"""Cross-engine counter consistency: one semantics, two executions.
 
-The local, threaded and multiprocessing engines must report *identical*
-counter totals for the same job over the same input — concurrency and
-process boundaries change timing, never counts.  This is the test that
-pins the multiproc counter-merging seam (workers return counter dicts by
-value) to the in-process implementations.
+The local and threaded engines must report *identical* counter totals
+for the same job over the same input — concurrency changes timing,
+never counts.
 """
 
 from __future__ import annotations
@@ -15,7 +13,6 @@ from repro.apps.demo import demo_job_and_input, normalized_output
 from repro.apps.registry import REGISTRY
 from repro.core.types import ExecutionMode
 from repro.engine.local import LocalEngine
-from repro.engine.multiproc import MultiprocessEngine
 from repro.engine.threaded import ThreadedEngine
 from repro.obs import JobObservability, validate_span_nesting
 
@@ -27,14 +24,13 @@ def engines_for(obs_by_name):
     return {
         "local": LocalEngine(obs=obs_by_name["local"]),
         "threaded": ThreadedEngine(map_slots=2, obs=obs_by_name["threaded"]),
-        "multiproc": MultiprocessEngine(processes=2, obs=obs_by_name["multiproc"]),
     }
 
 
 @pytest.mark.parametrize("mode", MODES, ids=[mode.value for mode in MODES])
 @pytest.mark.parametrize("app", APPS)
 def test_counter_totals_identical_across_engines(app, mode):
-    obs_by_name = {name: JobObservability() for name in ("local", "threaded", "multiproc")}
+    obs_by_name = {name: JobObservability() for name in ("local", "threaded")}
     outputs = {}
     counters = {}
     for name, engine in engines_for(obs_by_name).items():
@@ -45,18 +41,13 @@ def test_counter_totals_identical_across_engines(app, mode):
     assert counters["local"] == counters["threaded"], (
         f"{app}/{mode.value}: local vs threaded counters diverged"
     )
-    assert counters["local"] == counters["multiproc"], (
-        f"{app}/{mode.value}: local vs multiproc counters diverged"
-    )
-    assert outputs["local"] == outputs["threaded"] == outputs["multiproc"]
+    assert outputs["local"] == outputs["threaded"]
 
 
-@pytest.mark.parametrize(
-    "engine_name", ["local", "threaded", "multiproc"]
-)
+@pytest.mark.parametrize("engine_name", ["local", "threaded"])
 def test_every_engine_emits_well_nested_spans(engine_name):
     obs = JobObservability()
-    obs_by_name = {"local": obs, "threaded": obs, "multiproc": obs}
+    obs_by_name = {"local": obs, "threaded": obs}
     engine = engines_for(obs_by_name)[engine_name]
     job, pairs = demo_job_and_input(
         "wc", ExecutionMode.BARRIERLESS, records=400, seed=5
@@ -65,7 +56,7 @@ def test_every_engine_emits_well_nested_spans(engine_name):
     spans = obs.tracer.spans()
     assert validate_span_nesting(spans) == []
     (job_span,) = [span for span in spans if span.kind == "job"]
-    assert job_span.attrs["engine"] in ("local", "threaded", "multiproc")
+    assert job_span.attrs["engine"] in ("local", "threaded")
     stage_names = {span.name for span in spans if span.kind == "stage"}
     assert stage_names == {"map", "reduce"}
     assert len([span for span in spans if span.kind == "task"]) >= 7
