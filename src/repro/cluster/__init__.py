@@ -12,6 +12,11 @@ dedup protocol the threaded engine uses — so a SIGKILLed worker is
 recovered by the existing epoch-restart and checkpoint-resume machinery,
 just over real TCP.
 
+The coordinator is a pure state machine in a thin I/O shell:
+:mod:`repro.cluster.dispatch` makes every scheduling decision and never
+touches a socket, a thread or a clock; :mod:`repro.cluster.coordinator`
+owns the sockets, the journal file and the clock (docs/cluster.md).
+
 Robustness extensions (PR 7): the coordinator write-ahead journals all
 scheduling state (:mod:`repro.cluster.journal`) and a restarted
 coordinator resumes in-flight jobs on surviving worker state; leases

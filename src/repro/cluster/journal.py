@@ -97,8 +97,8 @@ class ReplayStats:
 class Journal:
     """Append-only, fsynced record log for one coordinator.
 
-    ``append`` is thread-safe (the coordinator journals from its event
-    loop and from ``submit`` callers).  ``fsync=False`` drops
+    ``append`` is thread-safe, though the coordinator only journals from
+    its dispatch loop (the dispatcher's ``log``).  ``fsync=False`` drops
     durability-per-record for tests that only exercise replay logic.
     """
 

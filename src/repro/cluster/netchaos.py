@@ -42,6 +42,7 @@ from dataclasses import dataclass
 
 from repro.engine.faults import stable_fraction
 from repro.obs import JobObservability
+from repro.cluster.rpc import close_listener
 
 __all__ = ["ChaosPolicy", "NetChaosConfig", "NetChaosProxy"]
 
@@ -84,7 +85,7 @@ class NetChaosProxy:
     Accepts on an ephemeral port and pumps each accepted connection to
     ``target`` through two relay threads (one per direction), applying
     the policy to every forwarded chunk.  ``close`` tears down the
-    listener and every live link.
+    listener and every live link and waits for their threads to end.
     """
 
     def __init__(
@@ -109,6 +110,7 @@ class NetChaosProxy:
         self._closing = threading.Event()
         self._links: set[socket.socket] = set()
         self._links_lock = threading.Lock()
+        self._link_threads: set[threading.Thread] = set()
         self._link_seq = 0
         self._thread = threading.Thread(
             target=self._accept_loop, name=f"netchaos-{label}", daemon=True
@@ -129,12 +131,22 @@ class NetChaosProxy:
             except OSError:
                 return  # listener closed
             self._link_seq += 1
-            threading.Thread(
+            link = threading.Thread(
                 target=self._serve_link, args=(client, self._link_seq),
                 name=f"netchaos-{self._label}-{self._link_seq}", daemon=True,
-            ).start()
+            )
+            with self._links_lock:
+                self._link_threads.add(link)
+            link.start()
 
     def _serve_link(self, client: socket.socket, link_id: int) -> None:
+        try:
+            self._relay(client, link_id)
+        finally:
+            with self._links_lock:
+                self._link_threads.discard(threading.current_thread())
+
+    def _relay(self, client: socket.socket, link_id: int) -> None:
         try:
             upstream = socket.create_connection(self._target, timeout=5.0)
         except OSError:
@@ -261,15 +273,16 @@ class NetChaosProxy:
 
     def close(self) -> None:
         self._closing.set()
-        try:
-            self._listener.close()
-        except OSError:
-            pass
+        close_listener(self._listener)  # a bare close() leaves accept asleep
+        self._thread.join(timeout=2.0)
         with self._links_lock:
             links = list(self._links)
+            threads = list(self._link_threads)
         for sock in links:
             try:
-                sock.close()
+                # Wakes the pump polling this socket at once.
+                sock.shutdown(socket.SHUT_RDWR)
             except OSError:
                 pass
-        self._thread.join(timeout=2.0)
+        for thread in threads:
+            thread.join(timeout=2.0)

@@ -17,9 +17,11 @@ Frame layout (all integers are LEB128 varints except the fixed trailer)::
 
 - ``flags`` — one byte.  Bit 0 (:data:`FLAG_COMPRESSED`): payload is
   zlib-deflated.  Bit 1 (:data:`FLAG_PICKLED`): payload is a pickle of
-  the ``[(key, value), ...]`` list — the legacy format kept only so the
-  bench can measure old-vs-new wire volume; decoding it requires an
-  explicit ``allow_pickle=True`` opt-in.  All other bits must be zero.
+  the ``[(key, value), ...]`` list — written only by the local store
+  files' fallback for values the typed codec rejects
+  (:mod:`repro.memory.checkpoint`), never by this module; decoding it
+  requires an explicit ``allow_pickle=True`` opt-in.  All other bits
+  must be zero.
 - ``payload`` — for the typed codec, the concatenation of
   ``serialization.encode((key, value))`` for each record.
 - ``CRC32`` — big-endian ``zlib.crc32`` over everything before it
@@ -49,7 +51,7 @@ from repro.dfs.serialization import (
 
 #: Payload is zlib-deflated.
 FLAG_COMPRESSED = 0x01
-#: Payload is a pickled record list (legacy-comparison codec only).
+#: Payload is a pickled record list (local store-file fallback only).
 FLAG_PICKLED = 0x02
 
 _KNOWN_FLAGS = FLAG_COMPRESSED | FLAG_PICKLED
@@ -60,7 +62,7 @@ RAW_BYTES_COUNTER = "shuffle.bytes.raw"
 WIRE_BYTES_COUNTER = "shuffle.bytes.wire"
 BATCHES_COUNTER = "shuffle.batches"
 
-_CODECS = ("wire", "pickle", "off")
+_CODECS = ("wire", "off")
 
 
 @dataclass(frozen=True)
@@ -68,10 +70,9 @@ class WireConfig:
     """Knobs for the shuffle wire format.
 
     ``codec`` selects the payload encoding: ``"wire"`` is the typed
-    binary codec (the default), ``"pickle"`` frames pickled record lists
-    (legacy volume, measured for the ``repro bench --wire`` comparison),
-    and ``"off"`` disables the wire path entirely — engines hand native
-    objects around exactly as before the wire format existed.
+    binary codec (the default) and ``"off"`` disables the wire path
+    entirely — engines hand native objects around exactly as before the
+    wire format existed.
     """
 
     codec: str = "wire"
@@ -97,16 +98,6 @@ class WireConfig:
     def enabled(self) -> bool:
         """Whether the wire path is active at all."""
         return self.codec != "off"
-
-    @property
-    def allow_pickle(self) -> bool:
-        """Whether pickled frames may be decoded (legacy codec only)."""
-        return self.codec == "pickle"
-
-    @classmethod
-    def for_codec(cls, codec: str, **overrides: Any) -> "WireConfig":
-        """A config for one codec name (``wire`` / ``pickle`` / ``off``)."""
-        return cls(codec=codec, **overrides)
 
 
 @dataclass(frozen=True)
@@ -144,34 +135,28 @@ def encode_frame(
     if not config.enabled:
         raise SerializationError("wire codec is disabled (codec='off')")
     flags = 0
-    if config.codec == "pickle":
-        flags |= FLAG_PICKLED
-        payload = pickle.dumps(
-            [(record.key, record.value) for record in records],
-            protocol=pickle.HIGHEST_PROTOCOL,
-        )
-    else:
-        payload = b"".join(
-            encode((record.key, record.value)) for record in records
-        )
+    payload = b"".join(
+        encode((record.key, record.value)) for record in records
+    )
     raw_bytes = len(payload)
-    if (
-        config.compress
-        and config.codec == "wire"
-        and raw_bytes >= config.compress_min_bytes
-    ):
+    if config.compress and raw_bytes >= config.compress_min_bytes:
         deflated = zlib.compress(payload)
         if len(deflated) < raw_bytes:
             payload = deflated
             flags |= FLAG_COMPRESSED
-    header = (
-        bytes([flags])
-        + encode_varint(len(records))
-        + encode_varint(len(payload))
+    return seal_frame(flags, len(records), payload, raw_bytes)
+
+
+def seal_frame(
+    flags: int, count: int, payload: bytes, raw_bytes: int
+) -> WireBatch:
+    """Put header and CRC trailer around an already-encoded payload."""
+    body = (
+        bytes([flags]) + encode_varint(count) + encode_varint(len(payload))
+        + payload
     )
-    body = header + payload
     frame = body + struct.pack(">I", zlib.crc32(body) & 0xFFFFFFFF)
-    return WireBatch(frame=frame, count=len(records), raw_bytes=raw_bytes)
+    return WireBatch(frame=frame, count=count, raw_bytes=raw_bytes)
 
 
 def decode_frame(
@@ -236,9 +221,7 @@ def decode_frame(
 
 def decode_batch(batch: WireBatch, config: WireConfig) -> list[Record]:
     """Decode one :class:`WireBatch` back into records."""
-    records, end = decode_frame(
-        batch.frame, allow_pickle=config.allow_pickle
-    )
+    records, end = decode_frame(batch.frame)
     if end != len(batch.frame):
         raise SerializationError(f"{len(batch.frame) - end} trailing bytes")
     return records
@@ -266,9 +249,8 @@ def encode_record_batches(
 
     Batches are cut at ``max_batch_records`` records or when the *raw*
     (pre-compression) typed encoding of a batch would exceed
-    ``max_batch_bytes`` — raw size keeps the split deterministic and
-    codec-independent, so the ``wire`` and ``pickle`` codecs produce
-    identical batch boundaries and comparable ``shuffle.batches`` counts.
+    ``max_batch_bytes`` — raw size keeps the split deterministic
+    whether or not compression shrinks a batch.
     """
     if not config.enabled:
         raise SerializationError("wire codec is disabled (codec='off')")

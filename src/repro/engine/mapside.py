@@ -176,9 +176,7 @@ class MapOutputBuffer:
     def _read_run(self, path: str) -> Iterator[tuple[int, Key, Value]]:
         with open(path, "rb") as fh:
             if self._wire is not None:
-                for records in read_frames(
-                    fh, allow_pickle=self._wire.allow_pickle
-                ):
+                for records in read_frames(fh, allow_pickle=False):
                     for record in records:
                         partition, key = record.key
                         yield partition, key, record.value

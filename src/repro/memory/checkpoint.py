@@ -27,22 +27,25 @@ closed to a full refold rather than decode garbage.
 Values the typed codec cannot express (e.g. mutable sets in custom apps)
 fall back to CRC-framed pickle batches.  Checkpoints are local artifacts
 this process wrote itself, so reading them back opts into pickle frames
-— the CRC is verified first, exactly like the legacy wire codec path.
+— the CRC is verified first.
 """
 
 from __future__ import annotations
 
 import os
+import pickle
 from dataclasses import dataclass
 from typing import Any, Iterable, Iterator
 
 from repro.core.types import Key, Record, Value
 from repro.dfs.serialization import SerializationError
 from repro.dfs.wire import (
+    FLAG_PICKLED,
     WireBatch,
     WireConfig,
     encode_frame,
     read_frames,
+    seal_frame,
     write_batch,
 )
 
@@ -67,9 +70,6 @@ PREEMPT_META_KEY = "preempted"
 
 #: Default framing for store files (checkpoints, spills, kvstore logs).
 STORE_WIRE = WireConfig()
-
-#: Framing for the pickle fallback (typed codec rejected a value).
-_PICKLE_WIRE = WireConfig(codec="pickle")
 
 
 class CheckpointError(RuntimeError):
@@ -179,7 +179,11 @@ def encode_entry_frame(
     try:
         return encode_frame(records, wire)
     except SerializationError:
-        return encode_frame(records, _PICKLE_WIRE)
+        payload = pickle.dumps(
+            [(record.key, record.value) for record in records],
+            protocol=pickle.HIGHEST_PROTOCOL,
+        )
+        return seal_frame(FLAG_PICKLED, len(records), payload, len(payload))
 
 
 def write_checkpoint(

@@ -124,32 +124,6 @@ def test_checkpoint_roots_are_namespaced_by_job_id(tmp_path):
             assert normalized_output("wc", result) == outputs[seed]
 
 
-def test_malformed_frame_does_not_kill_dispatcher():
-    # One bad frame on the coordinator inbox (here: a gen that fails
-    # int()) used to raise out of the lone dispatcher thread, hanging
-    # every active and future job.  It must be counted and dropped.
-    with ClusterRuntime(2) as runtime:
-        runtime._coordinator._inbox.put(
-            ("worker-dead", {"worker": "w0", "gen": "bogus"})
-        )
-        outcome: dict[str, object] = {}
-
-        def run_one() -> None:
-            try:
-                job, pairs = _demo("wc", seed=7)
-                result = runtime.run_job(job, pairs, num_maps=2)
-                outcome["output"] = normalized_output("wc", result)
-            except BaseException as exc:  # noqa: BLE001 — surfaced below
-                outcome["error"] = exc
-
-        thread = threading.Thread(target=run_one)
-        thread.start()
-        thread.join(timeout=60.0)
-        assert not thread.is_alive(), "dispatcher died: job never finished"
-        assert "error" not in outcome, outcome
-        assert runtime.obs.counters.get("cluster.dispatch.errors") >= 1
-
-
 def test_shuffle_store_holds_are_keyed_by_job() -> None:
     # Unit-level pin for the store half of the audit: two jobs' mapper-0
     # outputs coexist under distinct (job, mapper, epoch) keys.

@@ -3,15 +3,17 @@
 Closing a listening descriptor does not wake a thread blocked in
 ``accept`` on it, so ``ShuffleServer.close`` — and through every
 worker's exit path ``ClusterRuntime.shutdown`` — used to sit out its
-whole 2 s join timeout.  ``close_listener`` shuts the socket down first.
+whole 2 s join timeout, and ``NetChaosProxy.close`` did the same and
+left its threads behind.  ``close_listener`` shuts the socket down first.
 """
 
 from __future__ import annotations
 
 import socket
+import threading
 import time
 
-from repro.cluster import ClusterRuntime
+from repro.cluster import ChaosPolicy, ClusterRuntime, NetChaosProxy
 from repro.cluster.shuffle import ShuffleServer, ShuffleStore
 
 
@@ -37,14 +39,30 @@ def test_shuffle_server_close_wakes_accept():
         assert probe.connect_ex((server.host, server.port)) != 0
 
 
+def test_netchaos_proxy_close_wakes_accept_and_joins_its_threads():
+    server = _settled_server()
+    before = set(threading.enumerate())
+    proxy = NetChaosProxy((server.host, server.port), ChaosPolicy())
+    try:
+        # One live link, so there are pump threads to join as well.
+        client = socket.create_connection(proxy.address, timeout=2.0)
+        time.sleep(0.05)
+        started = time.perf_counter()
+        proxy.close()
+        assert time.perf_counter() - started < 0.2
+        assert not [
+            thread.name for thread in set(threading.enumerate()) - before
+            if thread.name.startswith("netchaos-")
+        ]
+        client.close()
+    finally:
+        server.close()
+
+
 def test_cluster_runtime_shutdown_does_not_wait_for_workers_to_time_out():
     runtime = ClusterRuntime(2)
-    # Let both workers' shuffle servers park in accept().  Not a multiple
-    # of the workers' 50 ms heartbeat: a beat that reaches the coordinator
-    # just after it closed the link is answered with a reset, which can
-    # overtake the unread "shutdown" and send the worker into its
-    # reconnect loop — a different wait from the one this test is about.
-    time.sleep(0.225)
+    # Let both workers' shuffle servers park in accept(): four heartbeats.
+    time.sleep(0.2)
     started = time.perf_counter()
     runtime.shutdown()
     assert time.perf_counter() - started < 1.0
