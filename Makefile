@@ -21,7 +21,8 @@ chaos:
 	python -m repro.cli chaos all --lose-map-output --seed 2
 	python -m repro.cli chaos all --checkpoint --crash-reducer-after 100 --seed 3
 	pytest tests/engine/test_recovery.py tests/obs/test_recovery_counters.py \
-		tests/engine/test_checkpoint_recovery.py tests/memory/test_checkpoint.py \
+		tests/engine/test_checkpoint_recovery.py tests/engine/test_fold.py \
+		tests/memory/test_checkpoint.py \
 		tests/test_chaos.py tests/sim/test_failures.py tests/sim/test_checkpoint_sim.py -q
 
 cluster:

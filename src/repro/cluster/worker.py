@@ -52,7 +52,7 @@ reduce that finishes during a coordinator outage still commits.
 Preemption (PR 10): a ``preempt-reduce`` control message sets the stop
 event of the named reduce attempt; at its next wire-batch boundary the
 attempt cuts a final checkpoint and unwinds with
-:class:`~repro.engine.runtime.ReducePreemptedError`, which this worker
+:class:`~repro.engine.fold.ReducePreemptedError`, which this worker
 answers with a ``reduce-preempted`` ack instead of ``task-failed``.  A
 parked job's context is *kept* — the coordinator deliberately does not
 broadcast ``job-done`` — so held map outputs, the location table and
@@ -77,6 +77,7 @@ folded (slows reduces so a preempt directive lands mid-flight).
 
 from __future__ import annotations
 
+import functools
 import os
 import pickle
 import signal
@@ -87,18 +88,13 @@ from collections import deque
 
 from repro.core.types import Counters, ExecutionMode
 from repro.dfs.wire import account_batches, encode_record_batches
-from repro.engine.base import (
-    Stopwatch,
-    reducer_is_checkpointable,
-    reducer_is_store_backed,
-    run_map_task_partitioned,
-)
+from repro.engine.base import run_map_task_partitioned
+from repro.engine.fold import ReducePreemptedError, ReduceTaskRecovery
 from repro.engine.recovery import BackoffPolicy, FetchFaultInjector
 from repro.engine.runtime import (
     ATTEMPT_STRIDE,
-    ReducePreemptedError,
-    ReduceTaskRecovery,
     RunInstruments,
+    checkpoint_gate,
     run_barrier_reduce_attempt,
     run_pipelined_reduce_attempt,
 )
@@ -209,6 +205,15 @@ class _JobContext:
             self.ticker.start()
         else:
             self.obs = JobObservability.disabled()
+
+    @functools.cached_property
+    def make_recovery(self):
+        """``make(reducer)``: the job's checkpoint gate, decided once.
+
+        Snapshots need a directory on the (shared) filesystem; without a
+        ``checkpoint_root`` from the coordinator the gate stays shut.
+        """
+        return checkpoint_gate(self.job, self.recovery, self.checkpoint_root)
 
     def attempt_observability(self) -> JobObservability:
         """Per-attempt bundle: fresh counters, shared everything else.
@@ -499,34 +504,14 @@ class _Worker:
         source = RemoteMapOutputSource(
             ctx.job_id, ctx.locations, ctx.recovery.fetch_timeout_s
         )
-        # Checkpoint gating mirrors ThreadedEngine.run: barrier-less mode,
-        # a store-backed reducer that opted in, an enabled policy, and a
-        # snapshot directory on the (shared) filesystem.
-        checkpointing = (
-            ctx.recovery.checkpoint_enabled
-            and ctx.checkpoint_root is not None
-            and job.mode is ExecutionMode.BARRIERLESS
-            and reducer_is_store_backed(job)
-            and reducer_is_checkpointable(job)
-        )
-        rec = ReduceTaskRecovery(
-            policy=ctx.recovery.checkpoint if checkpointing else None,
-            directory=(
-                os.path.join(ctx.checkpoint_root, f"reduce-{reducer}")
-                if checkpointing
-                else None
-            ),
-        )
+        # A fresh ledger per attempt: the dead attempt's fold progress
+        # arrives from the coordinator (heartbeats), not from memory.
+        rec = ctx.make_recovery(reducer)
         rec.prior_records = {
             int(mapper): int(count) for mapper, count in (prior or {}).items()
         }
         ctx.active[reducer] = (attempt, rec)
         attempt_base = attempt * ATTEMPT_STRIDE
-        # The stopwatch starts at `span_base` on the job-relative clock;
-        # timeline entries come back stopwatch-relative and are re-anchored
-        # below when retained as task.phase events.
-        span_base = obs.tracer.now()
-        watch = Stopwatch()
         injector = self._reduce_injector(ctx)
         try:
             if self._injected_task_failure(ctx):
@@ -534,31 +519,19 @@ class _Worker:
                     f"injected task failure on {self.name} (fail-tasks)"
                 )
             if job.mode is ExecutionMode.BARRIER:
-                produced, local_counters, timeline = run_barrier_reduce_attempt(
-                    job, source, reducer, num_maps, watch, task_span,
-                    attempt_base,
+                produced, local_counters = run_barrier_reduce_attempt(
+                    job, source, reducer, num_maps, task_span, attempt_base,
                     obs=obs, config=ctx.recovery, injector=injector,
                     wire=ctx.wire, inst=ctx.instruments, stop=stop,
                 )
             else:
-                produced, local_counters, timeline = run_pipelined_reduce_attempt(
-                    job, source, reducer, num_maps, watch, task_span,
-                    attempt_base,
+                produced, local_counters = run_pipelined_reduce_attempt(
+                    job, source, reducer, num_maps, task_span, attempt_base,
                     obs=obs, config=ctx.recovery, injector=injector,
                     wire=ctx.wire, recovery=rec, inst=ctx.instruments,
                     stop=stop,
                 )
             obs.counters.merge_counters(local_counters)
-            # Retain the attempt timeline (previously dropped on the
-            # floor) as structured phase events on the job timeline.
-            for phase_kind, label, start, end in timeline:
-                obs.events.record(
-                    "task.phase", span_base + end,
-                    phase=phase_kind, label=label,
-                    start=round(span_base + start, 6),
-                    duration=round(end - start, 6),
-                    worker=self.name, **tc.as_fields(),
-                )
             obs.events.emit(
                 "task.finish", worker=self.name, status="ok",
                 **tc.as_fields(),

@@ -21,7 +21,7 @@ from __future__ import annotations
 import abc
 import time
 from itertools import islice
-from typing import Any, Callable, Iterable, Iterator, Sequence
+from typing import Callable, Iterable, Sequence
 
 from repro.core.api import (
     BatchReduceContext,
@@ -42,7 +42,8 @@ from repro.core.types import (
     Value,
 )
 from repro.dfs.wire import WireConfig
-from repro.memory import WriteBackStore, make_store
+from repro.engine.fold import fold_batches
+from repro.memory import WriteBackStore, innermost_store, make_store
 
 #: Slice size when a flat record stream stands in for wire batches: the
 #: wire format's own default, so the deterministic engines fold (and
@@ -193,8 +194,9 @@ def make_reduce_context(
     job with ``value_sort_key`` gets each key group's values delivered in
     that order — the framework-level secondary sort Selection operations
     rely on (§4.4).  In barrier-less mode ``records`` is an iterable of
-    record *batches* in arrival order (see :func:`record_batches` for a
-    flat stream) and ``on_record`` is the per-record fault-injection hook.
+    record *batches* in arrival order (a
+    :func:`~repro.engine.fold.fold_batches` generator) and ``on_record``
+    is the per-record fault-injection hook.
     """
     if job.mode is not ExecutionMode.BARRIER:
         return BatchReduceContext(records, counters, on_record)
@@ -207,22 +209,6 @@ def make_reduce_context(
     return ReduceContext(grouped, counters)
 
 
-def record_batches(
-    records: Iterable[Record], flush: Callable[[], None]
-) -> Iterator[list[Record]]:
-    """Cut a flat record stream into fixed :data:`BATCH_RECORDS` slices.
-
-    ``flush`` (the reducer's :func:`store_flush`) runs when the consumer
-    comes back for the next slice, i.e. once the previous one is fully
-    folded — the same batch boundary the pipelined engines get from the
-    wire.  Fixed slices keep ``LocalEngine`` deterministic.
-    """
-    stream = iter(records)
-    while batch := list(islice(stream, BATCH_RECORDS)):
-        yield batch
-        flush()
-
-
 def prepare_reducer(job: JobSpec, on_sample=None) -> Reducer:
     """Instantiate the reducer, attaching a partial-result store if needed.
 
@@ -233,7 +219,8 @@ def prepare_reducer(job: JobSpec, on_sample=None) -> Reducer:
     barrier-less mode a batch-scoped
     :class:`~repro.memory.writeback.WriteBackStore` goes in front of it;
     whoever feeds the reducer must call :func:`store_flush`'s callable at
-    every batch boundary.
+    every batch boundary, and whoever called this must
+    :func:`close_store` when the task is over.
     """
     reducer = job.reducer_factory()
     attach = getattr(reducer, "attach_store", None)
@@ -253,17 +240,18 @@ def store_flush(reducer: Reducer) -> Callable[[], None]:
     return getattr(getattr(reducer, "_store", None), "flush", lambda: None)
 
 
-def innermost_store(store: Any) -> Any:
-    """Unwrap write-back, locking and ``store_factory`` proxies.
+def close_store(reducer: Reducer | None) -> None:
+    """Release the reducer's store: spill files, log handle, directory.
 
-    Every wrapper in the repo (and stagebench's timing proxy) holds the
-    store it wraps as ``_inner``; the concrete store has no such field.
+    "Close if it has one": the in-memory store has nothing to release,
+    and a ``store_factory`` proxy need not forward ``close``, so the
+    concrete store is asked directly.
     """
-    while True:
-        inner = getattr(store, "_inner", None)
-        if inner is None:
-            return store
-        store = inner
+    close = getattr(
+        innermost_store(getattr(reducer, "_store", None)), "close", None
+    )
+    if close is not None:
+        close()
 
 
 def harvest_store_counters(reducer: Reducer, counters: Counters) -> None:
@@ -308,14 +296,17 @@ def harvest_store_counters(reducer: Reducer, counters: Counters) -> None:
 def reducer_is_checkpointable(job: JobSpec) -> bool:
     """Whether this job's reducers can soundly checkpoint/resume.
 
-    True only when the reducer declares its partial-result store to be its
-    *complete* state (``checkpointable`` on
+    True only when the reducer gets a partial-result store attached and
+    declares it to be its *complete* state (``checkpointable`` on
     :class:`~repro.core.patterns.BarrierlessReducer`): reducers that emit
     output during folding (identity, cross-key windows) or keep state
     outside the store would silently lose work if resumed from a store
-    snapshot, so they refold instead.
+    snapshot, so they refold instead.  Builds one throw-away reducer.
     """
-    return bool(getattr(job.reducer_factory(), "checkpointable", False))
+    probe = job.reducer_factory()
+    return getattr(probe, "attach_store", None) is not None and bool(
+        getattr(probe, "checkpointable", False)
+    )
 
 
 def reducer_is_store_backed(job: JobSpec) -> bool:
@@ -334,14 +325,28 @@ def run_reduce_task(
     counters: Counters,
     on_sample=None,
 ) -> list[Record]:
-    """Execute one reduce task over its partition's (flat) record stream."""
+    """Execute one reduce task over its partition's (flat) record stream.
+
+    Barrier-less, the stream is cut into fixed :data:`BATCH_RECORDS`
+    slices (fixed keeps ``LocalEngine`` deterministic) and the store
+    write-back is flushed at each slice boundary — the same boundary the
+    pipelined engines get from the wire, with nothing else owed at it.
+    """
     reducer = prepare_reducer(job, on_sample=on_sample)
-    if job.mode is not ExecutionMode.BARRIER:
-        records = record_batches(records, store_flush(reducer))
-    context = make_reduce_context(job, records, counters)
-    reducer.run(context)
-    harvest_store_counters(reducer, counters)
-    return context.drain()
+    try:
+        if job.mode is not ExecutionMode.BARRIER:
+            stream = iter(records)
+            flush = store_flush(reducer)
+            slices = iter(lambda: list(islice(stream, BATCH_RECORDS)), [])
+            records = fold_batches(
+                ((batch,) for batch in slices), lambda _batch: flush()
+            )
+        context = make_reduce_context(job, records, counters)
+        reducer.run(context)
+        harvest_store_counters(reducer, counters)
+        return context.drain()
+    finally:
+        close_store(reducer)
 
 
 class Engine(abc.ABC):

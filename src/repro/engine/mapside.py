@@ -68,13 +68,14 @@ class MapOutputBuffer:
         self._records: list[tuple[int, Key, Value]] = []
         self._used = 0
         self._spills: list[str] = []
-        self._owned_dir: tempfile.TemporaryDirectory | None = None
-        if spill_dir is None:
-            self._owned_dir = tempfile.TemporaryDirectory(prefix="repro-mapout-")
-            self._dir = self._owned_dir.name
-        else:
+        # One directory per buffer, under ``spill_dir`` when given:
+        # concurrent map tasks all count their spills from zero.
+        if spill_dir is not None:
             os.makedirs(spill_dir, exist_ok=True)
-            self._dir = spill_dir
+        self._owned_dir = tempfile.TemporaryDirectory(
+            prefix="repro-mapout-", dir=spill_dir
+        )
+        self._dir = self._owned_dir.name
         self.spill_count = 0
         self.records_collected = 0
         self.bytes_spilled = 0
@@ -114,8 +115,6 @@ class MapOutputBuffer:
         path = os.path.join(
             self._dir, f"map-spill-{self.spill_count:05d}.{suffix}"
         )
-        # Track the path before writing so close() removes it even if the
-        # write itself fails partway through.
         self._spills.append(path)
         with open(path, "wb") as fh:
             if self._wire is not None:
@@ -188,13 +187,5 @@ class MapOutputBuffer:
                         return
 
     def close(self) -> None:
-        """Delete spill files and release temporary storage."""
-        for path in self._spills:
-            try:
-                os.unlink(path)
-            except FileNotFoundError:
-                pass
-        self._spills.clear()
-        if self._owned_dir is not None:
-            self._owned_dir.cleanup()
-            self._owned_dir = None
+        """Delete the spill directory and every run in it (idempotent)."""
+        self._owned_dir.cleanup()

@@ -16,17 +16,19 @@ This module is the transport-agnostic middle layer extracted from
   a socket-backed remote source.
 - :class:`FlowController` — size-based backpressure on in-flight decoded
   batches.
-- :class:`RecordStream` — the barrier-less single FIFO buffer consumed by
-  the reduce thread.
-- :class:`ReduceTaskRecovery` — per-reducer recovery state carried across
-  attempts (checkpoint policy + directory, prior-attempt fold progress).
+- :func:`checkpoint_gate` — the one place that decides whether a job's
+  reducers checkpoint, returning the per-reducer
+  :class:`~repro.engine.fold.ReduceTaskRecovery` constructor.
 - :class:`GaugeSet` / :class:`RunInstruments` — the sampled-gauge plumbing
   every host registers so ``shuffle.buffer.depth``, ``store.bytes``,
   ``shuffle.fetch.inflight`` and friends appear under one schema.
 
-Everything here is a *mechanical* extraction: the semantics (and the
-counter/event shapes) are exactly the threaded engine's, so the cluster
-runtime inherits the recovery behaviour the in-process chaos suites pin.
+This module keeps what needs threads: fetch workers, the shared FIFO
+queue, flow control and gauges.  What a barrier-less reducer owes at a
+batch boundary — write-back flush, record classification, checkpoint
+and preempt cuts — is :mod:`repro.engine.fold`'s, which has none.  An
+attempt's phases are the ``shuffle`` / ``sort`` / ``reduce`` /
+``shuffle+reduce`` op spans it opens under its task span.
 """
 
 from __future__ import annotations
@@ -34,17 +36,23 @@ from __future__ import annotations
 import queue
 import threading
 import time
+from functools import partial
+from typing import Callable
 
 from repro.core.job import JobSpec
-from repro.core.types import Counters, Record
+from repro.core.types import Counters, ExecutionMode, Record
 from repro.dfs.wire import WireBatch, WireConfig, compression_ratio, decode_batch
 from repro.engine.base import (
-    Stopwatch,
+    close_store,
     harvest_store_counters,
-    innermost_store,
     make_reduce_context,
     prepare_reducer,
-    store_flush,
+    reducer_is_checkpointable,
+)
+from repro.engine.fold import (
+    ReducePreemptedError,
+    ReduceTaskRecovery,
+    fold_batches,
 )
 from repro.engine.recovery import (
     FetchFaultInjector,
@@ -53,13 +61,6 @@ from repro.engine.recovery import (
     reduce_record_hook,
     run_fetch_stream,
 )
-from repro.memory.checkpoint import (
-    PREEMPT_META_KEY,
-    CheckpointError,
-    checkpoint_exists,
-    discard_checkpoint,
-    peek_checkpoint_meta,
-)
 from repro.obs import JobObservability, LiveGauge
 
 __all__ = [
@@ -67,10 +68,8 @@ __all__ = [
     "SENTINEL",
     "FlowController",
     "GaugeSet",
-    "RecordStream",
-    "ReducePreemptedError",
-    "ReduceTaskRecovery",
     "RunInstruments",
+    "checkpoint_gate",
     "crash_checked",
     "open_batch",
     "run_barrier_reduce_attempt",
@@ -84,27 +83,6 @@ SENTINEL = None
 #: decisions from the injector's stable hash.  Must exceed any plausible
 #: ``max_fetch_attempts`` budget.
 ATTEMPT_STRIDE = 100
-
-
-class ReducePreemptedError(BaseException):
-    """A reduce attempt stopped cooperatively at a wire-batch boundary.
-
-    Raised from inside the attempt when its ``stop`` event is set: the
-    attempt cuts a final checkpoint (when checkpointing is active),
-    winds down its fetch threads, and unwinds with this — *not* a task
-    failure, which is why it derives from :class:`BaseException` like
-    the injected crash errors: a reducer app catching ``Exception``
-    must not swallow a preemption.  The cluster worker answers it with
-    a ``reduce-preempted`` ack instead of ``task-failed``.
-    """
-
-    def __init__(self, reducer_index: int, records: int) -> None:
-        super().__init__(
-            f"reduce-{reducer_index} preempted at batch boundary "
-            f"({records} records folded)"
-        )
-        self.reducer_index = reducer_index
-        self.records = records
 
 
 class GaugeSet:
@@ -224,77 +202,25 @@ class FlowController:
             return self._used
 
 
-class ReduceTaskRecovery:
-    """Per-reducer recovery state shared across that reducer's attempts.
+def checkpoint_gate(
+    job: JobSpec, config: RecoveryConfig, root: str | None
+) -> Callable[[int], ReduceTaskRecovery]:
+    """Decide once whether ``job``'s reducers checkpoint under ``root``.
 
-    Tracks the furthest fold progress any failed attempt reached (per
-    mapper), which the committing attempt uses to split re-done work
-    (``reduce.replayed_records`` / ``reduce.refolded_records``) from live
-    work — and, when checkpointing is enabled, carries the policy and the
-    reducer's snapshot directory.  Speculative backup attempts never get
-    one: a backup racing the primary must not share its snapshot file.
+    Checkpointing applies only where the store IS the reducer's complete
+    state: barrier-less mode, a store-backed reducer whose class opted in
+    (``checkpointable``), an enabled policy, and a directory to write to.
+    Returns the per-reducer constructor, ``make(reducer_index)``; the
+    reducer is probed here, not per task.
     """
-
-    __slots__ = ("policy", "directory", "prior_records")
-
-    def __init__(self, policy=None, directory: str | None = None) -> None:
-        self.policy = policy
-        self.directory = directory
-        #: mapper -> cumulative records folded by the furthest prior
-        #: (failed) attempt.  Batch-granular: a crash mid-batch loses at
-        #: most one batch of progress accounting, never correctness.
-        self.prior_records: dict[int, int] = {}
-
-    @property
-    def can_checkpoint(self) -> bool:
-        return self.policy is not None and self.directory is not None
-
-    def note_attempt_progress(self, folded: dict[int, int]) -> None:
-        for mapper, count in folded.items():
-            if count > self.prior_records.get(mapper, 0):
-                self.prior_records[mapper] = count
-
-
-class RecordStream:
-    """Iterator over a FIFO queue fed by ``producers`` fetch threads.
-
-    Yields whole decoded record batches until every producer has sent its
-    sentinel; this is the "single buffer" of the barrier-less reducer
-    with the reduce thread consuming "in a first-in first-out manner".
-    Items are ``(records, wire_bytes, mapper, seq, epoch)`` tuples; once
-    the consumer comes back for the next batch — i.e. after it has
-    processed every record of this one — the batch's bytes are handed to
-    ``on_batch_done`` (the flow-control release) and its provenance to
-    ``on_batch_folded``.  Both callbacks run on the consuming thread at
-    that batch boundary, so ``on_batch_folded`` is a consistent point to
-    write the store back and snapshot it.
-    """
-
-    def __init__(
-        self,
-        buffer: "queue.Queue",
-        producers: int,
-        on_batch_done=None,
-        on_batch_folded=None,
+    if (
+        root is not None
+        and config.checkpoint_enabled
+        and job.mode is ExecutionMode.BARRIERLESS
+        and reducer_is_checkpointable(job)
     ):
-        self._buffer = buffer
-        self._producers = producers
-        self._on_batch_done = on_batch_done
-        self._on_batch_folded = on_batch_folded
-
-    def __iter__(self):
-        finished = 0
-        while finished < self._producers:
-            item = self._buffer.get()
-            if item is SENTINEL:
-                finished += 1
-                continue
-            records, nbytes, mapper, seq, epoch = item
-            yield records
-            if self._on_batch_done is not None:
-                self._on_batch_done(nbytes)
-            if self._on_batch_folded is not None:
-                self._on_batch_folded(mapper, seq, epoch, len(records), nbytes)
+        return partial(ReduceTaskRecovery, config.checkpoint, root)
+    return partial(ReduceTaskRecovery, None, None)
 
 
 def open_batch(batch, wire: WireConfig | None) -> tuple[list[Record], int]:
@@ -331,7 +257,6 @@ def run_barrier_reduce_attempt(
     service,
     reducer_index: int,
     num_maps: int,
-    watch: Stopwatch,
     task_span,
     attempt_base: int,
     *,
@@ -341,7 +266,7 @@ def run_barrier_reduce_attempt(
     wire: WireConfig | None = None,
     inst: RunInstruments | None = None,
     stop: "threading.Event | None" = None,
-) -> tuple[list[Record], Counters, list[tuple[str, str, float, float]]]:
+) -> tuple[list[Record], Counters]:
     """One fetch thread per mapper into per-mapper buffers; barrier.
 
     ``service`` is any map-output source speaking the
@@ -360,8 +285,6 @@ def run_barrier_reduce_attempt(
     # Buffered batches are not consumed until the sort buffer is
     # final: an epoch change can still discard them.
     ledger = FetchLedger(obs.counters, consume_on_admit=False)
-    timeline: list[tuple[str, str, float, float]] = []
-    shuffle_start = watch.elapsed()
     shuffle_span = None
     if tracer is not None:
         shuffle_span = tracer.open("shuffle", "op", parent=task_span)
@@ -374,6 +297,7 @@ def run_barrier_reduce_attempt(
         inst.buffer_depth.add(buffered_depth) if inst is not None else None
     )
     store_token = None
+    reducer = None
 
     def on_epoch_change(mapper: int) -> None:
         ledger.reset(mapper, len(buffers[mapper]))
@@ -428,9 +352,6 @@ def run_barrier_reduce_attempt(
             thread.join()  # <-- the distributed barrier
         if shuffle_span is not None:
             tracer.close(shuffle_span)
-        timeline.append(
-            ("shuffle", f"shuffle-{reducer_index}", shuffle_start, watch.elapsed())
-        )
         if fetch_errors:
             raise fetch_errors[0]
         if stop is not None and stop.is_set():
@@ -441,17 +362,12 @@ def run_barrier_reduce_attempt(
             records.extend(buffer)
         ledger.seal(len(records))
 
-        sort_start = watch.elapsed()
         if tracer is not None:
             with tracer.span("sort", "op", parent=task_span):
                 records.sort(key=lambda record: record.key)
         else:
             records.sort(key=lambda record: record.key)
-        timeline.append(
-            ("sort", f"sort-{reducer_index}", sort_start, watch.elapsed())
-        )
 
-        reduce_start = watch.elapsed()
         local_counters = Counters()
         local_counters.increment("shuffle.records", len(records))
         reducer = prepare_reducer(job)
@@ -471,16 +387,14 @@ def run_barrier_reduce_attempt(
         else:
             produced = run_reduce()
         harvest_store_counters(reducer, local_counters)
-        timeline.append(
-            ("reduce", f"reduce-{reducer_index}", reduce_start, watch.elapsed())
-        )
-        return produced, local_counters, timeline
+        return produced, local_counters
     finally:
         if inst is not None:
             if depth_token is not None:
                 inst.buffer_depth.remove(depth_token)
             if store_token is not None:
                 inst.store_bytes.remove(store_token)
+        close_store(reducer)
 
 
 def run_pipelined_reduce_attempt(
@@ -488,7 +402,6 @@ def run_pipelined_reduce_attempt(
     service,
     reducer_index: int,
     num_maps: int,
-    watch: Stopwatch,
     task_span,
     attempt_base: int,
     *,
@@ -499,7 +412,7 @@ def run_pipelined_reduce_attempt(
     inst: RunInstruments | None = None,
     recovery: ReduceTaskRecovery | None = None,
     stop: "threading.Event | None" = None,
-) -> tuple[list[Record], Counters, list[tuple[str, str, float, float]]]:
+) -> tuple[list[Record], Counters]:
     """Fetch threads into one shared buffer + FIFO reduce, pipelined.
 
     Records are consumed the moment they are admitted, so a mapper
@@ -507,29 +420,26 @@ def run_pipelined_reduce_attempt(
     the re-fetched duplicates by sequence number (the expensive half
     of the recovery asymmetry: barrier-less re-fetch must dedup).
 
-    With checkpointing enabled (``recovery.can_checkpoint``) the
-    attempt first tries to resume: a valid snapshot whose per-mapper
-    epochs still match the service restores the store, seeds the
-    ledger's dedup horizon, and starts each fetch stream at its
-    persisted sequence number — only the un-consumed tail of each
-    stream is replayed.  A snapshot that is torn/corrupt, or whose
-    source mapper re-executed after it was cut, is discarded (fail
-    closed) and the attempt refolds from zero.
+    The fold itself is :mod:`repro.engine.fold`'s: ``recovery`` (one per
+    reducer, shared by its attempts; a speculative backup runs on a
+    throw-away one) decides at :meth:`~ReduceTaskRecovery.begin` whether
+    a snapshot is restored — valid only while every source mapper's
+    epoch still matches the service — and each fetch stream then starts
+    at its persisted sequence number, so only the un-consumed tail is
+    replayed; anything else refolds from zero.
 
-    ``stop`` makes the attempt *preemptible*: when the event is set,
-    the next wire-batch boundary cuts a forced checkpoint (stamped
-    :data:`~repro.memory.checkpoint.PREEMPT_META_KEY`) and the attempt
-    unwinds with :class:`ReducePreemptedError` — everything folded so
-    far is on disk, so a later attempt restores it and replays only
-    the tail.  Batch boundaries are the only stop points: the store is
-    consistent there, exactly as for a periodic snapshot.
+    ``stop`` makes the attempt *preemptible*: once the event is set,
+    the next wire-batch boundary cuts a forced checkpoint and the
+    attempt unwinds with :class:`~repro.engine.fold.ReducePreemptedError`
+    — everything folded so far is on disk, so a later attempt restores
+    it and replays only the tail.  Batch boundaries are the only stop
+    points: the store is consistent there, exactly as for a periodic
+    snapshot.
     """
     tracer = obs.tracer if task_span is not None else None
-    task_id = f"reduce-{reducer_index}"
     shared: "queue.Queue" = queue.Queue()
     cancelled = threading.Event()
     ledger = FetchLedger(obs.counters, consume_on_admit=True)
-    shuffle_start = watch.elapsed()
     fetch_errors: list[BaseException] = []
     # The FIFO buffer's occupancy in records: delivered batches add,
     # each batch the reduce thread has finished folding subtracts.
@@ -540,8 +450,7 @@ def run_pipelined_reduce_attempt(
     store_token = None
 
     # Size-based flow control: fetch threads block once the decoded
-    # batches waiting in the shared buffer exceed the wire window,
-    # replacing the old unbounded per-record handoff.
+    # batches waiting in the shared buffer exceed the wire window.
     flow = (
         FlowController(wire.max_inflight_bytes)
         if wire is not None
@@ -550,242 +459,94 @@ def run_pipelined_reduce_attempt(
 
     local_counters = Counters()
     reducer = prepare_reducer(job)
-    store = getattr(reducer, "_store", None)
-    flush = store_flush(reducer)
-    if inst is not None and store is not None:
-        store_token = inst.store_bytes.add(store.memory_used)
-
-    rec = recovery
-    backing = innermost_store(store)
-    ckpt_active = (
-        rec is not None
-        and rec.can_checkpoint
-        and hasattr(backing, "checkpoint")
-        and hasattr(backing, "restore")
-    )
-    # Per-mapper fold progress of THIS attempt:
-    # mapper -> [next batch seq, epoch of those batches, records folded].
-    progress: dict[int, list[int]] = {}
-    # Record classification (reconciliation invariant per partition:
-    # restored + replayed + refolded + live == total records).
-    counts = {"live": 0, "replayed": 0, "refolded": 0, "restored": 0}
-    resumed = False
-    since = {"records": 0, "bytes": 0, "t": time.monotonic()}
-
-    if ckpt_active and checkpoint_exists(rec.directory):
-        span = (
-            tracer.open("checkpoint.restore", "op", parent=task_span)
-            if tracer is not None
-            else None
-        )
-        try:
-            try:
-                meta = peek_checkpoint_meta(rec.directory)
-                snapshot = {
-                    int(mapper): tuple(state)
-                    for mapper, state in meta.get("progress", {}).items()
-                }
-                stale = sorted(
-                    mapper
-                    for mapper, (_seq, epoch, _recs) in snapshot.items()
-                    if service.epoch_of(mapper) != epoch
-                )
-                if stale:
-                    # A source mapper re-executed after the snapshot
-                    # was cut.  Its folds are mixed into the store
-                    # and cannot be subtracted, so the whole snapshot
-                    # is stale: discard it and refold from zero.
-                    obs.counters.increment("reduce.checkpoint.stale")
-                    obs.events.emit(
-                        "checkpoint.stale", task=task_id, mappers=stale
-                    )
-                    discard_checkpoint(rec.directory)
-                else:
-                    store.restore(rec.directory)
-                    for mapper, (seq, epoch, recs) in snapshot.items():
-                        ledger.seed(mapper, seq)
-                        progress[mapper] = [seq, epoch, recs]
-                    counts["restored"] = sum(
-                        state[2] for state in snapshot.values()
-                    )
-                    resumed = True
-                    obs.counters.increment("reduce.checkpoint.restores")
-                    obs.counters.increment(
-                        "reduce.checkpoint.restored_records",
-                        counts["restored"],
-                    )
-                    obs.events.emit(
-                        "checkpoint.restore",
-                        task=task_id,
-                        records=counts["restored"],
-                        mappers=len(snapshot),
-                    )
-            except CheckpointError as exc:
-                # Torn or corrupted snapshot: fail closed to refold.
-                obs.counters.increment("reduce.checkpoint.invalid")
-                obs.events.emit(
-                    "checkpoint.invalid", task=task_id, reason=str(exc)
-                )
-                discard_checkpoint(rec.directory)
-        finally:
-            if span is not None:
-                span.attrs["records"] = counts["restored"]
-                span.attrs["resumed"] = resumed
-                tracer.close(span)
-
-    def write_snapshot(preempted: bool = False) -> None:
-        # Runs on the reduce thread at a batch boundary, so the store
-        # holds exactly the folds `progress` describes.
-        meta = {
-            "progress": {
-                mapper: tuple(state) for mapper, state in progress.items()
-            }
-        }
-        if preempted:
-            meta[PREEMPT_META_KEY] = True
-        span = (
-            tracer.open("checkpoint.write", "op", parent=task_span)
-            if tracer is not None
-            else None
-        )
-        stats = None
-        try:
-            stats = store.checkpoint(rec.directory, meta=meta)
-        finally:
-            if span is not None:
-                if stats is not None:
-                    span.attrs["records"] = stats.records
-                    span.attrs["bytes"] = stats.bytes
-                tracer.close(span)
-        obs.counters.increment("reduce.checkpoint.writes")
-        obs.counters.increment("reduce.checkpoint.bytes", stats.bytes)
-        obs.counters.increment("reduce.checkpoint.records", stats.records)
-        obs.events.emit(
-            "checkpoint.write",
-            task=task_id,
-            records=stats.records,
-            bytes=stats.bytes,
-        )
-        since["records"] = 0
-        since["bytes"] = 0
-        since["t"] = time.monotonic()
-
-    def on_batch_folded(
-        mapper: int, seq: int, epoch: int, count: int, nbytes: int
-    ) -> None:
-        # Everything owed per batch is paid here, once: the write-back
-        # first, so snapshots and preempt cuts see a consistent store.
-        flush()
-        local_counters.increment("shuffle.records", count)
-        depth.add(-count)
-        state = progress.get(mapper)
-        base = state[2] if state is not None else 0
-        prior = (
-            rec.prior_records.get(mapper, 0) if rec is not None else 0
-        )
-        # Records this batch re-does: cumulative positions below the
-        # furthest prior attempt's progress.  With a restored snapshot
-        # they are tail replay; without one they are refolds.
-        redone = max(0, min(base + count, prior) - base)
-        if resumed:
-            counts["replayed"] += redone
-        else:
-            counts["refolded"] += redone
-        counts["live"] += count - redone
-        progress[mapper] = [seq + 1, epoch, base + count]
-        if rec is not None and base + count > prior:
-            # Keep the recovery object's high-water mark current while the
-            # attempt runs (not just on failure): a host that dies without
-            # an exception path — a SIGKILLed cluster worker — can still
-            # have reported this progress out-of-band (heartbeats), and
-            # the update never reclassifies the attempt's own records
-            # (``prior`` was read before the bump, and from here on
-            # ``prior == base`` makes ``redone`` zero).
-            rec.prior_records[mapper] = base + count
-        since["records"] += count
-        since["bytes"] += nbytes
-        if stop is not None and stop.is_set():
-            # Preempted: the boundary we are standing on is the cut.
-            folded = sum(state[2] for state in progress.values())
-            if ckpt_active:
-                write_snapshot(preempted=True)
-            obs.events.emit(
-                "reduce.preempt",
-                task=task_id,
-                records=folded,
-                checkpointed=ckpt_active,
-            )
-            raise ReducePreemptedError(reducer_index, folded)
-        if ckpt_active and rec.policy.due(
-            since["records"],
-            since["bytes"],
-            time.monotonic() - since["t"],
-        ):
-            write_snapshot()
-
-    def note_progress() -> None:
-        if rec is not None:
-            rec.note_attempt_progress(
-                {mapper: state[2] for mapper, state in progress.items()}
-            )
-
-    def deliver(batch, mapper: int, seq: int, epoch: int) -> None:
-        records, nbytes = open_batch(batch, wire)
-        if flow is not None:
-            flow.acquire(nbytes, cancelled)
-        depth.add(len(records))
-        shared.put((records, nbytes, mapper, seq, epoch))
-        obs.metrics.observe_max("shuffle.buffer.hwm", depth.value())
-
-    def fetch_worker(mapper: int) -> None:
-        if inst is not None:
-            inst.inflight.add(1)
-        state = progress.get(mapper)
-        try:
-            run_fetch_stream(
-                service,
-                mapper,
-                reducer_index,
-                ledger,
-                deliver,
-                config=config,
-                injector=injector,
-                counters=obs.counters,
-                events=obs.events,
-                tracer=tracer,
-                parent=task_span,
-                cancelled=cancelled,
-                attempt_base=attempt_base,
-                start_seq=state[0] if state is not None else 0,
-                start_epoch=state[1] if state is not None else None,
-            )
-        except BaseException as exc:
-            fetch_errors.append(exc)
-        finally:
-            if inst is not None:
-                inst.inflight.add(-1)
-            shared.put(SENTINEL)
-
-    threads = [
-        threading.Thread(
-            target=fetch_worker, args=(m,), name=f"fetch-{reducer_index}-{m}"
-        )
-        for m in range(num_maps)
-    ]
-    for thread in threads:
-        thread.start()
-
-    stream = RecordStream(
-        shared,
-        num_maps,
-        on_batch_done=flow.release if flow is not None else None,
-        on_batch_folded=on_batch_folded,
-    )
+    threads: list[threading.Thread] = []
     try:
+        store = getattr(reducer, "_store", None)
+        if inst is not None and store is not None:
+            store_token = inst.store_bytes.add(store.memory_used)
+        if recovery is None:
+            recovery = ReduceTaskRecovery(index=reducer_index)
+        cursors = recovery.begin(
+            store,
+            lambda mapper, epoch, _records: service.epoch_of(mapper) == epoch,
+            obs,
+            time.monotonic(),
+            task_span,
+        )
+        for mapper, (seq, _epoch) in cursors.items():
+            ledger.seed(mapper, seq)
+
+        def deliver(batch, mapper: int, seq: int, epoch: int) -> None:
+            records, nbytes = open_batch(batch, wire)
+            if flow is not None:
+                flow.acquire(nbytes, cancelled)
+            depth.add(len(records))
+            shared.put((records, nbytes, mapper, seq, epoch))
+            obs.metrics.observe_max("shuffle.buffer.hwm", depth.value())
+
+        def fetch_worker(mapper: int) -> None:
+            if inst is not None:
+                inst.inflight.add(1)
+            start_seq, start_epoch = cursors.get(mapper, (0, None))
+            try:
+                run_fetch_stream(
+                    service,
+                    mapper,
+                    reducer_index,
+                    ledger,
+                    deliver,
+                    config=config,
+                    injector=injector,
+                    counters=obs.counters,
+                    events=obs.events,
+                    tracer=tracer,
+                    parent=task_span,
+                    cancelled=cancelled,
+                    attempt_base=attempt_base,
+                    start_seq=start_seq,
+                    start_epoch=start_epoch,
+                )
+            except BaseException as exc:
+                fetch_errors.append(exc)
+            finally:
+                if inst is not None:
+                    inst.inflight.add(-1)
+                shared.put(SENTINEL)
+
+        def arrivals():
+            # The "single buffer" of the barrier-less reducer, consumed
+            # "in a first-in first-out manner" until every fetch thread
+            # has sent its sentinel.
+            finished = 0
+            while finished < num_maps:
+                item = shared.get()
+                if item is SENTINEL:
+                    finished += 1
+                else:
+                    yield item
+
+        def batch_done(records, nbytes, mapper, seq, epoch) -> None:
+            if flow is not None:
+                flow.release(nbytes)
+            local_counters.increment("shuffle.records", len(records))
+            depth.add(-len(records))
+            recovery.folded(
+                mapper, seq, epoch, len(records), nbytes, time.monotonic(),
+                stop is not None and stop.is_set(),
+            )
+
+        for m in range(num_maps):
+            thread = threading.Thread(
+                target=fetch_worker, args=(m,),
+                name=f"fetch-{reducer_index}-{m}",
+            )
+            thread.start()
+            threads.append(thread)
+
         def run_reduce():
             context = make_reduce_context(
                 job,
-                stream,
+                fold_batches(arrivals(), batch_done),
                 local_counters,
                 reduce_record_hook(injector, reducer_index),
             )
@@ -799,46 +560,21 @@ def run_pipelined_reduce_attempt(
                 context = run_reduce()
         else:
             context = run_reduce()
-    except BaseException:
-        # Reduce crashed (e.g. an injected ReducerCrashError): stop
-        # the fetch threads before the restart re-fetches cleanly,
-        # and record how far this attempt folded so the committing
-        # attempt can classify its re-done work.
-        note_progress()
+        if fetch_errors:
+            raise fetch_errors[0]
+        recovery.finish(local_counters)
+        harvest_store_counters(reducer, local_counters)
+        return context.drain(), local_counters
+    finally:
+        # On a crash (e.g. an injected ReducerCrashError) or a preempt
+        # this stops the fetch threads before a restart re-fetches
+        # cleanly; after a clean run they have already exited.
         cancelled.set()
         for thread in threads:
             thread.join()
-        raise
-    finally:
         if inst is not None:
             if depth_token is not None:
                 inst.buffer_depth.remove(depth_token)
             if store_token is not None:
                 inst.store_bytes.remove(store_token)
-    if fetch_errors:
-        note_progress()
-        raise fetch_errors[0]
-    if ckpt_active or counts["replayed"] or counts["refolded"] or counts["restored"]:
-        # Materialise the classification only when recovery machinery
-        # was in play, keeping clean-run counter dicts identical to
-        # the pre-checkpoint engines.
-        local_counters.increment("reduce.live_records", counts["live"])
-        local_counters.increment(
-            "reduce.replayed_records", counts["replayed"]
-        )
-        local_counters.increment(
-            "reduce.refolded_records", counts["refolded"]
-        )
-        local_counters.increment(
-            "reduce.restored_records", counts["restored"]
-        )
-    harvest_store_counters(reducer, local_counters)
-    timeline = [
-        (
-            "shuffle+reduce",
-            f"shuffle+reduce-{reducer_index}",
-            shuffle_start,
-            watch.elapsed(),
-        )
-    ]
-    return context.drain(), local_counters, timeline
+        close_store(reducer)

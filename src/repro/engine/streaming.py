@@ -27,20 +27,22 @@ of the paper's §8 recovery argument: because the map output is retained
 (here, journalled), a barrier-less reducer can always be rebuilt by
 re-consuming its input, and the stream then continues live.
 
-With a :class:`~repro.engine.recovery.RecoveryConfig` carrying a
-:class:`~repro.memory.checkpoint.CheckpointPolicy`, each session also
-snapshots its store periodically (on the reduce thread, at batch
-boundaries, after the store write-back, so the snapshot's ``records``
-count is exact).  A restart
-then restores the snapshot and replays only the journal *tail* past it —
-resume instead of refold.  A torn snapshot, or one whose record count
-exceeds the journal (a leftover from some other stream's life), fails
-closed to a full journal replay.
+The fold bookkeeping is :mod:`repro.engine.fold`'s, the same ledger the
+threaded and cluster reducers drive: a session's journal is its one
+*source* (source 0, epoch 0).  With a
+:class:`~repro.engine.recovery.RecoveryConfig` carrying a
+:class:`~repro.memory.checkpoint.CheckpointPolicy`, the ledger also
+snapshots the store periodically (on the reduce thread, at batch
+boundaries, after the store write-back, so the snapshot's record count
+is exact).  A restart then restores the snapshot and replays only the
+journal *tail* past it — resume instead of refold.  A torn snapshot, one
+in another layout, or one that claims more records than the journal
+holds (a leftover from some other stream's life) fails closed to a full
+journal replay.
 """
 
 from __future__ import annotations
 
-import os
 import queue
 import tempfile
 import threading
@@ -62,14 +64,12 @@ from repro.core.types import (
 )
 from repro.engine.base import (
     BATCH_RECORDS,
+    close_store,
     finish_result,
     harvest_store_counters,
     partition_records,
     prepare_reducer,
-    reducer_is_checkpointable,
-    reducer_is_store_backed,
     run_map_task,
-    store_flush,
 )
 from repro.dfs.wire import (
     WireConfig,
@@ -79,18 +79,13 @@ from repro.dfs.wire import (
     encode_record_batches,
 )
 from repro.engine.faults import TaskAttemptError
+from repro.engine.fold import ReduceTaskRecovery, fold_batches
 from repro.engine.recovery import (
     FetchFaultInjector,
     RecoveryConfig,
     reduce_record_hook,
 )
-from repro.memory.checkpoint import (
-    CheckpointError,
-    CheckpointPolicy,
-    checkpoint_exists,
-    discard_checkpoint,
-    peek_checkpoint_meta,
-)
+from repro.engine.runtime import checkpoint_gate
 from repro.memory import WriteBackStore
 from repro.obs import JobObservability, LiveGauge, MetricsTicker
 
@@ -159,34 +154,6 @@ class _LockedStore:
             return len(self._inner)
 
 
-class _QueueBatches:
-    """Blocking record-batch iterable feeding a reducer thread.
-
-    Queue items are record lists.  Once the reducer comes back for the
-    next one, the previous batch is fully folded: the store write-back is
-    flushed and ``on_folded(count)`` runs — a valid snapshot point on the
-    reduce thread.  A :class:`_SyncToken` therefore arms only after every
-    batch queued before it is in the store.
-    """
-
-    def __init__(self, batches: "queue.Queue", flush, on_folded):
-        self._batches = batches
-        self._flush = flush
-        self._on_folded = on_folded
-
-    def __iter__(self) -> Iterator[list[Record]]:
-        while True:
-            item = self._batches.get()
-            if item is _SENTINEL:
-                return
-            if isinstance(item, _SyncToken):
-                item.arm()
-                continue
-            yield item
-            self._flush()
-            self._on_folded(len(item))
-
-
 class _ReducerSession:
     """One long-lived reducer: its thread, queue, store and context.
 
@@ -197,30 +164,26 @@ class _ReducerSession:
     :class:`~repro.dfs.wire.WireBatch` frames instead of native records —
     the journalled bytes are the wire bytes, and a replay decodes them
     again exactly like a re-fetch.
+
+    ``recovery`` is the session's fold ledger, kept across incarnations:
+    the journal is its source 0, its cursor is a record count.
     """
 
     def __init__(
         self,
         job: JobSpec,
         reducer_index: int,
+        recovery: ReduceTaskRecovery,
+        obs: JobObservability,
         injector: FetchFaultInjector | None = None,
         wire: WireConfig | None = None,
-        obs: JobObservability | None = None,
-        policy: CheckpointPolicy | None = None,
-        checkpoint_dir: str | None = None,
     ):
         self._job = job
         self._index = reducer_index
+        self.recovery = recovery
+        self._obs = obs
         self._injector = injector
         self._wire = wire
-        self._obs = obs
-        self._policy = policy
-        self._ckpt_dir = checkpoint_dir
-        #: Records fully folded by the current incarnation (including any
-        #: restored from a snapshot) — the journal replay cursor.
-        self.folded = 0
-        self._since_records = 0
-        self._since_t = time.monotonic()
         #: Wire on: list[WireBatch].  Wire off: list[Record].
         self.journal: list = []
         self.crashed = False
@@ -242,20 +205,18 @@ class _ReducerSession:
             locked = _LockedStore(self.reducer.store._inner, self.lock)
             self.reducer.attach_store(WriteBackStore(locked))
             self.store = locked
-        self.folded = 0
-        self._since_records = 0
-        self._since_t = time.monotonic()
-        can_ckpt = (
-            self._policy is not None
-            and self._ckpt_dir is not None
-            and self.store is not None
-            and hasattr(self.store._inner, "checkpoint")
+        # A snapshot is this stream's own only if it claims no more
+        # records of source 0 than the journal ever held.
+        total = self.journal_records()
+        cursors = self.recovery.begin(
+            getattr(self.reducer, "_store", None),
+            lambda source, _epoch, records: source == 0 and records <= total,
+            self._obs,
+            time.monotonic(),
         )
         self.context = BatchReduceContext(
-            _QueueBatches(
-                self.queue,
-                store_flush(self.reducer),
-                self._on_folded if can_ckpt else self._count_folded,
+            fold_batches(
+                self._arrivals(cursors.get(0, (0, 0))[0]), self._batch_done
             ),
             self.counters,
             # The crash fires *inside* ``Reducer.run``, at the configured
@@ -278,7 +239,7 @@ class _ReducerSession:
             # the journal (or its tail, with a checkpoint).
             self.crashed = True
 
-    # -- checkpointing (reduce thread) ---------------------------------------
+    # -- the reducer's input (reduce thread) -----------------------------------
 
     def enqueue(self, records: list[Record]) -> None:
         """Hand the reducer thread records, in write-back-sized batches."""
@@ -287,35 +248,27 @@ class _ReducerSession:
             self.depth.add(len(batch))
             self.queue.put(batch)
 
-    def _count_folded(self, count: int) -> None:
-        self.folded += count
-        self.depth.add(-count)
+    def _arrivals(self, seq: int) -> Iterator[tuple[list[Record], int]]:
+        """Dequeue ``(batch, seq)`` items until the sentinel.
 
-    def _on_folded(self, count: int) -> None:
-        self._count_folded(count)
-        self._since_records += count
-        if self._policy.due(
-            self._since_records, 0, time.monotonic() - self._since_t
-        ):
-            self._write_snapshot()
+        A :class:`_SyncToken` is armed when it is dequeued, which
+        :func:`~repro.engine.fold.fold_batches` does only after paying
+        the previous batch's boundary — so every batch queued before the
+        token is in the store by then.
+        """
+        while True:
+            item = self.queue.get()
+            if item is _SENTINEL:
+                return
+            if isinstance(item, _SyncToken):
+                item.arm()
+                continue
+            yield item, seq
+            seq += 1
 
-    def _write_snapshot(self) -> None:
-        stats = self.store.checkpoint(
-            self._ckpt_dir, meta={"records": self.folded}
-        )
-        if self._obs is not None:
-            counters = self._obs.counters
-            counters.increment("reduce.checkpoint.writes")
-            counters.increment("reduce.checkpoint.bytes", stats.bytes)
-            counters.increment("reduce.checkpoint.records", stats.records)
-            self._obs.events.emit(
-                "checkpoint.write",
-                task=f"reduce-{self._index}",
-                records=stats.records,
-                bytes=stats.bytes,
-            )
-        self._since_records = 0
-        self._since_t = time.monotonic()
+    def _batch_done(self, batch: list[Record], seq: int) -> None:
+        self.depth.add(-len(batch))
+        self.recovery.folded(0, seq, 0, len(batch), 0, time.monotonic())
 
     # -- recovery ------------------------------------------------------------
 
@@ -327,65 +280,10 @@ class _ReducerSession:
 
     def restart(self) -> None:
         """Rebuild the reducer; resume from a snapshot or replay in full."""
-        prior = self.folded  # the dead incarnation's fold cursor
         self.crashed = False
+        close_store(self.reducer)  # the dead incarnation's spill files
         self._start()
-        total = self.journal_records()
-        replay_from = 0
-        counters = self._obs.counters if self._obs is not None else None
-        if self._ckpt_dir is not None and checkpoint_exists(self._ckpt_dir):
-            try:
-                meta = peek_checkpoint_meta(self._ckpt_dir)
-                records = int(meta.get("records", 0))
-                if 0 < records <= total:
-                    self.store.restore(self._ckpt_dir)
-                    replay_from = records
-                    if counters is not None:
-                        counters.increment("reduce.checkpoint.restores")
-                        counters.increment(
-                            "reduce.checkpoint.restored_records", records
-                        )
-                        # Classification bucket, mirroring the threaded
-                        # engine: restored records were neither replayed
-                        # nor refolded by the restarted incarnation.
-                        counters.increment("reduce.restored_records", records)
-                        self._obs.events.emit(
-                            "checkpoint.restore",
-                            task=f"reduce-{self._index}",
-                            records=records,
-                        )
-                else:
-                    # Claims more folds than this stream ever routed: a
-                    # snapshot from some other life of the directory.
-                    if counters is not None:
-                        counters.increment("reduce.checkpoint.stale")
-                        self._obs.events.emit(
-                            "checkpoint.stale",
-                            task=f"reduce-{self._index}",
-                            records=records,
-                        )
-                    discard_checkpoint(self._ckpt_dir)
-            except CheckpointError as exc:
-                # Torn or corrupted snapshot: fail closed to full replay.
-                if counters is not None:
-                    counters.increment("reduce.checkpoint.invalid")
-                    self._obs.events.emit(
-                        "checkpoint.invalid",
-                        task=f"reduce-{self._index}",
-                        reason=str(exc),
-                    )
-                discard_checkpoint(self._ckpt_dir)
-        self.folded = replay_from
-        if counters is not None:
-            # Only folds the dead incarnation had already done count as
-            # re-done work; the rest of the journal is pending regardless.
-            if replay_from:
-                counters.increment(
-                    "reduce.replayed_records", max(0, prior - replay_from)
-                )
-            else:
-                counters.increment("reduce.refolded_records", prior)
-        skip = replay_from
+        skip = self.recovery.records_folded  # what a snapshot restored
         if self._wire is not None:
             for batch in self.journal:
                 if skip >= batch.count:
@@ -421,22 +319,13 @@ class StreamingEngine:
         wire = wire if wire is not None else WireConfig()
         self._wire = wire if wire.enabled else None
         self._restarts = 0
-        # Checkpoint/resume: only sound for reducers whose store is their
-        # complete state (see CheckpointPolicy / reducer_is_checkpointable).
+        recovery = recovery if recovery is not None else RecoveryConfig()
         self._ckpt_owned: tempfile.TemporaryDirectory | None = None
-        ckpt_root: str | None = None
-        if (
-            recovery is not None
-            and recovery.checkpoint_enabled
-            and reducer_is_store_backed(job)
-            and reducer_is_checkpointable(job)
-        ):
-            ckpt_root = recovery.checkpoint_dir
-            if ckpt_root is None:
-                self._ckpt_owned = tempfile.TemporaryDirectory(
-                    prefix="repro-ckpt-"
-                )
-                ckpt_root = self._ckpt_owned.name
+        ckpt_root = recovery.checkpoint_dir
+        if recovery.checkpoint_enabled and ckpt_root is None:
+            self._ckpt_owned = tempfile.TemporaryDirectory(prefix="repro-ckpt-")
+            ckpt_root = self._ckpt_owned.name
+        make_recovery = checkpoint_gate(job, recovery, ckpt_root)
         # The job span stays open for the stream's whole life; map and
         # reduce stages overlap by construction (reducers consume pushes
         # as they arrive), so both open up front, like the threaded engine.
@@ -451,17 +340,7 @@ class StreamingEngine:
         )
         self._sessions = [
             _ReducerSession(
-                job,
-                i,
-                fault_injector,
-                wire=self._wire,
-                obs=self.obs,
-                policy=recovery.checkpoint if ckpt_root is not None else None,
-                checkpoint_dir=(
-                    os.path.join(ckpt_root, f"reduce-{i}")
-                    if ckpt_root is not None
-                    else None
-                ),
+                job, i, make_recovery(i), self.obs, fault_injector, self._wire
             )
             for i in range(job.num_reducers)
         ]
@@ -625,8 +504,10 @@ class StreamingEngine:
                 session.thread.join(timeout=30.0)
             if session.thread.is_alive():  # pragma: no cover - watchdog
                 raise RuntimeError(f"reducer {index} failed to terminate")
+            session.recovery.finish(session.counters)
             harvest_store_counters(session.reducer, session.counters)
             output[index] = session.context.drain()
+            close_store(session.reducer)
             self.counters.merge(session.counters)
             self.counters.increment("reduce.tasks")
             obs.events.emit(

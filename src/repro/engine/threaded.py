@@ -32,13 +32,13 @@ engine shares with the networked cluster runtime (:mod:`repro.cluster`).
 This module keeps what is engine-specific: thread scheduling, the
 map-slot pool, attempt retry/speculation orchestration, and commit.
 
-The engine records task events in a :class:`TaskLog` so real executions can
-be rendered as Figure 4-style concurrency timelines.
+A run's stage timeline is its trace: ``task`` spans per map and reduce
+task, with the ``shuffle`` / ``sort`` / ``reduce`` (barrier) or
+``shuffle+reduce`` (barrier-less) op spans of each attempt under them.
 """
 
 from __future__ import annotations
 
-import os
 import queue
 import tempfile
 import threading
@@ -59,7 +59,6 @@ from repro.engine.base import (
     Engine,
     Stopwatch,
     finish_result,
-    reducer_is_checkpointable,
     reducer_is_store_backed,
     run_map_task_partitioned,
 )
@@ -68,7 +67,7 @@ from repro.engine.faults import (
     FaultInjector,
     RetryingTaskRunner,
 )
-from repro.engine.instrument import TaskLog
+from repro.engine.fold import ReduceTaskRecovery
 from repro.engine.recovery import (
     FetchFaultInjector,
     MapOutputService,
@@ -77,7 +76,7 @@ from repro.engine.recovery import (
 from repro.engine.runtime import (
     ATTEMPT_STRIDE,
     RunInstruments,
-    ReduceTaskRecovery,
+    checkpoint_gate,
     run_barrier_reduce_attempt,
     run_pipelined_reduce_attempt,
 )
@@ -101,7 +100,6 @@ class ThreadedEngine(Engine):
     def __init__(
         self,
         map_slots: int = 4,
-        task_log: TaskLog | None = None,
         fault_injector: FaultInjector | None = None,
         max_attempts: int = DEFAULT_MAX_ATTEMPTS,
         obs: JobObservability | None = None,
@@ -115,7 +113,6 @@ class ThreadedEngine(Engine):
         if metrics_interval_s <= 0:
             raise ValueError("metrics_interval_s must be positive")
         self.map_slots = map_slots
-        self.task_log = task_log if task_log is not None else TaskLog()
         self._fault_injector = fault_injector
         self._max_attempts = max_attempts
         self.obs = obs if obs is not None else JobObservability()
@@ -145,31 +142,14 @@ class ThreadedEngine(Engine):
         actual_maps = len(splits)
         store_backed = reducer_is_store_backed(job)
 
-        # Checkpointing applies only where the store IS the reducer's
-        # complete state: barrier-less mode, a store-backed reducer whose
-        # class opted in (checkpointable), and an enabled policy.
-        checkpointing = (
-            config.checkpoint_enabled
-            and store_backed
-            and job.mode is ExecutionMode.BARRIERLESS
-            and reducer_is_checkpointable(job)
-        )
         ckpt_owned: tempfile.TemporaryDirectory | None = None
         ckpt_root = config.checkpoint_dir
-        if checkpointing and ckpt_root is None:
+        if config.checkpoint_enabled and ckpt_root is None:
             ckpt_owned = tempfile.TemporaryDirectory(prefix="repro-ckpt-")
             ckpt_root = ckpt_owned.name
-        recoveries = {
-            index: ReduceTaskRecovery(
-                policy=config.checkpoint if checkpointing else None,
-                directory=(
-                    os.path.join(ckpt_root, f"reduce-{index}")
-                    if checkpointing
-                    else None
-                ),
-            )
-            for index in range(job.num_reducers)
-        }
+        # One fold ledger per reducer, shared by its primary attempts.
+        make_recovery = checkpoint_gate(job, config, ckpt_root)
+        recoveries = [make_recovery(i) for i in range(job.num_reducers)]
 
         # The map-output service replaces per-(mapper, reducer) queues:
         # outputs are retained after being read, so a restarted reduce
@@ -239,7 +219,6 @@ class ThreadedEngine(Engine):
         service.regenerator = regenerate
 
         def map_worker(mapper_index: int, split) -> None:
-            start = watch.elapsed()
             task_span = obs.tracer.open(
                 f"map-{mapper_index}", "task", parent=map_stage
             )
@@ -288,10 +267,8 @@ class ThreadedEngine(Engine):
                     # Close the stream so reducers terminate; the recorded
                     # error still fails the job at the end of run().
                     service.publish(mapper_index, {})
-                end = watch.elapsed()
                 with map_done_lock:
-                    map_done_times.append(end)
-                self.task_log.record("map", f"map-{mapper_index}", start, end)
+                    map_done_times.append(watch.elapsed())
 
         # Bounded map-slot pool: at most ``map_slots`` map tasks at once,
         # matching the per-node slot configuration of the testbed.
@@ -317,9 +294,9 @@ class ThreadedEngine(Engine):
         output_lock = threading.Lock()
         done_events = [threading.Event() for _ in range(job.num_reducers)]
 
-        def commit_reduce(reducer_index, produced, local_counters, timeline) -> bool:
+        def commit_reduce(reducer_index, produced, local_counters) -> bool:
             # Exactly one attempt (primary or speculative backup) commits
-            # a reducer's output, counters and timeline — first one wins.
+            # a reducer's output and counters — first one wins.
             with output_lock:
                 if reducer_index in committed:
                     return False
@@ -335,8 +312,6 @@ class ThreadedEngine(Engine):
             # engines.
             obs.counters.increment("shuffle.records.fetched", 0)
             obs.counters.increment("shuffle.records.consumed", 0)
-            for kind, label, start, end in timeline:
-                self.task_log.record(kind, label, start, end)
             return True
 
         def reduce_worker(reducer_index: int) -> None:
@@ -371,16 +346,15 @@ class ThreadedEngine(Engine):
                         service,
                         reducer_index,
                         actual_maps,
-                        watch,
                         task_span,
                         variant=0,
                         variant_attempt=this_attempt,
                         inst=inst,
-                        recovery=recoveries.get(reducer_index),
+                        recovery=recoveries[reducer_index],
                     )
 
                 task_id = f"reduce-{reducer_index}"
-                produced, local_counters, timeline = runner.run(
+                produced, local_counters = runner.run(
                     task_id, attempt_body, parent=task_span
                 )
                 retries = runner.attempts_made.get(task_id, 1) - 1
@@ -390,7 +364,7 @@ class ThreadedEngine(Engine):
                     obs.counters.increment("reduce.restarts", retries)
                     if store_backed:
                         obs.counters.increment("store.resets", retries)
-                commit_reduce(reducer_index, produced, local_counters, timeline)
+                commit_reduce(reducer_index, produced, local_counters)
                 committed_ok = True
             except BaseException as exc:
                 with errors_lock:
@@ -431,12 +405,11 @@ class ThreadedEngine(Engine):
 
                 def backup(reducer_index=reducer_index) -> None:
                     try:
-                        produced, local_counters, timeline = self._reduce_attempt(
+                        produced, local_counters = self._reduce_attempt(
                             job,
                             service,
                             reducer_index,
                             actual_maps,
-                            watch,
                             None,  # no spans: the task span belongs to the primary
                             variant=1,
                             variant_attempt=0,
@@ -444,9 +417,7 @@ class ThreadedEngine(Engine):
                         )
                     except BaseException:
                         return  # a failed backup never fails the job
-                    if commit_reduce(
-                        reducer_index, produced, local_counters, timeline
-                    ):
+                    if commit_reduce(reducer_index, produced, local_counters):
                         obs.counters.increment("speculative.reduce_wins")
                         obs.events.emit(
                             "speculation.win", task=f"reduce-{reducer_index}"
@@ -512,13 +483,12 @@ class ThreadedEngine(Engine):
         service: MapOutputService,
         reducer_index: int,
         num_maps: int,
-        watch: Stopwatch,
         task_span,
         variant: int,
         variant_attempt: int,
         inst: RunInstruments | None = None,
         recovery: ReduceTaskRecovery | None = None,
-    ) -> tuple[list[Record], Counters, list[tuple[str, str, float, float]]]:
+    ) -> tuple[list[Record], Counters]:
         """One reduce-task attempt: fetch, (sort,) reduce.
 
         Delegates to the shared executors in :mod:`repro.engine.runtime`.
@@ -534,7 +504,7 @@ class ThreadedEngine(Engine):
         ) * ATTEMPT_STRIDE
         if job.mode is ExecutionMode.BARRIER:
             return run_barrier_reduce_attempt(
-                job, service, reducer_index, num_maps, watch, task_span,
+                job, service, reducer_index, num_maps, task_span,
                 attempt_base,
                 obs=self.obs,
                 config=self._recovery,
@@ -543,7 +513,7 @@ class ThreadedEngine(Engine):
                 inst=inst,
             )
         return run_pipelined_reduce_attempt(
-            job, service, reducer_index, num_maps, watch, task_span,
+            job, service, reducer_index, num_maps, task_span,
             attempt_base,
             obs=self.obs,
             config=self._recovery,

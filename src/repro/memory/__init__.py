@@ -47,7 +47,7 @@ from repro.memory.policies import FIFOCache, LRUCache
 from repro.memory.spill import SpillMergeStore
 from repro.memory.store import TreeMapStore
 from repro.memory.treemap import TreeMap
-from repro.memory.writeback import WriteBackStore
+from repro.memory.writeback import WriteBackStore, innermost_store
 
 __all__ = [
     "ENTRY_OVERHEAD_BYTES",
@@ -66,6 +66,7 @@ __all__ = [
     "deep_size",
     "discard_checkpoint",
     "entry_size",
+    "innermost_store",
     "make_store",
     "peek_checkpoint_meta",
     "read_checkpoint",

@@ -56,13 +56,15 @@ class SpillingKVStore:
         dir_path: str | None = None,
         on_sample: Callable[[int], None] | None = None,
     ) -> None:
-        self._owned_dir: tempfile.TemporaryDirectory | None = None
-        if dir_path is None:
-            self._owned_dir = tempfile.TemporaryDirectory(prefix="repro-kv-")
-            dir_path = self._owned_dir.name
-        else:
+        # One directory per store, under ``dir_path`` when given: every
+        # instance names its log ``data.log``, so concurrent reducers
+        # sharing a directory would append to one file.
+        if dir_path is not None:
             os.makedirs(dir_path, exist_ok=True)
-        self._log_path = os.path.join(dir_path, "data.log")
+        self._owned_dir = tempfile.TemporaryDirectory(
+            prefix="repro-kv-", dir=dir_path
+        )
+        self._log_path = os.path.join(self._owned_dir.name, "data.log")
         self._log = open(self._log_path, "a+b")
         self._index: dict[Key, tuple[int, int]] = {}
         self._cache = LRUCache(cache_bytes, on_evict=self._persist)
@@ -215,11 +217,9 @@ class SpillingKVStore:
         return size
 
     def close(self) -> None:
-        """Close the log file and remove owned temporary storage."""
+        """Close the log file and delete its directory (idempotent)."""
         self._log.close()
-        if self._owned_dir is not None:
-            self._owned_dir.cleanup()
-            self._owned_dir = None
+        self._owned_dir.cleanup()
 
     # -- internals ------------------------------------------------------------------
 

@@ -105,13 +105,15 @@ class SpillMergeStore:
         #: Keys read since they were last written (see the class docstring).
         self._checked_out: set[Key] = set()
         self._spill_paths: list[str] = []
-        self._owned_dir: tempfile.TemporaryDirectory | None = None
-        if spill_dir is None:
-            self._owned_dir = tempfile.TemporaryDirectory(prefix="repro-spill-")
-            self._dir = self._owned_dir.name
-        else:
+        # One directory per store, under ``spill_dir`` when given: file
+        # names come from a per-instance counter, so concurrent reducers
+        # sharing a directory would overwrite each other's runs.
+        if spill_dir is not None:
             os.makedirs(spill_dir, exist_ok=True)
-            self._dir = spill_dir
+        self._owned_dir = tempfile.TemporaryDirectory(
+            prefix="repro-spill-", dir=spill_dir
+        )
+        self._dir = self._owned_dir.name
         self._on_sample = on_sample
         self._finalized = False
         self.spill_count = 0
@@ -192,7 +194,7 @@ class SpillMergeStore:
 
     @property
     def num_spill_files(self) -> int:
-        """How many spill files exist so far."""
+        """How many sorted runs were written (still readable until close)."""
         return len(self._spill_paths)
 
     def checkpoint(
@@ -224,16 +226,8 @@ class SpillMergeStore:
         return meta
 
     def close(self) -> None:
-        """Delete spill files and release the temporary directory."""
-        for path in self._spill_paths:
-            try:
-                os.unlink(path)
-            except FileNotFoundError:
-                pass
-        self._spill_paths.clear()
-        if self._owned_dir is not None:
-            self._owned_dir.cleanup()
-            self._owned_dir = None
+        """Delete the spill directory and every run in it (idempotent)."""
+        self._owned_dir.cleanup()
 
     # -- internals ------------------------------------------------------------------
 

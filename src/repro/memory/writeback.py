@@ -28,6 +28,19 @@ from repro.core.types import Key, Value
 _MISSING = object()
 
 
+def innermost_store(store: Any) -> Any:
+    """Unwrap write-back, locking and ``store_factory`` proxies.
+
+    Every wrapper in the repo (and stagebench's timing proxy) holds the
+    store it wraps as ``_inner``; the concrete store has no such field.
+    """
+    while True:
+        inner = getattr(store, "_inner", None)
+        if inner is None:
+            return store
+        store = inner
+
+
 class WriteBackStore:
     """Dict-backed write-back over any :class:`PartialResultStore`.
 

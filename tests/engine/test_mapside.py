@@ -255,7 +255,8 @@ class TestWireSpillCodec:
             buffer.collect(key, i)
             expected[default_partition(key, 3)].append(key)
         assert buffer.num_spills > 0
-        suffixes = {path.suffix for path in tmp_path.iterdir()}
+        # One directory per buffer under ``spill_dir``, runs inside it.
+        suffixes = {path.suffix for path in tmp_path.glob("*/*")}
         assert suffixes == {".wire"}
         assert buffer.raw_bytes_spilled > 0
         assert buffer.wire_bytes_spilled > 0

@@ -22,7 +22,8 @@ from repro.apps.demo import demo_job_and_input, normalized_output
 from repro.core.job import split_input
 from repro.core.types import Counters, ExecutionMode, StageTimes
 from repro.dfs.wire import WireConfig
-from repro.engine.base import Stopwatch, finish_result, run_map_task_partitioned
+from repro.engine.base import finish_result, run_map_task_partitioned
+from repro.engine.fold import ReducePreemptedError, ReduceTaskRecovery
 from repro.engine.local import LocalEngine
 from repro.engine.recovery import (
     BackoffPolicy,
@@ -32,11 +33,7 @@ from repro.engine.recovery import (
     ReducerCrashError,
     reduce_record_hook,
 )
-from repro.engine.runtime import (
-    ReducePreemptedError,
-    ReduceTaskRecovery,
-    run_pipelined_reduce_attempt,
-)
+from repro.engine.runtime import run_pipelined_reduce_attempt
 from repro.memory.checkpoint import CheckpointPolicy
 from repro.obs import JobObservability
 
@@ -83,7 +80,7 @@ def published():
 
 def _attempt(job, service, *, injector=None, recovery=None, stop=None, obs=None):
     return run_pipelined_reduce_attempt(
-        job, service, 0, NUM_MAPS, Stopwatch(), None, 0,
+        job, service, 0, NUM_MAPS, None, 0,
         obs=obs or JobObservability(), config=CONFIG, injector=injector,
         wire=WIRE, recovery=recovery, stop=stop,
     )
@@ -107,7 +104,7 @@ def test_crash_threshold_inside_a_batch_fires_at_that_record(published):
     assert sum(recovery.prior_records.values()) == 2 * BATCH
 
     injector.seen.clear()
-    produced, counters, _timeline = _attempt(
+    produced, counters = _attempt(
         job, service, injector=injector, recovery=recovery
     )
     assert injector.seen == list(range(total))
@@ -120,7 +117,7 @@ def test_crash_threshold_inside_a_batch_fires_at_that_record(published):
 def test_no_injector_means_no_per_record_hook(published):
     job, oracle, service, total = published
     assert reduce_record_hook(None, 0) is None
-    produced, counters, _timeline = _attempt(job, service)
+    produced, counters = _attempt(job, service)
     assert _normalized(job, produced) == oracle
     assert counters.get("shuffle.records") == total  # paid per batch
 
@@ -133,8 +130,7 @@ def test_buckets_add_up_under_periodic_checkpoints_and_a_preempt(
     # The preempt directive lands mid-batch; the cut is the next boundary.
     injector = _Recording(trip_at=5 * BATCH + 3, event=stop)
     recovery = ReduceTaskRecovery(
-        policy=CheckpointPolicy(every_records=2 * BATCH),
-        directory=str(tmp_path / "reduce-0"),
+        CheckpointPolicy(every_records=2 * BATCH), str(tmp_path)
     )
     obs = JobObservability()
     with pytest.raises(ReducePreemptedError) as preempted:
@@ -150,7 +146,7 @@ def test_buckets_add_up_under_periodic_checkpoints_and_a_preempt(
     assert obs.counters.get("reduce.checkpoint.writes") >= 3
 
     stop.clear()
-    produced, counters, _timeline = _attempt(
+    produced, counters = _attempt(
         job, service, recovery=recovery, stop=stop, obs=obs
     )
     assert _normalized(job, produced) == oracle

@@ -42,6 +42,9 @@ class TestThreadedEngine:
         with pytest.raises(ValueError):
             ThreadedEngine(map_slots=0)
 
+    # The stage record of a real run is its trace: task spans per map and
+    # reduce task, the attempt's phases as op spans under them.
+
     def test_task_log_records_stages_barrier(self, small_corpus):
         engine = ThreadedEngine(map_slots=2)
         engine.run(
@@ -49,10 +52,13 @@ class TestThreadedEngine:
             small_corpus,
             num_maps=3,
         )
-        kinds = {event.kind for event in engine.task_log.events()}
-        assert {"map", "shuffle", "sort", "reduce"} <= kinds
-        assert len(engine.task_log.events("map")) == 3
-        assert len(engine.task_log.events("reduce")) == 2
+        tasks = [span.name for span in engine.obs.tracer.spans("task")]
+        ops = [span.name for span in engine.obs.tracer.spans("op")]
+        assert sorted(tasks) == [
+            "map-0", "map-1", "map-2", "reduce-0", "reduce-1",
+        ]
+        assert {"shuffle", "sort", "reduce"} <= set(ops)
+        assert ops.count("reduce") == 2
 
     def test_task_log_records_stages_barrierless(self, small_corpus):
         engine = ThreadedEngine(map_slots=2)
@@ -61,9 +67,9 @@ class TestThreadedEngine:
             small_corpus,
             num_maps=3,
         )
-        kinds = {event.kind for event in engine.task_log.events()}
-        assert "shuffle+reduce" in kinds
-        assert "sort" not in kinds  # no sort stage without the barrier
+        ops = {span.name for span in engine.obs.tracer.spans("op")}
+        assert "shuffle+reduce" in ops
+        assert "sort" not in ops  # no sort stage without the barrier
 
     def test_mapper_error_propagates(self):
         from repro.core.api import Mapper

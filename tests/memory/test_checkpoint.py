@@ -221,30 +221,44 @@ def _drain(store) -> list:
     return list(store.items())
 
 
+@pytest.fixture
+def build(kind):
+    """Builds ``kind`` stores; closes them (spill directory, log) after."""
+    built = []
+
+    def factory():
+        built.append(STORE_FACTORIES[kind]())
+        return built[-1]
+
+    yield factory
+    for store in built:
+        getattr(store, "close", lambda: None)()
+
+
 @pytest.mark.parametrize("kind", sorted(STORE_FACTORIES))
 class TestStoreRoundTrip:
-    def test_restore_matches_original(self, kind, tmp_path):
-        original = STORE_FACTORIES[kind]()
+    def test_restore_matches_original(self, build, tmp_path):
+        original = build()
         _fill(original)
         meta_in = {"records": 80}
         original.checkpoint(str(tmp_path), meta=meta_in)
 
-        restored = STORE_FACTORIES[kind]()
+        restored = build()
         meta_out = restored.restore(str(tmp_path))
         assert meta_out == meta_in
         assert _drain(restored) == _drain(original)
 
-    def test_checkpoint_is_non_destructive(self, kind, tmp_path):
+    def test_checkpoint_is_non_destructive(self, build, tmp_path):
         # The store keeps folding after a snapshot; later puts are seen.
-        store = STORE_FACTORIES[kind]()
+        store = build()
         _fill(store)
         store.checkpoint(str(tmp_path))
         store.put("zzz-late", 5)
         drained = dict(_drain(store))
         assert drained["zzz-late"] == 5
 
-    def test_restore_refuses_corrupt_snapshot(self, kind, tmp_path):
-        original = STORE_FACTORIES[kind]()
+    def test_restore_refuses_corrupt_snapshot(self, build, tmp_path):
+        original = build()
         _fill(original)
         original.checkpoint(str(tmp_path))
         path = checkpoint_path(str(tmp_path))
@@ -253,7 +267,7 @@ class TestStoreRoundTrip:
             data[len(data) // 2] ^= 0xFF
             fh.seek(0)
             fh.write(data)
-        fresh = STORE_FACTORIES[kind]()
+        fresh = build()
         with pytest.raises(CheckpointError):
             fresh.restore(str(tmp_path))
         # Failing closed must leave the fresh store empty.

@@ -58,15 +58,18 @@ def _drain(store) -> list:
 @settings(max_examples=25, deadline=None)
 @given(stream=_streams)
 def test_checkpoint_restore_round_trip(kind, stream):
-    original = STORE_FACTORIES[kind]()
-    for key, value in stream:
-        original.put(key, value)
-    with tempfile.TemporaryDirectory() as directory:
-        original.checkpoint(directory, meta={"records": len(stream)})
-        restored = STORE_FACTORIES[kind]()
-        meta = restored.restore(directory)
-        assert meta == {"records": len(stream)}
-        assert _drain(restored) == _drain(original)
+    original, restored = STORE_FACTORIES[kind](), STORE_FACTORIES[kind]()
+    try:
+        for key, value in stream:
+            original.put(key, value)
+        with tempfile.TemporaryDirectory() as directory:
+            original.checkpoint(directory, meta={"records": len(stream)})
+            meta = restored.restore(directory)
+            assert meta == {"records": len(stream)}
+            assert _drain(restored) == _drain(original)
+    finally:
+        for store in (original, restored):
+            getattr(store, "close", lambda: None)()
 
 
 @settings(max_examples=60, deadline=None)

@@ -111,8 +111,11 @@ class TestSpilling:
         for i in range(20):
             store.put(f"k{i:02d}", i)
         store.finalize()
-        assert (tmp_path / "data.log").stat().st_size > 0
+        # One directory per store under ``dir_path``, the log inside it.
+        (log,) = tmp_path.glob("*/data.log")
+        assert log.stat().st_size > 0
         store.close()
+        assert list(tmp_path.iterdir()) == []
 
 
 @settings(max_examples=30, deadline=None)

@@ -98,10 +98,11 @@ class TestMergePhase:
         )
         for i in range(60):
             store.put(f"key-{i:03d}", 1)
-        files = [f for f in os.listdir(tmp_path) if f.startswith("spill-")]
+        # One directory per store under ``spill_dir``, runs inside it.
+        files = list(tmp_path.glob("*/spill-*"))
         assert len(files) == store.num_spill_files > 0
         store.close()
-        assert not [f for f in os.listdir(tmp_path) if f.startswith("spill-")]
+        assert os.listdir(tmp_path) == []
 
     def test_len_counts_buffer_plus_spilled(self):
         store = SpillMergeStore(add, spill_threshold_bytes=300)
