@@ -26,6 +26,7 @@ chaos:
 		tests/test_chaos.py tests/sim/test_failures.py tests/sim/test_checkpoint_sim.py -q
 
 cluster:
+	pytest tests/cluster/test_dispatch.py tests/cluster/test_worker_core.py -q
 	python -m repro.cli cluster all --workers 2
 	python -m repro.cli cluster wc --workers 2 --chaos --checkpoint
 	pytest tests/cluster -q

@@ -24,8 +24,6 @@ The worker-local half of the cluster data plane:
 
 from __future__ import annotations
 
-import os
-import signal
 import socket
 import threading
 import time
@@ -49,7 +47,6 @@ __all__ = [
     "RemoteMapOutputSource",
     "ShuffleServer",
     "ShuffleStore",
-    "kill_after_serves",
 ]
 
 
@@ -127,9 +124,9 @@ class ShuffleServer:
     client treats it as a transient fault and retries, by which time the
     coordinator has usually republished the location elsewhere).
 
-    ``on_serve`` fires after every successfully written ``batch`` reply;
-    the chaos harness uses it to SIGKILL the hosting process after N
-    serves — a worker dying mid-shuffle with its sockets mid-stream.
+    ``on_serve`` fires after every successfully written ``batch`` reply,
+    on the serving thread; the worker's ``serves`` kill spec hangs off it
+    — a worker dying mid-shuffle with its sockets mid-stream.
     """
 
     def __init__(
@@ -211,20 +208,6 @@ class ShuffleServer:
         self._closing.set()
         close_listener(self._listener)
         self._thread.join(timeout=2.0)
-
-
-def kill_after_serves(threshold: int) -> Callable[[int], None]:
-    """An ``on_serve`` hook that SIGKILLs this process at serve N.
-
-    The signal is raised from the serving thread, mid-conversation with
-    a reducer — the most adversarial timing for the fetch protocol.
-    """
-
-    def on_serve(serves: int) -> None:
-        if serves >= threshold:
-            os.kill(os.getpid(), signal.SIGKILL)
-
-    return on_serve
 
 
 class LocationTable:

@@ -140,7 +140,6 @@ class ThreadedEngine(Engine):
         injector = self._fetch_injector
         splits = split_input(pairs, num_maps)
         actual_maps = len(splits)
-        store_backed = reducer_is_store_backed(job)
 
         ckpt_owned: tempfile.TemporaryDirectory | None = None
         ckpt_root = config.checkpoint_dir
@@ -360,9 +359,10 @@ class ThreadedEngine(Engine):
                 retries = runner.attempts_made.get(task_id, 1) - 1
                 if retries > 0:
                     # Each restarted attempt re-fetched its partition and
-                    # (if store-backed) rebuilt the partial store.
+                    # (if store-backed: probed only now, a clean run never
+                    # asks) rebuilt the partial store.
                     obs.counters.increment("reduce.restarts", retries)
-                    if store_backed:
+                    if reducer_is_store_backed(job):
                         obs.counters.increment("store.resets", retries)
                 commit_reduce(reducer_index, produced, local_counters)
                 committed_ok = True

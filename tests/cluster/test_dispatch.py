@@ -4,8 +4,9 @@
 and gives journal records, sends and job conclusions out, so these tests
 run the coordinator's whole recovery policy — epoch bumps, re-grants,
 first-wins commits, retry budgets, quarantine, preemption, leases, crash
-replay — in one thread, with a counter for a clock and scripted workers,
-and check its invariants after *every* step rather than after a sleep:
+replay — in one thread, with a counter for a clock and real worker cores
+(:class:`~repro.cluster.worker_core.WorkerCore`) over stub executors, and
+check its invariants after *every* step rather than after a sleep:
 
 - **journal before send**: a grant, a location or a stop request reaches
   a worker only after the record that justifies it was logged;
@@ -30,6 +31,7 @@ from repro.cluster.dispatch import (
     JobPreemptedError,
 )
 from repro.cluster.quarantine import QuarantineConfig
+from repro.cluster.worker_core import WorkerCore, done, failed, preempted
 from repro.core.job import split_input
 from repro.core.types import ExecutionMode
 from repro.dfs.wire import WireConfig
@@ -56,14 +58,86 @@ def oracle():
     return LocalEngine().run(job, pairs, num_maps=NUM_MAPS).output
 
 
-class Rig:
-    """A dispatcher, its recorded effects, and scripted workers.
+class _RigWorker:
+    """One worker: a real :class:`WorkerCore` over stub executors.
 
-    A scripted worker answers ``assign-map`` with ``map-done`` and, once
-    it knows a location for every map of the job, each ``assign-reduce``
-    with a ``reduce-done`` carrying the oracle's output for that reducer.
-    Answers queue in :attr:`pending` until :meth:`run` delivers them, so
-    a test can interleave a kill, a failure or a preemption anywhere.
+    The protocol — which grants it takes, what it reports, how it acks a
+    preemption — is the production core's.  Only the task *outcome* is
+    made up: a map is done at once, a reduce once the worker knows a
+    location for every map of its job (and the rig is not holding
+    reduces back), with the oracle's output for that reducer; either
+    fails instead while the rig's ``fail_next`` says so.
+    """
+
+    def __init__(self, rig, name, gen):
+        self.rig, self.name, self.gen = rig, name, gen
+        self.locations = {}       # job_id -> {mapper: epoch}
+        self.tasks = []           # granted, not finished: (job, kind, index, attempt, n)
+        self.stopped = set()      # tasks[:4] of attempts asked to stop
+        self.core = WorkerCore(name, 1000 + gen, "10.0.0.1", 9000 + gen, self)
+
+    # -- WorkerShell -------------------------------------------------------
+
+    def send(self, kind, fields):
+        if kind == "register":
+            # What the coordinator's receiver thread makes of one.
+            self.rig.step("worker-joined", {**fields, "gen": self.gen})
+        else:
+            self.rig.pending.append((self.name, kind, fields))
+        return True
+
+    def open_job(self, job_id, fields):
+        self.locations[job_id] = {}
+
+    def close_job(self, job_id):
+        del self.locations[job_id]
+        self.tasks = [task for task in self.tasks if task[0] != job_id]
+
+    def start_map(self, job_id, mapper, epoch, grant, fail):
+        records = len(pickle.loads(grant["split"]))
+        self.tasks.append((job_id, "map", mapper, epoch, records))
+
+    def start_reduce(self, job_id, reducer, attempt, grant, fail, inject):
+        self.tasks.append((job_id, "reduce", reducer, attempt, grant["num_maps"]))
+
+    def stop_reduce(self, job_id, reducer, attempt):
+        self.stopped.add((job_id, "reduce", reducer, attempt))
+
+    def locate(self, job_id, mapper, host, port, epoch):
+        self.locations[job_id][mapper] = epoch
+
+    # -- the stub executor -------------------------------------------------
+
+    def finish_ready(self):
+        for task in list(self.tasks):
+            job_id, kind, index, attempt, n = task
+            stopped = task[:4] in self.stopped
+            if kind == "reduce" and not stopped and (
+                self.rig.hold_reduces or len(self.locations[job_id]) < n
+            ):
+                continue
+            self.tasks.remove(task)
+            if stopped:
+                outcome = preempted(0)
+            elif self.rig._should_fail(self.name, kind):
+                outcome = failed("scripted")
+            elif kind == "map":
+                outcome = done(counters={"map.input_records": n})
+            else:
+                produced = self.rig.oracle[index]
+                outcome = done(
+                    output=pickle.dumps(produced),
+                    counters={"reduce.output_records": len(produced)},
+                )
+            self.core.task_finished(job_id, kind, index, attempt, outcome)
+
+
+class Rig:
+    """A dispatcher, its recorded effects, and :class:`_RigWorker`s.
+
+    What the workers send queues in :attr:`pending` until :meth:`run`
+    delivers it, so a test can interleave a kill, a failure or a
+    preemption anywhere.
     """
 
     def __init__(
@@ -83,7 +157,7 @@ class Rig:
         self.conclusions = {}     # job_id -> (result, error)
         self.lost = []
         self.alive = set()
-        self.script = {}          # worker -> {job_id: per-job memory}
+        self.workers = {}         # name -> _RigWorker of its current connection
         self.pending = []         # (worker, kind, fields) answers
         self.held_back = set()    # workers whose answers are withheld
         self.hold_reduces = False
@@ -151,78 +225,17 @@ class Rig:
             f"{kind} {justified} sent before its journal record"
         )
         if worker in self.alive:
-            self._scripted(worker, kind, fields)
+            self.workers[worker].core.handle(self.now, kind, fields)
+            self.workers[worker].finish_ready()
 
     def _lost(self, worker, gen):
         self.lost.append((worker, gen))
         self.alive.discard(worker)
 
-    # -- scripted workers --------------------------------------------------
-
-    def _answer(self, worker, kind, fields):
-        self.pending.append((worker, kind, {"worker": worker, **fields}))
-
-    def _scripted(self, worker, kind, fields):
-        jobs = self.script.setdefault(worker, {})
-        job_id = fields.get("job_id")
-        if kind == "job":
-            jobs.setdefault(job_id, {"locations": {}, "reduces": {}})
-            return
-        memory = jobs.get(job_id)
-        if memory is None:
-            return
-        if kind == "assign-map":
-            task = {k: fields[k] for k in ("job_id", "mapper", "epoch")}
-            if self._should_fail(worker, "map"):
-                self._answer(worker, "task-failed", {
-                    "job_id": job_id, "kind": "map", "index": fields["mapper"],
-                    "attempt": 0, "error": "scripted",
-                })
-            else:
-                split = pickle.loads(fields["split"])
-                self._answer(worker, "map-done", {
-                    **task, "counters": {"map.input_records": len(split)},
-                })
-        elif kind == "assign-reduce":
-            memory["reduces"][fields["reducer"]] = (
-                fields["attempt"], fields["num_maps"]
-            )
-        elif kind == "location":
-            memory["locations"][fields["mapper"]] = fields["epoch"]
-        elif kind == "preempt-reduce":
-            memory["reduces"].pop(fields["reducer"], None)
-            self._answer(worker, "reduce-preempted", {
-                "job_id": job_id, "reducer": fields["reducer"],
-                "attempt": fields["attempt"], "records": 0,
-            })
-        elif kind == "job-done":
-            del jobs[job_id]
-            return
-        self._finish_ready_reduces(worker, job_id, memory)
-
     def _should_fail(self, worker, task):
         left = self.fail_next.get((worker, task), 0)
         self.fail_next[(worker, task)] = max(0, left - 1)
         return left > 0
-
-    def _finish_ready_reduces(self, worker, job_id, memory):
-        if self.hold_reduces:
-            return
-        for reducer, (attempt, num_maps) in list(memory["reduces"].items()):
-            if len(memory["locations"]) < num_maps:
-                continue
-            del memory["reduces"][reducer]
-            if self._should_fail(worker, "reduce"):
-                self._answer(worker, "task-failed", {
-                    "job_id": job_id, "kind": "reduce", "index": reducer,
-                    "attempt": attempt, "error": "scripted",
-                })
-            else:
-                self._answer(worker, "reduce-done", {
-                    "job_id": job_id, "reducer": reducer, "attempt": attempt,
-                    "output": pickle.dumps(self.oracle[reducer]),
-                    "counters": {"reduce.output_records": len(self.oracle[reducer])},
-                })
 
     # -- driving -----------------------------------------------------------
 
@@ -238,12 +251,8 @@ class Rig:
         self.gen += 1
         self.gens[name] = self.gen
         self.alive.add(name)
-        self.script[name] = {}
-        self.step("worker-joined", {
-            "worker": name, "gen": self.gen, "pid": 1000 + self.gen,
-            "shuffle_host": "10.0.0.1", "shuffle_port": 9000 + self.gen,
-            "held": [], "active": [],
-        })
+        self.workers[name] = _RigWorker(self, name, self.gen)
+        self.workers[name].core.connected([])
 
     def kill(self, name):
         """SIGKILL: the worker stops answering and the shell reports EOF."""
@@ -276,10 +285,8 @@ class Rig:
 
     def release_reduces(self):
         self.hold_reduces = False
-        for worker, jobs in self.script.items():
-            if worker in self.alive:
-                for job_id, memory in list(jobs.items()):
-                    self._finish_ready_reduces(worker, job_id, memory)
+        for name in sorted(self.alive):
+            self.workers[name].finish_ready()
 
     def replayable(self, job_id="job-1"):
         """A copy of the state a journal prefix must determine."""
@@ -520,31 +527,33 @@ def _module_ast(name):
         return ast.parse(fh.read())
 
 
-def test_dispatcher_module_imports_no_io_clock_or_threads():
+#: What a pure core may not import (worker_core's test adds ``signal``).
+IO_MODULES = {
+    "socket", "threading", "queue", "time", "select", "os",
+    "subprocess", "multiprocessing",
+}
+
+
+def imported_modules(name):
+    """Top-level package of every import in module ``name``."""
     import ast
 
-    banned = {
-        "socket", "threading", "queue", "time", "select", "os",
-        "subprocess", "multiprocessing",
-    }
     imported = set()
-    for node in ast.walk(_module_ast("repro.cluster.dispatch")):
+    for node in ast.walk(_module_ast(name)):
         if isinstance(node, ast.Import):
             imported |= {alias.name.split(".")[0] for alias in node.names}
         elif isinstance(node, ast.ImportFrom) and node.module:
             imported.add(node.module.split(".")[0])
-    assert not imported & banned, sorted(imported & banned)
+    return imported
 
 
-def test_coordinator_shell_makes_no_scheduling_decision():
+def written_attributes(name):
+    """Every attribute module ``name`` assigns, augments or deletes:
+    x.map_epoch = ..., x.map_epoch[m] += 1, del x.output[r], ..."""
     import ast
 
-    scheduling_state = {
-        "map_epoch", "reduce_attempt", "map_owner", "reduce_owner",
-        "map_locations", "output",
-    }
     written = set()
-    for node in ast.walk(_module_ast("repro.cluster.coordinator")):
+    for node in ast.walk(_module_ast(name)):
         targets = []
         if isinstance(node, ast.Assign):
             targets = node.targets
@@ -553,9 +562,22 @@ def test_coordinator_shell_makes_no_scheduling_decision():
         elif isinstance(node, ast.Delete):
             targets = node.targets
         for target in targets:
-            # x.map_epoch = ..., x.map_epoch[m] += 1, del x.output[r], ...
             while isinstance(target, ast.Subscript):
                 target = target.value
             if isinstance(target, ast.Attribute):
                 written.add(target.attr)
+    return written
+
+
+def test_dispatcher_module_imports_no_io_clock_or_threads():
+    imported = imported_modules("repro.cluster.dispatch")
+    assert not imported & IO_MODULES, sorted(imported & IO_MODULES)
+
+
+def test_coordinator_shell_makes_no_scheduling_decision():
+    scheduling_state = {
+        "map_epoch", "reduce_attempt", "map_owner", "reduce_owner",
+        "map_locations", "output",
+    }
+    written = written_attributes("repro.cluster.coordinator")
     assert not written & scheduling_state, sorted(written & scheduling_state)

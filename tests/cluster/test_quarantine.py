@@ -9,6 +9,7 @@ clock-free, so its unit + hypothesis suites run on a virtual clock.
 
 from __future__ import annotations
 
+import dataclasses
 import time
 
 import pytest
@@ -26,7 +27,9 @@ from repro.cluster import (
 from repro.cluster.journal import replay_journal
 from repro.core.types import ExecutionMode
 from repro.dfs.wire import WireConfig
+from repro.engine.recovery import RecoveryConfig
 from repro.engine.threaded import ThreadedEngine
+from repro.memory.checkpoint import CheckpointPolicy
 
 RECORDS = 300
 #: Enough maps that the sick worker receives at least two grants
@@ -43,6 +46,10 @@ def _demo(seed: int = 0):
         "wc", ExecutionMode.BARRIERLESS, records=RECORDS,
         num_reducers=NUM_REDUCERS, num_maps=NUM_MAPS, seed=seed,
     )
+
+
+def _broken_factory():
+    raise ValueError("factory is broken")
 
 
 def _baseline(seed: int = 0):
@@ -200,6 +207,28 @@ class TestRetryBudgets:
                     job, pairs, num_maps=NUM_MAPS,
                     kill={"worker": "w0", "trigger": "fail-tasks"},
                 )
+
+
+    @pytest.mark.parametrize(
+        "factory, kind", [("reducer_factory", "reduce"), ("mapper_factory", "map")]
+    )
+    def test_failure_while_setting_a_task_up_is_reported(self, factory, kind):
+        # The reduce attempt's ledger is built by probing a reducer
+        # (checkpoint gate); that used to happen outside the executor's
+        # try, so the thread died with a traceback, no task-failed went
+        # out and the submitter waited out the whole job deadline.
+        job, pairs = _demo()
+        job = dataclasses.replace(job, **{factory: _broken_factory})
+        recovery = RecoveryConfig(checkpoint=CheckpointPolicy(every_records=50))
+        with ClusterRuntime(
+            1, wire=WIRE, recovery=recovery, deadline_s=4.0,
+            retry_mode="degrade",
+        ) as runtime:
+            started = time.monotonic()
+            with pytest.raises(ClusterTaskError, match="factory is broken") as info:
+                runtime.run_job(job, pairs, num_maps=2)
+            assert time.monotonic() - started < 1.0
+            assert info.value.kind == kind
 
 
 class TestTrackerUnit:

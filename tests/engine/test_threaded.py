@@ -71,6 +71,33 @@ class TestThreadedEngine:
         assert "shuffle+reduce" in ops
         assert "sort" not in ops  # no sort stage without the barrier
 
+    def test_clean_run_builds_no_spare_reducers(self, small_corpus):
+        # One reducer per task, plus the checkpoint gate's single probe
+        # when checkpointing is on.  The store-backed question
+        # (``store.resets``) is only asked once an attempt was retried,
+        # so a clean run no longer pays a second throw-away reducer.
+        import dataclasses
+
+        from repro.engine.recovery import RecoveryConfig
+        from repro.memory.checkpoint import CheckpointPolicy
+
+        job = wordcount.make_job(ExecutionMode.BARRIERLESS, num_reducers=2)
+        built = []
+
+        def counting_factory():
+            built.append(1)
+            return job.reducer_factory()
+
+        counted = dataclasses.replace(job, reducer_factory=counting_factory)
+        ThreadedEngine(map_slots=2).run(counted, small_corpus, num_maps=3)
+        assert len(built) == 2
+        del built[:]
+        checkpointing = RecoveryConfig(checkpoint=CheckpointPolicy(every_records=50))
+        ThreadedEngine(map_slots=2, recovery=checkpointing).run(
+            counted, small_corpus, num_maps=3
+        )
+        assert len(built) == 3
+
     def test_mapper_error_propagates(self):
         from repro.core.api import Mapper
         from repro.core.job import JobSpec
