@@ -1,6 +1,6 @@
 # Convenience targets for the reproduction workflow.
 
-.PHONY: install test stagebench-smoke bench-figures chaos cluster \
+.PHONY: install test codec stagebench-smoke bench-figures chaos cluster \
 	cluster-trace netchaos server preempt figures csv scoreboard examples \
 	trace-demo all clean
 
@@ -9,6 +9,14 @@ install:
 
 test:
 	pytest tests/
+
+# The codec's contract in one command: unit tests, the byte-identity
+# digest and the fuzz suite, as CI's wire-fuzz job runs them.  Run it
+# before and after any change to dfs/serialization.py or dfs/wire.py.
+codec:
+	pytest tests/dfs/test_serialization.py tests/dfs/test_wire_golden.py \
+		tests/dfs/test_wire_fuzz.py -q -p no:cacheprovider \
+		--hypothesis-profile=ci
 
 stagebench-smoke:
 	python -m benchmarks.stagebench --seed 1 --smoke

@@ -47,18 +47,23 @@ class BarrierlessReducer(Reducer):
     # -- store plumbing ----------------------------------------------------
 
     def attach_store(self, store: PartialResultStore) -> None:
-        """Give this reducer its partial-result store (engine-called)."""
-        self._store = store
+        """Give this reducer its partial-result store (engine-called).
 
-    @property
-    def store(self) -> PartialResultStore:
-        """The attached partial-result store."""
-        if self._store is None:
+        ``self.store`` is a plain instance attribute from here on: every
+        application's ``reduce`` reads it twice per record.
+        """
+        self._store = store
+        self.store = store
+
+    def __getattr__(self, name: str) -> Any:
+        # Reached only when normal lookup fails, i.e. for ``store``
+        # before ``attach_store``.
+        if name == "store":
             raise RuntimeError(
                 "no partial-result store attached; engines must call "
                 "attach_store() before run()"
             )
-        return self._store
+        raise AttributeError(name)
 
     # -- application hooks ---------------------------------------------------
 

@@ -43,9 +43,9 @@ from typing import Any, BinaryIO, Iterable, Iterator, Sequence
 from repro.core.types import Record
 from repro.dfs.serialization import (
     SerializationError,
-    decode_at,
+    decode_pairs,
     decode_varint,
-    encode,
+    encode_pair,
     encode_varint,
 )
 
@@ -55,7 +55,11 @@ FLAG_COMPRESSED = 0x01
 FLAG_PICKLED = 0x02
 
 _KNOWN_FLAGS = FLAG_COMPRESSED | FLAG_PICKLED
-_CRC_BYTES = 4
+_CRC = struct.Struct(">I")
+#: flags byte + two varints of at most 11 bytes each.
+_MAX_HEADER_BYTES = 23
+#: How much :func:`read_frames` asks its stream for at a time.
+_READ_BYTES = 64 * 1024
 
 #: Counter names the codec accounts under (see docs/shuffle-wire.md).
 RAW_BYTES_COUNTER = "shuffle.bytes.raw"
@@ -134,29 +138,44 @@ def encode_frame(
     config = config if config is not None else WireConfig()
     if not config.enabled:
         raise SerializationError("wire codec is disabled (codec='off')")
-    flags = 0
-    payload = b"".join(
-        encode((record.key, record.value)) for record in records
+    return _seal_encoded(
+        [encode_pair(record.key, record.value) for record in records], config
     )
+
+
+def _seal_encoded(encoded: list[bytes], config: WireConfig) -> WireBatch:
+    """Join already-encoded records, deflate if that helps, and seal."""
+    flags = 0
+    payload = b"".join(encoded)
     raw_bytes = len(payload)
     if config.compress and raw_bytes >= config.compress_min_bytes:
         deflated = zlib.compress(payload)
         if len(deflated) < raw_bytes:
             payload = deflated
             flags |= FLAG_COMPRESSED
-    return seal_frame(flags, len(records), payload, raw_bytes)
+    return seal_frame(flags, len(encoded), payload, raw_bytes)
 
 
 def seal_frame(
     flags: int, count: int, payload: bytes, raw_bytes: int
 ) -> WireBatch:
     """Put header and CRC trailer around an already-encoded payload."""
-    body = (
-        bytes([flags]) + encode_varint(count) + encode_varint(len(payload))
-        + payload
-    )
-    frame = body + struct.pack(">I", zlib.crc32(body) & 0xFFFFFFFF)
+    header = bytes((flags,)) + encode_varint(count) + encode_varint(len(payload))
+    crc = zlib.crc32(payload, zlib.crc32(header))
+    frame = b"".join((header, payload, _CRC.pack(crc)))
     return WireBatch(frame=frame, count=count, raw_bytes=raw_bytes)
+
+
+def _frame_header(data: bytes, offset: int) -> tuple[int, int, int, int]:
+    """Parse a frame's header: ``(flags, count, payload_start, payload_end)``."""
+    if offset >= len(data):
+        raise SerializationError("truncated frame: missing flags byte")
+    flags = data[offset]
+    if flags & ~_KNOWN_FLAGS:
+        raise SerializationError(f"unknown frame flags 0x{flags:02x}")
+    count, position = decode_varint(data, offset + 1)
+    payload_len, position = decode_varint(data, position)
+    return flags, count, position, position + payload_len
 
 
 def decode_frame(
@@ -170,52 +189,44 @@ def decode_frame(
     require ``allow_pickle=True`` (the CRC is verified first, but pickle
     can execute code, so the typed codec never accepts it implicitly).
     """
-    if offset >= len(data):
-        raise SerializationError("truncated frame: missing flags byte")
-    flags = data[offset]
-    if flags & ~_KNOWN_FLAGS:
-        raise SerializationError(f"unknown frame flags 0x{flags:02x}")
-    count, position = decode_varint(data, offset + 1)
-    payload_len, position = decode_varint(data, position)
-    end = position + payload_len + _CRC_BYTES
+    flags, count, start, stop = _frame_header(data, offset)
+    end = stop + _CRC.size
     if end > len(data):
         raise SerializationError("truncated frame: payload or CRC missing")
-    payload = data[position : position + payload_len]
-    (expected,) = struct.unpack(
-        ">I", data[position + payload_len : end]
-    )
-    actual = zlib.crc32(data[offset : position + payload_len]) & 0xFFFFFFFF
+    # Checksum and inflate straight from the caller's buffer; the one
+    # copy made is the payload the record decoder indexes (always
+    # ``bytes``, whatever buffer type came in).
+    view = memoryview(data)
+    actual = zlib.crc32(view[offset:stop])
+    (expected,) = _CRC.unpack_from(data, stop)
     if actual != expected:
         raise SerializationError(
             f"frame CRC mismatch: got 0x{actual:08x}, want 0x{expected:08x}"
         )
     if flags & FLAG_COMPRESSED:
         try:
-            payload = zlib.decompress(payload)
+            payload = zlib.decompress(view[start:stop])
         except zlib.error as exc:
             raise SerializationError(f"bad compressed payload: {exc}") from exc
+    else:
+        payload = bytes(view[start:stop])
     if flags & FLAG_PICKLED:
         if not allow_pickle:
             raise SerializationError(
                 "pickled frame rejected (allow_pickle=False)"
             )
-        entries = pickle.loads(payload)
+        records = []
+        for entry in pickle.loads(payload):
+            if not isinstance(entry, tuple) or len(entry) != 2:
+                raise SerializationError(f"frame entry is not a pair: {entry!r}")
+            records.append(Record(entry[0], entry[1]))
     else:
-        entries = []
-        cursor = 0
-        while cursor < len(payload):
-            entry, cursor = decode_at(payload, cursor)
-            entries.append(entry)
-    if len(entries) != count:
+        records = decode_pairs(payload, Record)
+    if len(records) != count:
         raise SerializationError(
             f"frame record count mismatch: header says {count}, "
-            f"payload holds {len(entries)}"
+            f"payload holds {len(records)}"
         )
-    records = []
-    for entry in entries:
-        if not isinstance(entry, tuple) or len(entry) != 2:
-            raise SerializationError(f"frame entry is not a pair: {entry!r}")
-        records.append(Record(entry[0], entry[1]))
     return records, end
 
 
@@ -254,22 +265,24 @@ def encode_record_batches(
     """
     if not config.enabled:
         raise SerializationError("wire codec is disabled (codec='off')")
+    max_records = config.max_batch_records
+    max_bytes = config.max_batch_bytes
     batches: list[WireBatch] = []
-    chunk: list[Record] = []
+    chunk: list[bytes] = []
     chunk_bytes = 0
     for record in records:
-        size = len(encode((record.key, record.value)))
+        encoded = encode_pair(record.key, record.value)
+        size = len(encoded)
         if chunk and (
-            len(chunk) >= config.max_batch_records
-            or chunk_bytes + size > config.max_batch_bytes
+            len(chunk) >= max_records or chunk_bytes + size > max_bytes
         ):
-            batches.append(encode_frame(chunk, config))
+            batches.append(_seal_encoded(chunk, config))
             chunk = []
             chunk_bytes = 0
-        chunk.append(record)
+        chunk.append(encoded)
         chunk_bytes += size
     if chunk:
-        batches.append(encode_frame(chunk, config))
+        batches.append(_seal_encoded(chunk, config))
     return batches
 
 
@@ -312,38 +325,29 @@ def read_frames(
     """Yield record batches from a stream of concatenated frames.
 
     Stops cleanly at EOF on a frame boundary; raises
-    :class:`SerializationError` if the stream ends mid-frame.
+    :class:`SerializationError` if the stream ends mid-frame.  The
+    stream is read ahead in blocks (frames are decoded in place from one
+    buffer), so its position means nothing until the iterator is
+    exhausted.
     """
+    buffer = bytearray()
+    position = 0
     while True:
-        first = fh.read(1)
-        if not first:
-            return
-        flags = first[0]
-        if flags & ~_KNOWN_FLAGS:
-            raise SerializationError(f"unknown frame flags 0x{flags:02x}")
-        header = bytearray(first)
-        _count = _read_stream_varint(fh, header)
-        payload_len = _read_stream_varint(fh, header)
-        rest = fh.read(payload_len + _CRC_BYTES)
-        if len(rest) != payload_len + _CRC_BYTES:
-            raise SerializationError("truncated frame: payload or CRC missing")
-        records, _end = decode_frame(
-            bytes(header) + rest, allow_pickle=allow_pickle
+        if len(buffer) - position < _MAX_HEADER_BYTES:
+            del buffer[:position]
+            position = 0
+            buffer += fh.read(_READ_BYTES)
+            if not buffer:
+                return
+        _flags, _count, _start, stop = _frame_header(buffer, position)
+        while len(buffer) < stop + _CRC.size:
+            block = fh.read(_READ_BYTES)
+            if not block:
+                raise SerializationError(
+                    "truncated frame: payload or CRC missing"
+                )
+            buffer += block
+        records, position = decode_frame(
+            buffer, position, allow_pickle=allow_pickle
         )
         yield records
-
-
-def _read_stream_varint(fh: BinaryIO, sink: bytearray) -> int:
-    """Read one varint byte-by-byte from a stream, appending to ``sink``."""
-    raw = bytearray()
-    while True:
-        byte = fh.read(1)
-        if not byte:
-            raise SerializationError("truncated varint")
-        raw += byte
-        sink += byte
-        if not byte[0] & 0x80:
-            value, _ = decode_varint(bytes(raw))
-            return value
-        if len(raw) > 10:
-            raise SerializationError("varint too long")

@@ -68,7 +68,10 @@ class WriteBackStore:
     # -- PartialResultStore protocol ----------------------------------------
 
     def contains(self, key: Key) -> bool:
-        return key in self._cache or self._inner.contains(key)
+        # A miss reads through, not ``inner.contains``: the reducer's
+        # next call is ``get`` for the same key, and one descent of the
+        # store's tree can serve both.
+        return key in self._cache or self.get(key, _MISSING) is not _MISSING
 
     def get(self, key: Key, default: Value = None) -> Value:
         try:

@@ -38,6 +38,23 @@ class TestStoreAttachment:
         with pytest.raises(RuntimeError, match="store"):
             reducer.run(ctx)
 
+    def test_store_is_a_plain_attribute_once_attached(self):
+        # ``reduce`` reads ``self.store`` twice per record, so after
+        # ``attach_store`` it must be an instance attribute, not a
+        # property call — and engines still find ``_store``.
+        reducer = AggregationReducer(lambda a, b: a + b)
+        with pytest.raises(RuntimeError, match="attach_store"):
+            reducer.store
+        assert "store" not in vars(reducer)
+        store = TreeMapStore()
+        reducer.attach_store(store)
+        assert vars(reducer)["store"] is store is reducer._store
+        assert not isinstance(
+            vars(BarrierlessReducer).get("store"), property
+        )
+        with pytest.raises(AttributeError):
+            reducer.no_such_attribute
+
 
 class TestIdentity:
     def test_passthrough_in_arrival_order(self):

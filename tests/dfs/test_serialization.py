@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.dfs.serialization import (
+    MAX_DEPTH,
     SerializationError,
     decode,
     decode_varint,
@@ -89,6 +90,56 @@ class TestEncodeDecode:
     def test_unknown_tag_rejected(self):
         with pytest.raises(SerializationError):
             decode(b"\xfe")
+
+    @pytest.mark.parametrize(
+        "data",
+        [
+            b"\x06\x02\xff\xfe",  # str: invalid UTF-8
+            b"\x06\x01\xc3",  # str: cut inside a two-byte sequence
+            b"\x0a\x01\x09\x00\x00",  # dict keyed by a list
+            b"\x0a\x01\x08\x01\x09\x00\x00",  # ... by a tuple holding one
+            b"\x0b\x01\x09\x00",  # frozenset of a list
+            b"\x0b\x01\x0a\x00",  # frozenset of a dict
+        ],
+    )
+    def test_malformed_values_are_serialization_errors(self, data):
+        # Bytes a checksum cannot object to; a receive loop catches
+        # SerializationError and nothing else.
+        with pytest.raises(SerializationError):
+            decode(data)
+
+    def test_nesting_is_capped_on_both_sides(self):
+        def nest(depth):
+            value = "leaf"
+            for _ in range(depth):
+                value = [value]
+            return value
+
+        assert decode(encode(nest(MAX_DEPTH))) == nest(MAX_DEPTH)
+        with pytest.raises(SerializationError, match="nesting"):
+            encode(nest(MAX_DEPTH + 1))
+        with pytest.raises(SerializationError, match="nesting"):
+            decode(b"\x09\x01" * (MAX_DEPTH + 1) + b"\x00")
+        # Far past the interpreter's own limit: still the typed error.
+        with pytest.raises(SerializationError, match="nesting"):
+            decode(b"\x09\x01" * 50_000 + b"\x00")
+        with pytest.raises(SerializationError, match="nesting"):
+            encode({"k": nest(MAX_DEPTH)})
+
+    def test_dict_and_set_order_is_by_encoded_key(self):
+        # Sorted by the key's *encoding* (tag first), not by the key.
+        assert encode({"b": 1, 2: 2, "a": 3}) == (
+            b"\x0a\x03" + encode(2) + encode(2)
+            + encode("a") + encode(3) + encode("b") + encode(1)
+        )
+        assert encode(frozenset({"b", 2, "a"})) == (
+            b"\x0b\x03" + encode(2) + encode("a") + encode("b")
+        )
+        nan_a, nan_b = float("nan"), float("nan")
+        assert encode({nan_a: "first", nan_b: "second"}) == (
+            b"\x0a\x02" + encode(nan_a) + encode("first")
+            + encode(nan_b) + encode("second")
+        )
 
 
 # Recursive value strategy matching the supported shapes.

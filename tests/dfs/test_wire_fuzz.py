@@ -3,21 +3,34 @@
 The invariants under test are the ones the shuffle's correctness rests
 on: every encodable record batch round-trips bit-exactly through a frame
 (nested containers, unicode edge cases, varint-boundary counts included),
-and every malformed frame — truncated anywhere, corrupted anywhere —
-raises :class:`SerializationError` instead of decoding garbage.
+the per-record fast paths agree with the general ``encode`` /
+``decode_at`` they shortcut, and every malformed frame — truncated
+anywhere, corrupted anywhere, or correctly sealed around a payload that
+is garbage — raises :class:`SerializationError` instead of decoding
+garbage or escaping as some other exception.
 """
 
 from __future__ import annotations
 
+import enum
 import io
+import zlib
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.types import Record
-from repro.dfs.serialization import SerializationError
+from repro.dfs.serialization import (
+    MAX_DEPTH,
+    SerializationError,
+    decode_at,
+    decode_pairs,
+    encode,
+    encode_pair,
+)
 from repro.dfs.wire import (
+    FLAG_COMPRESSED,
     WireConfig,
     decode_batch,
     decode_batches,
@@ -25,6 +38,7 @@ from repro.dfs.wire import (
     encode_frame,
     encode_record_batches,
     read_frames,
+    seal_frame,
     write_batch,
 )
 from repro.memory.checkpoint import encode_entry_frame
@@ -131,7 +145,188 @@ class TestRoundTrip:
         assert decode_batch(encode_frame(records, config), config) == records
 
 
+class _Level(enum.IntEnum):
+    LOW = 1
+    HIGH = 200
+
+
+class _Name(str):
+    pass
+
+
+#: Sides the exact-type dispatch must *not* take: they look like ``int``
+#: or ``str`` to ``isinstance`` and have to encode exactly as before.
+_lookalikes = st.one_of(
+    st.booleans(),
+    st.sampled_from(list(_Level)),
+    st.text(max_size=200).map(_Name),
+)
+
+#: Long strings cross the one-byte length head (128 UTF-8 bytes).
+_fast_sides = st.one_of(_ints, st.text(max_size=200), _lookalikes)
+
+
+def _reference_decode(payload: bytes) -> list[Record]:
+    """The loop ``decode_frame`` ran before it had an in-line fast path."""
+    records = []
+    cursor = 0
+    while cursor < len(payload):
+        entry, cursor = decode_at(payload, cursor)
+        if not isinstance(entry, tuple) or len(entry) != 2:
+            raise SerializationError(f"not a pair: {entry!r}")
+        records.append(Record(*entry))
+    return records
+
+
+class TestFastPathsMatchReference:
+    @settings(max_examples=200, deadline=None)
+    @given(st.one_of(_keys, _fast_sides), st.one_of(_values, _fast_sides))
+    def test_pair_encoder_equals_general_encoder(self, key, value):
+        assert encode_pair(key, value) == encode((key, value))
+
+    @settings(max_examples=150, deadline=None)
+    @given(_records)
+    def test_inline_decoder_equals_decode_at_loop(self, records):
+        payload = b"".join(encode((r.key, r.value)) for r in records)
+        assert decode_pairs(payload, Record) == _reference_decode(payload)
+        assert decode_pairs(payload, Record) == records
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.lists(st.tuples(_fast_sides, _fast_sides), max_size=20))
+    def test_decoded_types_are_the_general_decoders(self, pairs):
+        # bool / IntEnum / str-subclass sides come back as the plain
+        # values the general decoder yields, from either loop.
+        payload = b"".join(encode_pair(k, v) for k, v in pairs)
+        fast = decode_pairs(payload, Record)
+        slow = _reference_decode(payload)
+        assert fast == slow
+        assert [(type(r.key), type(r.value)) for r in fast] == [
+            (type(r.key), type(r.value)) for r in slow
+        ]
+
+    def test_pair_with_padded_count_varint_still_decodes(self):
+        # ``\x82\x00`` is a legal (non-canonical) varint 2: not the two
+        # bytes the encoder writes, so it must reach the general decoder.
+        payload = b"\x08\x82\x00" + encode("k") + encode(1)
+        assert decode_pairs(payload, Record) == [Record("k", 1)]
+        assert _reference_decode(payload) == [Record("k", 1)]
+
+
+def _sealed(payload: bytes, count: int, *, deflate: bool = False) -> bytes:
+    """A frame whose CRC is right whatever the payload holds."""
+    if deflate:
+        return seal_frame(
+            FLAG_COMPRESSED, count, zlib.compress(payload), len(payload)
+        ).frame
+    return seal_frame(0, count, payload, len(payload)).frame
+
+
+def _nested_lists(depth: int) -> bytes:
+    """``[[[...[]...]]]``: ``depth`` one-element lists around an empty one."""
+    return b"\x09\x01" * depth + b"\x09\x00"
+
+
+#: CRC-valid frames the payload decoder used to let escape as
+#: ``UnicodeDecodeError`` / ``TypeError`` / ``RecursionError``; each as
+#: the first thing in a pair (the in-line path) and nested one level down
+#: (``decode_at``'s).
+_ESCAPES = {
+    "utf8-inline-key": b"\x08\x02\x06\x02\xff\xfe\x00",
+    "utf8-inline-value": b"\x08\x02\x00\x06\x01\xc3",
+    "utf8-general": b"\x08\x02\x09\x01\x06\x02\xff\xfe\x00",
+    "utf8-long": b"\x08\x02\x00\x06\x81\x01" + b"\xff" * 129,
+    "dict-key-list": b"\x08\x02\x00\x0a\x01\x09\x00\x00",
+    "dict-key-dict": b"\x08\x02\x0a\x01\x0a\x00\x00\x00",
+    "set-member-list": b"\x08\x02\x00\x0b\x01\x09\x00",
+    "set-member-nested": b"\x08\x02\x00\x0b\x01\x08\x01\x09\x00",
+    "deep-value": b"\x08\x02\x00" + _nested_lists(5000),
+    "deep-key": b"\x08\x02" + _nested_lists(5000) + b"\x00",
+    "deep-bare": _nested_lists(5000),
+    "just-too-deep": b"\x08\x02\x00" + _nested_lists(MAX_DEPTH - 1),
+}
+
+
 class TestMalformedFrames:
+    @pytest.mark.parametrize("name", sorted(_ESCAPES))
+    @pytest.mark.parametrize("deflate", [False, True])
+    def test_sealed_malformed_payload_is_a_serialization_error(
+        self, name, deflate
+    ):
+        frame = _sealed(_ESCAPES[name], 1, deflate=deflate)
+        with pytest.raises(SerializationError):
+            decode_frame(frame)
+        with pytest.raises(SerializationError):
+            list(read_frames(io.BytesIO(frame)))
+
+    def test_deepest_allowed_nesting_roundtrips(self):
+        value = []
+        for _ in range(MAX_DEPTH - 2):  # the pair itself is level one
+            value = [value]
+        records = [Record("k", value)]
+        assert decode_batch(encode_frame(records), WireConfig()) == records
+        with pytest.raises(SerializationError, match="nesting"):
+            encode_frame([Record("k", [value])])
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.binary(max_size=120),
+        st.integers(min_value=0, max_value=40),
+        st.booleans(),
+    )
+    def test_sealed_arbitrary_bytes_never_escape(self, payload, count, deflate):
+        """The seal is valid, so the *payload decoder* is what is fuzzed."""
+        frame = _sealed(payload, count, deflate=deflate)
+        try:
+            records, end = decode_frame(frame)
+        except SerializationError:
+            return
+        assert end == len(frame) and len(records) == count
+        # repr, not ==: arbitrary bytes decode to NaNs and signed zeros.
+        assert repr(records) == repr(_reference_decode(payload))
+
+    @settings(max_examples=300, deadline=None)
+    @given(_records, st.data())
+    def test_sealed_mutated_payload_never_escapes(self, records, data):
+        payload = bytearray(
+            b"".join(encode_pair(r.key, r.value) for r in records)
+        )
+        for _ in range(data.draw(st.integers(min_value=1, max_value=4))):
+            where = data.draw(st.integers(min_value=0, max_value=len(payload)))
+            edit = data.draw(st.sampled_from(["set", "insert", "delete"]))
+            if edit == "insert" or where == len(payload):
+                payload.insert(where, data.draw(st.integers(0, 255)))
+            elif edit == "set":
+                payload[where] = data.draw(st.integers(0, 255))
+            else:
+                del payload[where]
+        frame = _sealed(bytes(payload), len(records))
+        try:
+            decoded, _end = decode_frame(frame)
+        except SerializationError:
+            return
+        assert repr(decoded) == repr(_reference_decode(bytes(payload)))
+
+    def test_stream_cut_inside_a_multibyte_header_varint(self):
+        """``read_frames`` at every cut of a header with 2- and 3-byte varints."""
+        config = WireConfig(
+            max_batch_records=1000, max_batch_bytes=1 << 24, compress=False
+        )
+        records = [Record(f"key-{i:05d}", "v" * 100) for i in range(300)]
+        frame = encode_frame(records, config).frame
+        # flags, count = 300 (2 bytes), payload_len > 16383 (3 bytes).
+        assert frame[1] & 0x80 and not frame[2] & 0x80
+        assert frame[3] & 0x80 and frame[4] & 0x80 and not frame[5] & 0x80
+        assert list(read_frames(io.BytesIO(frame + frame))) == [records] * 2
+        assert list(read_frames(io.BytesIO(b""))) == []
+        for cut in range(1, 8):
+            with pytest.raises(SerializationError):
+                list(read_frames(io.BytesIO(frame[:cut])))
+            # ... and with a whole frame in front of the torn one.
+            stream = read_frames(io.BytesIO(frame + frame[:cut]))
+            assert next(stream) == records
+            with pytest.raises(SerializationError):
+                next(stream)
+
     @settings(max_examples=80, deadline=None)
     @given(_records, st.data())
     def test_truncation_never_decodes(self, records, data):

@@ -139,6 +139,33 @@ def test_clean_reads_are_not_written_back():
     assert inner.get("seen") == 6
 
 
+def test_contains_reads_through_once_for_the_get_that_follows():
+    """Algorithm 2 asks ``contains`` then ``get``: one store descent."""
+    calls = []
+
+    class Spy(TreeMapStore):
+        def contains(self, key):
+            calls.append(("contains", key))
+            return super().contains(key)
+
+        def get(self, key, default=None):
+            calls.append(("get", key))
+            return super().get(key, default)
+
+    inner = Spy()
+    inner.put("seen", None)  # a stored None is still present
+    backed = WriteBackStore(inner)
+    assert backed.contains("seen") and backed.get("seen", "dflt") is None
+    assert not backed.contains("new") and backed.get("new", "dflt") == "dflt"
+    # Hit: one read serves both calls.  Miss: nothing to cache, so the
+    # ``get`` asks again — and ``inner.contains`` is never needed.
+    assert calls == [("get", "seen"), ("get", "new"), ("get", "new")]
+    backed.put("new", 0)
+    assert backed.contains("new") and len(calls) == 3
+    backed.flush()
+    assert dict(inner.items()) == {"new": 0, "seen": None}  # clean read stayed clean
+
+
 def test_heap_limit_and_samples_fire_at_the_write_back():
     # The heap model lives in the store, so it now trips when the batch
     # is written back — at most one batch after the put that crossed it —
