@@ -1,6 +1,6 @@
 # Convenience targets for the reproduction workflow.
 
-.PHONY: install test codec stagebench-smoke bench-figures chaos cluster \
+.PHONY: install test codec store stagebench-smoke bench-figures chaos cluster \
 	cluster-trace netchaos server preempt figures csv scoreboard examples \
 	trace-demo all clean
 
@@ -17,6 +17,14 @@ codec:
 	pytest tests/dfs/test_serialization.py tests/dfs/test_wire_golden.py \
 		tests/dfs/test_wire_fuzz.py -q -p no:cacheprovider \
 		--hypothesis-profile=ci
+
+# The partial-result stores' contract in one command: tests/memory with
+# the spill store's golden runs (same spill points, same bytes as the
+# tree-buffer store they were computed on) and the write-back-over-spill
+# state machine, as CI's store job runs them.  Run it before and after
+# any change to memory/spill.py, memory/writeback.py or memory/checkpoint.py.
+store:
+	pytest tests/memory -q -p no:cacheprovider --hypothesis-profile=ci
 
 stagebench-smoke:
 	python -m benchmarks.stagebench --seed 1 --smoke

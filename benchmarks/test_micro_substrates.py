@@ -54,6 +54,32 @@ def test_builtin_sort_baseline(benchmark):
     )
 
 
+def test_spillmerge_insert_and_drain(benchmark):
+    """The spill store at `sort`'s shape, next to the tree it replaced as
+    a buffer: 20,000 distinct keys, the demo job's 256 KiB threshold,
+    then the merge.  Comparable with ``TreeMap inserts`` above."""
+    rng = np.random.default_rng(4)
+    keys = [int(k) for k in rng.permutation(1_000_000)[:20_000]]
+
+    def insert_and_drain():
+        store = SpillMergeStore(lambda a, b: a + b, spill_threshold_bytes=256 << 10)
+        for key in keys:
+            store.put(key, 1)
+        store.finalize()
+        drained = sum(1 for _ in store.items())
+        spills = store.spill_count
+        store.close()
+        return drained, spills
+
+    drained, spills = benchmark(insert_and_drain)
+    assert drained == 20_000 and spills >= 2
+    rate = 20_000 / benchmark.stats.stats.mean
+    emit(
+        f"SpillMergeStore insert+drain, 20,000 distinct keys at 256 KiB "
+        f"({spills} runs): {rate:,.0f} ops/s"
+    )
+
+
 def test_treemapstore_fold(benchmark):
     keys = _keys(1)
 

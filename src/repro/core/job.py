@@ -26,7 +26,9 @@ class MemoryConfig:
 
     - ``"inmemory"`` — red-black TreeMap held entirely on the heap
       (Figure 5(a); can OOM).
-    - ``"spillmerge"`` — disk spill and merge (§5.1, Figure 5(b)).
+    - ``"spillmerge"`` — disk spill and merge (§5.1, Figure 5(b)): an
+      unordered buffer sorted into a run file at each spill, runs merged
+      with ``merge_fn`` at the end.
     - ``"kvstore"`` — disk-spilling key/value store, the BerkeleyDB
       stand-in (§5.2).
 

@@ -38,7 +38,7 @@ import pickle
 import struct
 import zlib
 from dataclasses import dataclass
-from typing import Any, BinaryIO, Iterable, Iterator, Sequence
+from typing import Any, BinaryIO, Callable, Iterable, Iterator, Sequence
 
 from repro.core.types import Record
 from repro.dfs.serialization import (
@@ -138,12 +138,12 @@ def encode_frame(
     config = config if config is not None else WireConfig()
     if not config.enabled:
         raise SerializationError("wire codec is disabled (codec='off')")
-    return _seal_encoded(
+    return seal_encoded(
         [encode_pair(record.key, record.value) for record in records], config
     )
 
 
-def _seal_encoded(encoded: list[bytes], config: WireConfig) -> WireBatch:
+def seal_encoded(encoded: list[bytes], config: WireConfig) -> WireBatch:
     """Join already-encoded records, deflate if that helps, and seal."""
     flags = 0
     payload = b"".join(encoded)
@@ -179,8 +179,12 @@ def _frame_header(data: bytes, offset: int) -> tuple[int, int, int, int]:
 
 
 def decode_frame(
-    data: bytes, offset: int = 0, *, allow_pickle: bool = False
-) -> tuple[list[Record], int]:
+    data: bytes,
+    offset: int = 0,
+    *,
+    allow_pickle: bool = False,
+    make: Callable[[Any, Any], Any] = Record,
+) -> tuple[list[Any], int]:
     """Decode one frame at ``offset``; returns ``(records, next_offset)``.
 
     Every malformed input — truncation, unknown flags, bad CRC, payload
@@ -188,6 +192,8 @@ def decode_frame(
     raises :class:`SerializationError`.  Pickled frames additionally
     require ``allow_pickle=True`` (the CRC is verified first, but pickle
     can execute code, so the typed codec never accepts it implicitly).
+    Each entry is built by ``make(key, value)``: a :class:`Record` for
+    the shuffle, whatever pair shape a store file's reader wants.
     """
     flags, count, start, stop = _frame_header(data, offset)
     end = stop + _CRC.size
@@ -219,9 +225,9 @@ def decode_frame(
         for entry in pickle.loads(payload):
             if not isinstance(entry, tuple) or len(entry) != 2:
                 raise SerializationError(f"frame entry is not a pair: {entry!r}")
-            records.append(Record(entry[0], entry[1]))
+            records.append(make(entry[0], entry[1]))
     else:
-        records = decode_pairs(payload, Record)
+        records = decode_pairs(payload, make)
     if len(records) != count:
         raise SerializationError(
             f"frame record count mismatch: header says {count}, "
@@ -276,13 +282,13 @@ def encode_record_batches(
         if chunk and (
             len(chunk) >= max_records or chunk_bytes + size > max_bytes
         ):
-            batches.append(_seal_encoded(chunk, config))
+            batches.append(seal_encoded(chunk, config))
             chunk = []
             chunk_bytes = 0
         chunk.append(encoded)
         chunk_bytes += size
     if chunk:
-        batches.append(_seal_encoded(chunk, config))
+        batches.append(seal_encoded(chunk, config))
     return batches
 
 
@@ -320,8 +326,11 @@ def write_batch(fh: BinaryIO, batch: WireBatch) -> int:
 
 
 def read_frames(
-    fh: BinaryIO, *, allow_pickle: bool = False
-) -> Iterator[list[Record]]:
+    fh: BinaryIO,
+    *,
+    allow_pickle: bool = False,
+    make: Callable[[Any, Any], Any] = Record,
+) -> Iterator[list[Any]]:
     """Yield record batches from a stream of concatenated frames.
 
     Stops cleanly at EOF on a frame boundary; raises
@@ -348,6 +357,6 @@ def read_frames(
                 )
             buffer += block
         records, position = decode_frame(
-            buffer, position, allow_pickle=allow_pickle
+            buffer, position, allow_pickle=allow_pickle, make=make
         )
         yield records

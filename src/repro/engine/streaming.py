@@ -149,6 +149,13 @@ class _LockedStore:
         with self._lock:
             return self._inner.restore(directory)
 
+    def check_in(self):
+        # Optional on a store; the write-back in front calls it per batch.
+        check_in = getattr(self._inner, "check_in", None)
+        if check_in is not None:
+            with self._lock:
+                check_in()
+
     def __len__(self):
         with self._lock:
             return len(self._inner)

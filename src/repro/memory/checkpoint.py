@@ -35,16 +35,17 @@ from __future__ import annotations
 import os
 import pickle
 from dataclasses import dataclass
-from typing import Any, Iterable, Iterator
+from itertools import islice
+from typing import Any, BinaryIO, Iterable, Iterator
 
-from repro.core.types import Key, Record, Value
-from repro.dfs.serialization import SerializationError
+from repro.core.types import Key, Value
+from repro.dfs.serialization import SerializationError, encode_pair
 from repro.dfs.wire import (
     FLAG_PICKLED,
     WireBatch,
     WireConfig,
-    encode_frame,
     read_frames,
+    seal_encoded,
     seal_frame,
     write_batch,
 )
@@ -151,6 +152,11 @@ def discard_checkpoint(directory: str) -> None:
         pass
 
 
+def entry_pair(key: Key, value: Value) -> tuple[Key, Value]:
+    """The ``make`` store files are read with: entries come back as pairs."""
+    return key, value
+
+
 def encode_entry_frames(
     entries: Iterable[tuple[Key, Value]], wire: WireConfig | None = None
 ) -> Iterator[WireBatch]:
@@ -161,29 +167,36 @@ def encode_entry_frames(
     survives a snapshot; readers must pass ``allow_pickle=True``.
     """
     wire = wire if wire is not None else STORE_WIRE
-    chunk: list[Record] = []
-    for key, value in entries:
-        chunk.append(Record(key, value))
-        if len(chunk) >= wire.max_batch_records:
-            yield encode_entry_frame(chunk, wire)
-            chunk = []
-    if chunk:
+    entries = iter(entries)
+    while chunk := list(islice(entries, wire.max_batch_records)):
         yield encode_entry_frame(chunk, wire)
 
 
 def encode_entry_frame(
-    records: list[Record], wire: WireConfig | None = None
+    entries: list[tuple[Key, Value]], wire: WireConfig | None = None
 ) -> WireBatch:
-    """Frame one record batch, falling back to a pickle frame."""
+    """Frame one batch of entries, falling back to a pickle frame."""
     wire = wire if wire is not None else STORE_WIRE
     try:
-        return encode_frame(records, wire)
+        return seal_encoded(
+            [encode_pair(key, value) for key, value in entries], wire
+        )
     except SerializationError:
         payload = pickle.dumps(
-            [(record.key, record.value) for record in records],
+            [(key, value) for key, value in entries],
             protocol=pickle.HIGHEST_PROTOCOL,
         )
-        return seal_frame(FLAG_PICKLED, len(records), payload, len(payload))
+        return seal_frame(FLAG_PICKLED, len(entries), payload, len(payload))
+
+
+def read_entry_frames(fh: BinaryIO) -> Iterator[list[tuple[Key, Value]]]:
+    """Read back what :func:`encode_entry_frames` wrote, batch by batch.
+
+    Store files are local artifacts this process wrote itself, so pickle
+    frames are accepted (after the CRC), and entries come back as plain
+    ``(key, value)`` tuples with no :class:`Record` in between.
+    """
+    return read_frames(fh, allow_pickle=True, make=entry_pair)
 
 
 def write_checkpoint(
@@ -210,7 +223,7 @@ def write_checkpoint(
     written = 0
     with open(tmp, "wb") as fh:
         written += write_batch(
-            fh, encode_entry_frame([Record(_META_KEY, payload)], wire)
+            fh, encode_entry_frame([(_META_KEY, payload)], wire)
         )
         frames += 1
         for batch in encode_entry_frames(entries, wire):
@@ -219,7 +232,7 @@ def write_checkpoint(
             frames += 1
         trailer = {"frames": frames, "records": records}
         written += write_batch(
-            fh, encode_entry_frame([Record(_END_KEY, trailer)], wire)
+            fh, encode_entry_frame([(_END_KEY, trailer)], wire)
         )
         frames += 1
         fh.flush()
@@ -243,19 +256,17 @@ def read_checkpoint(
         fh = open(path, "rb")
     except OSError as exc:
         raise CheckpointError(f"no checkpoint at {path}: {exc}") from exc
-    frames: list[list[Record]] = []
     try:
         with fh:
-            for records in read_frames(fh, allow_pickle=True):
-                frames.append(records)
+            frames = list(read_entry_frames(fh))
     except SerializationError as exc:
         raise CheckpointError(f"corrupt checkpoint {path}: {exc}") from exc
     if not frames:
         raise CheckpointError(f"empty checkpoint {path}")
     head = frames[0]
-    if len(head) != 1 or head[0].key != _META_KEY:
+    if len(head) != 1 or head[0][0] != _META_KEY:
         raise CheckpointError(f"checkpoint {path} missing meta frame")
-    payload = head[0].value
+    payload = head[0][1]
     if (
         not isinstance(payload, dict)
         or payload.get("version") != CHECKPOINT_VERSION
@@ -263,21 +274,17 @@ def read_checkpoint(
     ):
         raise CheckpointError(f"checkpoint {path} has bad meta payload")
     tail = frames[-1]
-    if len(tail) != 1 or tail[0].key != _END_KEY:
+    if len(tail) != 1 or tail[0][0] != _END_KEY:
         raise CheckpointError(f"checkpoint {path} missing trailer frame")
-    trailer = tail[0].value
+    trailer = tail[0][1]
     body = frames[1:-1]
     if (
         not isinstance(trailer, dict)
         or trailer.get("frames") != len(body) + 1
-        or trailer.get("records") != sum(len(records) for records in body)
+        or trailer.get("records") != sum(len(entries) for entries in body)
     ):
         raise CheckpointError(f"checkpoint {path} trailer count mismatch")
-    entries: list[tuple[Key, Value]] = []
-    for records in body:
-        for record in records:
-            entries.append((record.key, record.value))
-    return payload["meta"], entries
+    return payload["meta"], [entry for entries in body for entry in entries]
 
 
 def peek_checkpoint_meta(directory: str) -> dict[str, Any]:

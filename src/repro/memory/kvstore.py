@@ -27,12 +27,13 @@ import os
 import tempfile
 from typing import Any, Callable, Iterator
 
-from repro.core.types import Key, Record, Value
+from repro.core.types import Key, Value
 from repro.dfs.serialization import SerializationError
 from repro.dfs.wire import decode_frame
 from repro.memory.checkpoint import (
     CheckpointStats,
     encode_entry_frame,
+    entry_pair,
     read_checkpoint,
     write_checkpoint,
 )
@@ -252,7 +253,7 @@ class SpillingKVStore:
 
     def _append_entry(self, key: Key, value: Value, account: bool = True) -> None:
         """Append one framed entry at the log's current end position."""
-        frame = encode_entry_frame([Record(key, value)]).frame
+        frame = encode_entry_frame([(key, value)]).frame
         offset = self._log.tell()
         self._log.write(frame)
         self._index[key] = (offset, len(frame))
@@ -268,7 +269,9 @@ class SpillingKVStore:
         self.bytes_read += length
         if len(payload) != length:
             raise SerializationError("truncated kvstore log entry")
-        records, _end = decode_frame(payload, allow_pickle=True)
-        if len(records) != 1:
+        entries, _end = decode_frame(
+            payload, allow_pickle=True, make=entry_pair
+        )
+        if len(entries) != 1:
             raise SerializationError("kvstore log frame must hold one record")
-        return records[0].value
+        return entries[0][1]

@@ -1,19 +1,27 @@
 """Disk spill-and-merge partial-result store (§5.1, Figure 5(b)).
 
-The store buffers partial results in an in-memory red-black tree.  When the
-estimated footprint reaches ``spill_threshold_bytes`` the entire buffer is
-drained *in key order* into a newly created spill file.  The final
-``finalize``/``items`` pass performs the paper's merge phase: a k-way merge
-across all spill files plus the residual in-memory buffer, combining the
-partial results of equal keys with a user ``merge_fn`` (functionally the
-combiner) and yielding each key exactly once in ascending order.
+The store buffers partial results in a hash table and produces key order
+only where §5.1 consumes it.  When the estimated footprint reaches
+``spill_threshold_bytes`` the buffer is sorted once — a C timsort, the
+merge sort the paper's Sort loses to when it pays a red-black insert per
+record instead — and drained into a newly created spill file, a *sorted
+run*.  The final ``finalize``/``items`` pass performs the paper's merge
+phase: a k-way merge across all runs plus the sorted residual buffer,
+combining the partial results of equal keys with a user ``merge_fn``
+(functionally the combiner) and yielding each key exactly once in
+ascending order.  A run sorted when it is cut holds exactly what a tree
+drained in order would have written, so spill points and file bytes do
+not depend on how the buffer is organised in between.
 
 Spill files are real files in the :mod:`repro.dfs.wire` framed format
 (varint batch headers, optional zlib, CRC32 trailer per frame), so a
 truncated or bit-flipped spill raises :class:`SerializationError` instead
 of silently yielding corrupt partial results, and the merge streams from
 disk with O(#files) resident batches rather than reloading spills
-wholesale.
+wholesale.  The number of files is bounded too: once :data:`MERGE_FAN_IN`
+runs exist they are merged into one before the next is cut, so neither
+the final merge nor a periodic checkpoint opens more than that many
+descriptors however small the threshold is against the data.
 """
 
 from __future__ import annotations
@@ -21,7 +29,8 @@ from __future__ import annotations
 import heapq
 import os
 import tempfile
-from typing import Any, BinaryIO, Callable, Iterable, Iterator
+from operator import itemgetter
+from typing import Any, Callable, Iterable, Iterator
 
 from repro.core.partial import MergeFunction
 from repro.core.types import Key, Value
@@ -29,40 +38,30 @@ from repro.memory.checkpoint import (
     CheckpointStats,
     encode_entry_frames,
     read_checkpoint,
+    read_entry_frames,
     write_checkpoint,
 )
-from repro.dfs.wire import read_frames, write_batch
+from repro.dfs.wire import write_batch
 from repro.memory.estimator import MemoryTracker, entry_size
-from repro.memory.treemap import TreeMap
 
+#: Most sorted runs a store keeps, and so the most files one merge opens.
+#: Hadoop's ``io.sort.factor`` plays this role; it is a constant here
+#: because nothing about a job changes the right answer.
+MERGE_FAN_IN = 64
 
 _MISSING = object()
+_KEY = itemgetter(0)
 
 
-class _SpillFileReader:
-    """Sequential reader over one wire-framed spill file."""
+def _read_run(path: str) -> Iterator[tuple[Key, Value]]:
+    """Stream one wire-framed run file; the file is open only while read.
 
-    def __init__(self, path: str):
-        self.path = path
-        self._fh: BinaryIO | None = open(path, "rb")
-
-    def __iter__(self) -> Iterator[tuple[Key, Value]]:
-        # The finally clause runs on GeneratorExit too, so a consumer that
-        # abandons the merge early (an exception mid-reduce, a closed
-        # generator) still releases the descriptor.
-        try:
-            if self._fh is None:
-                return
-            for records in read_frames(self._fh, allow_pickle=True):
-                for record in records:
-                    yield record.key, record.value
-        finally:
-            self.close()
-
-    def close(self) -> None:
-        if self._fh is not None:
-            self._fh.close()
-            self._fh = None
+    Closing the generator (or abandoning it to an exception) leaves the
+    ``with`` and releases the descriptor.
+    """
+    with open(path, "rb") as fh:
+        for entries in read_entry_frames(fh):
+            yield from entries
 
 
 class SpillMergeStore:
@@ -75,14 +74,21 @@ class SpillMergeStore:
     results for a single key may be spilled onto multiple different spill
     files", requiring the merge function to be commutative/associative.
 
+    Keys must be hashable and mutually comparable.  The buffer never
+    compares them, so keys that cannot be ordered (``1`` and ``"a"``)
+    raise ``TypeError`` where order is first needed — the spill, snapshot
+    or merge that sorts them — not at the ``put`` that brought them in.
+
     A partial that ``get`` has handed out is *checked out* until the
-    key's next ``put``: the caller is about to fold into it and write the
-    result back, so spilling it meanwhile would put the same folds on
-    disk and in the buffer, and the merge would count them twice.  A
-    spill therefore holds checked-out entries back in the buffer.  With
-    record-at-a-time use the window is empty (``put`` follows ``get``);
-    behind a :class:`~repro.memory.writeback.WriteBackStore` it spans a
-    batch, and another key's write-back can spill inside it.
+    key's next ``put`` or the next :meth:`check_in`: the caller is about
+    to fold into it and write the result back, so spilling it meanwhile
+    would put the same folds on disk and in the buffer, and the merge
+    would count them twice.  A spill therefore holds checked-out entries
+    back in the buffer.  With record-at-a-time use the window is empty
+    (``put`` follows ``get``); behind a
+    :class:`~repro.memory.writeback.WriteBackStore` it spans a batch,
+    another key's write-back can spill inside it, and the write-back
+    checks in at the batch boundary what it read and never wrote.
 
     ``on_sample`` receives the footprint estimate after every mutation so
     heap traces (Figure 5(b)) can be collected.
@@ -99,12 +105,14 @@ class SpillMergeStore:
             raise ValueError("spill_threshold_bytes must be positive")
         self._merge_fn = merge_fn
         self._threshold = spill_threshold_bytes
-        self._buffer = TreeMap()
+        self._buffer: dict[Key, Value] = {}
         self._tracker = MemoryTracker()
         self._sizes: dict[Key, int] = {}
         #: Keys read since they were last written (see the class docstring).
         self._checked_out: set[Key] = set()
+        #: Sorted runs on disk, oldest first.
         self._spill_paths: list[str] = []
+        self._runs_cut = 0
         # One directory per store, under ``spill_dir`` when given: file
         # names come from a per-instance counter, so concurrent reducers
         # sharing a directory would overwrite each other's runs.
@@ -116,9 +124,12 @@ class SpillMergeStore:
         self._dir = self._owned_dir.name
         self._on_sample = on_sample
         self._finalized = False
+        #: Threshold spills only; folding runs together is counted apart.
         self.spill_count = 0
         self.spilled_entries = 0
         self.spill_bytes_written = 0
+        self.compactions = 0
+        self.compaction_bytes_written = 0
 
     # -- PartialResultStore protocol ----------------------------------------
 
@@ -144,12 +155,12 @@ class SpillMergeStore:
         # everything the old partial already folded in.
         if self._tracker.used + new_cost - old_cost >= self._threshold:
             if old_cost:
-                self._buffer.remove(key)
-                self._sizes.pop(key, None)
+                del self._buffer[key]
+                del self._sizes[key]
                 self._tracker.discharge(old_cost)
             self._spill()
             old_cost = 0
-        self._buffer.put(key, value)
+        self._buffer[key] = value
         self._sizes[key] = new_cost
         if new_cost >= old_cost:
             self._tracker.charge(new_cost - old_cost)
@@ -168,9 +179,8 @@ class SpillMergeStore:
         exposes only the in-memory buffer (useful for inspection in tests).
         """
         if not self._finalized:
-            yield from self._buffer.items()
-            return
-        yield from self._merged_stream()
+            return iter(self._sorted_buffer())
+        return self._merged(self._sorted_buffer())
 
     def finalize(self) -> None:
         """Enter the merge phase; subsequent ``items()`` sees all spills."""
@@ -187,6 +197,16 @@ class SpillMergeStore:
 
     # -- extras -------------------------------------------------------------------
 
+    def check_in(self) -> None:
+        """Every partial handed out has been written back or let go.
+
+        A reader that decided not to write (a membership test, a fold
+        that changed nothing) calls this when its batch ends; a check-out
+        that outlived the batch would keep the entry out of every later
+        spill and shrink the buffer by its size for good.
+        """
+        self._checked_out.clear()
+
     @property
     def peak_memory(self) -> int:
         """High-water mark of the in-memory footprint."""
@@ -194,8 +214,11 @@ class SpillMergeStore:
 
     @property
     def num_spill_files(self) -> int:
-        """How many sorted runs were written (still readable until close)."""
-        return len(self._spill_paths)
+        """How many sorted runs were cut (spills and restored snapshots).
+
+        Not the number on disk now, which :data:`MERGE_FAN_IN` bounds.
+        """
+        return self._runs_cut
 
     def checkpoint(
         self, directory: str, *, meta: dict[str, Any] | None = None
@@ -206,7 +229,8 @@ class SpillMergeStore:
         this is exactly the state a restarted attempt needs: each key's
         partial results already combined with ``merge_fn``.
         """
-        return write_checkpoint(directory, self._merged_stream(), meta=meta)
+        merged = self._merged(self._sorted_buffer())
+        return write_checkpoint(directory, merged, meta=meta)
 
     def restore(self, directory: str) -> dict[str, Any]:
         """Load a verified snapshot as one pre-sorted run; returns its meta.
@@ -218,11 +242,9 @@ class SpillMergeStore:
         meta, entries = read_checkpoint(directory)
         if entries:
             path = os.path.join(
-                self._dir, f"restore-{len(self._spill_paths):05d}.wire"
+                self._dir, f"restore-{self._runs_cut:05d}.wire"
             )
-            count, _written = self._write_run(path, entries)
-            self._spill_paths.append(path)
-            self.spilled_entries += count
+            self._add_run(path, entries)
         return meta
 
     def close(self) -> None:
@@ -231,75 +253,113 @@ class SpillMergeStore:
 
     # -- internals ------------------------------------------------------------------
 
-    def _write_run(
-        self, path: str, entries: Iterable[tuple[Key, Value]]
-    ) -> tuple[int, int]:
-        """Write one sorted run of wire frames; returns (entries, bytes)."""
-        count = 0
-        written = 0
-        with open(path, "wb") as fh:
-            for batch in encode_entry_frames(entries):
-                written += write_batch(fh, batch)
-                count += batch.count
-        return count, written
+    def _sorted_buffer(self) -> list[tuple[Key, Value]]:
+        """The buffer's entries in ascending key order: one C sort."""
+        return sorted(self._buffer.items(), key=_KEY)
+
+    def _add_run(self, path: str, entries: Iterable[tuple[Key, Value]]) -> int:
+        """Write one more sorted run of wire frames; returns its bytes.
+
+        First folds the existing runs into one if there are
+        :data:`MERGE_FAN_IN` of them, so the list never grows past that.
+        """
+        if len(self._spill_paths) >= MERGE_FAN_IN:
+            self._compact()
+        count, written = _write_run(path, entries)
+        self._spill_paths.append(path)
+        self._runs_cut += 1
+        self.spilled_entries += count
+        return written
+
+    def _compact(self) -> None:
+        """Merge every run on disk into one, which takes their place.
+
+        All of them are older than anything still to be cut, so the new
+        run stands first and ``merge_fn`` still sees each key's partials
+        oldest to newest.
+        """
+        path = os.path.join(self._dir, f"merge-{self.compactions:05d}.wire")
+        _count, written = _write_run(path, self._merged())
+        for old in self._spill_paths:
+            os.unlink(old)
+        self._spill_paths = [path]
+        self.compactions += 1
+        self.compaction_bytes_written += written
 
     def _spill(self) -> None:
-        """Drain the buffer to a new spill file, sorted by key.
+        """Sort the buffer and drain it to a new spill file.
 
         Checked-out entries stay behind, still charged.
         """
-        if len(self._buffer) == 0:
+        buffer = self._buffer
+        if not buffer:
             return
         held = [
-            (key, self._buffer.get(key), self._sizes[key])
+            (key, buffer.pop(key), self._sizes[key])
             for key in self._checked_out
         ]
-        for key, _value, _cost in held:
-            self._buffer.remove(key)
-        if len(self._buffer):
+        if buffer:
             path = os.path.join(self._dir, f"spill-{self.spill_count:05d}.wire")
-            count, written = self._write_run(path, self._buffer.items())
-            self.spilled_entries += count
-            self.spill_bytes_written += written
-            self._spill_paths.append(path)
+            self.spill_bytes_written += self._add_run(path, self._sorted_buffer())
             self.spill_count += 1
-            self._buffer.clear()
+            buffer.clear()
         self._sizes.clear()
         self._tracker.reset()
         for key, value, cost in held:
-            self._buffer.put(key, value)
+            buffer[key] = value
             self._sizes[key] = cost
             self._tracker.charge(cost)
         if self._on_sample is not None:
             self._on_sample(self._tracker.used)
 
-    def _merged_stream(self) -> Iterator[tuple[Key, Value]]:
-        """K-way merge over spill files + buffer, merging equal keys."""
-        readers = [_SpillFileReader(path) for path in self._spill_paths]
-        try:
-            streams: list[Iterator[tuple[Key, Value]]] = [
-                iter(reader) for reader in readers
-            ]
-            streams.append(self._buffer.items())
+    def _merged(
+        self, buffered: list[tuple[Key, Value]] | None = None
+    ) -> Iterator[tuple[Key, Value]]:
+        """K-way merge of the runs on disk (then ``buffered``), equal keys
+        merged.
 
+        Streams are given oldest first and ``heapq.merge`` is stable, so
+        a key's partials reach ``merge_fn`` in the order they were cut.
+        """
+        runs = [_read_run(path) for path in self._spill_paths]
+        streams: list[Iterable[tuple[Key, Value]]] = list(runs)
+        if buffered:
+            streams.append(buffered)
+        try:
+            if len(streams) == 1:
+                # One sorted stream holds each key once: nothing to merge.
+                yield from streams[0]
+                return
             # heapq.merge performs the "repeatedly read the globally lowest
             # key" loop of §5.1 across all sorted runs.
-            merged = heapq.merge(*streams, key=lambda entry: entry[0])
-            current_key: Key = None
-            current_value: Value = None
-            have_current = False
+            merged = heapq.merge(*streams, key=_KEY)
+            first = next(merged, None)
+            if first is None:
+                return
+            current_key, current_value = first
+            merge_fn = self._merge_fn
             for key, value in merged:
-                if have_current and key == current_key:
-                    current_value = self._merge_fn(current_value, value)
+                if key == current_key:
+                    current_value = merge_fn(current_value, value)
                 else:
-                    if have_current:
-                        yield current_key, current_value
+                    yield current_key, current_value
                     current_key, current_value = key, value
-                    have_current = True
-            if have_current:
-                yield current_key, current_value
+            yield current_key, current_value
         finally:
             # Deterministic descriptor release even when the merge is
-            # abandoned mid-stream (close() is idempotent).
-            for reader in readers:
-                reader.close()
+            # abandoned mid-stream (closing a generator is idempotent).
+            for run in runs:
+                run.close()
+
+
+def _write_run(
+    path: str, entries: Iterable[tuple[Key, Value]]
+) -> tuple[int, int]:
+    """Write sorted entries as wire frames; returns (entries, bytes)."""
+    count = 0
+    written = 0
+    with open(path, "wb") as fh:
+        for batch in encode_entry_frames(entries):
+            written += write_batch(fh, batch)
+            count += batch.count
+    return count, written

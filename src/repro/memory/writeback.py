@@ -2,7 +2,8 @@
 
 A barrier-less reducer touches its store three or four times per record
 (``contains``, an initial ``put``, ``get``, ``put``), and every real
-``put`` pays a red-black-tree descent plus a size estimate.  Records
+``put`` pays a size estimate plus the store's own insert (a red-black
+descent in :class:`~repro.memory.store.TreeMapStore`).  Records
 arrive in wire batches, and inside one batch keys repeat — so, following
 the in-node combiner of Lee et al. (PAPERS.md: absorb repeats in a
 process-local hash map before touching the expensive structure),
@@ -50,7 +51,11 @@ class WriteBackStore:
     first-touch order (deterministic, so spill points repeat run to run)
     and empties the dict, so its footprint is bounded by one batch and
     the store's own accounting (``memory_used``, ``on_sample``, the heap
-    limit) lags the reducer by at most one batch.
+    limit) lags the reducer by at most one batch.  A store that tracks
+    what it has handed out (``check_in``, see
+    :class:`~repro.memory.spill.SpillMergeStore`) is then told the batch
+    is over, so a read that was never written back stops holding its
+    entry.
 
     Everything that must see a consistent store — ``items``,
     ``finalize``, ``checkpoint`` — flushes first; ``len`` and
@@ -64,13 +69,14 @@ class WriteBackStore:
         self._inner = inner
         self._cache: dict[Key, Value] = {}
         self._dirty: set[Key] = set()
+        self._check_in = getattr(inner, "check_in", None)
 
     # -- PartialResultStore protocol ----------------------------------------
 
     def contains(self, key: Key) -> bool:
         # A miss reads through, not ``inner.contains``: the reducer's
-        # next call is ``get`` for the same key, and one descent of the
-        # store's tree can serve both.
+        # next call is ``get`` for the same key, and one lookup in the
+        # store can serve both.
         return key in self._cache or self.get(key, _MISSING) is not _MISSING
 
     def get(self, key: Key, default: Value = None) -> Value:
@@ -114,6 +120,10 @@ class WriteBackStore:
         for key, value in cache.items():
             if key in dirty:
                 put(key, value)
+        # After the write-backs: a spill inside the loop above must still
+        # hold back the partials whose own write-back was yet to come.
+        if self._check_in is not None:
+            self._check_in()
         cache.clear()
         dirty.clear()
 

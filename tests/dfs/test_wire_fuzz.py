@@ -7,7 +7,9 @@ the per-record fast paths agree with the general ``encode`` /
 ``decode_at`` they shortcut, and every malformed frame — truncated
 anywhere, corrupted anywhere, or correctly sealed around a payload that
 is garbage — raises :class:`SerializationError` instead of decoding
-garbage or escaping as some other exception.
+garbage or escaping as some other exception.  The store files' pair
+constructor (``make=entry_pair``: entries read back as plain tuples, no
+:class:`Record` in between) is held to every one of them.
 """
 
 from __future__ import annotations
@@ -41,7 +43,11 @@ from repro.dfs.wire import (
     seal_frame,
     write_batch,
 )
-from repro.memory.checkpoint import encode_entry_frame
+from repro.memory.checkpoint import (
+    encode_entry_frame,
+    encode_entry_frames,
+    entry_pair,
+)
 
 # NaN breaks equality-based round-trip assertions; the codec itself
 # handles it (covered in test_serialization.py).  Ints stay inside the
@@ -400,3 +406,99 @@ class TestMalformedFrames:
             encode_frame([Record("k", 1)], off)
         with pytest.raises(SerializationError):
             encode_record_batches([Record("k", 1)], off)
+
+
+class TestPairConstructor:
+    """``decode_frame`` / ``read_frames`` with ``make=entry_pair``.
+
+    Spill runs, checkpoints and the kvstore log are written from pairs
+    and read back as pairs; the frames are the shuffle's frames and every
+    defect must fail exactly as it does for :class:`Record` readers.
+    """
+
+    @staticmethod
+    def _stream(pairs, max_records):
+        config = WireConfig(max_batch_records=max_records)
+        stream = io.BytesIO()
+        for batch in encode_entry_frames(iter(pairs), config):
+            write_batch(stream, batch)
+        return stream.getvalue()
+
+    @settings(max_examples=100, deadline=None)
+    @given(_records, st.integers(min_value=1, max_value=7))
+    def test_pairs_roundtrip_through_the_shuffle_frames(self, records, limit):
+        pairs = [(r.key, r.value) for r in records]
+        data = self._stream(pairs, limit)
+        # Byte for byte what the Record encoder frames, cut the same way.
+        config = WireConfig(max_batch_records=limit)
+        assert data == b"".join(
+            encode_frame(records[i : i + limit], config).frame
+            for i in range(0, len(records), limit)
+        )
+        frames = list(read_frames(io.BytesIO(data), make=entry_pair))
+        assert [pair for frame in frames for pair in frame] == pairs
+        assert all(type(pair) is tuple for frame in frames for pair in frame)
+        assert all(0 < len(frame) <= limit for frame in frames)
+        # The default constructor reads the same file as Records.
+        assert [
+            record for frame in read_frames(io.BytesIO(data)) for record in frame
+        ] == records
+
+    @settings(max_examples=60, deadline=None)
+    @given(_records, st.data())
+    def test_truncated_pair_stream_raises(self, records, data):
+        stream = self._stream([(r.key, r.value) for r in records], 3)
+        if not stream:
+            return
+        cut = data.draw(st.integers(min_value=0, max_value=len(stream) - 1))
+        try:
+            frames = list(read_frames(io.BytesIO(stream[:cut]), make=entry_pair))
+        except SerializationError:
+            return
+        # A cut on a frame boundary is a clean, shorter stream.
+        whole = list(read_frames(io.BytesIO(stream), make=entry_pair))
+        assert frames == whole[: len(frames)] and len(frames) < len(whole)
+
+    @settings(max_examples=100, deadline=None)
+    @given(_records, st.data())
+    def test_bit_flip_in_a_pair_frame_raises(self, records, data):
+        frame = encode_entry_frame([(r.key, r.value) for r in records]).frame
+        index = data.draw(st.integers(min_value=0, max_value=len(frame) - 1))
+        corrupted = bytearray(frame)
+        corrupted[index] ^= data.draw(st.integers(min_value=1, max_value=255))
+        with pytest.raises(SerializationError):
+            decode_frame(bytes(corrupted), make=entry_pair)
+        with pytest.raises(SerializationError):
+            list(read_frames(io.BytesIO(bytes(corrupted)), make=entry_pair))
+
+    @pytest.mark.parametrize("claimed", [0, 1, 3])
+    def test_record_count_mismatch_raises(self, claimed):
+        payload = encode_pair("a", 1) + encode_pair("b", 2)
+        frame = _sealed(payload, claimed)
+        with pytest.raises(SerializationError, match="count mismatch"):
+            decode_frame(frame, make=entry_pair)
+        with pytest.raises(SerializationError, match="count mismatch"):
+            list(read_frames(io.BytesIO(frame), make=entry_pair))
+        assert decode_frame(_sealed(payload, 2), make=entry_pair)[0] == [
+            ("a", 1),
+            ("b", 2),
+        ]
+
+    @pytest.mark.parametrize("name", sorted(_ESCAPES))
+    def test_sealed_malformed_payload_is_a_serialization_error(self, name):
+        with pytest.raises(SerializationError):
+            decode_frame(_sealed(_ESCAPES[name], 1), make=entry_pair)
+
+    def test_pickled_pair_frame_requires_opt_in(self):
+        batch = encode_entry_frame([("k", {1}), ("l", 2)])
+        with pytest.raises(SerializationError, match="pickled frame"):
+            decode_frame(batch.frame, make=entry_pair)
+        with pytest.raises(SerializationError, match="pickled frame"):
+            list(read_frames(io.BytesIO(batch.frame), make=entry_pair))
+        entries, end = decode_frame(
+            batch.frame, allow_pickle=True, make=entry_pair
+        )
+        assert entries == [("k", {1}), ("l", 2)] and end == len(batch.frame)
+        assert list(
+            read_frames(io.BytesIO(batch.frame), allow_pickle=True, make=entry_pair)
+        ) == [entries]

@@ -3,12 +3,13 @@
 from __future__ import annotations
 
 import os
+import resource
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.memory.spill import SpillMergeStore
+from repro.memory.spill import MERGE_FAN_IN, SpillMergeStore
 from repro.memory.store import TreeMapStore
 from tests.fdutil import open_fd_count
 
@@ -277,3 +278,82 @@ class TestNoLeakedDescriptors:
                     raise RuntimeError("consumer died")
         assert self._open_fds() == before
         store.close()
+
+
+class TestBoundedMergeFanIn:
+    """However many runs are cut, at most ``MERGE_FAN_IN`` are on disk."""
+
+    @pytest.fixture
+    def few_descriptors(self):
+        """At most 128 more files may be opened by the test body."""
+        soft, hard = resource.getrlimit(resource.RLIMIT_NOFILE)
+        lowered = open_fd_count() + 128
+        if soft != resource.RLIM_INFINITY and soft <= lowered:
+            pytest.skip("RLIMIT_NOFILE is already this low")
+        # The limit is on descriptor *numbers*; ours are packed low.
+        resource.setrlimit(resource.RLIMIT_NOFILE, (lowered, hard))
+        try:
+            yield lowered
+        finally:
+            resource.setrlimit(resource.RLIMIT_NOFILE, (soft, hard))
+
+    def test_thousand_runs_merge_under_a_low_descriptor_limit(
+        self, few_descriptors
+    ):
+        """Regression: the merge used to open every run at once, so 999
+        runs died with ``OSError(24)`` once the limit was in reach — at
+        the final merge and at every periodic checkpoint before it."""
+        assert MERGE_FAN_IN + 2 < 128
+        spill = SpillMergeStore(add, spill_threshold_bytes=1)  # every put cuts
+        inmem = TreeMapStore()
+        for i in range(1_000):
+            key = f"key-{i * 7919 % 331:03d}"
+            for store in (spill, inmem):
+                store.put(key, store.get(key, 0) + i)
+            assert len(spill._spill_paths) <= MERGE_FAN_IN
+        assert spill.spill_count == 999 > few_descriptors
+        assert spill.compactions == 999 // MERGE_FAN_IN
+        spill.finalize()
+        assert list(spill.items()) == list(inmem.items())
+        spill.close()
+
+    def test_compaction_is_counted_apart_from_threshold_spills(self, tmp_path):
+        spill = SpillMergeStore(
+            add, spill_threshold_bytes=1, spill_dir=str(tmp_path)
+        )
+        for i in range(MERGE_FAN_IN + 1):  # the first put has nothing to cut
+            spill.put(i % 10, 1)
+        assert spill.spill_count == len(spill._spill_paths) == MERGE_FAN_IN
+        assert spill.compactions == 0
+        spilled_bytes = spill.spill_bytes_written
+        # The run that would be one too many folds the others together first.
+        spill.put(99, 1)
+        assert spill.spill_count == spill.spilled_entries == MERGE_FAN_IN + 1
+        assert len(spill._spill_paths) == 2 and spill.compactions == 1
+        assert spill.num_spill_files == spill.spill_count  # runs cut, not on disk
+        assert sorted(p.name for p in tmp_path.glob("*/*")) == [
+            "merge-00000.wire",
+            f"spill-{MERGE_FAN_IN:05d}.wire",
+        ]
+        # Only the threshold spill's own bytes count as spilled.
+        assert 0 < spill.spill_bytes_written - spilled_bytes < 40
+        assert spill.compaction_bytes_written > 40
+        spill.finalize()
+        merged = dict(spill.items())
+        assert sum(merged.values()) == MERGE_FAN_IN + 2 and merged[99] == 1
+        spill.close()
+
+    def test_checkpoint_of_many_runs_stays_under_the_limit(
+        self, few_descriptors, tmp_path
+    ):
+        spill = SpillMergeStore(add, spill_threshold_bytes=1)
+        for i in range(400):
+            spill.put(i % 50, spill.get(i % 50, 0) + 1)
+        stats = spill.checkpoint(str(tmp_path / "ckpt"))
+        assert stats.records == 50
+        fresh = SpillMergeStore(add, spill_threshold_bytes=1)
+        fresh.restore(str(tmp_path / "ckpt"))
+        fresh.finalize()
+        assert dict(fresh.items()) == {key: 8 for key in range(50)}
+        spill.close()
+        fresh.close()

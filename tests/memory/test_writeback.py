@@ -208,3 +208,54 @@ def test_spill_in_the_middle_of_one_write_back_does_not_double_count():
     assert merged["hot"] == 8
     assert sum(merged.values()) == 48
     inner.close()
+
+
+def test_reads_never_written_back_are_released_at_the_batch_boundary():
+    """Regression: ``contains`` reads through with ``get``, which checks
+    the entry out of the spill-merge store; only a ``put`` used to check
+    it back in.  120 membership tests that wrote nothing pinned 17,880 B
+    of a 20,000 B threshold for the rest of the task, and the next 2,000
+    puts cut 142 runs of ~15 entries instead of 15 runs of ~140."""
+    inner = SpillMergeStore(add, spill_threshold_bytes=20_000)
+    backed = WriteBackStore(inner)
+    for i in range(120):
+        backed.put(f"seen-{i:03d}", 1)
+    backed.flush()
+    pinned = inner.memory_used()
+    assert 17_000 < pinned < 20_000 and inner.num_spill_files == 0
+
+    assert all(backed.contains(f"seen-{i:03d}") for i in range(120))
+    backed.flush()  # the batch that only looked ends here
+
+    for i in range(2_000):
+        backed.put(f"new-{i:04d}", 1)
+        if i % 100 == 99:
+            backed.flush()
+    assert inner.spill_count <= 2_120 * 149 // 20_000 + 1  # 16: data / threshold
+    backed.finalize()
+    merged = dict(backed.items())
+    assert len(merged) == 2_120 and sum(merged.values()) == 2_120
+    inner.close()
+
+
+def test_check_in_waits_for_the_dirty_write_backs():
+    """The release comes *after* the write-backs: a spill in the middle
+    of a flush must still hold back a partial whose put is yet to come,
+    and a clean read in the same batch is released with the rest."""
+    inner = SpillMergeStore(add, spill_threshold_bytes=2_000)
+    backed = WriteBackStore(inner)
+    backed.put("hot", 7)
+    backed.put("cold", 1)
+    backed.flush()
+
+    assert backed.get("cold") == 1  # clean: read, never written
+    for i in range(40):
+        backed.put(f"new-{i:02d}", 1)
+    backed.put("hot", backed.get("hot") + 1)
+    backed.flush()
+    assert inner.num_spill_files >= 1 and not inner._checked_out
+    backed.finalize()
+    merged = dict(backed.items())
+    assert merged["hot"] == 8 and merged["cold"] == 1
+    assert sum(merged.values()) == 49
+    inner.close()
