@@ -1,6 +1,6 @@
 # Convenience targets for the reproduction workflow.
 
-.PHONY: install test codec store stagebench-smoke bench-figures chaos cluster \
+.PHONY: install test codec store mapside stagebench-smoke bench-figures chaos cluster \
 	cluster-trace netchaos server preempt figures csv scoreboard examples \
 	trace-demo all clean
 
@@ -25,6 +25,16 @@ codec:
 # any change to memory/spill.py, memory/writeback.py or memory/checkpoint.py.
 store:
 	pytest tests/memory -q -p no:cacheprovider --hypothesis-profile=ci
+
+# The map side's contract in one command: the sort-and-spill buffer, the
+# collector against the three-pass composition LocalEngine keeps (frames,
+# cut points, counters, what the partition memo may remember) and the
+# wire golden digest, as CI's mapside job runs them.  Run it before and
+# after any change to engine/mapside.py or run_map_task_encoded.
+mapside:
+	pytest tests/engine/test_mapside.py tests/engine/test_collector.py \
+		tests/dfs/test_wire_golden.py -q -p no:cacheprovider \
+		--hypothesis-profile=ci
 
 stagebench-smoke:
 	python -m benchmarks.stagebench --seed 1 --smoke

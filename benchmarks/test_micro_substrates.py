@@ -11,6 +11,7 @@ measured for BerkeleyDB.
 from __future__ import annotations
 
 import numpy as np
+import pytest
 
 from benchmarks.conftest import emit
 from repro.memory.kvstore import SpillingKVStore
@@ -132,6 +133,48 @@ def test_kvstore_read_modify_update(benchmark):
         f"SpillingKVStore read-modify-update: {rate:,.0f} ops/s "
         "(paper measured ~30,000 inserts/s for BerkeleyDB JE)"
     )
+
+
+@pytest.mark.parametrize("path", ("three-pass", "collector"))
+@pytest.mark.parametrize("app, records", (("wc", 25_000), ("sort", 20_000)))
+def test_map_side_collector_vs_three_pass(benchmark, app, records, path):
+    """One map-side pass against three, at stagebench's two job shapes.
+
+    ``three-pass`` is what ``LocalEngine`` and the stagebench walk do
+    (``run_map_task``, ``partition_records``, ``encode_record_batches``);
+    ``collector`` is ``run_map_task_encoded``, what the threaded, cluster
+    and streaming engines publish.  Same frames either way
+    (``tests/engine/test_collector.py``); ``wc`` has ~500 distinct ``str``
+    keys under the hash partitioner (the memo's case), ``sort`` distinct
+    ``int`` keys under a range partitioner (fusion only).
+    """
+    from repro.apps.demo import demo_job_and_input
+    from repro.core.job import split_input
+    from repro.core.types import Counters, ExecutionMode
+    from repro.dfs.wire import WireConfig, encode_record_batches
+    from repro.engine.base import (
+        partition_records,
+        run_map_task,
+        run_map_task_encoded,
+    )
+
+    wire = WireConfig()
+    job, pairs = demo_job_and_input(app, ExecutionMode.BARRIERLESS, records)
+    splits = split_input(pairs, 4)
+
+    def three_pass(split):
+        parts = partition_records(job, run_map_task(job, split, Counters()))
+        return {r: encode_record_batches(p, wire) for r, p in parts.items()}
+
+    def collector(split):
+        return run_map_task_encoded(job, split, Counters(), wire)
+
+    run_split = collector if path == "collector" else three_pass
+    published = benchmark(lambda: [run_split(split) for split in splits])
+    emitted = sum(len(b) for out in published for s in out.values() for b in s)
+    assert emitted == records
+    rate = emitted / benchmark.stats.stats.mean
+    emit(f"map side, {path}, {emitted:,} {app} records: {rate:,.0f} ops/s")
 
 
 def test_engine_pipelining_overhead(benchmark, testbed):

@@ -55,8 +55,9 @@ class ShuffleStore:
 
     def __init__(self) -> None:
         self._lock = threading.Lock()
-        # (job_id, mapper) -> (epoch, {reducer: [WireBatch, ...]})
-        self._outputs: dict[tuple[str, int], tuple[int, dict]] = {}
+        # (job_id, mapper) -> (epoch, {reducer: [WireBatch, ...]}, frame bytes)
+        self._outputs: dict[tuple[str, int], tuple[int, dict, int]] = {}
+        self._bytes = 0
 
     def publish(
         self,
@@ -65,8 +66,15 @@ class ShuffleStore:
         epoch: int,
         batches: dict[int, list[WireBatch]],
     ) -> None:
+        # Sized once, outside the lock fetches are served under; the
+        # running total then moves by differences only.
+        size = sum(len(b.frame) for stream in batches.values() for b in stream)
+        key = (job_id, mapper)
         with self._lock:
-            self._outputs[(job_id, mapper)] = (epoch, batches)
+            # A republished output replaces, not joins, the older epoch.
+            replaced = self._outputs.get(key)
+            self._outputs[key] = (epoch, batches, size)
+            self._bytes += size - (replaced[2] if replaced is not None else 0)
 
     def read(
         self, job_id: str, mapper: int, reducer: int, seq: int
@@ -76,7 +84,7 @@ class ShuffleStore:
             held = self._outputs.get((job_id, mapper))
             if held is None:
                 return None
-            epoch, batches = held
+            epoch, batches, _size = held
             stream = batches.get(reducer, [])
             return epoch, (stream[seq] if seq < len(stream) else None)
 
@@ -90,7 +98,7 @@ class ShuffleStore:
         with self._lock:
             return sorted(
                 (job_id, mapper, epoch)
-                for (job_id, mapper), (epoch, _batches) in self._outputs.items()
+                for (job_id, mapper), (epoch, *_rest) in self._outputs.items()
             )
 
     def bytes_held(self) -> int:
@@ -100,18 +108,13 @@ class ShuffleStore:
         the per-link "bytes parked here" view the status plane renders.
         """
         with self._lock:
-            return sum(
-                len(batch.frame)
-                for _epoch, batches in self._outputs.values()
-                for batch_list in batches.values()
-                for batch in batch_list
-            )
+            return self._bytes
 
     def drop_job(self, job_id: str) -> None:
         """Release every output of a finished job (FD/memory hygiene)."""
         with self._lock:
             for key in [k for k in self._outputs if k[0] == job_id]:
-                del self._outputs[key]
+                self._bytes -= self._outputs.pop(key)[2]
 
 
 class ShuffleServer:

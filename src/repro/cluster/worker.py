@@ -44,8 +44,8 @@ import time
 from typing import Callable
 
 from repro.core.types import Counters, ExecutionMode
-from repro.dfs.wire import account_batches, encode_record_batches
-from repro.engine.base import run_map_task_partitioned
+from repro.dfs.wire import account_batches
+from repro.engine.base import run_map_task_encoded
 from repro.engine.fold import ReducePreemptedError
 from repro.engine.recovery import BackoffPolicy, FetchFaultInjector
 from repro.engine.runtime import (
@@ -373,15 +373,9 @@ class _Worker:
         self, ctx: _JobContext, mapper: int, epoch: int, grant: dict
     ) -> Outcome:
         counters = Counters()
-        partitions = run_map_task_partitioned(
-            ctx.job, pickle.loads(grant["split"]), counters, wire=ctx.wire
+        batches = run_map_task_encoded(
+            ctx.job, pickle.loads(grant["split"]), counters, ctx.wire
         )
-        batches = {
-            reducer: encode_record_batches(
-                partitions.get(reducer, []), ctx.wire
-            )
-            for reducer in range(ctx.job.num_reducers)
-        }
         account_batches(counters, [b for bs in batches.values() for b in bs])
         self.store.publish(ctx.job_id, mapper, epoch, batches)
         # Telemetry view only; the map-done counters remain the

@@ -26,9 +26,10 @@ class MapContext:
 
     Emission is buffered per-context by default; the engine drains
     ``drain()`` after each input split (optionally through a combiner) and
-    routes records to partitions.  With a ``sink`` the context streams
-    records straight into it instead (the map-side sort-and-spill path),
-    so arbitrarily large map output never sits in one Python list.
+    routes records to partitions.  With a ``sink`` the context's ``emit``
+    *is* the sink (a map-output collector or sort-and-spill buffer): no
+    ``Record`` is built and no counter touched per emission, and whoever
+    owns the sink adds ``map.output_records`` once, when the task ends.
     """
 
     def __init__(
@@ -38,14 +39,12 @@ class MapContext:
     ):
         self.counters = counters if counters is not None else Counters()
         self._emitted: list[Record] = []
-        self._sink = sink
+        if sink is not None:
+            self.emit = sink  # type: ignore[method-assign]
 
     def emit(self, key: Key, value: Value) -> None:
         """Emit one intermediate record."""
-        if self._sink is not None:
-            self._sink(key, value)
-        else:
-            self._emitted.append(Record(key, value))
+        self._emitted.append(Record(key, value))
         self.counters.increment("map.output_records")
 
     def drain(self) -> list[Record]:

@@ -43,6 +43,7 @@ from repro.core.types import (
 )
 from repro.dfs.wire import WireConfig
 from repro.engine.fold import fold_batches
+from repro.engine.mapside import MapOutputBuffer, MapOutputCollector
 from repro.memory import WriteBackStore, innermost_store, make_store
 
 #: Slice size when a flat record stream stands in for wire batches: the
@@ -95,6 +96,46 @@ def apply_combiner(
     return combined
 
 
+def _add(counters: Counters, name: str, amount: int) -> None:
+    """Increment by a task total, leaving a never-counted name absent."""
+    if amount:
+        counters.increment(name, amount)
+
+
+def _run_mapper(
+    job: JobSpec,
+    split: Sequence[tuple[Key, Value]],
+    counters: Counters,
+    sink: Callable[[Key, Value], None],
+) -> None:
+    """Run the job's mapper over ``split``, emitting straight into ``sink``.
+
+    The caller adds ``map.output_records``, from what the sink received.
+    """
+    mapper: Mapper = job.mapper_factory()
+    context = MapContext(counters, sink=sink)
+    mapper.setup(context)
+    for key, value in split:
+        mapper.map(key, value, context)
+    mapper.cleanup(context)
+    _add(counters, "map.input_records", len(split))
+
+
+def _spill_buffer(job: JobSpec, wire: WireConfig | None):
+    """The job's bounded sort-and-spill map-output buffer.
+
+    Context-managed, so spill files are removed even when the map
+    function raises mid-task.  ``wire`` selects the spill codec.
+    """
+    return MapOutputBuffer(
+        num_partitions=job.num_reducers,
+        partition_fn=job.partition_fn,
+        buffer_bytes=job.map_output_buffer_bytes,
+        spill_dir=job.memory.spill_dir,
+        wire=wire,
+    )
+
+
 def run_map_task_partitioned(
     job: JobSpec,
     split: Sequence[tuple[Key, Value]],
@@ -105,40 +146,56 @@ def run_map_task_partitioned(
 
     With ``job.map_output_buffer_bytes`` set (and no combiner), emissions
     stream through a bounded :class:`~repro.engine.mapside.MapOutputBuffer`
-    that sorts and spills to disk — the Hadoop map side.  Otherwise the
-    classic in-memory path runs.  ``wire`` selects the spill codec; the
-    buffer is context-managed so spill files are removed even when the
-    map function raises mid-task.
+    that sorts and spills to disk.  Otherwise the classic in-memory path
+    runs.
     """
     if job.map_output_buffer_bytes is None or job.combiner_factory is not None:
-        records = run_map_task(job, split, counters)
-        return partition_records(job, records)
+        return partition_records(job, run_map_task(job, split, counters))
+    with _spill_buffer(job, wire) as buffer:
+        _run_mapper(job, split, counters, buffer.collect)
+        _add(counters, "map.output_records", buffer.records_collected)
+        buffer.count_spills(counters)
+        return buffer.all_partitions()
 
-    from repro.engine.mapside import MapOutputBuffer
 
-    with MapOutputBuffer(
-        num_partitions=job.num_reducers,
-        partition_fn=job.partition_fn,
-        buffer_bytes=job.map_output_buffer_bytes,
-        spill_dir=job.memory.spill_dir,
-        wire=wire,
-    ) as buffer:
-        mapper: Mapper = job.mapper_factory()
-        context = MapContext(counters, sink=buffer.collect)
-        mapper.setup(context)
-        for key, value in split:
-            mapper.map(key, value, context)
-            counters.increment("map.input_records")
-        mapper.cleanup(context)
-        counters.increment("map.output_spills", buffer.num_spills)
-        counters.increment("map.spill_bytes", buffer.bytes_spilled)
-        if wire is not None and wire.enabled:
-            counters.increment("map.spill_bytes.raw", buffer.raw_bytes_spilled)
-            counters.increment(
-                "map.spill_bytes.wire", buffer.wire_bytes_spilled
-            )
-        partitions = buffer.all_partitions()
-    return partitions
+def run_map_task_encoded(
+    job: JobSpec,
+    split: Sequence[tuple[Key, Value]],
+    counters: Counters,
+    wire: WireConfig | None = None,
+) -> dict[int, list]:
+    """Execute one map task, returning each reducer's sealed batch stream.
+
+    The one map side of every engine that publishes its output (threaded,
+    cluster, streaming): ``emit`` feeds a
+    :class:`~repro.engine.mapside.MapOutputCollector`, which partitions,
+    encodes and cuts frames record by record.  Frames and counters equal
+    ``encode_record_batches`` over :func:`run_map_task_partitioned`'s
+    partitions — :class:`~repro.engine.local.LocalEngine`'s composition,
+    the oracle this is tested against.  With ``wire`` off the streams are
+    ``Record`` lists of :data:`BATCH_RECORDS`.  Combiner output and the
+    sort-and-spill buffer's merge feed the same collector.
+    """
+    collector = MapOutputCollector(job.num_reducers, job.partition_fn, wire)
+    if job.combiner_factory is not None:
+        for key, value in run_map_task(job, split, counters):
+            collector.collect(key, value)
+        return collector.finish()
+    if job.map_output_buffer_bytes is None:
+        _run_mapper(job, split, counters, collector.collect)
+    else:
+        with _spill_buffer(job, wire) as buffer:
+            _run_mapper(job, split, counters, buffer.collect)
+            buffer.count_spills(counters)
+            for entry in buffer.merged():
+                collector.add(*entry)
+    batches = collector.finish()
+    _add(
+        counters,
+        "map.output_records",
+        sum(len(batch) for stream in batches.values() for batch in stream),
+    )
+    return batches
 
 
 def partition_records(

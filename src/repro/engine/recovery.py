@@ -40,7 +40,7 @@ from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Callable, Mapping
 
 from repro.core.types import Record
-from repro.dfs.wire import WireConfig, account_batches, encode_record_batches
+from repro.dfs.wire import WireConfig, account_batches
 from repro.engine.faults import TaskAttemptError, stable_fraction
 from repro.memory.checkpoint import CheckpointPolicy
 
@@ -390,61 +390,41 @@ class MapOutputService:
         self,
         num_maps: int,
         num_reducers: int,
-        batch_size: int = 256,
         injector: FetchFaultInjector | None = None,
         counters: "CounterRegistry | None" = None,
         events: "EventLog | None" = None,
         wire: WireConfig | None = None,
     ) -> None:
-        if batch_size <= 0:
-            raise ValueError("batch_size must be positive")
         self.num_maps = num_maps
         self.num_reducers = num_reducers
-        self.batch_size = batch_size
         self.wire = wire if wire is not None and wire.enabled else None
         self._injector = injector
         self._counters = counters
         self._events = events
         self._outputs = [_MapperOutput() for _ in range(num_maps)]
         self._recover_locks = [threading.Lock() for _ in range(num_maps)]
-        #: Re-executes one map task, returning its partitioned output.
-        self.regenerator: Callable[[int], dict[int, list[Record]]] | None = None
+        #: Re-executes one map task, returning its batches as for ``publish``.
+        self.regenerator: Callable[[int], dict[int, list]] | None = None
 
-    def publish(self, mapper: int, partitions: Mapping[int, list[Record]]) -> int:
+    def publish(self, mapper: int, batches: Mapping[int, list]) -> int:
         """Store one mapper's output under the next epoch; returns it.
 
-        With a wire config the per-reducer streams are stored as encoded
-        :class:`~repro.dfs.wire.WireBatch` frames (byte totals accounted
-        at publish, where the bytes hit the wire); otherwise as plain
-        ``batch_size``-record lists.  Both shapes support ``len()``, so
-        the fetch protocol and ledger downstream are codec-agnostic.
+        ``batches`` is what :func:`~repro.engine.base.run_map_task_encoded`
+        returned: per reducer, sealed :class:`~repro.dfs.wire.WireBatch`
+        frames (byte totals accounted here, where the bytes hit the
+        wire) or, wire off, plain record lists.  Both shapes support
+        ``len()``, so the fetch protocol and ledger downstream are
+        codec-agnostic.
         """
         out = self._outputs[mapper]
-        if self.wire is not None:
-            batched: dict[int, list] = {
-                reducer: encode_record_batches(
-                    list(partitions.get(reducer, ())), self.wire
-                )
-                for reducer in range(self.num_reducers)
-            }
-            if self._counters is not None:
-                account_batches(
-                    self._counters,
-                    [b for batches in batched.values() for b in batches],
-                )
-        else:
-            size = self.batch_size
-            batched = {
-                reducer: [
-                    records[offset : offset + size]
-                    for offset in range(0, len(records), size)
-                ]
-                for reducer in range(self.num_reducers)
-                for records in (list(partitions.get(reducer, ())),)
-            }
+        if self.wire is not None and self._counters is not None:
+            account_batches(
+                self._counters,
+                [b for stream in batches.values() for b in stream],
+            )
         with out.lock:
             out.epoch += 1
-            out.batches = batched
+            out.batches = batches
             out.lost = False
             epoch = out.epoch
         out.event.set()
@@ -527,8 +507,7 @@ class MapOutputService:
                 raise MapOutputLostError(
                     f"map-{mapper} output lost and no regenerator installed"
                 )
-            partitions = self.regenerator(mapper)
-            self.publish(mapper, partitions)
+            self.publish(mapper, self.regenerator(mapper))
 
 
 # ---------------------------------------------------------------------------

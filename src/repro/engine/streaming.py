@@ -67,16 +67,14 @@ from repro.engine.base import (
     close_store,
     finish_result,
     harvest_store_counters,
-    partition_records,
     prepare_reducer,
-    run_map_task,
+    run_map_task_encoded,
 )
 from repro.dfs.wire import (
     WireConfig,
     account_batches,
     compression_ratio,
     decode_batch,
-    encode_record_batches,
 )
 from repro.engine.faults import TaskAttemptError
 from repro.engine.fold import ReduceTaskRecovery, fold_batches
@@ -168,7 +166,7 @@ class _ReducerSession:
     session is rebuilt from scratch (fresh store, fresh context) and the
     journal replayed, after which the stream continues where it left off.
     With a wire config the journal holds encoded
-    :class:`~repro.dfs.wire.WireBatch` frames instead of native records —
+    :class:`~repro.dfs.wire.WireBatch` frames instead of record lists —
     the journalled bytes are the wire bytes, and a replay decodes them
     again exactly like a re-fetch.
 
@@ -191,7 +189,7 @@ class _ReducerSession:
         self._obs = obs
         self._injector = injector
         self._wire = wire
-        #: Wire on: list[WireBatch].  Wire off: list[Record].
+        #: Batches as pushed: ``WireBatch`` frames, or record lists wire off.
         self.journal: list = []
         self.crashed = False
         self._start()
@@ -281,9 +279,7 @@ class _ReducerSession:
 
     def journal_records(self) -> int:
         """Total records the journal holds (across wire batch frames)."""
-        if self._wire is not None:
-            return sum(batch.count for batch in self.journal)
-        return len(self.journal)
+        return sum(len(batch) for batch in self.journal)
 
     def restart(self) -> None:
         """Rebuild the reducer; resume from a snapshot or replay in full."""
@@ -291,15 +287,14 @@ class _ReducerSession:
         close_store(self.reducer)  # the dead incarnation's spill files
         self._start()
         skip = self.recovery.records_folded  # what a snapshot restored
-        if self._wire is not None:
-            for batch in self.journal:
-                if skip >= batch.count:
-                    skip -= batch.count
-                    continue
-                self.enqueue(decode_batch(batch, self._wire)[skip:])
-                skip = 0
-        else:
-            self.enqueue(self.journal[skip:])
+        for batch in self.journal:
+            if skip >= len(batch):
+                skip -= len(batch)
+                continue
+            if self._wire is not None:
+                batch = decode_batch(batch, self._wire)
+            self.enqueue(batch[skip:])
+            skip = 0
 
 
 class StreamingEngine:
@@ -423,25 +418,23 @@ class StreamingEngine:
         with self.obs.tracer.span(
             f"push-{self._pushed_batches}", "task", parent=self._map_stage
         ):
-            records = run_map_task(self.job, pairs, self.counters)
-            partitions = partition_records(self.job, records)
+            streams = run_map_task_encoded(
+                self.job, pairs, self.counters, self._wire
+            )
         self.counters.increment("map.tasks")
         routed = 0
-        for index, part in partitions.items():
+        for index, batches in streams.items():
             session = self._sessions[index]
+            session.journal.extend(batches)
             if self._wire is not None:
                 # Each routed partition slice crosses the wire as framed
                 # batches: the journal keeps the frames (replay = decode
                 # again), and the live path consumes the decoded records.
-                batches = encode_record_batches(part, self._wire)
                 account_batches(self.obs.counters, batches)
-                session.journal.extend(batches)
-                for batch in batches:
-                    session.enqueue(decode_batch(batch, self._wire))
-            else:
-                session.journal.extend(part)
-                session.enqueue(part)
-            routed += len(part)
+                batches = [decode_batch(batch, self._wire) for batch in batches]
+            for batch in batches:
+                session.enqueue(batch)
+                routed += len(batch)
         self._routed_records += routed
         self.obs.metrics.observe_max(
             "shuffle.buffer.hwm", self._queued_records()

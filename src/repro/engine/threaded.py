@@ -5,8 +5,9 @@ each Mapper" at every reducer.  This engine reproduces that structure with
 real threads:
 
 - Map tasks run on a bounded pool of ``map_slots`` worker threads.  Each
-  task partitions its output and publishes it to a
-  :class:`~repro.engine.recovery.MapOutputService` as an epoch-tagged,
+  task serialises its output as it is emitted
+  (:func:`~repro.engine.base.run_map_task_encoded`) and publishes it to
+  a :class:`~repro.engine.recovery.MapOutputService` as an epoch-tagged,
   sequenced batch stream (the in-memory analogue of Hadoop's mapper-local
   output files).
 - **Barrier mode**: each reducer starts one fetch thread per mapper; each
@@ -60,7 +61,7 @@ from repro.engine.base import (
     Stopwatch,
     finish_result,
     reducer_is_store_backed,
-    run_map_task_partitioned,
+    run_map_task_encoded,
 )
 from repro.engine.faults import (
     DEFAULT_MAX_ATTEMPTS,
@@ -82,8 +83,6 @@ from repro.engine.runtime import (
 )
 from repro.dfs.wire import WireConfig
 from repro.obs import JobObservability, MetricsTicker
-
-_BATCH_SIZE = 256
 
 
 class ThreadedEngine(Engine):
@@ -157,7 +156,6 @@ class ThreadedEngine(Engine):
         service = MapOutputService(
             actual_maps,
             job.num_reducers,
-            batch_size=_BATCH_SIZE,
             injector=injector,
             counters=obs.counters,
             events=obs.events,
@@ -191,15 +189,15 @@ class ThreadedEngine(Engine):
         # still-running mappers), so both stage spans open up front.
         reduce_stage = obs.tracer.open("reduce", "stage", parent=job_span)
 
-        def regenerate(mapper_index: int) -> dict[int, list[Record]]:
+        def regenerate(mapper_index: int) -> dict[int, list]:
             # Map tasks are pure functions of their split, so re-executing
             # one after its output is lost is always safe; the result is
             # published under a bumped epoch, telling in-flight fetch
             # streams to restart.  Its record-level counters are discarded
             # (the first execution already counted them).
             start = obs.tracer.now()
-            produced = run_map_task_partitioned(
-                job, splits[mapper_index], Counters(), wire=self._wire
+            produced = run_map_task_encoded(
+                job, splits[mapper_index], Counters(), self._wire
             )
             obs.events.emit("map.reexec", mapper=mapper_index)
             obs.counters.increment("map.reexecutions")
@@ -228,8 +226,8 @@ class ThreadedEngine(Engine):
             try:
                 def attempt():
                     attempt_counters = Counters()
-                    produced = run_map_task_partitioned(
-                        job, split, attempt_counters, wire=self._wire
+                    produced = run_map_task_encoded(
+                        job, split, attempt_counters, self._wire
                     )
                     return produced, attempt_counters
 

@@ -138,3 +138,54 @@ def test_shuffle_store_holds_are_keyed_by_job() -> None:
     store.drop_job("job-1")
     held = store.held()
     assert ("job-1", 0, 0) not in held and ("job-2", 0, 0) in held
+
+
+def test_shuffle_store_bytes_held_is_a_running_total() -> None:
+    # ``worker.store.bytes`` is sampled under the lock fetches are served
+    # under, so it must not walk the frames: they are sized once, at
+    # publish, and the total then moves by differences.
+    from repro.cluster.shuffle import ShuffleStore
+
+    touched = []
+
+    class Frame:
+        def __init__(self, size: int) -> None:
+            self._size = size
+
+        @property
+        def frame(self) -> bytes:
+            touched.append(self._size)
+            return b"x" * self._size
+
+    store = ShuffleStore()
+    held: dict[tuple[str, int], dict] = {}
+
+    def publish(job_id: str, mapper: int, epoch: int, sizes: dict) -> None:
+        batches = {r: [Frame(n) for n in stream] for r, stream in sizes.items()}
+        store.publish(job_id, mapper, epoch, batches)
+        held[job_id, mapper] = sizes
+
+    def recomputed() -> int:
+        return sum(n for sizes in held.values() for s in sizes.values() for n in s)
+
+    assert store.bytes_held() == 0
+    publish("job-1", 0, 0, {0: [10, 20], 1: [5]})
+    publish("job-1", 1, 0, {0: [], 1: [7, 7, 7]})
+    publish("job-2", 0, 0, {0: [100]})
+    assert store.bytes_held() == recomputed() == 156
+    # A republished (job, mapper) replaces the epoch it supersedes.
+    publish("job-1", 0, 1, {0: [1], 1: [2, 3]})
+    assert store.bytes_held() == recomputed() == 127
+    publish("job-1", 0, 2, {})
+    assert store.bytes_held() == recomputed() == 121
+    del touched[:]
+    for _ in range(3):
+        assert store.bytes_held() == 121
+    assert store.read("job-1", 1, 1, 2)[1] is not None
+    store.drop_job("job-1")
+    del held["job-1", 0], held["job-1", 1]
+    assert store.bytes_held() == recomputed() == 100
+    store.drop_job("job-1")  # idempotent
+    store.drop_job("job-2")
+    assert store.bytes_held() == 0 and store.held() == []
+    assert touched == []  # no frame looked at after its publish

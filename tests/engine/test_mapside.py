@@ -13,7 +13,9 @@ from repro.core.types import Counters, ExecutionMode, default_partition
 from repro.dfs.wire import WireConfig
 from repro.engine.base import run_map_task_partitioned
 from repro.engine.local import LocalEngine
+from repro.engine import mapside
 from repro.engine.mapside import MapOutputBuffer
+from repro.memory.spill import MERGE_FAN_IN
 from repro.workloads.text import generate_documents
 
 
@@ -26,7 +28,7 @@ class TestMapOutputBuffer:
         buffer = make_buffer()
         buffer.collect("a", 1)
         buffer.collect("b", 2)
-        assert buffer.num_spills == 0
+        assert buffer.spill_count == 0
         assert buffer.records_collected == 2
         buffer.close()
 
@@ -34,7 +36,7 @@ class TestMapOutputBuffer:
         buffer = make_buffer(buffer_bytes=512)
         for i in range(50):
             buffer.collect(f"key-{i:03d}", i)
-        assert buffer.num_spills > 0
+        assert buffer.spill_count > 0
         assert buffer.memory_used() < 512
         buffer.close()
 
@@ -175,7 +177,7 @@ class TestSpillCleanup:
             2, default_partition, buffer_bytes=256, spill_dir=str(tmp_path)
         )
         self._fill(buffer)
-        assert buffer.num_spills > 0
+        assert buffer.spill_count > 0
         assert any(tmp_path.iterdir())
         buffer.close()
         assert list(tmp_path.iterdir()) == []
@@ -186,7 +188,7 @@ class TestSpillCleanup:
                 2, default_partition, buffer_bytes=256, spill_dir=str(tmp_path)
             ) as buffer:
                 self._fill(buffer)
-                assert buffer.num_spills > 0
+                assert buffer.spill_count > 0
                 raise RuntimeError("failure mid-spill")
         assert list(tmp_path.iterdir()) == []
 
@@ -254,7 +256,7 @@ class TestWireSpillCodec:
             key = f"key-{i % 23:03d}"
             buffer.collect(key, i)
             expected[default_partition(key, 3)].append(key)
-        assert buffer.num_spills > 0
+        assert buffer.spill_count > 0
         # One directory per buffer under ``spill_dir``, runs inside it.
         suffixes = {path.suffix for path in tmp_path.glob("*/*")}
         assert suffixes == {".wire"}
@@ -286,3 +288,72 @@ class TestWireSpillCodec:
             return out
 
         assert run(None) == run(WireConfig())
+
+
+class TestOnePassMerge:
+    """``all_partitions`` reads every run once, never too many at a time."""
+
+    @pytest.fixture
+    def opened(self, monkeypatch):
+        """Every file ``mapside`` opens for reading, as ``(path, handle)``."""
+        handles = []
+
+        def recording_open(path, mode="r", *args, **kwargs):
+            handle = open(path, mode, *args, **kwargs)
+            if "r" in mode:
+                self.peak = max(
+                    self.peak, 1 + sum(not h.closed for _p, h in handles)
+                )
+                handles.append((path, handle))
+            return handle
+
+        self.peak = 0
+        monkeypatch.setattr(mapside, "open", recording_open, raising=False)
+        return handles
+
+    @staticmethod
+    def _expected(entries, partitions):
+        # A stable sort by (partition, key) *is* the contract: key order
+        # inside a partition, emission order inside a key.
+        ordered = sorted(
+            entries, key=lambda e: (default_partition(e[0], partitions), e[0])
+        )
+        out = {p: [] for p in range(partitions)}
+        for key, value in ordered:
+            out[default_partition(key, partitions)].append((key, value))
+        return out
+
+    @pytest.mark.parametrize("wire", (None, WireConfig()))
+    def test_each_run_is_opened_once(self, opened, wire):
+        entries = [(f"key-{i % 41:03d}", i) for i in range(360)]
+        with MapOutputBuffer(8, default_partition, 1200, wire=wire) as buffer:
+            for key, value in entries:
+                buffer.collect(key, value)
+            runs = list(buffer._spills)
+            assert 30 <= len(runs) == buffer.spill_count < MERGE_FAN_IN
+            got = buffer.all_partitions()
+        assert sorted(path for path, _handle in opened) == sorted(runs)
+        assert all(handle.closed for _path, handle in opened)
+        assert {
+            p: [(r.key, r.value) for r in records] for p, records in got.items()
+        } == self._expected(entries, 8)
+
+    def test_no_more_than_the_fan_in_are_ever_open(self, opened, tmp_path):
+        entries = [(f"key-{i % 53:03d}", i) for i in range(3 * MERGE_FAN_IN + 9)]
+        with MapOutputBuffer(
+            3, default_partition, 1, spill_dir=str(tmp_path), wire=WireConfig()
+        ) as buffer:
+            for key, value in entries:
+                buffer.collect(key, value)  # one record a run
+                assert len(buffer._spills) <= MERGE_FAN_IN
+            # A compaction is not a spill: the task's counters do not move.
+            assert buffer.spill_count == len(entries)
+            counters = Counters()
+            buffer.count_spills(counters)
+            assert counters.get("map.output_spills") == len(entries)
+            got = buffer.all_partitions()
+            assert self.peak <= MERGE_FAN_IN
+        assert {
+            p: [(r.key, r.value) for r in records] for p, records in got.items()
+        } == self._expected(entries, 3)
+        assert list(tmp_path.iterdir()) == []

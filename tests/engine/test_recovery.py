@@ -337,9 +337,10 @@ class TestFetchLedger:
 
 class TestMapOutputService:
     def test_publish_read_roundtrip(self):
-        service = MapOutputService(num_maps=1, num_reducers=1, batch_size=2)
+        service = MapOutputService(num_maps=1, num_reducers=1)
         assert service.epoch_of(0) == -1
-        assert service.publish(0, {0: _records(5)}) == 0
+        records = _records(5)
+        assert service.publish(0, {0: [records[:2], records[2:4], records[4:]]}) == 0
         batches = []
         seq = 0
         while True:
@@ -352,15 +353,15 @@ class TestMapOutputService:
         assert [len(b) for b in batches] == [2, 2, 1]
 
     def test_lost_output_regenerates_under_new_epoch(self):
-        service = MapOutputService(num_maps=1, num_reducers=1, batch_size=8)
+        service = MapOutputService(num_maps=1, num_reducers=1)
         calls = []
 
         def regenerate(mapper):
             calls.append(mapper)
-            return {0: _records(3)}
+            return {0: [_records(3)]}
 
         service.regenerator = regenerate
-        service.publish(0, {0: _records(3)})
+        service.publish(0, {0: [_records(3)]})
         service.lose_output(0)
         epoch, batch = service.read(0, 0, 0)
         assert epoch == 1
@@ -369,7 +370,7 @@ class TestMapOutputService:
 
     def test_lost_output_without_regenerator_is_fatal(self):
         service = MapOutputService(num_maps=1, num_reducers=1)
-        service.publish(0, {0: _records(2)})
+        service.publish(0, {0: [_records(2)]})
         service.lose_output(0)
         with pytest.raises(MapOutputLostError):
             service.read(0, 0, 0)
@@ -506,13 +507,18 @@ class TestWireFaultPaths:
         self._assert_ledger_reconciles(obs)
 
     def test_service_serves_wire_frames(self):
-        from repro.dfs.wire import WireBatch, WireConfig, decode_batch
+        from repro.dfs.wire import (
+            WireBatch,
+            WireConfig,
+            decode_batch,
+            encode_record_batches,
+        )
 
         wire = WireConfig(max_batch_records=2)
         service = MapOutputService(
             num_maps=1, num_reducers=1, wire=wire
         )
-        service.publish(0, {0: _records(5)})
+        service.publish(0, {0: encode_record_batches(_records(5), wire)})
         frames = []
         seq = 0
         while True:

@@ -22,7 +22,7 @@ from repro.apps.demo import demo_job_and_input, normalized_output
 from repro.core.job import split_input
 from repro.core.types import Counters, ExecutionMode, StageTimes
 from repro.dfs.wire import WireConfig
-from repro.engine.base import finish_result, run_map_task_partitioned
+from repro.engine.base import finish_result, run_map_task_encoded
 from repro.engine.fold import ReducePreemptedError, ReduceTaskRecovery
 from repro.engine.local import LocalEngine
 from repro.engine.recovery import (
@@ -72,9 +72,9 @@ def published():
     service = MapOutputService(NUM_MAPS, 1, wire=WIRE)
     total = 0
     for mapper, split in enumerate(split_input(pairs, NUM_MAPS)):
-        partitions = run_map_task_partitioned(job, split, Counters())
-        total += len(partitions[0])
-        service.publish(mapper, partitions)
+        batches = run_map_task_encoded(job, split, Counters(), WIRE)
+        total += sum(len(batch) for batch in batches[0])
+        service.publish(mapper, batches)
     return job, oracle, service, total
 
 

@@ -17,7 +17,7 @@ from repro.apps.demo import demo_job_and_input, normalized_output
 from repro.core.job import MemoryConfig, split_input
 from repro.core.types import Counters, ExecutionMode
 from repro.dfs.wire import WireConfig
-from repro.engine.base import run_map_task_partitioned
+from repro.engine.base import run_map_task_encoded
 from repro.engine.fold import ReducePreemptedError
 from repro.engine.local import LocalEngine
 from repro.engine.recovery import (
@@ -106,7 +106,7 @@ def test_spill_dir_is_empty_after_a_preempted_attempt(tmp_path):
     wire = WireConfig(max_batch_records=64)
     service = MapOutputService(NUM_MAPS, 1, wire=wire)
     for mapper, split in enumerate(split_input(pairs, NUM_MAPS)):
-        service.publish(mapper, run_map_task_partitioned(job, split, Counters()))
+        service.publish(mapper, run_map_task_encoded(job, split, Counters(), wire))
     stop = threading.Event()
     injector = _PreemptAt(1500, stop, tmp_path)
     with pytest.raises(ReducePreemptedError):
