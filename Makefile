@@ -11,11 +11,14 @@ test:
 	pytest tests/
 
 # The codec's contract in one command: unit tests, the byte-identity
-# digest and the fuzz suite, as CI's wire-fuzz job runs them.  Run it
-# before and after any change to dfs/serialization.py or dfs/wire.py.
+# digest, the fuzz suite, the no-pickle import guard and every app's
+# framed shuffle against the codec-free reference, as CI's wire-fuzz job
+# runs them.  Run it before and after any change to dfs/serialization.py
+# or dfs/wire.py.
 codec:
 	pytest tests/dfs/test_serialization.py tests/dfs/test_wire_golden.py \
-		tests/dfs/test_wire_fuzz.py -q -p no:cacheprovider \
+		tests/dfs/test_wire_fuzz.py tests/dfs/test_pickle_free.py \
+		tests/engine/test_wire_equivalence.py -q -p no:cacheprovider \
 		--hypothesis-profile=ci
 
 # The partial-result stores' contract in one command: tests/memory with

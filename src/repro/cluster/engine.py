@@ -93,13 +93,8 @@ class ClusterRuntime:
     ) -> None:
         if workers <= 0:
             raise ValueError("workers must be positive")
-        wire = wire if wire is not None else WireConfig()
-        if not wire.enabled:
-            raise ValueError(
-                "the cluster data plane is framed; wire codec must be enabled"
-            )
         self.obs = obs if obs is not None else JobObservability()
-        self._wire = wire
+        self._wire = wire if wire is not None else WireConfig()
         self._recovery = recovery if recovery is not None else cluster_recovery()
         self._placement = placement
         self._deadline_s = deadline_s

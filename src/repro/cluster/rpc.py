@@ -77,7 +77,6 @@ MESSAGE_KINDS = (
     # coordinator -> status client
     "status-reply",  # status (nested snapshot dict)
     # coordinator -> worker
-    "registered",    # worker
     "job",           # job_id, job(bytes), wire(bytes), recovery(bytes), ...
     "assign-map",    # job_id, mapper, epoch, split(bytes), ctx
     "assign-reduce", # job_id, reducer, attempt, num_maps, prior, ctx

@@ -1,4 +1,4 @@
-"""Framed batch codec for the shuffle wire format.
+"""Framed batch codec: the one format of every intermediate byte.
 
 Hadoop moves intermediate data as length-framed, optionally compressed
 record batches (IFile segments on the map side, the shuffle HTTP stream
@@ -7,7 +7,10 @@ equivalent substrate for the repro engines: record batches are encoded
 with the typed serialization in :mod:`repro.dfs.serialization`, framed
 with varint headers, optionally zlib-deflated per batch, and sealed with
 a CRC32 trailer so corruption and truncation are detected before any
-payload is interpreted.
+payload is interpreted.  Shuffled batches, streaming journals, map-side
+spill runs, store spill runs, kvstore logs and checkpoints are all these
+frames, and nothing else: a value the typed codec cannot express fails
+where it is first written, with :class:`SerializationError`.
 
 Frame layout (all integers are LEB128 varints except the fixed trailer)::
 
@@ -16,14 +19,10 @@ Frame layout (all integers are LEB128 varints except the fixed trailer)::
     +-------+--------------+---------------+-----------+------------+
 
 - ``flags`` — one byte.  Bit 0 (:data:`FLAG_COMPRESSED`): payload is
-  zlib-deflated.  Bit 1 (:data:`FLAG_PICKLED`): payload is a pickle of
-  the ``[(key, value), ...]`` list — written only by the local store
-  files' fallback for values the typed codec rejects
-  (:mod:`repro.memory.checkpoint`), never by this module; decoding it
-  requires an explicit ``allow_pickle=True`` opt-in.  All other bits
-  must be zero.
-- ``payload`` — for the typed codec, the concatenation of
-  ``serialization.encode((key, value))`` for each record.
+  zlib-deflated.  All other bits must be zero; a frame with any of them
+  set is rejected.
+- ``payload`` — the concatenation of ``serialization.encode((key,
+  value))`` for each record.
 - ``CRC32`` — big-endian ``zlib.crc32`` over everything before it
   (header *and* payload), so a flipped bit anywhere in the frame fails
   before decoding starts.
@@ -34,7 +33,6 @@ the payload, so ``shuffle.bytes.raw >= shuffle.bytes.wire`` always holds.
 
 from __future__ import annotations
 
-import pickle
 import struct
 import zlib
 from dataclasses import dataclass
@@ -51,10 +49,8 @@ from repro.dfs.serialization import (
 
 #: Payload is zlib-deflated.
 FLAG_COMPRESSED = 0x01
-#: Payload is a pickled record list (local store-file fallback only).
-FLAG_PICKLED = 0x02
 
-_KNOWN_FLAGS = FLAG_COMPRESSED | FLAG_PICKLED
+_KNOWN_FLAGS = FLAG_COMPRESSED
 _CRC = struct.Struct(">I")
 #: flags byte + two varints of at most 11 bytes each.
 _MAX_HEADER_BYTES = 23
@@ -66,20 +62,16 @@ RAW_BYTES_COUNTER = "shuffle.bytes.raw"
 WIRE_BYTES_COUNTER = "shuffle.bytes.wire"
 BATCHES_COUNTER = "shuffle.batches"
 
-_CODECS = ("wire", "off")
-
 
 @dataclass(frozen=True)
 class WireConfig:
-    """Knobs for the shuffle wire format.
+    """Knobs for the wire format: where frames are cut, whether they are
+    deflated, and how many bytes a fetch stream may have in flight.
 
-    ``codec`` selects the payload encoding: ``"wire"`` is the typed
-    binary codec (the default) and ``"off"`` disables the wire path
-    entirely — engines hand native objects around exactly as before the
-    wire format existed.
+    There is no "off": wherever a ``wire`` argument is ``None`` it means
+    ``WireConfig()``.
     """
 
-    codec: str = "wire"
     max_batch_records: int = 256
     max_batch_bytes: int = 64 * 1024
     compress: bool = True
@@ -87,8 +79,6 @@ class WireConfig:
     max_inflight_bytes: int = 1 << 20
 
     def __post_init__(self) -> None:
-        if self.codec not in _CODECS:
-            raise ValueError(f"unknown codec {self.codec!r} (use {_CODECS})")
         if self.max_batch_records <= 0:
             raise ValueError("max_batch_records must be positive")
         if self.max_batch_bytes <= 0:
@@ -98,19 +88,13 @@ class WireConfig:
         if self.max_inflight_bytes <= 0:
             raise ValueError("max_inflight_bytes must be positive")
 
-    @property
-    def enabled(self) -> bool:
-        """Whether the wire path is active at all."""
-        return self.codec != "off"
-
 
 @dataclass(frozen=True)
 class WireBatch:
     """One encoded record batch: the frame plus its accounting.
 
-    ``len(batch)`` is the record count, so a :class:`WireBatch` drops
-    into every place the fetch protocol previously handed a record list
-    (``FetchLedger`` sequencing, dedup accounting, flow control).
+    ``len(batch)`` is the record count, which is all the fetch protocol
+    reads of a batch (``FetchLedger`` sequencing, dedup accounting).
     """
 
     frame: bytes
@@ -136,8 +120,6 @@ def encode_frame(
 ) -> WireBatch:
     """Encode one record batch into a framed :class:`WireBatch`."""
     config = config if config is not None else WireConfig()
-    if not config.enabled:
-        raise SerializationError("wire codec is disabled (codec='off')")
     return seal_encoded(
         [encode_pair(record.key, record.value) for record in records], config
     )
@@ -182,18 +164,15 @@ def decode_frame(
     data: bytes,
     offset: int = 0,
     *,
-    allow_pickle: bool = False,
     make: Callable[[Any, Any], Any] = Record,
 ) -> tuple[list[Any], int]:
     """Decode one frame at ``offset``; returns ``(records, next_offset)``.
 
     Every malformed input — truncation, unknown flags, bad CRC, payload
     that does not decode to exactly ``record_count`` key/value tuples —
-    raises :class:`SerializationError`.  Pickled frames additionally
-    require ``allow_pickle=True`` (the CRC is verified first, but pickle
-    can execute code, so the typed codec never accepts it implicitly).
-    Each entry is built by ``make(key, value)``: a :class:`Record` for
-    the shuffle, whatever pair shape a store file's reader wants.
+    raises :class:`SerializationError`.  Each entry is built by
+    ``make(key, value)``: a :class:`Record` for the shuffle, whatever
+    pair shape a store file's reader wants.
     """
     flags, count, start, stop = _frame_header(data, offset)
     end = stop + _CRC.size
@@ -216,18 +195,7 @@ def decode_frame(
             raise SerializationError(f"bad compressed payload: {exc}") from exc
     else:
         payload = bytes(view[start:stop])
-    if flags & FLAG_PICKLED:
-        if not allow_pickle:
-            raise SerializationError(
-                "pickled frame rejected (allow_pickle=False)"
-            )
-        records = []
-        for entry in pickle.loads(payload):
-            if not isinstance(entry, tuple) or len(entry) != 2:
-                raise SerializationError(f"frame entry is not a pair: {entry!r}")
-            records.append(make(entry[0], entry[1]))
-    else:
-        records = decode_pairs(payload, make)
+    records = decode_pairs(payload, make)
     if len(records) != count:
         raise SerializationError(
             f"frame record count mismatch: header says {count}, "
@@ -269,8 +237,6 @@ def encode_record_batches(
     ``max_batch_bytes`` — raw size keeps the split deterministic
     whether or not compression shrinks a batch.
     """
-    if not config.enabled:
-        raise SerializationError("wire codec is disabled (codec='off')")
     max_records = config.max_batch_records
     max_bytes = config.max_batch_bytes
     batches: list[WireBatch] = []
@@ -328,7 +294,6 @@ def write_batch(fh: BinaryIO, batch: WireBatch) -> int:
 def read_frames(
     fh: BinaryIO,
     *,
-    allow_pickle: bool = False,
     make: Callable[[Any, Any], Any] = Record,
 ) -> Iterator[list[Any]]:
     """Yield record batches from a stream of concatenated frames.
@@ -356,7 +321,5 @@ def read_frames(
                     "truncated frame: payload or CRC missing"
                 )
             buffer += block
-        records, position = decode_frame(
-            buffer, position, allow_pickle=allow_pickle, make=make
-        )
+        records, position = decode_frame(buffer, position, make=make)
         yield records

@@ -41,7 +41,7 @@ from repro.core.types import (
     StageTimes,
     Value,
 )
-from repro.dfs.wire import WireConfig
+from repro.dfs.wire import WireBatch, WireConfig
 from repro.engine.fold import fold_batches
 from repro.engine.mapside import MapOutputBuffer, MapOutputCollector
 from repro.memory import WriteBackStore, innermost_store, make_store
@@ -125,7 +125,7 @@ def _spill_buffer(job: JobSpec, wire: WireConfig | None):
     """The job's bounded sort-and-spill map-output buffer.
 
     Context-managed, so spill files are removed even when the map
-    function raises mid-task.  ``wire`` selects the spill codec.
+    function raises mid-task.  ``wire`` sets where spill frames are cut.
     """
     return MapOutputBuffer(
         num_partitions=job.num_reducers,
@@ -163,7 +163,7 @@ def run_map_task_encoded(
     split: Sequence[tuple[Key, Value]],
     counters: Counters,
     wire: WireConfig | None = None,
-) -> dict[int, list]:
+) -> dict[int, list[WireBatch]]:
     """Execute one map task, returning each reducer's sealed batch stream.
 
     The one map side of every engine that publishes its output (threaded,
@@ -172,8 +172,7 @@ def run_map_task_encoded(
     encodes and cuts frames record by record.  Frames and counters equal
     ``encode_record_batches`` over :func:`run_map_task_partitioned`'s
     partitions — :class:`~repro.engine.local.LocalEngine`'s composition,
-    the oracle this is tested against.  With ``wire`` off the streams are
-    ``Record`` lists of :data:`BATCH_RECORDS`.  Combiner output and the
+    the oracle this is tested against.  Combiner output and the
     sort-and-spill buffer's merge feed the same collector.
     """
     collector = MapOutputCollector(job.num_reducers, job.partition_fn, wire)

@@ -72,8 +72,7 @@ class LocalEngine(Engine):
         self._fault_injector = fault_injector
         self._max_attempts = max_attempts
         self.obs = obs if obs is not None else JobObservability()
-        wire = wire if wire is not None else WireConfig()
-        self._wire = wire if wire.enabled else None
+        self._wire = wire if wire is not None else WireConfig()
         #: Retry bookkeeping of the most recent run() (attempts per task).
         self.last_run_attempts: dict[str, int] = {}
 
@@ -93,7 +92,6 @@ class LocalEngine(Engine):
             max_attempts=self._max_attempts,
             obs=obs,
         )
-        store_backed = reducer_is_store_backed(job)
 
         with obs.tracer.span(
             job.name, "job", mode=job.mode.value, engine="local"
@@ -140,24 +138,23 @@ class LocalEngine(Engine):
                         )
                     counters.merge(task_counters)
                     obs.counters.merge_counters(task_counters)
-                    if self._wire is not None:
-                        # Round-trip every partition through the wire
-                        # codec — the sequential stand-in for a publish/
-                        # fetch pair, with identical byte accounting to
-                        # the concurrent engines (the oracle proves the
-                        # codec is lossless on every app's key space).
-                        encoded = {
-                            index: encode_record_batches(part, self._wire)
-                            for index, part in partitions.items()
-                        }
-                        account_batches(
-                            obs.counters,
-                            [b for bs in encoded.values() for b in bs],
-                        )
-                        partitions = {
-                            index: decode_batches(bs, self._wire)
-                            for index, bs in encoded.items()
-                        }
+                    # Round-trip every partition through the wire codec —
+                    # the sequential stand-in for a publish/fetch pair,
+                    # with identical byte accounting to the concurrent
+                    # engines (the oracle proves the codec is lossless on
+                    # every app's key space).
+                    encoded = {
+                        index: encode_record_batches(part, self._wire)
+                        for index, part in partitions.items()
+                    }
+                    account_batches(
+                        obs.counters,
+                        [b for bs in encoded.values() for b in bs],
+                    )
+                    partitions = {
+                        index: decode_batches(bs, self._wire)
+                        for index, bs in encoded.items()
+                    }
                     for index, part in partitions.items():
                         per_reducer_outputs[index].append(part)
                     counters.increment("map.tasks")
@@ -216,10 +213,11 @@ class LocalEngine(Engine):
                             "reduce.restart", task=task_id, restarts=retries
                         )
                         obs.counters.increment("reduce.restarts", retries)
-                        if store_backed:
+                        if reducer_is_store_backed(job):
                             # Each retried attempt rebuilt the partial
                             # store from scratch — the barrier-less
-                            # recovery path.
+                            # recovery path.  Probed only now: a clean
+                            # run never asks.
                             obs.counters.increment("store.resets", retries)
                     output[reducer_index] = produced
                     counters.increment("reduce.tasks")

@@ -7,14 +7,16 @@ spill file per task whose partitions the reducers fetch.  This module
 implements that substrate for the real engines:
 
 - :class:`MapOutputBuffer` — bounded accumulation, sorted spills, and a
-  final per-partition merge that streams each partition's records in key
-  order.  With a :class:`~repro.dfs.wire.WireConfig` the spill files use
-  the framed wire codec (typed encoding + optional zlib + CRC, Hadoop's
-  IFile analogue) instead of per-entry pickle; either way the buffer is
-  a context manager so spills never outlive a failed map task.
+  final one-pass merge that streams every record in ``(partition, key)``
+  order.  Spill runs are wire frames (typed encoding + optional zlib +
+  CRC, Hadoop's IFile analogue), the one run format; the buffer is a
+  context manager so spills never outlive a failed map task.
 - :class:`MapOutputCollector` — "serialise at collect": where the
   concurrent engines' map output becomes wire frames, one record at a
   time, with no record list in between.
+
+A ``wire`` argument of ``None`` means ``WireConfig()``: every batch this
+module writes or returns is a sealed :class:`~repro.dfs.wire.WireBatch`.
 
 Because every partition segment the reducer fetches is already key-
 sorted, the barrier path's reducer-side "merge sort" becomes a cheap
@@ -28,7 +30,6 @@ from __future__ import annotations
 
 import heapq
 import os
-import pickle
 import tempfile
 from operator import itemgetter
 from typing import Iterable, Iterator
@@ -43,6 +44,7 @@ from repro.core.types import (
 )
 from repro.dfs.serialization import encode_pair
 from repro.dfs.wire import (
+    WireBatch,
     WireConfig,
     encode_record_batches,
     read_frames,
@@ -63,9 +65,8 @@ class MapOutputBuffer:
 
     ``collect`` adds records; when the estimated footprint crosses
     ``buffer_bytes`` the contents are sorted by ``(partition, key)`` and
-    written to a spill file.  ``partition_records(p)`` then streams
-    partition ``p``'s records in key order, merging all spill runs plus
-    the residual in-memory buffer.
+    written to a spill file.  :meth:`merged` then streams every record in
+    that order, merging all spill runs plus the residual in-memory buffer.
     """
 
     def __init__(
@@ -83,7 +84,7 @@ class MapOutputBuffer:
         self.num_partitions = num_partitions
         self._partition_fn = partition_fn
         self._buffer_bytes = buffer_bytes
-        self._wire = wire if wire is not None and wire.enabled else None
+        self._wire = wire if wire is not None else WireConfig()
         self._records: list[tuple[int, Key, Value]] = []
         self._used = 0
         self._spills: list[str] = []
@@ -158,25 +159,19 @@ class MapOutputBuffer:
         self, kind: str, entries: Iterable[tuple[int, Key, Value]]
     ) -> tuple[int, int]:
         """Write one sorted run; returns its ``(raw, wire)`` frame bytes."""
-        suffix = "wire" if self._wire is not None else "pkl"
         path = os.path.join(
-            self._dir, f"map-{kind}-{self.spill_count:05d}.{suffix}"
+            self._dir, f"map-{kind}-{self.spill_count:05d}.wire"
         )
         self._spills.append(path)
         raw = wire = 0
+        framed = (
+            Record((partition, key), value) for partition, key, value in entries
+        )
         with open(path, "wb") as fh:
-            if self._wire is not None:
-                framed = (
-                    Record((partition, key), value)
-                    for partition, key, value in entries
-                )
-                for batch in encode_record_batches(framed, self._wire):
-                    write_batch(fh, batch)
-                    raw += batch.raw_bytes
-                    wire += batch.wire_bytes
-            else:
-                for entry in entries:
-                    pickle.dump(entry, fh, protocol=pickle.HIGHEST_PROTOCOL)
+            for batch in encode_record_batches(framed, self._wire):
+                write_batch(fh, batch)
+                raw += batch.raw_bytes
+                wire += batch.wire_bytes
         return raw, wire
 
     # -- read side ---------------------------------------------------------------
@@ -185,9 +180,8 @@ class MapOutputBuffer:
         """Add the task's ``map.output_spills`` / ``map.spill_bytes*`` totals."""
         counters.increment("map.output_spills", self.spill_count)
         counters.increment("map.spill_bytes", self.bytes_spilled)
-        if self._wire is not None:
-            counters.increment("map.spill_bytes.raw", self.raw_bytes_spilled)
-            counters.increment("map.spill_bytes.wire", self.wire_bytes_spilled)
+        counters.increment("map.spill_bytes.raw", self.raw_bytes_spilled)
+        counters.increment("map.spill_bytes.wire", self.wire_bytes_spilled)
 
     def merged(self) -> Iterator[tuple[int, Key, Value]]:
         """Every record once, as ``(partition, key, value)`` in that order.
@@ -201,14 +195,6 @@ class MapOutputBuffer:
         runs = [self._read_run(path) for path in self._spills]
         return heapq.merge(*runs, iter(self._records), key=_RUN_ORDER)
 
-    def partition_records(self, partition: int) -> Iterator[Record]:
-        """Stream one partition's records in ascending key order."""
-        if not 0 <= partition < self.num_partitions:
-            raise ValueError(f"no partition {partition}")
-        for index, key, value in self.merged():
-            if index == partition:
-                yield Record(key, value)
-
     def all_partitions(self) -> dict[int, list[Record]]:
         """Materialise every partition (convenience for the engines)."""
         partitions: dict[int, list[Record]] = {
@@ -220,17 +206,10 @@ class MapOutputBuffer:
 
     def _read_run(self, path: str) -> Iterator[tuple[int, Key, Value]]:
         with open(path, "rb") as fh:
-            if self._wire is not None:
-                for records in read_frames(fh, allow_pickle=False):
-                    for record in records:
-                        partition, key = record.key
-                        yield partition, key, record.value
-            else:
-                while True:
-                    try:
-                        yield pickle.load(fh)
-                    except EOFError:
-                        return
+            for records in read_frames(fh):
+                for record in records:
+                    partition, key = record.key
+                    yield partition, key, record.value
 
     def close(self) -> None:
         """Delete the spill directory and every run in it (idempotent)."""
@@ -248,8 +227,7 @@ class MapOutputCollector:
     *before* the record that would pass ``max_batch_records`` or
     ``max_batch_bytes``), so :meth:`finish` returns, frame for frame, what
     partitioning the task's record list and encoding each partition would
-    — without the list.  With ``wire`` off the chunks are ``Record``
-    lists cut at ``max_batch_records`` alone.
+    — without the list.
 
     The job's default partitioner is a pure function of ``repr(key)``, a
     byte-at-a-time hash in Python; for an exact ``str`` key its answer is
@@ -266,16 +244,15 @@ class MapOutputCollector:
     ):
         self.num_partitions = num_partitions
         self._partition_fn = partition_fn
-        self._wire = wire if wire is not None and wire.enabled else None
-        limits = self._wire if self._wire is not None else WireConfig()
-        self._max_records = limits.max_batch_records
-        self._max_bytes = limits.max_batch_bytes
+        self._wire = wire if wire is not None else WireConfig()
+        self._max_records = self._wire.max_batch_records
+        self._max_bytes = self._wire.max_batch_bytes
         self._memo: dict[str, int] | None = (
             {} if partition_fn is default_partition else None
         )
-        self._chunks: list[list] = [[] for _ in range(num_partitions)]
+        self._chunks: list[list[bytes]] = [[] for _ in range(num_partitions)]
         self._chunk_bytes = [0] * num_partitions
-        self._sealed: list[list] = [[] for _ in range(num_partitions)]
+        self._sealed: list[list[WireBatch]] = [[] for _ in range(num_partitions)]
 
     def collect(self, key: Key, value: Value) -> None:
         """Route one emitted record to its partition and :meth:`add` it."""
@@ -293,12 +270,6 @@ class MapOutputCollector:
     def add(self, partition: int, key: Key, value: Value) -> None:
         """Append one record to a partition's stream, cutting if it is full."""
         chunk = self._chunks[partition]
-        if self._wire is None:
-            if len(chunk) >= self._max_records:
-                self._cut(partition)
-                chunk = self._chunks[partition]
-            chunk.append(Record(key, value))
-            return
         encoded = encode_pair(key, value)
         size = len(encoded)
         if chunk and (
@@ -311,14 +282,13 @@ class MapOutputCollector:
         self._chunk_bytes[partition] += size
 
     def _cut(self, partition: int) -> None:
-        chunk = self._chunks[partition]
         self._sealed[partition].append(
-            seal_encoded(chunk, self._wire) if self._wire is not None else chunk
+            seal_encoded(self._chunks[partition], self._wire)
         )
         self._chunks[partition] = []
         self._chunk_bytes[partition] = 0
 
-    def finish(self) -> dict[int, list]:
+    def finish(self) -> dict[int, list[WireBatch]]:
         """Seal the open chunks; ``{partition: [batch, ...]}``, all present."""
         for partition, chunk in enumerate(self._chunks):
             if chunk:

@@ -39,8 +39,7 @@ import time
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Callable, Mapping
 
-from repro.core.types import Record
-from repro.dfs.wire import WireConfig, account_batches
+from repro.dfs.wire import WireBatch, account_batches
 from repro.engine.faults import TaskAttemptError, stable_fraction
 from repro.memory.checkpoint import CheckpointPolicy
 
@@ -365,9 +364,7 @@ class _MapperOutput:
 
     def __init__(self) -> None:
         self.epoch = -1
-        # Per-reducer batch lists: plain record lists, or WireBatch
-        # frames when the service has a wire config.
-        self.batches: dict[int, list] | None = None
+        self.batches: dict[int, list[WireBatch]] | None = None
         self.event = threading.Event()
         self.lock = threading.Lock()
         self.serves = 0
@@ -393,31 +390,28 @@ class MapOutputService:
         injector: FetchFaultInjector | None = None,
         counters: "CounterRegistry | None" = None,
         events: "EventLog | None" = None,
-        wire: WireConfig | None = None,
     ) -> None:
         self.num_maps = num_maps
         self.num_reducers = num_reducers
-        self.wire = wire if wire is not None and wire.enabled else None
         self._injector = injector
         self._counters = counters
         self._events = events
         self._outputs = [_MapperOutput() for _ in range(num_maps)]
         self._recover_locks = [threading.Lock() for _ in range(num_maps)]
         #: Re-executes one map task, returning its batches as for ``publish``.
-        self.regenerator: Callable[[int], dict[int, list]] | None = None
+        self.regenerator: Callable[[int], dict[int, list[WireBatch]]] | None = None
 
-    def publish(self, mapper: int, batches: Mapping[int, list]) -> int:
+    def publish(self, mapper: int, batches: Mapping[int, list[WireBatch]]) -> int:
         """Store one mapper's output under the next epoch; returns it.
 
         ``batches`` is what :func:`~repro.engine.base.run_map_task_encoded`
         returned: per reducer, sealed :class:`~repro.dfs.wire.WireBatch`
-        frames (byte totals accounted here, where the bytes hit the
-        wire) or, wire off, plain record lists.  Both shapes support
-        ``len()``, so the fetch protocol and ledger downstream are
-        codec-agnostic.
+        frames, whose byte totals are accounted here, where the bytes hit
+        the wire.  The fetch protocol and ledger downstream see only
+        ``len(batch)``, the record count.
         """
         out = self._outputs[mapper]
-        if self.wire is not None and self._counters is not None:
+        if self._counters is not None:
             account_batches(
                 self._counters,
                 [b for stream in batches.values() for b in stream],
@@ -466,7 +460,7 @@ class MapOutputService:
                     f"map-{mapper} output not published within {timeout}s"
                 )
 
-    def read(self, mapper: int, reducer: int, seq: int) -> tuple[int, list[Record] | None]:
+    def read(self, mapper: int, reducer: int, seq: int) -> tuple[int, WireBatch | None]:
         """Serve batch ``seq`` of a stream; ``(epoch, None)`` = stream end.
 
         A lost output is regenerated (once, under a per-mapper lock) by
@@ -547,7 +541,7 @@ class FetchLedger:
         if self._counters is not None and amount:
             self._counters.increment(name, amount)
 
-    def admit(self, mapper: int, seq: int, batch: list[Record]) -> list[Record] | None:
+    def admit(self, mapper: int, seq: int, batch: WireBatch) -> WireBatch | None:
         """Accept batch ``seq`` of a mapper's stream, or ``None`` if dup."""
         with self._lock:
             expected = self._next_seq.get(mapper, 0)
@@ -608,7 +602,7 @@ def _fetch_once(
     config: RecoveryConfig,
     injector: FetchFaultInjector | None,
     counters: "CounterRegistry | None",
-) -> tuple[int, list[Record] | None]:
+) -> tuple[int, WireBatch | None]:
     """One fetch attempt, with speculative backup on a straggler.
 
     Raises :class:`FetchAttemptError` / :class:`FetchTimeoutError` for
@@ -620,7 +614,7 @@ def _fetch_once(
     simulator's LATE-style map speculation.
     """
 
-    def attempt_io(attempt_number: int) -> tuple[int, list[Record] | None]:
+    def attempt_io(attempt_number: int) -> tuple[int, WireBatch | None]:
         if injector is not None:
             injector.check_fetch(reducer, mapper, seq, attempt_number)
             stall = injector.stall_for(reducer, mapper, seq, attempt_number)
@@ -678,7 +672,7 @@ def run_fetch_stream(
     mapper: int,
     reducer: int,
     ledger: FetchLedger,
-    deliver: Callable[[list[Record], int, int, int], None],
+    deliver: Callable[[WireBatch, int, int, int], None],
     *,
     config: RecoveryConfig,
     injector: FetchFaultInjector | None = None,

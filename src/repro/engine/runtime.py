@@ -223,18 +223,14 @@ def checkpoint_gate(
     return partial(ReduceTaskRecovery, None, None)
 
 
-def open_batch(batch, wire: WireConfig | None) -> tuple[list[Record], int]:
+def open_batch(batch: WireBatch, wire: WireConfig) -> tuple[list[Record], int]:
     """Decode one delivered batch into ``(records, wire_bytes)``.
 
-    With the wire format on, fetch streams deliver encoded
-    :class:`~repro.dfs.wire.WireBatch` frames and the decode happens
-    here, on the fetch thread — the reducer-side half of the codec.
-    Wire off delivers plain record lists (zero wire bytes).
+    Fetch streams deliver sealed :class:`~repro.dfs.wire.WireBatch`
+    frames and the decode happens here, on the fetch thread — the
+    reducer-side half of the codec.
     """
-    if isinstance(batch, WireBatch):
-        assert wire is not None
-        return decode_batch(batch, wire), batch.wire_bytes
-    return batch, 0
+    return decode_batch(batch, wire), batch.wire_bytes
 
 
 def crash_checked(records, reducer_index: int, injector):
@@ -280,6 +276,7 @@ def run_barrier_reduce_attempt(
     attempt just drops its buffers — the held map outputs make the
     eventual re-fetch cheap, which is all the barrier mode can offer.
     """
+    wire = wire if wire is not None else WireConfig()
     tracer = obs.tracer if task_span is not None else None
     buffers: list[list[Record]] = [[] for _ in range(num_maps)]
     # Buffered batches are not consumed until the sort buffer is
@@ -436,6 +433,7 @@ def run_pipelined_reduce_attempt(
     points: the store is consistent there, exactly as for a periodic
     snapshot.
     """
+    wire = wire if wire is not None else WireConfig()
     tracer = obs.tracer if task_span is not None else None
     shared: "queue.Queue" = queue.Queue()
     cancelled = threading.Event()
@@ -451,11 +449,7 @@ def run_pipelined_reduce_attempt(
 
     # Size-based flow control: fetch threads block once the decoded
     # batches waiting in the shared buffer exceed the wire window.
-    flow = (
-        FlowController(wire.max_inflight_bytes)
-        if wire is not None
-        else None
-    )
+    flow = FlowController(wire.max_inflight_bytes)
 
     local_counters = Counters()
     reducer = prepare_reducer(job)
@@ -478,8 +472,7 @@ def run_pipelined_reduce_attempt(
 
         def deliver(batch, mapper: int, seq: int, epoch: int) -> None:
             records, nbytes = open_batch(batch, wire)
-            if flow is not None:
-                flow.acquire(nbytes, cancelled)
+            flow.acquire(nbytes, cancelled)
             depth.add(len(records))
             shared.put((records, nbytes, mapper, seq, epoch))
             obs.metrics.observe_max("shuffle.buffer.hwm", depth.value())
@@ -526,8 +519,7 @@ def run_pipelined_reduce_attempt(
                     yield item
 
         def batch_done(records, nbytes, mapper, seq, epoch) -> None:
-            if flow is not None:
-                flow.release(nbytes)
+            flow.release(nbytes)
             local_counters.increment("shuffle.records", len(records))
             depth.add(-len(records))
             recovery.folded(

@@ -71,6 +71,7 @@ from repro.engine.base import (
     run_map_task_encoded,
 )
 from repro.dfs.wire import (
+    WireBatch,
     WireConfig,
     account_batches,
     compression_ratio,
@@ -162,13 +163,12 @@ class _LockedStore:
 class _ReducerSession:
     """One long-lived reducer: its thread, queue, store and context.
 
-    Keeps a *journal* of every record routed to it; on a crash the
+    Keeps a *journal* of every batch routed to it; on a crash the
     session is rebuilt from scratch (fresh store, fresh context) and the
     journal replayed, after which the stream continues where it left off.
-    With a wire config the journal holds encoded
-    :class:`~repro.dfs.wire.WireBatch` frames instead of record lists —
-    the journalled bytes are the wire bytes, and a replay decodes them
-    again exactly like a re-fetch.
+    The journal holds the sealed :class:`~repro.dfs.wire.WireBatch`
+    frames — the journalled bytes are the wire bytes, and a replay
+    decodes them again exactly like a re-fetch.
 
     ``recovery`` is the session's fold ledger, kept across incarnations:
     the journal is its source 0, its cursor is a record count.
@@ -180,8 +180,8 @@ class _ReducerSession:
         reducer_index: int,
         recovery: ReduceTaskRecovery,
         obs: JobObservability,
-        injector: FetchFaultInjector | None = None,
-        wire: WireConfig | None = None,
+        injector: FetchFaultInjector | None,
+        wire: WireConfig,
     ):
         self._job = job
         self._index = reducer_index
@@ -189,8 +189,8 @@ class _ReducerSession:
         self._obs = obs
         self._injector = injector
         self._wire = wire
-        #: Batches as pushed: ``WireBatch`` frames, or record lists wire off.
-        self.journal: list = []
+        #: Batches as pushed.
+        self.journal: list[WireBatch] = []
         self.crashed = False
         self._start()
 
@@ -291,9 +291,7 @@ class _ReducerSession:
             if skip >= len(batch):
                 skip -= len(batch)
                 continue
-            if self._wire is not None:
-                batch = decode_batch(batch, self._wire)
-            self.enqueue(batch[skip:])
+            self.enqueue(decode_batch(batch, self._wire)[skip:])
             skip = 0
 
 
@@ -318,8 +316,7 @@ class StreamingEngine:
         self.counters = Counters()
         self.obs = obs if obs is not None else JobObservability()
         self._fault_injector = fault_injector
-        wire = wire if wire is not None else WireConfig()
-        self._wire = wire if wire.enabled else None
+        self._wire = wire if wire is not None else WireConfig()
         self._restarts = 0
         recovery = recovery if recovery is not None else RecoveryConfig()
         self._ckpt_owned: tempfile.TemporaryDirectory | None = None
@@ -424,16 +421,14 @@ class StreamingEngine:
         self.counters.increment("map.tasks")
         routed = 0
         for index, batches in streams.items():
+            # Each routed partition slice crosses the wire as framed
+            # batches: the journal keeps the frames (replay = decode
+            # again), and the live path consumes the decoded records.
             session = self._sessions[index]
             session.journal.extend(batches)
-            if self._wire is not None:
-                # Each routed partition slice crosses the wire as framed
-                # batches: the journal keeps the frames (replay = decode
-                # again), and the live path consumes the decoded records.
-                account_batches(self.obs.counters, batches)
-                batches = [decode_batch(batch, self._wire) for batch in batches]
+            account_batches(self.obs.counters, batches)
             for batch in batches:
-                session.enqueue(batch)
+                session.enqueue(decode_batch(batch, self._wire))
                 routed += len(batch)
         self._routed_records += routed
         self.obs.metrics.observe_max(

@@ -118,10 +118,7 @@ class ThreadedEngine(Engine):
         self._fetch_injector = fetch_injector
         self._recovery = recovery if recovery is not None else RecoveryConfig()
         self.metrics_interval_s = metrics_interval_s
-        # The wire format is on by default; WireConfig(codec="off")
-        # restores the pre-wire native-object data plane.
-        wire = wire if wire is not None else WireConfig()
-        self._wire = wire if wire.enabled else None
+        self._wire = wire if wire is not None else WireConfig()
 
     def run(
         self,
@@ -159,7 +156,6 @@ class ThreadedEngine(Engine):
             injector=injector,
             counters=obs.counters,
             events=obs.events,
-            wire=self._wire,
         )
 
         # Sampled time-series: the ticker reads the run's gauges on a

@@ -24,16 +24,16 @@ payload is interpreted; *any* defect (missing file, torn tail, flipped
 bit, bad meta shape) raises :class:`CheckpointError` so callers fail
 closed to a full refold rather than decode garbage.
 
-Values the typed codec cannot express (e.g. mutable sets in custom apps)
-fall back to CRC-framed pickle batches.  Checkpoints are local artifacts
-this process wrote itself, so reading them back opts into pickle frames
-— the CRC is verified first.
+Store files — checkpoints, spill runs, kvstore log entries — hold typed
+frames only, the same frames the shuffle moves.  A value the typed codec
+cannot express (a mutable ``set``, an arbitrary object) raises the
+codec's :class:`SerializationError` where it is written, and a failed
+snapshot leaves neither its temp file nor a changed previous snapshot.
 """
 
 from __future__ import annotations
 
 import os
-import pickle
 from dataclasses import dataclass
 from itertools import islice
 from typing import Any, BinaryIO, Iterable, Iterator
@@ -41,12 +41,10 @@ from typing import Any, BinaryIO, Iterable, Iterator
 from repro.core.types import Key, Value
 from repro.dfs.serialization import SerializationError, encode_pair
 from repro.dfs.wire import (
-    FLAG_PICKLED,
     WireBatch,
     WireConfig,
     read_frames,
     seal_encoded,
-    seal_frame,
     write_batch,
 )
 
@@ -160,12 +158,8 @@ def entry_pair(key: Key, value: Value) -> tuple[Key, Value]:
 def encode_entry_frames(
     entries: Iterable[tuple[Key, Value]], wire: WireConfig | None = None
 ) -> Iterator[WireBatch]:
-    """Frame ``(key, value)`` entries into wire batches.
-
-    Batches that the typed codec rejects (unsupported value types) are
-    re-framed as CRC-sealed pickle frames, so any picklable store content
-    survives a snapshot; readers must pass ``allow_pickle=True``.
-    """
+    """Frame ``(key, value)`` entries into wire batches of
+    ``max_batch_records`` each."""
     wire = wire if wire is not None else STORE_WIRE
     entries = iter(entries)
     while chunk := list(islice(entries, wire.max_batch_records)):
@@ -175,28 +169,21 @@ def encode_entry_frames(
 def encode_entry_frame(
     entries: list[tuple[Key, Value]], wire: WireConfig | None = None
 ) -> WireBatch:
-    """Frame one batch of entries, falling back to a pickle frame."""
+    """Frame one batch of entries; raises :class:`SerializationError` for
+    a key or value the typed codec cannot express."""
     wire = wire if wire is not None else STORE_WIRE
-    try:
-        return seal_encoded(
-            [encode_pair(key, value) for key, value in entries], wire
-        )
-    except SerializationError:
-        payload = pickle.dumps(
-            [(key, value) for key, value in entries],
-            protocol=pickle.HIGHEST_PROTOCOL,
-        )
-        return seal_frame(FLAG_PICKLED, len(entries), payload, len(payload))
+    return seal_encoded(
+        [encode_pair(key, value) for key, value in entries], wire
+    )
 
 
 def read_entry_frames(fh: BinaryIO) -> Iterator[list[tuple[Key, Value]]]:
     """Read back what :func:`encode_entry_frames` wrote, batch by batch.
 
-    Store files are local artifacts this process wrote itself, so pickle
-    frames are accepted (after the CRC), and entries come back as plain
-    ``(key, value)`` tuples with no :class:`Record` in between.
+    Entries come back as plain ``(key, value)`` tuples with no
+    :class:`Record` in between.
     """
-    return read_frames(fh, allow_pickle=True, make=entry_pair)
+    return read_frames(fh, make=entry_pair)
 
 
 def write_checkpoint(
@@ -211,7 +198,8 @@ def write_checkpoint(
     The snapshot is written to a temp file, flushed and fsynced, then
     renamed over :data:`CHECKPOINT_FILENAME`; a crash at any point leaves
     either the old snapshot or the new one, never a torn file under the
-    final name.
+    final name.  A write that fails (a value the codec rejects, a full
+    disk) removes its temp file before the error propagates.
     """
     wire = wire if wire is not None else STORE_WIRE
     os.makedirs(directory, exist_ok=True)
@@ -221,23 +209,28 @@ def write_checkpoint(
     records = 0
     frames = 0
     written = 0
-    with open(tmp, "wb") as fh:
-        written += write_batch(
-            fh, encode_entry_frame([(_META_KEY, payload)], wire)
-        )
-        frames += 1
-        for batch in encode_entry_frames(entries, wire):
-            written += write_batch(fh, batch)
-            records += batch.count
+    try:
+        with open(tmp, "wb") as fh:
+            written += write_batch(
+                fh, encode_entry_frame([(_META_KEY, payload)], wire)
+            )
             frames += 1
-        trailer = {"frames": frames, "records": records}
-        written += write_batch(
-            fh, encode_entry_frame([(_END_KEY, trailer)], wire)
-        )
-        frames += 1
-        fh.flush()
-        os.fsync(fh.fileno())
-    os.replace(tmp, final)
+            for batch in encode_entry_frames(entries, wire):
+                written += write_batch(fh, batch)
+                records += batch.count
+                frames += 1
+            trailer = {"frames": frames, "records": records}
+            written += write_batch(
+                fh, encode_entry_frame([(_END_KEY, trailer)], wire)
+            )
+            frames += 1
+            fh.flush()
+            os.fsync(fh.fileno())
+        os.replace(tmp, final)
+    except BaseException:
+        if os.path.exists(tmp):
+            os.unlink(tmp)
+        raise
     return CheckpointStats(
         path=final, records=records, bytes=written, frames=frames
     )

@@ -269,9 +269,7 @@ class SpillingKVStore:
         self.bytes_read += length
         if len(payload) != length:
             raise SerializationError("truncated kvstore log entry")
-        entries, _end = decode_frame(
-            payload, allow_pickle=True, make=entry_pair
-        )
+        entries, _end = decode_frame(payload, make=entry_pair)
         if len(entries) != 1:
             raise SerializationError("kvstore log frame must hold one record")
         return entries[0][1]

@@ -69,6 +69,13 @@ class TestRoundTrip:
         with pytest.raises(RpcError):
             encode_message("not-a-message", {})
 
+    def test_registered_is_no_longer_a_kind(self):
+        # The coordinator never sent it: a worker's link counts once its
+        # ``register`` is out, with no acknowledgement.
+        assert "registered" not in MESSAGE_KINDS
+        with pytest.raises(RpcError, match="unknown message kind"):
+            encode_message("registered", {"worker": "w0"})
+
 
 class TestDefectiveBlobs:
     @settings(max_examples=150, deadline=None)

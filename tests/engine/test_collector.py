@@ -30,7 +30,6 @@ from repro.core.types import Counters, ExecutionMode, Record, default_partition
 from repro.dfs.wire import WireConfig, decode_batches, encode_record_batches
 from repro.engine import mapside
 from repro.engine.base import (
-    BATCH_RECORDS,
     partition_records,
     run_map_task,
     run_map_task_encoded,
@@ -102,47 +101,27 @@ def test_combiner_output_feeds_the_same_collector():
     )
 
 
-@pytest.mark.parametrize("codec", ("wire", "off"))
-def test_sort_and_spill_buffer_feeds_the_same_collector(tmp_path, codec):
+@pytest.mark.parametrize(
+    "wire",
+    (WIRE, WireConfig(max_batch_records=7, max_batch_bytes=64)),
+    ids=("wire", "small"),
+)
+def test_sort_and_spill_buffer_feeds_the_same_collector(tmp_path, wire):
     job = wordcount.make_job(ExecutionMode.BARRIERLESS, num_reducers=3)
     job.map_output_buffer_bytes = 2048  # tiny: every split spills
     job.memory.spill_dir = str(tmp_path)
     pairs = generate_documents(12, words_per_doc=40, vocab_size=30, seed=3)
-    spill_codec = WireConfig(codec=codec)
     for split in split_input(pairs, NUM_MAPS):
         want_counters, got_counters = Counters(), Counters()
-        parts = run_map_task_partitioned(job, split, want_counters, spill_codec)
-        got = run_map_task_encoded(job, split, got_counters, spill_codec)
-        if codec == "off":
-            assert got == {
-                reducer: [part[i : i + BATCH_RECORDS]
-                          for i in range(0, len(part), BATCH_RECORDS)]
-                for reducer, part in parts.items()
-            }
-        else:
-            assert got == {
-                reducer: encode_record_batches(part, spill_codec)
-                for reducer, part in parts.items()
-            }
+        parts = run_map_task_partitioned(job, split, want_counters, wire)
+        got = run_map_task_encoded(job, split, got_counters, wire)
+        assert got == {
+            reducer: encode_record_batches(part, wire)
+            for reducer, part in parts.items()
+        }
         assert got_counters.as_dict() == want_counters.as_dict()
         assert got_counters.get("map.output_spills") > 0
     assert list(tmp_path.iterdir()) == []
-
-
-def test_wire_off_streams_are_record_lists_of_the_batch_size():
-    job, pairs = demo_job_and_input("sort", ExecutionMode.BARRIER, records=1500)
-    counters = Counters()
-    streams = run_map_task_encoded(job, pairs, counters, None)
-    want = partition_records(job, run_map_task(job, pairs, Counters()))
-    assert sorted(streams) == list(range(job.num_reducers))
-    for reducer, stream in streams.items():
-        assert [len(batch) for batch in stream[:-1]] == [BATCH_RECORDS] * (
-            len(stream) - 1
-        )
-        assert [r for batch in stream for r in batch] == want[reducer]
-    assert counters.get("map.output_records") == 1500
-    off = WireConfig(codec="off")
-    assert run_map_task_encoded(job, pairs, Counters(), off) == streams
 
 
 def test_an_empty_split_counts_nothing_and_publishes_every_stream():

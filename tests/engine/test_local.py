@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import dataclasses
+
 import pytest
 
 from repro.apps import wordcount
@@ -105,6 +107,21 @@ class TestLocalEngine:
         assert samples == sorted(set(samples)) and samples[-1] <= limit
         assert len(samples) < 256
         assert limit < caught.value.used_bytes < limit + 200
+
+    def test_clean_run_builds_no_spare_reducers(self, small_corpus):
+        # One reducer per task.  Whether the reducer is store-backed
+        # (``store.resets``) is asked only once an attempt was retried.
+        job = wordcount.make_job(ExecutionMode.BARRIERLESS, num_reducers=2)
+        built = []
+
+        def counting_factory():
+            built.append(1)
+            return job.reducer_factory()
+
+        counted = dataclasses.replace(job, reducer_factory=counting_factory)
+        result = LocalEngine().run(counted, small_corpus, num_maps=3)
+        assert result.output_as_dict() == wordcount.reference_output(small_corpus)
+        assert len(built) == 2
 
     def test_stage_times_monotone(self, local_engine, small_corpus):
         result = local_engine.run(

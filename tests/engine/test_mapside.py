@@ -48,8 +48,7 @@ class TestMapOutputBuffer:
             buffer.collect(key, i)
             expected[default_partition(key, 4)].append(key)
         total = 0
-        for partition in range(4):
-            records = list(buffer.partition_records(partition))
+        for partition, records in buffer.all_partitions().items():
             keys = [record.key for record in records]
             assert keys == sorted(keys), partition
             assert sorted(keys) == sorted(expected[partition])
@@ -61,17 +60,20 @@ class TestMapOutputBuffer:
         buffer = make_buffer(partitions=5, buffer_bytes=300)
         for i in range(60):
             buffer.collect("hot", i)
-        non_empty = [
-            p for p in range(5) if list(buffer.partition_records(p))
-        ]
+        partitions = buffer.all_partitions()
+        assert sorted(partitions) == list(range(5))
+        non_empty = [p for p, records in partitions.items() if records]
         assert len(non_empty) == 1
-        assert len(list(buffer.partition_records(non_empty[0]))) == 60
+        assert len(partitions[non_empty[0]]) == 60
         buffer.close()
 
     def test_invalid_partition_rejected(self):
-        buffer = make_buffer(partitions=2)
-        with pytest.raises(ValueError):
-            list(buffer.partition_records(7))
+        # A partitioner that answers outside ``range(num_partitions)``
+        # fails the merge rather than losing or misrouting the record.
+        buffer = MapOutputBuffer(2, lambda key, n: 7, 1 << 20)
+        buffer.collect("k", 1)
+        with pytest.raises(LookupError):
+            buffer.all_partitions()
         buffer.close()
 
     def test_rejects_bad_config(self):
@@ -82,7 +84,15 @@ class TestMapOutputBuffer:
 
     @settings(max_examples=25, deadline=None)
     @given(
-        st.lists(st.tuples(st.integers(0, 30), st.integers()), max_size=150),
+        # Spill runs are wire frames: values stay inside the typed
+        # codec's 77-bit varint range, like any map output.
+        st.lists(
+            st.tuples(
+                st.integers(0, 30),
+                st.integers(-(2**77 - 1), 2**77 - 1),
+            ),
+            max_size=150,
+        ),
         st.integers(200, 5000),
         st.integers(1, 6),
     )
@@ -90,11 +100,7 @@ class TestMapOutputBuffer:
         buffer = MapOutputBuffer(partitions, default_partition, buffer_bytes)
         for key, value in pairs:
             buffer.collect(key, value)
-        out = []
-        for partition in range(partitions):
-            out.extend(
-                (r.key, r.value) for r in buffer.partition_records(partition)
-            )
+        out = [(key, value) for _partition, key, value in buffer.merged()]
         assert sorted(out) == sorted(pairs)
         buffer.close()
 
@@ -210,7 +216,7 @@ class TestSpillCleanup:
         buffer.close()
         assert list(tmp_path.iterdir()) == []
 
-    @pytest.mark.parametrize("wire", [None, WireConfig()], ids=["pkl", "wire"])
+    @pytest.mark.parametrize("wire", [None, WireConfig()], ids=["default", "wire"])
     def test_failed_map_task_leaves_spill_dir_empty(self, tmp_path, wire):
         job = JobSpec(
             name="exploding",
@@ -263,8 +269,7 @@ class TestWireSpillCodec:
         assert buffer.raw_bytes_spilled > 0
         assert buffer.wire_bytes_spilled > 0
         total = 0
-        for partition in range(3):
-            records = list(buffer.partition_records(partition))
+        for partition, records in buffer.all_partitions().items():
             keys = [record.key for record in records]
             assert keys == sorted(keys)
             assert sorted(keys) == sorted(expected[partition])
@@ -272,22 +277,6 @@ class TestWireSpillCodec:
         assert total == 90
         buffer.close()
         assert list(tmp_path.iterdir()) == []
-
-    def test_wire_and_pickle_spills_agree(self, tmp_path):
-        def run(wire):
-            buffer = MapOutputBuffer(
-                2, default_partition, buffer_bytes=256, wire=wire
-            )
-            for i in range(70):
-                buffer.collect(f"key-{i % 11:02d}", (i, f"v{i}"))
-            out = {
-                p: [(r.key, r.value) for r in buffer.partition_records(p)]
-                for p in range(2)
-            }
-            buffer.close()
-            return out
-
-        assert run(None) == run(WireConfig())
 
 
 class TestOnePassMerge:

@@ -448,9 +448,8 @@ class TestFetchFaultInjector:
 class TestWireFaultPaths:
     """The batched wire format must not bend the recovery accounting.
 
-    With the wire codec on (the default), the fetch protocol moves
-    :class:`~repro.dfs.wire.WireBatch` frames instead of record lists;
-    ``FetchLedger``'s ``fetched == consumed + deduped`` invariant and the
+    The fetch protocol moves :class:`~repro.dfs.wire.WireBatch` frames,
+    not record lists; ``FetchLedger``'s ``fetched == consumed + deduped`` invariant and the
     epoch-restart dedup must hold unchanged, frame by frame.
     """
 
@@ -515,9 +514,7 @@ class TestWireFaultPaths:
         )
 
         wire = WireConfig(max_batch_records=2)
-        service = MapOutputService(
-            num_maps=1, num_reducers=1, wire=wire
-        )
+        service = MapOutputService(num_maps=1, num_reducers=1)
         service.publish(0, {0: encode_record_batches(_records(5), wire)})
         frames = []
         seq = 0

@@ -69,7 +69,7 @@ def published():
         num_reducers=1, num_maps=NUM_MAPS,
     )
     oracle = normalized_output("wc", LocalEngine().run(job, pairs, NUM_MAPS))
-    service = MapOutputService(NUM_MAPS, 1, wire=WIRE)
+    service = MapOutputService(NUM_MAPS, 1)
     total = 0
     for mapper, split in enumerate(split_input(pairs, NUM_MAPS)):
         batches = run_map_task_encoded(job, split, Counters(), WIRE)

@@ -104,7 +104,7 @@ def test_spill_dir_is_empty_after_a_preempted_attempt(tmp_path):
     job, pairs = _sort_job(tmp_path, records=2000)
     job.num_reducers = 1
     wire = WireConfig(max_batch_records=64)
-    service = MapOutputService(NUM_MAPS, 1, wire=wire)
+    service = MapOutputService(NUM_MAPS, 1)
     for mapper, split in enumerate(split_input(pairs, NUM_MAPS)):
         service.publish(mapper, run_map_task_encoded(job, split, Counters(), wire))
     stop = threading.Event()

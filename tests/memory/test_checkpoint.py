@@ -15,6 +15,7 @@ import os
 
 import pytest
 
+from repro.dfs.serialization import SerializationError
 from repro.memory.checkpoint import (
     CHECKPOINT_FILENAME,
     CheckpointError,
@@ -98,13 +99,39 @@ class TestWriteRead:
         meta, entries = read_checkpoint(str(tmp_path))
         assert entries == [("stable", 1)] and meta == {"gen": 1}
 
-    def test_pickle_fallback_for_untyped_values(self, tmp_path):
-        # Sets are not expressible in the typed wire codec; they must
-        # survive via CRC-framed pickle batches.
-        entries = [("a", {1, 2, 3}), ("b", frozenset({"x"}))]
-        write_checkpoint(str(tmp_path), entries)
-        _meta, loaded = read_checkpoint(str(tmp_path))
-        assert loaded == entries
+    def test_untyped_values_fail_where_they_are_written(self, tmp_path):
+        # One codec for every store file: a value it cannot express (a
+        # mutable set; a frozenset is fine) fails at the write that would
+        # have put it on disk, and leaves no file behind.
+        untyped = {1, 2, 3}
+        unsupported = "unsupported type: set"
+
+        snapshots = tmp_path / "checkpoint"
+        write_checkpoint(str(snapshots), [("a", frozenset({"x"}))], meta={"gen": 1})
+        with pytest.raises(SerializationError, match=unsupported):
+            write_checkpoint(str(snapshots), [("a", 1), ("b", untyped)])
+        assert os.listdir(snapshots) == [CHECKPOINT_FILENAME]
+        assert read_checkpoint(str(snapshots)) == (
+            {"gen": 1}, [("a", frozenset({"x"}))]
+        )
+
+        spills = tmp_path / "spill"
+        store = SpillMergeStore(add, spill_threshold_bytes=64, spill_dir=str(spills))
+        store.put("a", untyped)
+        with pytest.raises(SerializationError, match=unsupported):
+            for i in range(16):  # crosses the threshold: the cut spills "a"
+                store.put(f"k{i:02d}", i)
+        assert store.spill_count == 0
+        store.close()
+        assert os.listdir(spills) == []
+
+        logs = tmp_path / "kvstore"
+        kv = SpillingKVStore(cache_bytes=1, write_buffer_bytes=1, dir_path=str(logs))
+        kv.put("a", untyped)
+        with pytest.raises(SerializationError, match=unsupported):
+            kv.put("b", 2)  # evicts "a" to the log
+        kv.close()
+        assert os.listdir(logs) == []
 
 
 class TestFailClosed:
