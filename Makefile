@@ -1,6 +1,6 @@
 # Convenience targets for the reproduction workflow.
 
-.PHONY: install test codec store mapside stagebench-smoke bench-figures chaos cluster \
+.PHONY: install test codec store mapside fold stagebench-smoke bench-figures chaos cluster \
 	cluster-trace netchaos server preempt figures csv scoreboard examples \
 	trace-demo all clean
 
@@ -38,6 +38,18 @@ mapside:
 	pytest tests/engine/test_mapside.py tests/engine/test_collector.py \
 		tests/dfs/test_wire_golden.py -q -p no:cacheprovider \
 		--hypothesis-profile=ci
+
+# The barrier-less fold's contract in one command: the fold ledger
+# killed at every batch boundary, grouped input against the ungrouped
+# run (all seven apps x three stores x local, threaded, streaming: same
+# output, puts, entries and spill files), the grouping property and the
+# no-Record guard, and the wire and spill golden digests, as CI's fold
+# job runs them.  Run it before and after any change to
+# BatchReduceContext, make_reduce_context or engine/fold.py.
+fold:
+	pytest tests/engine/test_fold.py tests/core/test_api.py \
+		tests/dfs/test_wire_golden.py tests/memory/test_spill_golden.py \
+		-q -p no:cacheprovider --hypothesis-profile=ci
 
 stagebench-smoke:
 	python -m benchmarks.stagebench --seed 1 --smoke

@@ -111,32 +111,68 @@ class ReduceContext:
         return out
 
 
+def group_by_key(
+    pairs: Iterable[tuple[Key, Value]],
+) -> list[tuple[Key, list[Value]]]:
+    """One ``(key, values)`` group per distinct key, in one pass.
+
+    Keys in first-arrival order, values in arrival order within a key:
+    what a combiner is handed for one map task's output, and what a
+    grouped :class:`BatchReduceContext` presents for one arriving batch.
+    ``pairs`` may be ``(key, value)`` tuples or :class:`Record` objects.
+    """
+    groups: dict[Key, list[Value]] = {}
+    for key, value in pairs:
+        values = groups.get(key)
+        if values is None:
+            groups[key] = [value]
+        else:
+            values.append(value)
+    return list(groups.items())
+
+
+def _one_record_groups(
+    pairs: Iterable[tuple[Key, Value]],
+) -> list[tuple[Key, list[Value]]]:
+    return [(key, [value]) for key, value in pairs]
+
+
 class BatchReduceContext(ReduceContext):
-    """Barrier-less reduce input: whole record batches, one record a step.
+    """Barrier-less reduce input: whole record batches, folded as they come.
 
     ``reduce`` is "only passed a single record, as opposed to a key and
-    all its corresponding values" (§3.1): every record of every batch is
-    presented as its own single-value group, in arrival order.  The
-    engine hands over the decoded wire batches as they are, so
-    ``next_key`` is an index bump and everything the engine owes per
-    batch (counters, flow control, the store write-back, checkpoint
-    cuts) is paid by the batch source between two batches.  ``on_record``
-    is called before each record is presented — the fault injectors'
-    per-record hook; without one the path makes no per-record call.
+    all its corresponding values" (§3.1): by default every record of
+    every batch is presented as its own single-value group, in arrival
+    order.  With ``grouped`` each batch is presented as one group per
+    distinct key (:func:`group_by_key`) — the relaxation a combiner
+    already makes, never across a batch, so the batch boundary and
+    everything keyed to it stay where they were.
+    :func:`repro.engine.base.make_reduce_context` decides which.
+
+    A batch is any sequence of ``(key, value)`` pairs — decoded wire
+    frames arrive as plain tuples, a :class:`Record` unpacks the same —
+    and the engine hands the batches over as they are, so ``next_key``
+    is an index bump and everything the engine owes per batch (counters,
+    flow control, the store write-back, checkpoint cuts) is paid by the
+    batch source between two batches.  ``on_record`` is called before
+    each step — the fault injectors' per-record hook, which is why
+    ``make_reduce_context`` never groups a hooked context; without one
+    the path makes no per-record call.
     """
 
     def __init__(
         self,
-        batches: Iterable[Sequence[Record]],
+        batches: Iterable[Sequence[tuple[Key, Value]]],
         counters: Counters | None = None,
         on_record: Callable[[], None] | None = None,
+        grouped: bool = False,
     ):
         super().__init__((), counters)
         self._batches = iter(batches)
-        self._batch: Sequence[Record] = ()
+        self._steps = group_by_key if grouped else _one_record_groups
+        self._batch: list[tuple[Key, list[Value]]] = []
         self._size = 0
         self._index = 0
-        self._record: Record | None = None
         self._on_record = on_record
 
     def next_key(self) -> bool:
@@ -146,24 +182,15 @@ class BatchReduceContext(ReduceContext):
             # this one is fully folded.
             batch = next(self._batches, None)
             if batch is None:
-                self._batch, self._size, self._record = (), 0, None
+                self._batch, self._size, self._current = [], 0, None
                 return False
-            self._batch, self._size, index = batch, len(batch), 0
+            self._batch = self._steps(batch)
+            self._size, index = len(self._batch), 0
         self._index = index
         if self._on_record is not None:
             self._on_record()
-        self._record = self._batch[index]
+        self._current = self._batch[index]
         return True
-
-    def current_key(self) -> Key:
-        if self._record is None:
-            raise RuntimeError("no current key; call next_key() first")
-        return self._record.key
-
-    def current_values(self) -> list[Value]:
-        if self._record is None:
-            raise RuntimeError("no current values; call next_key() first")
-        return [self._record.value]
 
 
 class Mapper(abc.ABC):

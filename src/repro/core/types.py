@@ -32,9 +32,10 @@ class Record:
     value: Value
 
     def __iter__(self) -> Iterator[Any]:
-        # Allows ``k, v = record`` unpacking at call sites.
-        yield self.key
-        yield self.value
+        # Allows ``k, v = record`` unpacking at call sites; a tuple
+        # iterator, not a generator, because the barrier-less reduce
+        # context unpacks every record it is handed.
+        return iter((self.key, self.value))
 
 
 class ExecutionMode(enum.Enum):

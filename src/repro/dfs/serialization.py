@@ -305,9 +305,10 @@ def decode_pairs(data: bytes, make: Callable[[Any, Any], _T]) -> list[_T]:
     The shuffle's per-record decoder: equal to calling :func:`decode_at`
     until ``data`` is used up, requiring each value to be a 2-tuple and
     handing its halves to ``make`` (so no intermediate tuple list).
-    Short strings and one-byte ints are read in line — the loop is
-    written out for key and value because a call per side is what it
-    saves — and every other shape, and every error, is
+    Short strings and positive ints of up to three varint bytes (below
+    2**21: counts, line numbers, ``sort``'s keys) are read in line — the
+    loop is written out for key and value because a call per side is
+    what it saves — and every other shape, and every error, is
     :func:`decode_at`'s.
     """
     out: list[_T] = []
@@ -334,9 +335,19 @@ def decode_pairs(data: bytes, make: Callable[[Any, Any], _T]) -> list[_T]:
                     offset = stop
                 else:
                     key, offset = _decode_at(data, offset, 1)
-            elif tag == _INT_POS and data[offset + 1] < 0x80:
-                key = data[offset + 1]
-                offset += 2
+            elif tag == _INT_POS:
+                low = data[offset + 1]
+                if low < 0x80:
+                    key = low
+                    offset += 2
+                elif (mid := data[offset + 2]) < 0x80:
+                    key = (low & 0x7F) | mid << 7
+                    offset += 3
+                elif (high := data[offset + 3]) < 0x80:
+                    key = (low & 0x7F) | (mid & 0x7F) << 7 | high << 14
+                    offset += 4
+                else:
+                    key, offset = _decode_at(data, offset, 1)
             else:
                 key, offset = _decode_at(data, offset, 1)
             tag = data[offset]
@@ -348,9 +359,19 @@ def decode_pairs(data: bytes, make: Callable[[Any, Any], _T]) -> list[_T]:
                     offset = stop
                 else:
                     value, offset = _decode_at(data, offset, 1)
-            elif tag == _INT_POS and data[offset + 1] < 0x80:
-                value = data[offset + 1]
-                offset += 2
+            elif tag == _INT_POS:
+                low = data[offset + 1]
+                if low < 0x80:
+                    value = low
+                    offset += 2
+                elif (mid := data[offset + 2]) < 0x80:
+                    value = (low & 0x7F) | mid << 7
+                    offset += 3
+                elif (high := data[offset + 3]) < 0x80:
+                    value = (low & 0x7F) | (mid & 0x7F) << 7 | high << 14
+                    offset += 4
+                else:
+                    value, offset = _decode_at(data, offset, 1)
             else:
                 value, offset = _decode_at(data, offset, 1)
             out.append(make(key, value))

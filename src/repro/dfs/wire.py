@@ -204,9 +204,22 @@ def decode_frame(
     return records, end
 
 
-def decode_batch(batch: WireBatch, config: WireConfig) -> list[Record]:
-    """Decode one :class:`WireBatch` back into records."""
-    records, end = decode_frame(batch.frame)
+def entry_pair(key: Any, value: Any) -> tuple[Any, Any]:
+    """The pair ``make``: entries come back as plain ``(key, value)`` tuples.
+
+    What store files are read with, and what barrier-less reduce input is
+    decoded with — no :class:`Record` between the frame and the fold.
+    """
+    return key, value
+
+
+def decode_batch(
+    batch: WireBatch,
+    config: WireConfig,
+    make: Callable[[Any, Any], Any] = Record,
+) -> list[Any]:
+    """Decode one :class:`WireBatch` back into records (``make``'s shape)."""
+    records, end = decode_frame(batch.frame, make=make)
     if end != len(batch.frame):
         raise SerializationError(f"{len(batch.frame) - end} trailing bytes")
     return records

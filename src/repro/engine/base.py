@@ -29,6 +29,7 @@ from repro.core.api import (
     Mapper,
     ReduceContext,
     Reducer,
+    group_by_key,
     group_sorted_records,
 )
 from repro.core.job import JobSpec
@@ -38,6 +39,7 @@ from repro.core.types import (
     JobResult,
     Key,
     Record,
+    ReduceClass,
     StageTimes,
     Value,
 )
@@ -80,16 +82,9 @@ def apply_combiner(
 ) -> list[Record]:
     """Group a map task's buffered output by key and run the combiner."""
     combiner = job.combiner_factory()  # type: ignore[misc]
-    buckets: dict[Key, list[Value]] = {}
-    order: list[Key] = []
-    for record in records:
-        if record.key not in buckets:
-            buckets[record.key] = []
-            order.append(record.key)
-        buckets[record.key].append(record.value)
     combined: list[Record] = []
-    for key in order:
-        for value in combiner.combine(key, buckets[key]):
+    for key, values in group_by_key(records):
+        for value in combiner.combine(key, values):
             combined.append(Record(key, value))
     counters.increment("combine.input_records", len(records))
     counters.increment("combine.output_records", len(combined))
@@ -238,13 +233,23 @@ def interleave_arrival(map_outputs: Sequence[list[Record]]) -> list[Record]:
     return stream
 
 
+#: Reduce classes whose barrier-less input is grouped per batch: their
+#: fold is per key and their result does not depend on how a key's
+#: values are split into ``reduce`` calls.  Identity, Cross-key and
+#: Single-reducer write in arrival order; every Sorting key is distinct.
+GROUPED_CLASSES = frozenset(
+    {ReduceClass.AGGREGATION, ReduceClass.SELECTION, ReduceClass.POST_REDUCTION}
+)
+
+
 def make_reduce_context(
     job: JobSpec,
+    reducer: Reducer,
     records: Iterable,
     counters: Counters,
     on_record: Callable[[], None] | None = None,
 ) -> ReduceContext:
-    """Build the reduce-side context for the job's execution mode.
+    """Build ``reducer``'s reduce-side context for the job's execution mode.
 
     In barrier mode ``records`` is the key-sorted record stream, and a
     job with ``value_sort_key`` gets each key group's values delivered in
@@ -253,9 +258,21 @@ def make_reduce_context(
     record *batches* in arrival order (a
     :func:`~repro.engine.fold.fold_batches` generator) and ``on_record``
     is the per-record fault-injection hook.
+
+    Barrier-less input is grouped per batch (one step per distinct key
+    of a batch) exactly when the job declares a :data:`GROUPED_CLASSES`
+    class, ``reducer`` is store-backed and ``checkpointable`` — its store
+    is its whole state, so it writes only in the final sweep — and no
+    ``on_record`` hook is installed.  Everything else gets one record a
+    step.
     """
     if job.mode is not ExecutionMode.BARRIER:
-        return BatchReduceContext(records, counters, on_record)
+        grouped = (
+            on_record is None
+            and job.reduce_class in GROUPED_CLASSES
+            and _store_is_whole_state(reducer)
+        )
+        return BatchReduceContext(records, counters, on_record, grouped)
     grouped = group_sorted_records(records)
     if job.value_sort_key is not None:
         sort_key = job.value_sort_key
@@ -359,9 +376,13 @@ def reducer_is_checkpointable(job: JobSpec) -> bool:
     outside the store would silently lose work if resumed from a store
     snapshot, so they refold instead.  Builds one throw-away reducer.
     """
-    probe = job.reducer_factory()
-    return getattr(probe, "attach_store", None) is not None and bool(
-        getattr(probe, "checkpointable", False)
+    return _store_is_whole_state(job.reducer_factory())
+
+
+def _store_is_whole_state(reducer: Reducer) -> bool:
+    """Store-backed, and the store is all the state (``checkpointable``)."""
+    return getattr(reducer, "attach_store", None) is not None and bool(
+        getattr(reducer, "checkpointable", False)
     )
 
 
@@ -397,7 +418,7 @@ def run_reduce_task(
             records = fold_batches(
                 ((batch,) for batch in slices), lambda _batch: flush()
             )
-        context = make_reduce_context(job, records, counters)
+        context = make_reduce_context(job, reducer, records, counters)
         reducer.run(context)
         harvest_store_counters(reducer, counters)
         return context.drain()

@@ -41,7 +41,13 @@ from typing import Callable
 
 from repro.core.job import JobSpec
 from repro.core.types import Counters, ExecutionMode, Record
-from repro.dfs.wire import WireBatch, WireConfig, compression_ratio, decode_batch
+from repro.dfs.wire import (
+    WireBatch,
+    WireConfig,
+    compression_ratio,
+    decode_batch,
+    entry_pair,
+)
 from repro.engine.base import (
     close_store,
     harvest_store_counters,
@@ -223,14 +229,17 @@ def checkpoint_gate(
     return partial(ReduceTaskRecovery, None, None)
 
 
-def open_batch(batch: WireBatch, wire: WireConfig) -> tuple[list[Record], int]:
+def open_batch(
+    batch: WireBatch, wire: WireConfig, make: Callable = Record
+) -> tuple[list, int]:
     """Decode one delivered batch into ``(records, wire_bytes)``.
 
     Fetch streams deliver sealed :class:`~repro.dfs.wire.WireBatch`
     frames and the decode happens here, on the fetch thread — the
-    reducer-side half of the codec.
+    reducer-side half of the codec.  The barrier sorts :class:`Record`
+    objects; the barrier-less fold takes ``make=entry_pair`` tuples.
     """
-    return decode_batch(batch, wire), batch.wire_bytes
+    return decode_batch(batch, wire, make), batch.wire_bytes
 
 
 def crash_checked(records, reducer_index: int, injector):
@@ -374,7 +383,7 @@ def run_barrier_reduce_attempt(
         stream = crash_checked(records, reducer_index, injector)
 
         def run_reduce():
-            context = make_reduce_context(job, stream, local_counters)
+            context = make_reduce_context(job, reducer, stream, local_counters)
             reducer.run(context)
             return context.drain()
 
@@ -471,7 +480,7 @@ def run_pipelined_reduce_attempt(
             ledger.seed(mapper, seq)
 
         def deliver(batch, mapper: int, seq: int, epoch: int) -> None:
-            records, nbytes = open_batch(batch, wire)
+            records, nbytes = open_batch(batch, wire, entry_pair)
             flow.acquire(nbytes, cancelled)
             depth.add(len(records))
             shared.put((records, nbytes, mapper, seq, epoch))
@@ -538,6 +547,7 @@ def run_pipelined_reduce_attempt(
         def run_reduce():
             context = make_reduce_context(
                 job,
+                reducer,
                 fold_batches(arrivals(), batch_done),
                 local_counters,
                 reduce_record_hook(injector, reducer_index),

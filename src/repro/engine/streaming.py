@@ -49,7 +49,6 @@ import threading
 import time
 from typing import Iterator, Sequence
 
-from repro.core.api import BatchReduceContext
 from repro.core.job import JobSpec
 from repro.core.patterns import BarrierlessReducer
 from repro.core.types import (
@@ -67,6 +66,7 @@ from repro.engine.base import (
     close_store,
     finish_result,
     harvest_store_counters,
+    make_reduce_context,
     prepare_reducer,
     run_map_task_encoded,
 )
@@ -76,6 +76,7 @@ from repro.dfs.wire import (
     account_batches,
     compression_ratio,
     decode_batch,
+    entry_pair,
 )
 from repro.engine.faults import TaskAttemptError
 from repro.engine.fold import ReduceTaskRecovery, fold_batches
@@ -219,7 +220,9 @@ class _ReducerSession:
             self._obs,
             time.monotonic(),
         )
-        self.context = BatchReduceContext(
+        self.context = make_reduce_context(
+            self._job,
+            self.reducer,
             fold_batches(
                 self._arrivals(cursors.get(0, (0, 0))[0]), self._batch_done
             ),
@@ -246,14 +249,16 @@ class _ReducerSession:
 
     # -- the reducer's input (reduce thread) -----------------------------------
 
-    def enqueue(self, records: list[Record]) -> None:
-        """Hand the reducer thread records, in write-back-sized batches."""
+    def enqueue(self, records: list[tuple[Key, Value]]) -> None:
+        """Hand the reducer thread pairs, in write-back-sized batches."""
         for start in range(0, len(records), BATCH_RECORDS):
             batch = records[start : start + BATCH_RECORDS]
             self.depth.add(len(batch))
             self.queue.put(batch)
 
-    def _arrivals(self, seq: int) -> Iterator[tuple[list[Record], int]]:
+    def _arrivals(
+        self, seq: int
+    ) -> Iterator[tuple[list[tuple[Key, Value]], int]]:
         """Dequeue ``(batch, seq)`` items until the sentinel.
 
         A :class:`_SyncToken` is armed when it is dequeued, which
@@ -271,7 +276,7 @@ class _ReducerSession:
             yield item, seq
             seq += 1
 
-    def _batch_done(self, batch: list[Record], seq: int) -> None:
+    def _batch_done(self, batch: list[tuple[Key, Value]], seq: int) -> None:
         self.depth.add(-len(batch))
         self.recovery.folded(0, seq, 0, len(batch), 0, time.monotonic())
 
@@ -291,7 +296,7 @@ class _ReducerSession:
             if skip >= len(batch):
                 skip -= len(batch)
                 continue
-            self.enqueue(decode_batch(batch, self._wire)[skip:])
+            self.enqueue(decode_batch(batch, self._wire, entry_pair)[skip:])
             skip = 0
 
 
@@ -423,12 +428,12 @@ class StreamingEngine:
         for index, batches in streams.items():
             # Each routed partition slice crosses the wire as framed
             # batches: the journal keeps the frames (replay = decode
-            # again), and the live path consumes the decoded records.
+            # again), and the live path consumes the decoded pairs.
             session = self._sessions[index]
             session.journal.extend(batches)
             account_batches(self.obs.counters, batches)
             for batch in batches:
-                session.enqueue(decode_batch(batch, self._wire))
+                session.enqueue(decode_batch(batch, self._wire, entry_pair))
                 routed += len(batch)
         self._routed_records += routed
         self.obs.metrics.observe_max(

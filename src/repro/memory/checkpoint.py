@@ -43,6 +43,7 @@ from repro.dfs.serialization import SerializationError, encode_pair
 from repro.dfs.wire import (
     WireBatch,
     WireConfig,
+    entry_pair,
     read_frames,
     seal_encoded,
     write_batch,
@@ -148,11 +149,6 @@ def discard_checkpoint(directory: str) -> None:
         os.unlink(checkpoint_path(directory))
     except FileNotFoundError:
         pass
-
-
-def entry_pair(key: Key, value: Value) -> tuple[Key, Value]:
-    """The ``make`` store files are read with: entries come back as pairs."""
-    return key, value
 
 
 def encode_entry_frames(

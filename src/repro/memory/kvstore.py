@@ -29,11 +29,10 @@ from typing import Any, Callable, Iterator
 
 from repro.core.types import Key, Value
 from repro.dfs.serialization import SerializationError
-from repro.dfs.wire import decode_frame
+from repro.dfs.wire import decode_frame, entry_pair
 from repro.memory.checkpoint import (
     CheckpointStats,
     encode_entry_frame,
-    entry_pair,
     read_checkpoint,
     write_checkpoint,
 )

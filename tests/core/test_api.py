@@ -104,6 +104,68 @@ class TestGrouping:
             pass
         assert log == ["r", "r", "r", "folded-0", "r", "r", "folded-1"]
 
+    def test_batch_context_takes_pairs_and_records_alike(self):
+        pairs = [[("b", 1), ("a", 2)], [("b", 3)]]
+        records = [[Record(k, v) for k, v in batch] for batch in pairs]
+        for batches in (pairs, records):
+            ctx = BatchReduceContext(batches)
+            steps = []
+            while ctx.next_key():
+                steps.append((ctx.current_key(), list(ctx.current_values())))
+            assert steps == [("b", [1]), ("a", [2]), ("b", [3])]
+
+    @given(
+        st.lists(
+            st.lists(
+                st.tuples(st.integers(min_value=0, max_value=4), st.integers()),
+                max_size=12,
+            ),
+            max_size=6,
+        )
+    )
+    def test_grouped_context_property(self, batches):
+        # Every value exactly once; per key, values in arrival order; keys
+        # in first-arrival order; no group spans a batch — each batch's
+        # groups are handed out before the source is asked for the next.
+        pulled = []
+
+        def source():
+            for number, batch in enumerate(batches):
+                pulled.append(number)
+                yield batch
+
+        ctx = BatchReduceContext(source(), grouped=True)
+        steps = []  # (batch the step came from, key, values)
+        while ctx.next_key():
+            steps.append((pulled[-1], ctx.current_key(), ctx.current_values()))
+        for number, batch in enumerate(batches):
+            groups = [(k, vs) for n, k, vs in steps if n == number]
+            keys = [key for key, _ in groups]
+            assert keys == list(dict.fromkeys(key for key, _ in batch))
+            for key, values in groups:
+                assert values == [v for k, v in batch if k == key]
+        assert sorted(v for _, _, vs in steps for v in vs) == sorted(
+            v for batch in batches for _, v in batch
+        )
+
+    def test_grouped_boundary_fires_once_per_batch_after_its_last_group(self):
+        log = []
+
+        def source():
+            for number, batch in enumerate(
+                [[(1, "x"), (2, "y"), (1, "z")], [(2, "w")] * 3]
+            ):
+                yield batch
+                log.append(f"folded-{number}")
+
+        ctx = BatchReduceContext(source(), grouped=True)
+        while ctx.next_key():
+            log.append((ctx.current_key(), tuple(ctx.current_values())))
+        assert log == [
+            (1, ("x", "z")), (2, ("y",)), "folded-0",
+            (2, ("w", "w", "w")), "folded-1",
+        ]
+
     @given(
         st.lists(
             st.tuples(st.integers(min_value=0, max_value=5), st.integers()),

@@ -39,20 +39,32 @@ from repro.dfs.wire import (
     decode_frame,
     encode_frame,
     encode_record_batches,
+    entry_pair,
     read_frames,
     seal_frame,
     write_batch,
 )
-from repro.memory.checkpoint import (
-    encode_entry_frame,
-    encode_entry_frames,
-    entry_pair,
-)
+from repro.memory.checkpoint import encode_entry_frame, encode_entry_frames
 
 # NaN breaks equality-based round-trip assertions; the codec itself
 # handles it (covered in test_serialization.py).  Ints stay inside the
-# codec's 77-bit varint range — the limit itself is tested below.
-_ints = st.integers(min_value=-(2**77 - 1), max_value=2**77 - 1)
+# codec's 77-bit varint range — the limit itself is tested below — and
+# every varint width is drawn on purpose: ``decode_pairs`` reads one-,
+# two- and three-byte positive ints in line and hands wider ones (and
+# every negative) to the general decoder.
+_VARINT_WIDTHS = (0, 2**7, 2**14, 2**21, 2**28, 2**77 - 1)
+_multibyte_ints = st.one_of(
+    *(
+        st.integers(min_value=low, max_value=high)
+        for low, high in zip(_VARINT_WIDTHS, _VARINT_WIDTHS[1:])
+    ),
+    st.sampled_from([2**7 - 1, 2**7, 2**14 - 1, 2**14, 2**21 - 1, 2**21]),
+)
+_ints = st.one_of(
+    st.integers(min_value=-(2**77 - 1), max_value=2**77 - 1),
+    _multibyte_ints,
+    _multibyte_ints.map(lambda n: -n),
+)
 _scalars = st.one_of(
     st.none(),
     st.booleans(),
@@ -209,6 +221,39 @@ class TestFastPathsMatchReference:
         assert [(type(r.key), type(r.value)) for r in fast] == [
             (type(r.key), type(r.value)) for r in slow
         ]
+
+    @pytest.mark.parametrize(
+        "number",
+        [127, 128, 300, 16383, 16384, 999_999, 2**21 - 1, 2**21, 2**28, 2**77 - 1],
+    )
+    @pytest.mark.parametrize("side", ["key", "value"])
+    def test_multibyte_int_at_either_side_matches_the_general_decoder(
+        self, number, side
+    ):
+        pair = (number, "v") if side == "key" else ("k", number)
+        payload = encode_pair(*pair) * 2
+        assert decode_pairs(payload, entry_pair) == [pair, pair]
+        assert decode_pairs(payload, Record) == _reference_decode(payload)
+
+    @pytest.mark.parametrize("side", ["key", "value"])
+    def test_padded_and_truncated_inline_varints(self, side):
+        # ``\x80\x00`` and ``\x81\x80\x00`` are legal non-canonical
+        # encodings of 0 and 1, read in line exactly as the general
+        # decoder reads them; a varint cut off inside its continuation
+        # bytes is an error.
+        other = encode("x")
+        for varint in (b"\x80\x00", b"\x81\x80\x00", b"\xff\xff\x7f"):
+            side_bytes = b"\x03" + varint
+            body = side_bytes + other if side == "key" else other + side_bytes
+            payload = b"\x08\x02" + body
+            assert decode_pairs(payload, Record) == _reference_decode(payload)
+        for varint in (b"\x80", b"\x80\x80", b"\xff\xff\xff"):
+            body = b"\x03" + varint
+            payload = b"\x08\x02" + (body if side == "key" else other + body)
+            with pytest.raises(SerializationError):
+                decode_pairs(payload, Record)
+            with pytest.raises(SerializationError):
+                _reference_decode(payload)
 
     def test_pair_with_padded_count_varint_still_decodes(self):
         # ``\x82\x00`` is a legal (non-canonical) varint 2: not the two

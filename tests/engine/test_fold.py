@@ -14,6 +14,11 @@ with the first attempt killed (or preempted) at every boundary in turn.
 - a resumed attempt folds every batch exactly once (the store says so);
 - a streaming session's mapping (one source, validity by journal
   length) classifies like the runtime's (validity by epoch).
+
+The last section is the exception to "no threads": it runs the local,
+threaded and streaming engines end to end, because what it pins —
+grouped input is invisible to output, store and spill files, and frames
+reach the reducer as plain pairs — is a property of the engines' wiring.
 """
 
 from __future__ import annotations
@@ -25,12 +30,20 @@ import os
 
 import pytest
 
-from repro.core.types import Counters
+from repro.apps.demo import demo_job_and_input, normalized_output
+from repro.apps.registry import REGISTRY
+from repro.core.types import Counters, ExecutionMode, Record
+from repro.dfs.wire import WireConfig
+from repro.engine import base
 from repro.engine.fold import (
     ReducePreemptedError,
     ReduceTaskRecovery,
     fold_batches,
 )
+from repro.engine.local import LocalEngine
+from repro.engine.streaming import StreamingEngine
+from repro.engine.threaded import ThreadedEngine
+from repro.memory import make_store
 from repro.memory.checkpoint import (
     PREEMPT_META_KEY,
     CheckpointPolicy,
@@ -309,3 +322,163 @@ def test_fold_module_imports_no_threads_queues_sockets_or_clock():
         elif isinstance(node, ast.ImportFrom) and node.module:
             imported.add(node.module.split(".")[0])
     assert not imported & banned, sorted(imported & banned)
+
+
+# ---------------------------------------------------------------------------
+# Grouped barrier-less input, through the real engines: grouping a batch
+# by key must change nothing a store, a spill file or the output can see,
+# and the decoded frames must reach ``Reducer.run`` as plain pairs.
+# ---------------------------------------------------------------------------
+
+APPS = [descriptor.short_name for descriptor in REGISTRY]
+GROUPED_APPS = {"wc", "knn", "pp"}
+STORES = ("inmemory", "spillmerge", "kvstore")
+ENGINES = ("local", "threaded", "streaming")
+PUSH_RECORDS = 100
+#: Small frames, so every reducer folds several batches and a key's
+#: values split across them.
+BATCH = 32
+WIRE = WireConfig(max_batch_records=BATCH)
+
+
+class CountingStore:
+    """Counts the puts that reach the real store; notes its size at the end."""
+
+    def __init__(self, inner) -> None:
+        self._inner = inner
+        self.puts = 0
+        self.final: tuple | None = None
+
+    def put(self, key, value) -> None:
+        self.puts += 1
+        self._inner.put(key, value)
+
+    def finalize(self) -> None:
+        self._inner.finalize()
+        inner = self._inner
+        self.final = (
+            self.puts,
+            len(inner),
+            getattr(inner, "num_spill_files", 0),
+            getattr(inner, "spill_bytes_written", 0),
+            getattr(inner, "bytes_written", 0),
+        )
+
+    def __getattr__(self, name):
+        if name == "_inner":
+            raise AttributeError(name)
+        return getattr(self._inner, name)
+
+
+def _counted_job(app, store):
+    job, pairs = demo_job_and_input(
+        app, ExecutionMode.BARRIERLESS, records=240, store=store, seed=7
+    )
+    # Small enough that both disk-backed stores spill several times.
+    job.memory.spill_threshold_bytes = 2048
+    job.memory.kv_cache_bytes = 2048
+    built: list[CountingStore] = []
+
+    def factory():
+        built.append(CountingStore(make_store(job.memory, merge_fn=job.merge_fn)))
+        return built[-1]
+
+    job.store_factory = factory
+    return job, pairs, built
+
+
+def _run(engine, job, pairs):
+    if engine == "local":
+        return LocalEngine().run(job, pairs, num_maps=2)
+    if engine == "threaded":
+        # One map task: each reducer has one fetch stream, so the arrival
+        # order (and with it every spill point) is deterministic.
+        return ThreadedEngine(map_slots=1, wire=WIRE).run(job, pairs, num_maps=1)
+    stream = StreamingEngine(job, wire=WIRE)
+    for start in range(0, len(pairs), PUSH_RECORDS):
+        stream.push(pairs[start : start + PUSH_RECORDS])
+    return stream.close()
+
+
+def _observed(app, engine, store):
+    job, pairs, built = _counted_job(app, store)
+    result = _run(engine, job, pairs)
+    store_counters = {
+        name: value
+        for name, value in result.counters.as_dict().items()
+        if name.startswith(("store.", "memory."))
+    }
+    # A store never finalized (identity: nothing is swept) reports puts.
+    stats = sorted(store.final or (store.puts,) for store in built)
+    return normalized_output(app, result), store_counters, stats
+
+
+@pytest.mark.parametrize("engine", ENGINES)
+@pytest.mark.parametrize("store", STORES)
+@pytest.mark.parametrize("app", APPS)
+def test_grouped_fold_is_invisible_to_output_store_and_spills(
+    monkeypatch, app, store, engine
+):
+    monkeypatch.setattr(base, "BATCH_RECORDS", BATCH)  # LocalEngine's slices
+    grouped = _observed(app, engine, store)
+    monkeypatch.setattr(base, "GROUPED_CLASSES", frozenset())
+    ungrouped = _observed(app, engine, store)
+    assert grouped == ungrouped
+    output, _counters, stats = grouped
+    assert output
+    if store != "inmemory" and app in GROUPED_APPS | {"sort"}:
+        # puts, entries, spill files, spill bytes, kvstore log bytes.
+        assert any(files for _p, _e, files, _b, _l in stats) or any(
+            log for *_rest, log in stats
+        ), stats
+
+
+@pytest.mark.parametrize("app", APPS)
+def test_only_aggregation_selection_and_post_reduction_are_grouped(app):
+    job, _pairs = demo_job_and_input(app, ExecutionMode.BARRIERLESS, records=10)
+    reducer = base.prepare_reducer(job)
+    try:
+        batches = [[("k", 1), ("k", 2)]]
+        context = base.make_reduce_context(job, reducer, batches, Counters())
+        assert context.next_key()
+        values = list(context.current_values())
+        assert values == ([1, 2] if app in GROUPED_APPS else [1])
+        # An ``on_record`` hook makes every step one record again.
+        hooked = base.make_reduce_context(
+            job, reducer, batches, Counters(), on_record=lambda: None
+        )
+        assert hooked.next_key() and list(hooked.current_values()) == [1]
+    finally:
+        base.close_store(reducer)
+
+
+def test_a_not_checkpointable_reducer_is_never_grouped():
+    job, _pairs = demo_job_and_input("wc", ExecutionMode.BARRIERLESS, records=10)
+    reducer = base.prepare_reducer(job)
+    reducer.checkpointable = False
+    context = base.make_reduce_context(
+        job, reducer, [[("k", 1), ("k", 2)]], Counters()
+    )
+    assert context.next_key() and list(context.current_values()) == [1]
+
+
+@pytest.mark.parametrize("app", sorted(GROUPED_APPS | {"sort"}))
+def test_threaded_barrierless_reduce_builds_no_record_before_run(
+    monkeypatch, app
+):
+    """Frames decode straight to pairs: the only ``Record`` objects a
+    threaded barrier-less job builds are the ones the reducer writes."""
+    job, pairs = demo_job_and_input(app, ExecutionMode.BARRIERLESS, records=300)
+    built = itertools.count()
+    original = Record.__init__
+
+    def counting_init(self, key, value):
+        next(built)
+        original(self, key, value)
+
+    monkeypatch.setattr(Record, "__init__", counting_init)
+    result = ThreadedEngine().run(job, pairs)
+    monkeypatch.undo()
+    written = result.counters.get("reduce.output_records")
+    assert written == len(result.all_output()) > 0
+    assert next(built) == written
