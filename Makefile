@@ -1,6 +1,6 @@
 # Convenience targets for the reproduction workflow.
 
-.PHONY: install test codec store mapside fold stagebench-smoke bench-figures chaos cluster \
+.PHONY: install test codec store mapside fold timeline stagebench-smoke bench-figures chaos cluster \
 	cluster-trace netchaos server preempt figures csv scoreboard examples \
 	trace-demo all clean
 
@@ -30,10 +30,11 @@ store:
 	pytest tests/memory -q -p no:cacheprovider --hypothesis-profile=ci
 
 # The map side's contract in one command: the sort-and-spill buffer, the
-# collector against the three-pass composition LocalEngine keeps (frames,
-# cut points, counters, what the partition memo may remember) and the
-# wire golden digest, as CI's mapside job runs them.  Run it before and
-# after any change to engine/mapside.py or run_map_task_encoded.
+# collector every engine maps through against the codec-free three-pass
+# composition (frames, cut points, counters, what the partition memo may
+# remember) and the wire golden digest, as CI's mapside job runs them.
+# Run it before and after any change to engine/mapside.py or
+# run_map_task_encoded.
 mapside:
 	pytest tests/engine/test_mapside.py tests/engine/test_collector.py \
 		tests/dfs/test_wire_golden.py -q -p no:cacheprovider \
@@ -50,6 +51,15 @@ fold:
 	pytest tests/engine/test_fold.py tests/core/test_api.py \
 		tests/dfs/test_wire_golden.py tests/memory/test_spill_golden.py \
 		-q -p no:cacheprovider --hypothesis-profile=ci
+
+# Figure 4 in one command: the stage-concurrency series read from the
+# simulator's spans (with the CSV golden digests), the simulator's own
+# suite and the Figure 4 claims, as CI's timeline job runs them.  Run it
+# before and after any change to sim/hadoop.py or analysis/timeline.py.
+timeline:
+	pytest tests/analysis/test_timeline.py tests/sim/test_hadoop.py \
+		benchmarks/test_fig4_timeline.py --benchmark-disable -q \
+		-p no:cacheprovider
 
 stagebench-smoke:
 	python -m benchmarks.stagebench --seed 1 --smoke

@@ -12,6 +12,7 @@ import pytest
 
 from benchmarks.conftest import emit
 from repro.analysis import ascii_timeline, stage_summary, timeline
+from repro.analysis.timeline import stage_spans
 from repro.core.types import ExecutionMode
 from repro.sim import HadoopSimulator, improvement_percent, wordcount_profile
 
@@ -70,8 +71,13 @@ def test_fig4_timelines(benchmark, testbed):
 def test_fig4_stage_composition(runs):
     barrier = runs[ExecutionMode.BARRIER]
     barrierless = runs[ExecutionMode.BARRIERLESS]
-    barrier_kinds = {e.kind for e in barrier.task_log.events()}
-    barrierless_kinds = {e.kind for e in barrierless.task_log.events()}
+    stages = ("map", "shuffle", "sort", "reduce", "shuffle+reduce", "output")
+
+    def present(result):
+        return {stage for stage in stages if stage_spans(result.tracer, stage)}
+
+    barrier_kinds = present(barrier)
+    barrierless_kinds = present(barrierless)
     assert {"map", "shuffle", "sort", "reduce"} <= barrier_kinds
     assert "shuffle+reduce" in barrierless_kinds
     assert "sort" not in barrierless_kinds

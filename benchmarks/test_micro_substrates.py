@@ -140,10 +140,10 @@ def test_kvstore_read_modify_update(benchmark):
 def test_map_side_collector_vs_three_pass(benchmark, app, records, path):
     """One map-side pass against three, at stagebench's two job shapes.
 
-    ``three-pass`` is what ``LocalEngine`` and the stagebench walk do
-    (``run_map_task``, ``partition_records``, ``encode_record_batches``);
-    ``collector`` is ``run_map_task_encoded``, what the threaded, cluster
-    and streaming engines publish.  Same frames either way
+    ``three-pass`` is the codec-free reference and what the stagebench
+    walk does (``run_map_task``, ``partition_records``,
+    ``encode_record_batches``); ``collector`` is ``run_map_task_encoded``,
+    what every engine publishes.  Same frames either way
     (``tests/engine/test_collector.py``); ``wc`` has ~500 distinct ``str``
     keys under the hash partitioner (the memo's case), ``sort`` distinct
     ``int`` keys under a range partitioner (fusion only).

@@ -1,15 +1,16 @@
 """Figure 4 reproduction: stage-concurrency timelines.
 
-Converts a job's :class:`~repro.engine.instrument.TaskLog` into "number of
-tasks active at time t" series per stage — the panels of Figure 4 — and
-renders them as ASCII line charts for the bench output.
+Converts a simulated job's span tree (``SimJobResult.tracer``) into
+"number of tasks active at time t" series per stage — the panels of
+Figure 4 — and renders them as ASCII line charts for the bench output.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Sequence
 
-from repro.engine.instrument import concurrency_series
+from repro.obs import Span, Tracer
 from repro.sim.hadoop import SimJobResult
 
 #: Stage kinds of the barrier panel (Figure 4(a)).
@@ -31,6 +32,64 @@ class TimelineSeries:
         return max(self.counts, default=0)
 
 
+def concurrency_series(
+    intervals: Sequence,
+    step: float = 1.0,
+    until: float | None = None,
+) -> tuple[list[float], list[int]]:
+    """Sample how many intervals are simultaneously active every ``step`` s.
+
+    ``intervals`` is anything with ``.start`` and ``.end`` (normally
+    :class:`~repro.obs.Span`).  Returns ``(times, counts)``; an interval
+    is active at ``t`` when ``start <= t < end``, except that a
+    zero-duration one (start == end) counts as active at its single
+    instant — an instantaneous task did run, and dropping it would make
+    the series disagree with the trace.  With no intervals and no
+    explicit ``until`` there is nothing to sample, so the series is
+    empty rather than a phantom ``t=0`` sample.  This is the Figure 4
+    y-axis ("Number of Tasks").
+    """
+    if step <= 0:
+        raise ValueError("step must be positive")
+    horizon = until
+    if horizon is None:
+        if not intervals:
+            return [], []
+        horizon = max(interval.end for interval in intervals)
+    times: list[float] = []
+    counts: list[int] = []
+    t = 0.0
+    while t <= horizon + 1e-9:
+        active = sum(
+            1
+            for interval in intervals
+            if interval.start <= t < interval.end
+            or (
+                interval.start == interval.end
+                and abs(t - interval.start) <= 1e-9
+            )
+        )
+        times.append(round(t, 9))
+        counts.append(active)
+        t += step
+    return times, counts
+
+
+def stage_spans(tracer: Tracer, stage: str) -> list[Span]:
+    """One Figure 4 stage's intervals in a simulated run's trace.
+
+    The ``map`` stage is the ``task`` spans under the ``map`` stage span;
+    every other stage (``shuffle``, ``sort``, ``reduce``,
+    ``shuffle+reduce``, ``output``) is the ``op`` spans of that name.
+    """
+    if stage == "map":
+        stages = {
+            span.span_id for span in tracer.spans("stage") if span.name == "map"
+        }
+        return [span for span in tracer.spans("task") if span.parent_id in stages]
+    return [span for span in tracer.spans("op") if span.name == stage]
+
+
 def timeline(result: SimJobResult, step: float = 2.0) -> list[TimelineSeries]:
     """Stage activity series for one simulated job (Figure 4 panel)."""
     stages = (
@@ -41,8 +100,9 @@ def timeline(result: SimJobResult, step: float = 2.0) -> list[TimelineSeries]:
     horizon = result.completion_time
     series = []
     for stage in stages:
-        events = result.task_log.events(stage)
-        times, counts = concurrency_series(events, step=step, until=horizon)
+        times, counts = concurrency_series(
+            stage_spans(result.tracer, stage), step=step, until=horizon
+        )
         series.append(TimelineSeries(stage, tuple(times), tuple(counts)))
     return series
 

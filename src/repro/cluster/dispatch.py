@@ -38,6 +38,7 @@ record kinds and sends out, and which job state is replayable.
 from __future__ import annotations
 
 import pickle
+import traceback
 from typing import Callable, Iterable
 
 from repro.core.types import Counters, JobResult, Record, StageTimes
@@ -441,8 +442,18 @@ class Dispatcher:
             # One malformed frame (bad pickle, out-of-range index) must
             # not take the dispatcher down — that would hang every active
             # and future job.  Fail the affected job if the frame names
-            # one; otherwise drop the frame.
+            # one; otherwise drop the frame.  Either way the traceback
+            # goes to the event log.
             self.obs.counters.increment("cluster.dispatch.errors")
+            job_id = fields.get("job_id") if isinstance(fields, dict) else None
+            self.obs.events.emit(
+                "cluster.dispatch.error",
+                message=kind,
+                job=None if job_id is None else str(job_id),
+                error=type(exc).__name__,
+                detail=str(exc),
+                traceback=traceback.format_exc(),
+            )
             try:
                 state = self._active.get(str(fields.get("job_id", "")))
                 if state is not None:

@@ -26,12 +26,6 @@ from repro.engine.faults import (
     TaskAttemptError,
     TaskPermanentlyFailedError,
 )
-from repro.engine.instrument import (
-    TaskEvent,
-    TaskLog,
-    concurrency_series,
-    stage_boundaries,
-)
 from repro.engine.local import LocalEngine
 from repro.engine.recovery import (
     BackoffPolicy,
@@ -67,18 +61,14 @@ __all__ = [
     "TaskAttemptError",
     "TaskPermanentlyFailedError",
     "LocalEngine",
-    "TaskEvent",
-    "TaskLog",
     "ThreadedEngine",
     "run_fetch_stream",
     "stable_fraction",
     "apply_combiner",
     "barrier_merge_sort",
-    "concurrency_series",
     "interleave_arrival",
     "partition_records",
     "prepare_reducer",
     "run_map_task",
     "run_reduce_task",
-    "stage_boundaries",
 ]

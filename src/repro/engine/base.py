@@ -131,28 +131,6 @@ def _spill_buffer(job: JobSpec, wire: WireConfig | None):
     )
 
 
-def run_map_task_partitioned(
-    job: JobSpec,
-    split: Sequence[tuple[Key, Value]],
-    counters: Counters,
-    wire: WireConfig | None = None,
-) -> dict[int, list[Record]]:
-    """Execute one map task, returning per-partition output.
-
-    With ``job.map_output_buffer_bytes`` set (and no combiner), emissions
-    stream through a bounded :class:`~repro.engine.mapside.MapOutputBuffer`
-    that sorts and spills to disk.  Otherwise the classic in-memory path
-    runs.
-    """
-    if job.map_output_buffer_bytes is None or job.combiner_factory is not None:
-        return partition_records(job, run_map_task(job, split, counters))
-    with _spill_buffer(job, wire) as buffer:
-        _run_mapper(job, split, counters, buffer.collect)
-        _add(counters, "map.output_records", buffer.records_collected)
-        buffer.count_spills(counters)
-        return buffer.all_partitions()
-
-
 def run_map_task_encoded(
     job: JobSpec,
     split: Sequence[tuple[Key, Value]],
@@ -161,14 +139,16 @@ def run_map_task_encoded(
 ) -> dict[int, list[WireBatch]]:
     """Execute one map task, returning each reducer's sealed batch stream.
 
-    The one map side of every engine that publishes its output (threaded,
-    cluster, streaming): ``emit`` feeds a
+    The one map side of every engine (local, threaded, cluster,
+    streaming): ``emit`` feeds a
     :class:`~repro.engine.mapside.MapOutputCollector`, which partitions,
     encodes and cuts frames record by record.  Frames and counters equal
-    ``encode_record_batches`` over :func:`run_map_task_partitioned`'s
-    partitions — :class:`~repro.engine.local.LocalEngine`'s composition,
-    the oracle this is tested against.  Combiner output and the
-    sort-and-spill buffer's merge feed the same collector.
+    ``encode_record_batches`` over ``partition_records(run_map_task(...))``
+    — the codec-free composition it is tested against.  With
+    ``job.map_output_buffer_bytes`` set (and no combiner), emissions go
+    through the bounded sort-and-spill buffer first and its merge feeds
+    the same collector: each partition then holds the same records
+    stably sorted by key.
     """
     collector = MapOutputCollector(job.num_reducers, job.partition_fn, wire)
     if job.combiner_factory is not None:

@@ -7,8 +7,13 @@ against it.  Both shuffle modes are supported:
 
 - **barrier**: buffer all map output per reducer, merge-sort it, invoke
   ``reduce(key, values)`` once per key (Figure 2);
-- **barrier-less**: feed records to the reducer one at a time in arrival
-  order, with partial results in the configured store (Figure 3).
+- **barrier-less**: feed the reducer its input in arrival order, one
+  record batch at a time (grouped per key where the job's Reduce class
+  allows), with partial results in the configured store (Figure 3).
+
+Each map task runs through ``run_map_task_encoded``, the collector every
+engine maps with; its sealed frames are accounted like a publish and
+decoded per reducer, the sequential stand-in for a publish/fetch pair.
 """
 
 from __future__ import annotations
@@ -32,15 +37,10 @@ from repro.engine.base import (
     finish_result,
     interleave_arrival,
     reducer_is_store_backed,
-    run_map_task_partitioned,
+    run_map_task_encoded,
     run_reduce_task,
 )
-from repro.dfs.wire import (
-    WireConfig,
-    account_batches,
-    decode_batches,
-    encode_record_batches,
-)
+from repro.dfs.wire import WireConfig, account_batches, decode_batches
 from repro.engine.faults import (
     DEFAULT_MAX_ATTEMPTS,
     FaultInjector,
@@ -108,8 +108,8 @@ class LocalEngine(Engine):
 
                     def map_attempt(split=split):
                         attempt_counters = Counters()
-                        produced = run_map_task_partitioned(
-                            job, split, attempt_counters, wire=self._wire
+                        produced = run_map_task_encoded(
+                            job, split, attempt_counters, self._wire
                         )
                         return produced, attempt_counters
 
@@ -119,7 +119,7 @@ class LocalEngine(Engine):
                     with obs.tracer.span(
                         f"map-{task_index}", "task"
                     ) as task_span:
-                        partitions, task_counters = runner.run(
+                        encoded, task_counters = runner.run(
                             f"map-{task_index}", map_attempt, parent=task_span
                         )
                     obs.events.emit(
@@ -138,25 +138,14 @@ class LocalEngine(Engine):
                         )
                     counters.merge(task_counters)
                     obs.counters.merge_counters(task_counters)
-                    # Round-trip every partition through the wire codec —
-                    # the sequential stand-in for a publish/fetch pair,
-                    # with identical byte accounting to the concurrent
-                    # engines (the oracle proves the codec is lossless on
-                    # every app's key space).
-                    encoded = {
-                        index: encode_record_batches(part, self._wire)
-                        for index, part in partitions.items()
-                    }
                     account_batches(
                         obs.counters,
                         [b for bs in encoded.values() for b in bs],
                     )
-                    partitions = {
-                        index: decode_batches(bs, self._wire)
-                        for index, bs in encoded.items()
-                    }
-                    for index, part in partitions.items():
-                        per_reducer_outputs[index].append(part)
+                    for index, batches in encoded.items():
+                        per_reducer_outputs[index].append(
+                            decode_batches(batches, self._wire)
+                        )
                     counters.increment("map.tasks")
                     obs.counters.increment("map.tasks")
                     if first_done is None:

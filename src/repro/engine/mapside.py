@@ -195,15 +195,6 @@ class MapOutputBuffer:
         runs = [self._read_run(path) for path in self._spills]
         return heapq.merge(*runs, iter(self._records), key=_RUN_ORDER)
 
-    def all_partitions(self) -> dict[int, list[Record]]:
-        """Materialise every partition (convenience for the engines)."""
-        partitions: dict[int, list[Record]] = {
-            p: [] for p in range(self.num_partitions)
-        }
-        for partition, key, value in self.merged():
-            partitions[partition].append(Record(key, value))
-        return partitions
-
     def _read_run(self, path: str) -> Iterator[tuple[int, Key, Value]]:
         with open(path, "rb") as fh:
             for records in read_frames(fh):

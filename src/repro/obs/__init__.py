@@ -8,7 +8,7 @@ produce diffable artifacts:
   (records mapped/combined/shuffled/reduced, bytes spilled, task
   attempts/retries, partial-store builds/resets);
 - :class:`Tracer` / :class:`Span` — nestable spans (job → stage → task →
-  attempt) generalising :class:`~repro.engine.instrument.TaskEvent`;
+  attempt → op), the one timeline format of engines and simulator;
 - :class:`MetricsRegistry` / :class:`TimeSeries` — sampled gauges
   (buffer depth, store bytes, in-flight fetches, records/sec) on a
   wall-clock ticker for live engines and virtual-time hooks for the

@@ -1,8 +1,8 @@
 """Span-based tracing: nestable intervals for jobs, stages, tasks, attempts.
 
-A :class:`Span` generalises :class:`~repro.engine.instrument.TaskEvent`
-with an identity, a parent and free-form attributes, so one schema covers
-the whole execution hierarchy::
+A :class:`Span` is one interval with an identity, a parent and
+free-form attributes, so one schema covers the whole execution
+hierarchy::
 
     job > stage > task > attempt | op
 

@@ -32,8 +32,7 @@ import math
 from dataclasses import dataclass, field
 
 from repro.core.types import ExecutionMode, StageTimes
-from repro.engine.instrument import TaskLog
-from repro.obs import JobObservability
+from repro.obs import JobObservability, Tracer
 from repro.sim.cluster import ClusterSpec, NodeSpec
 from repro.sim.dfs import (
     DistributedFileSystem,
@@ -159,7 +158,9 @@ class SimJobResult:
     failure_time: float | None
     failure_reason: str | None
     stage_times: StageTimes
-    task_log: TaskLog
+    #: The run's span tree at virtual times (job → map stage → map tasks,
+    #: reduce stage → tasks → attempts → ops): the Figure 4 record.
+    tracer: Tracer
     map_finish_times: list[float]
     reducers: list[ReducerTrace]
     locality: LocalityStats = field(default_factory=LocalityStats)
@@ -245,9 +246,14 @@ class HadoopSimulator:
     def _simulate_map_stage(
         self,
         profile: JobProfile,
-        task_log: TaskLog,
         failure: "NodeFailure | None" = None,
-    ) -> tuple[list[float], LocalityStats, int, dict[str, int]]:
+    ) -> tuple[
+        list[tuple[str, float, float]],
+        list[float],
+        LocalityStats,
+        int,
+        dict[str, int],
+    ]:
         """Run map tasks on per-node slots with HDFS chunk locality.
 
         The job input is placed on the DFS (one chunk per map task); each
@@ -258,8 +264,11 @@ class HadoopSimulator:
         its in-flight map tasks are lost AND its *completed* tasks must
         re-execute (map output lives on the failed node's local disk —
         the write-local design the paper builds on), all on the surviving
-        nodes.  Returns (sorted finish times, locality stats, number of
-        re-executed tasks).
+        nodes.  Returns (completed map intervals, sorted finish times,
+        locality stats, number of re-executed tasks, speculation stats).
+        The intervals are ``(task, start, end)`` ordered by time, one per
+        attempt that finished first, including those whose output the
+        failure later lost; the finish times cover surviving outputs only.
         """
         sim = Simulator()
         cluster = self.cluster
@@ -276,6 +285,7 @@ class HadoopSimulator:
         remote_read_rate = cluster.shuffle_mb_s
         dead: set[int] = set()
         completed: dict[int, tuple[int, float]] = {}  # chunk -> (node, time)
+        intervals: list[tuple[str, float, float]] = []
         running: dict[int, set[int]] = {n.node_id: set() for n in nodes}
         epoch: dict[int, int] = {n.node_id: 0 for n in nodes}
         reexecuted = 0
@@ -356,7 +366,7 @@ class HadoopSimulator:
                 if speculative:
                     spec_stats["wins"] += 1
                 completed[chunk_id] = (node.node_id, sim.now)
-                task_log.record("map", f"map-{chunk_id}", start, sim.now)
+                intervals.append((f"map-{chunk_id}", start, sim.now))
                 start_next_on(node)
 
             sim.schedule(duration, finish)
@@ -402,7 +412,8 @@ class HadoopSimulator:
                     start_next_on(node)
         sim.run()
         finish_times = sorted(t for _node, t in completed.values())
-        return finish_times, locality, reexecuted, spec_stats
+        intervals.sort(key=lambda task: (task[1], task[2]))
+        return intervals, finish_times, locality, reexecuted, spec_stats
 
     # -------------------------------------------------------------- reducers
 
@@ -589,9 +600,8 @@ class HadoopSimulator:
             raise ValueError(f"no reducer {reducer_failure.reducer_id}")
         if technique is None:
             technique = MemoryTechnique()
-        task_log = TaskLog()
-        map_finish_times, locality, reexecuted, spec_stats = (
-            self._simulate_map_stage(profile, task_log, failure)
+        map_tasks, map_finish_times, locality, reexecuted, spec_stats = (
+            self._simulate_map_stage(profile, failure)
         )
         dead_nodes = {failure.node_id} if failure is not None else set()
 
@@ -795,37 +805,6 @@ class HadoopSimulator:
                 # earliest finisher frees the first slot.
                 wave_start[wave + 1] = min(t.finish for t in wave_traces)
 
-        for trace in reducers:
-            if mode is ExecutionMode.BARRIER:
-                task_log.record(
-                    "shuffle", f"shuffle-{trace.reducer_id}", trace.start,
-                    trace.shuffle_done,
-                )
-                task_log.record(
-                    "sort", f"sort-{trace.reducer_id}", trace.shuffle_done,
-                    trace.sort_done,
-                )
-                task_log.record(
-                    "reduce", f"reduce-{trace.reducer_id}", trace.sort_done,
-                    trace.finish,
-                )
-            else:
-                # A reducer killed mid-pipeline (OOM) ends before its
-                # shuffle would have completed; clamp the boundary.
-                boundary = min(max(trace.start, trace.shuffle_done), trace.finish)
-                task_log.record(
-                    "shuffle+reduce",
-                    f"shuffle+reduce-{trace.reducer_id}",
-                    trace.start,
-                    boundary,
-                )
-                task_log.record(
-                    "output",
-                    f"output-{trace.reducer_id}",
-                    boundary,
-                    trace.finish,
-                )
-
         completion = (
             failure_time
             if failed and failure_time is not None
@@ -848,7 +827,7 @@ class HadoopSimulator:
             failure_time=failure_time if failed else None,
             failure_reason=failure_reason if failed else None,
             stage_times=stage_times,
-            task_log=task_log,
+            tracer=Tracer(),
             map_finish_times=map_finish_times,
             reducers=reducers,
             locality=locality,
@@ -865,50 +844,45 @@ class HadoopSimulator:
             checkpoint_mb=checkpoint_mb,
             checkpoint_schedule=sorted(checkpoint_schedule),
         )
+        self._record_spans(profile, mode, result, map_tasks, result.tracer)
         if obs is not None and obs.enabled:
-            self._export_observability(profile, mode, result, obs)
+            self._record_spans(profile, mode, result, map_tasks, obs.tracer)
+            self._export_observability(profile, mode, result, map_tasks, obs)
         return result
 
-    def _export_observability(
+    def _record_spans(
         self,
         profile: JobProfile,
         mode: ExecutionMode,
         result: SimJobResult,
-        obs: JobObservability,
+        map_tasks: list[tuple[str, float, float]],
+        tracer: Tracer,
     ) -> None:
-        """Mirror one simulated execution into an observability bundle.
+        """Record one simulated execution's span tree into ``tracer``.
 
         Spans carry *virtual* times via :meth:`~repro.obs.Tracer.record`
         but use the same job → stage → task (→ op) hierarchy and the same
-        counter names as the real engines.
+        stage names as the real engines.
         """
-        tracer = obs.tracer
         reducers = result.reducers
-        map_events = result.task_log.events("map")
         job_end = max(
             result.completion_time,
             max((t.finish for t in reducers), default=0.0),
-            max((e.end for e in map_events), default=0.0),
+            max((end for _task, _start, end in map_tasks), default=0.0),
         )
         job_span = tracer.record(
             profile.name, "job", 0.0, job_end, mode=mode.value, engine="sim"
         )
-        if map_events:
+        if map_tasks:
             map_stage = tracer.record(
                 "map",
                 "stage",
-                min(e.start for e in map_events),
-                max(e.end for e in map_events),
+                min(start for _task, start, _end in map_tasks),
+                max(end for _task, _start, end in map_tasks),
                 parent=job_span,
             )
-            for event in map_events:
-                tracer.record(
-                    event.task_id,
-                    "task",
-                    event.start,
-                    event.end,
-                    parent=map_stage,
-                )
+            for task, start, end in map_tasks:
+                tracer.record(task, "task", start, end, parent=map_stage)
         if reducers:
             # Aborted attempts started before their restarts; the stage
             # span must cover them for the nesting invariant to hold.
@@ -962,6 +936,8 @@ class HadoopSimulator:
                         parent=task_span,
                     )
                 else:
+                    # A reducer killed mid-pipeline (OOM) ends before its
+                    # shuffle would have completed; clamp the boundary.
                     boundary = min(
                         max(trace.start, trace.shuffle_done), trace.finish
                     )
@@ -973,6 +949,21 @@ class HadoopSimulator:
                         "output", "op", boundary, trace.finish,
                         parent=task_span,
                     )
+
+    def _export_observability(
+        self,
+        profile: JobProfile,
+        mode: ExecutionMode,
+        result: SimJobResult,
+        map_tasks: list[tuple[str, float, float]],
+        obs: JobObservability,
+    ) -> None:
+        """Mirror one simulated execution's counters, events and series.
+
+        Same names as the real engines; the spans come from
+        :meth:`_record_spans`.
+        """
+        reducers = result.reducers
         counters = obs.counters
         maps_completed = len(result.map_finish_times)
         counters.increment("map.tasks", maps_completed)
@@ -1037,7 +1028,7 @@ class HadoopSimulator:
         counters.increment(
             "sim.disk.checkpoint_mb", int(round(result.checkpoint_mb))
         )
-        self._export_events(result, obs)
+        self._export_events(result, map_tasks, obs)
         self._export_metrics(
             mode,
             result,
@@ -1047,7 +1038,10 @@ class HadoopSimulator:
         )
 
     def _export_events(
-        self, result: SimJobResult, obs: JobObservability
+        self,
+        result: SimJobResult,
+        map_tasks: list[tuple[str, float, float]],
+        obs: JobObservability,
     ) -> None:
         """Mirror the simulated occurrences into the structured event log.
 
@@ -1056,13 +1050,10 @@ class HadoopSimulator:
         a measured one.
         """
         events = obs.events
-        for event in result.task_log.events("map"):
+        for task, start, end in map_tasks:
+            events.record("task.start", start, task=task, stage="map")
             events.record(
-                "task.start", event.start, task=event.task_id, stage="map"
-            )
-            events.record(
-                "task.finish", event.end, task=event.task_id, stage="map",
-                status="ok",
+                "task.finish", end, task=task, stage="map", status="ok"
             )
         restarted_ids = {t.reducer_id for t in result.aborted_reducers}
         for trace in result.reducers:

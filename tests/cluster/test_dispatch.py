@@ -465,7 +465,7 @@ def test_lease_expires_on_tick_from_receipt_times(oracle):
 def test_malformed_frame_does_not_kill_dispatcher(oracle):
     # One bad frame (here: a gen that fails int()) used to raise out of
     # the lone dispatcher thread, hanging every active and future job.
-    # It must be counted and dropped.
+    # It must be counted and dropped, and its traceback logged.
     rig = Rig(oracle)
     rig.step("worker-dead", {"worker": "w0", "gen": "bogus"})
     assert rig.counter("cluster.dispatch.errors") == 1
@@ -475,6 +475,16 @@ def test_malformed_frame_does_not_kill_dispatcher(oracle):
                           "worker": "w0"})
     assert rig.counter("cluster.dispatch.errors") == 2
     assert "dispatcher error" in str(rig.conclusions["job-1"][1])
+    first, second = (
+        event.attrs for event in rig.obs.events.events("cluster.dispatch.error")
+    )
+    assert first["message"] == "worker-dead" and first["job"] is None
+    assert first["error"] == "ValueError" and "bogus" in first["detail"]
+    assert second["message"] == "map-done" and second["job"] == "job-1"
+    for attrs in (first, second):
+        assert attrs["traceback"].startswith("Traceback (most recent call last)")
+        assert f"{attrs['error']}: {attrs['detail']}" in attrs["traceback"]
+        assert "_route" in attrs["traceback"]
     rig.submit("job-2")
     rig.run()
     assert rig.result("job-2").output == oracle

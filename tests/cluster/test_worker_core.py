@@ -29,11 +29,11 @@ from repro.cluster.shuffle import ShuffleStore
 from repro.cluster.worker_core import WorkerCore, done, failed, preempted
 from repro.core.job import split_input
 from repro.core.types import Counters, ExecutionMode
-from repro.dfs.wire import WireConfig, decode_batches, encode_record_batches
+from repro.dfs.wire import WireConfig, decode_batches
 from repro.engine.base import (
     barrier_merge_sort,
     interleave_arrival,
-    run_map_task_partitioned,
+    run_map_task_encoded,
     run_reduce_task,
 )
 from repro.engine.local import LocalEngine
@@ -574,13 +574,9 @@ class SimWorker:
     def start_map(self, job_id, mapper, epoch, grant, fail):
         job = self.jobs[job_id]["job"]
         counters = Counters()
-        partitions = run_map_task_partitioned(
-            job, pickle.loads(grant["split"]), counters, wire=WIRE
-        )
-        self.store.publish(job_id, mapper, epoch, {
-            reducer: encode_record_batches(partitions.get(reducer, []), WIRE)
-            for reducer in range(job.num_reducers)
-        })
+        self.store.publish(job_id, mapper, epoch, run_map_task_encoded(
+            job, pickle.loads(grant["split"]), counters, WIRE
+        ))
         self.core.task_finished(
             job_id, "map", mapper, epoch, done(counters=counters.as_dict())
         )

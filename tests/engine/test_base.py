@@ -69,7 +69,7 @@ class TestApplyCombiner:
 
 
 class TestPartitionRecords:
-    def test_all_partitions_present(self):
+    def test_every_partition_present(self):
         partitions = partition_records(_wc_spec(), [])
         assert set(partitions) == {0, 1, 2}
 

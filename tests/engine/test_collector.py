@@ -1,13 +1,14 @@
 """Serialise at collect: the one-pass map side against the three-pass oracle.
 
-``run_map_task_encoded`` is the map side of every engine that publishes
-frames (threaded, cluster, streaming).  ``LocalEngine`` and stagebench's
-walk keep the public three-pass composition — ``run_map_task``, then
+``run_map_task_encoded`` is the map side of every engine (local,
+threaded, cluster, streaming).  The codec-free reference and stagebench's
+walk compose the public functions — ``run_map_task``, then
 ``partition_records``, then ``encode_record_batches`` — and this file
-pins the collector to it frame for frame and counter for counter, pins
-where frames are cut, and pins what the hash-partition memo may and may
-not remember.  ``make mapside`` runs it with ``test_mapside.py`` and the
-wire golden digest.
+pins the collector to that composition frame for frame and counter for
+counter (a spilling job: to its output sorted by key), pins where frames
+are cut, and pins what the hash-partition memo may and may not remember.
+``make mapside`` runs it with ``test_mapside.py`` and the wire golden
+digest.
 """
 
 from __future__ import annotations
@@ -29,12 +30,7 @@ from repro.core.job import split_input
 from repro.core.types import Counters, ExecutionMode, Record, default_partition
 from repro.dfs.wire import WireConfig, decode_batches, encode_record_batches
 from repro.engine import mapside
-from repro.engine.base import (
-    partition_records,
-    run_map_task,
-    run_map_task_encoded,
-    run_map_task_partitioned,
-)
+from repro.engine.base import partition_records, run_map_task, run_map_task_encoded
 from repro.engine.local import LocalEngine
 from repro.engine.mapside import MapOutputCollector
 from repro.engine.recovery import FetchFaultInjector, MapOutputService
@@ -59,12 +55,17 @@ def _stream_digests(batches: dict[int, list]) -> dict[int, tuple[int, str]]:
     }
 
 
-def _assert_same_as_three_pass(job, pairs, three_pass, wire=WIRE) -> None:
+def _three_pass(job, split, counters) -> dict[int, list[Record]]:
+    """The codec-free map side: map, then partition the record list."""
+    return partition_records(job, run_map_task(job, split, counters))
+
+
+def _assert_same_as_three_pass(job, pairs, wire=WIRE) -> None:
     for split in split_input(pairs, NUM_MAPS):
         want_counters, got_counters = Counters(), Counters()
         want = {
             reducer: encode_record_batches(part, wire)
-            for reducer, part in three_pass(job, split, want_counters).items()
+            for reducer, part in _three_pass(job, split, want_counters).items()
         }
         got = run_map_task_encoded(job, split, got_counters, wire)
         assert _stream_digests(got) == _stream_digests(want)
@@ -81,19 +82,14 @@ def _assert_same_as_three_pass(job, pairs, three_pass, wire=WIRE) -> None:
 @pytest.mark.parametrize("app", APPS)
 def test_every_app_publishes_the_three_pass_frames(app, mode):
     job, pairs = demo_job_and_input(app, mode, records=1200, num_maps=NUM_MAPS)
-    _assert_same_as_three_pass(
-        job, pairs,
-        lambda job, split, counters: partition_records(
-            job, run_map_task(job, split, counters)
-        ),
-    )
+    _assert_same_as_three_pass(job, pairs)
 
 
 def test_combiner_output_feeds_the_same_collector():
     job = wordcount.make_job(ExecutionMode.BARRIER, num_reducers=3)
     job.combiner_factory = lambda: FunctionCombiner(lambda a, b: a + b)
     pairs = generate_documents(12, words_per_doc=40, vocab_size=30, seed=3)
-    _assert_same_as_three_pass(job, pairs, run_map_task_partitioned)
+    _assert_same_as_three_pass(job, pairs)
     counters = Counters()
     run_map_task_encoded(job, pairs, counters, WIRE)
     assert 0 < counters.get("combine.output_records") < counters.get(
@@ -113,14 +109,23 @@ def test_sort_and_spill_buffer_feeds_the_same_collector(tmp_path, wire):
     pairs = generate_documents(12, words_per_doc=40, vocab_size=30, seed=3)
     for split in split_input(pairs, NUM_MAPS):
         want_counters, got_counters = Counters(), Counters()
-        parts = run_map_task_partitioned(job, split, want_counters, wire)
+        parts = _three_pass(job, split, want_counters)
         got = run_map_task_encoded(job, split, got_counters, wire)
+        # The spill merge is the in-memory output, stably sorted by key.
         assert got == {
-            reducer: encode_record_batches(part, wire)
+            reducer: encode_record_batches(
+                sorted(part, key=lambda record: record.key), wire
+            )
             for reducer, part in parts.items()
         }
-        assert got_counters.as_dict() == want_counters.as_dict()
-        assert got_counters.get("map.output_spills") > 0
+        counted = got_counters.as_dict()
+        spills = {
+            name: counted.pop(name)
+            for name in list(counted)
+            if name.startswith(("map.output_spills", "map.spill_bytes"))
+        }
+        assert counted == want_counters.as_dict()
+        assert spills["map.output_spills"] > 0
     assert list(tmp_path.iterdir()) == []
 
 
@@ -301,7 +306,7 @@ def test_cluster_map_reexecution_publishes_the_first_epochs_frames():
     grant = {"split": pickle.dumps(split)}
     expected = {
         reducer: encode_record_batches(part, WIRE)
-        for reducer, part in run_map_task_partitioned(job, split, Counters()).items()
+        for reducer, part in _three_pass(job, split, Counters()).items()
     }
     want = Counters()
     run_map_task(job, split, want)

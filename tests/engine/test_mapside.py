@@ -10,17 +10,29 @@ from repro.apps import wordcount
 from repro.core.api import Mapper, Reducer
 from repro.core.job import JobSpec, MemoryConfig
 from repro.core.types import Counters, ExecutionMode, default_partition
-from repro.dfs.wire import WireConfig
-from repro.engine.base import run_map_task_partitioned
+from repro.dfs.wire import WireConfig, decode_batches
+from repro.engine.base import partition_records, run_map_task, run_map_task_encoded
 from repro.engine.local import LocalEngine
 from repro.engine import mapside
-from repro.engine.mapside import MapOutputBuffer
+from repro.engine.mapside import MapOutputBuffer, MapOutputCollector
 from repro.memory.spill import MERGE_FAN_IN
 from repro.workloads.text import generate_documents
 
 
 def make_buffer(partitions=3, buffer_bytes=1 << 20):
     return MapOutputBuffer(partitions, default_partition, buffer_bytes)
+
+
+def published(buffer: MapOutputBuffer) -> dict[int, list]:
+    """Every partition's records, as the map task's collector publishes
+    the buffer's merge: ``{partition: [Record, ...]}``, all present."""
+    collector = MapOutputCollector(buffer.num_partitions, default_partition)
+    for entry in buffer.merged():
+        collector.add(*entry)
+    return {
+        partition: decode_batches(stream, WireConfig())
+        for partition, stream in collector.finish().items()
+    }
 
 
 class TestMapOutputBuffer:
@@ -48,7 +60,7 @@ class TestMapOutputBuffer:
             buffer.collect(key, i)
             expected[default_partition(key, 4)].append(key)
         total = 0
-        for partition, records in buffer.all_partitions().items():
+        for partition, records in published(buffer).items():
             keys = [record.key for record in records]
             assert keys == sorted(keys), partition
             assert sorted(keys) == sorted(expected[partition])
@@ -60,7 +72,7 @@ class TestMapOutputBuffer:
         buffer = make_buffer(partitions=5, buffer_bytes=300)
         for i in range(60):
             buffer.collect("hot", i)
-        partitions = buffer.all_partitions()
+        partitions = published(buffer)
         assert sorted(partitions) == list(range(5))
         non_empty = [p for p, records in partitions.items() if records]
         assert len(non_empty) == 1
@@ -73,7 +85,7 @@ class TestMapOutputBuffer:
         buffer = MapOutputBuffer(2, lambda key, n: 7, 1 << 20)
         buffer.collect("k", 1)
         with pytest.raises(LookupError):
-            buffer.all_partitions()
+            published(buffer)
         buffer.close()
 
     def test_rejects_bad_config(self):
@@ -119,17 +131,22 @@ class TestEngineIntegration:
         assert result.output_as_dict() == wordcount.reference_output(corpus)
         assert result.counters.get("map.output_spills") > 0
 
-    def test_run_map_task_partitioned_matches_in_memory(self, corpus):
+    def test_spilled_map_task_matches_in_memory(self, corpus):
         job_memory = wordcount.make_job(ExecutionMode.BARRIER, num_reducers=3)
         job_spill = wordcount.make_job(ExecutionMode.BARRIER, num_reducers=3)
         job_spill.map_output_buffer_bytes = 1024
         split = corpus[:5]
-        in_memory = run_map_task_partitioned(job_memory, split, Counters())
-        spilled = run_map_task_partitioned(job_spill, split, Counters())
+        counters = Counters()
+        in_memory = partition_records(
+            job_memory, run_map_task(job_memory, split, Counters())
+        )
+        spilled = run_map_task_encoded(job_spill, split, counters)
+        assert counters.get("map.output_spills") > 0
         for partition in range(3):
-            assert sorted(
-                (r.key, r.value) for r in in_memory[partition]
-            ) == sorted((r.key, r.value) for r in spilled[partition])
+            # The merge is key-sorted and keeps emission order in a key.
+            assert decode_batches(spilled[partition], WireConfig()) == sorted(
+                in_memory[partition], key=lambda record: record.key
+            )
 
     def test_validation_rejects_nonpositive_buffer(self):
         job = wordcount.make_job(ExecutionMode.BARRIER)
@@ -227,8 +244,8 @@ class TestSpillCleanup:
             memory=MemoryConfig(spill_dir=str(tmp_path)),
         )
         with pytest.raises(RuntimeError, match="after spilling"):
-            run_map_task_partitioned(
-                job, [(k, "v") for k in range(5)], Counters(), wire=wire
+            run_map_task_encoded(
+                job, [(k, "v") for k in range(5)], Counters(), wire
             )
         assert list(tmp_path.iterdir()) == []
 
@@ -238,11 +255,9 @@ class TestSpillCleanup:
         job.map_output_buffer_bytes = 512
         job.memory = MemoryConfig(spill_dir=str(tmp_path))
         counters = Counters()
-        partitions = run_map_task_partitioned(
-            job, corpus, counters, wire=WireConfig()
-        )
+        partitions = run_map_task_encoded(job, corpus, counters, WireConfig())
         assert counters.get("map.output_spills") > 0
-        assert sum(len(records) for records in partitions.values()) > 0
+        assert sum(len(batch) for s in partitions.values() for batch in s) > 0
         assert list(tmp_path.iterdir()) == []
 
 
@@ -269,7 +284,7 @@ class TestWireSpillCodec:
         assert buffer.raw_bytes_spilled > 0
         assert buffer.wire_bytes_spilled > 0
         total = 0
-        for partition, records in buffer.all_partitions().items():
+        for partition, records in published(buffer).items():
             keys = [record.key for record in records]
             assert keys == sorted(keys)
             assert sorted(keys) == sorted(expected[partition])
@@ -280,7 +295,7 @@ class TestWireSpillCodec:
 
 
 class TestOnePassMerge:
-    """``all_partitions`` reads every run once, never too many at a time."""
+    """The final merge reads every run once, never too many at a time."""
 
     @pytest.fixture
     def opened(self, monkeypatch):
@@ -320,7 +335,7 @@ class TestOnePassMerge:
                 buffer.collect(key, value)
             runs = list(buffer._spills)
             assert 30 <= len(runs) == buffer.spill_count < MERGE_FAN_IN
-            got = buffer.all_partitions()
+            got = published(buffer)
         assert sorted(path for path, _handle in opened) == sorted(runs)
         assert all(handle.closed for _path, handle in opened)
         assert {
@@ -340,7 +355,7 @@ class TestOnePassMerge:
             counters = Counters()
             buffer.count_spills(counters)
             assert counters.get("map.output_spills") == len(entries)
-            got = buffer.all_partitions()
+            got = published(buffer)
             assert self.peak <= MERGE_FAN_IN
         assert {
             p: [(r.key, r.value) for r in records] for p, records in got.items()

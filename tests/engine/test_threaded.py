@@ -45,7 +45,7 @@ class TestThreadedEngine:
     # The stage record of a real run is its trace: task spans per map and
     # reduce task, the attempt's phases as op spans under them.
 
-    def test_task_log_records_stages_barrier(self, small_corpus):
+    def test_trace_records_stages_barrier(self, small_corpus):
         engine = ThreadedEngine(map_slots=2)
         engine.run(
             wordcount.make_job(ExecutionMode.BARRIER, num_reducers=2),
@@ -60,7 +60,7 @@ class TestThreadedEngine:
         assert {"shuffle", "sort", "reduce"} <= set(ops)
         assert ops.count("reduce") == 2
 
-    def test_task_log_records_stages_barrierless(self, small_corpus):
+    def test_trace_records_stages_barrierless(self, small_corpus):
         engine = ThreadedEngine(map_slots=2)
         engine.run(
             wordcount.make_job(ExecutionMode.BARRIERLESS, num_reducers=2),

@@ -86,6 +86,19 @@ def test_record_rejects_negative_duration_and_bad_kind():
         tracer.open("x", "banana")
 
 
+def test_record_rejects_negative_duration():
+    tracer = Tracer()
+    with pytest.raises(ValueError):
+        tracer.record("m1", "task", 10.0, 5.0)
+    assert len(tracer) == 0
+
+
+def test_record_allows_zero_duration():
+    tracer = Tracer()
+    span = tracer.record("m1", "task", 5.0, 5.0)
+    assert (span.start, span.end, span.duration) == (5.0, 5.0, 0.0)
+
+
 def test_disabled_tracer_yields_none_and_records_nothing():
     tracer = Tracer(enabled=False)
     with tracer.span("job", "job") as span:
@@ -125,6 +138,29 @@ def test_spans_sorted_and_queryable():
     assert [span.name for span in tracer.roots()] == ["job"]
     assert tracer.find("a")[0].start == 1.0
     assert tracer.makespan() == 9.0
+
+
+def test_spans_filter_by_kind():
+    tracer = Tracer()
+    tracer.record("m1", "task", 0.0, 2.0)
+    tracer.record("reduce", "stage", 2.0, 5.0)
+    assert len(tracer.spans()) == 2
+    assert [span.name for span in tracer.spans(kind="task")] == ["m1"]
+
+
+def test_spans_sorted_by_start():
+    tracer = Tracer()
+    tracer.record("late", "task", 5.0, 6.0)
+    tracer.record("early", "task", 1.0, 2.0)
+    assert [span.name for span in tracer.spans()] == ["early", "late"]
+
+
+def test_makespan_is_latest_end():
+    tracer = Tracer()
+    assert tracer.makespan() == 0.0
+    tracer.record("m1", "task", 0.0, 7.5)
+    tracer.record("m2", "task", 1.0, 3.0)
+    assert tracer.makespan() == 7.5
 
 
 def test_kind_depth_covers_full_hierarchy():

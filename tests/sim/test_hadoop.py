@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import pytest
 
+from repro.analysis.timeline import stage_spans
 from repro.core.types import ExecutionMode
 from repro.sim.cluster import ClusterSpec
 from repro.sim.hadoop import HadoopSimulator, MemoryTechnique, improvement_percent
@@ -22,11 +23,14 @@ def sim() -> HadoopSimulator:
 
 class TestMapStage:
     def test_map_count_matches_profile(self, sim):
-        result = sim.run(wordcount_profile(2.0), 10, ExecutionMode.BARRIER)
-        assert len(result.map_finish_times) == wordcount_profile(2.0).num_maps
-        assert len(result.task_log.events("map")) == result.task_log.events(
-            "map"
-        ).__len__()
+        profile = wordcount_profile(2.0)
+        result = sim.run(profile, 10, ExecutionMode.BARRIER)
+        assert len(result.map_finish_times) == profile.num_maps
+        # One map task span per input chunk, each chunk exactly once.
+        maps = stage_spans(result.tracer, "map")
+        assert sorted(span.name for span in maps) == sorted(
+            f"map-{chunk}" for chunk in range(profile.num_maps)
+        )
 
     def test_map_waves_when_tasks_exceed_slots(self, sim):
         # 16 GB = 256 maps on 60 slots: last map ends well after the first.
@@ -59,13 +63,13 @@ class TestStageOrdering:
 
     def test_barrier_has_sort_stage(self, sim):
         result = sim.run(wordcount_profile(2.0), 10, ExecutionMode.BARRIER)
-        assert result.task_log.events("sort")
+        assert stage_spans(result.tracer, "sort")
         assert result.stage_times.sort_done > result.stage_times.shuffle_done
 
     def test_barrierless_has_no_sort_stage(self, sim):
         result = sim.run(wordcount_profile(2.0), 10, ExecutionMode.BARRIERLESS)
-        assert not result.task_log.events("sort")
-        assert result.task_log.events("shuffle+reduce")
+        assert not stage_spans(result.tracer, "sort")
+        assert stage_spans(result.tracer, "shuffle+reduce")
 
     def test_reduce_cannot_finish_before_last_map(self, sim):
         for mode in ExecutionMode:
