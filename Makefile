@@ -1,6 +1,6 @@
 # Convenience targets for the reproduction workflow.
 
-.PHONY: install test codec store mapside fold timeline stagebench-smoke bench-figures chaos cluster \
+.PHONY: install test cli codec store mapside fold timeline stagebench-smoke bench-figures chaos cluster \
 	cluster-trace netchaos server preempt figures csv scoreboard examples \
 	trace-demo all clean
 
@@ -9,6 +9,23 @@ install:
 
 test:
 	pytest tests/
+
+# The CLI end to end, as CI's cli job runs it: the command rows (every
+# subcommand's --help, bad input as a usage error, chaos, top, submit and
+# jobs against an in-process server), then a real `repro serve` on
+# CLI_PORT: submit --wait, jobs, and a SIGTERM that must drain and exit 0.
+CLI_PORT ?= 7391
+
+cli:
+	pytest tests/test_cli.py tests/obs/test_cli_trace.py -q -p no:cacheprovider
+	set -e; log=$$(mktemp); \
+	python -u -m repro.cli serve --port $(CLI_PORT) > $$log 2>&1 & pid=$$!; \
+	trap 'kill $$pid 2>/dev/null || true; rm -f $$log' EXIT; \
+	for _ in $$(seq 100); do grep -q '^job server on' $$log && break; sleep 0.1; done; \
+	python -m repro.cli submit wc --server 127.0.0.1:$(CLI_PORT) --records 200 --wait; \
+	python -m repro.cli jobs --server 127.0.0.1:$(CLI_PORT); \
+	kill -TERM $$pid; status=0; wait $$pid || status=$$?; cat $$log; \
+	test $$status -eq 0; grep -q '^drained: ' $$log
 
 # The codec's contract in one command: unit tests, the byte-identity
 # digest, the fuzz suite, the no-pickle import guard and every app's

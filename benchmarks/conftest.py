@@ -31,6 +31,17 @@ def emit(text: str) -> None:
         print("\n" + text, flush=True)
 
 
+def emit_timed(benchmark, render) -> None:
+    """``emit(render(mean seconds per round))`` when the bench was timed.
+
+    Under ``--benchmark-disable`` each bench body runs once untimed and
+    ``benchmark.stats`` is ``None``, so there is nothing to report; the
+    bench's own asserts still run.
+    """
+    if benchmark.stats is not None:
+        emit(render(benchmark.stats.stats.mean))
+
+
 @pytest.fixture(scope="session")
 def testbed():
     """The paper's simulated cluster (shared across benches)."""

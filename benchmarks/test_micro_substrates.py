@@ -13,7 +13,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from benchmarks.conftest import emit
+from benchmarks.conftest import emit_timed
 from repro.memory.kvstore import SpillingKVStore
 from repro.memory.spill import SpillMergeStore
 from repro.memory.store import TreeMapStore
@@ -38,8 +38,7 @@ def test_treemap_insert(benchmark):
 
     tree = benchmark(insert_all)
     assert len(tree) == len(set(keys))
-    rate = N_KEYS / benchmark.stats.stats.mean
-    emit(f"TreeMap inserts: {rate:,.0f} ops/s")
+    emit_timed(benchmark, lambda mean: f"TreeMap inserts: {N_KEYS / mean:,.0f} ops/s")
 
 
 def test_builtin_sort_baseline(benchmark):
@@ -48,10 +47,11 @@ def test_builtin_sort_baseline(benchmark):
     keys = _keys()
     result = benchmark(lambda: sorted(keys))
     assert len(result) == N_KEYS
-    emit(
-        f"builtin sort of {N_KEYS} keys: "
-        f"{benchmark.stats.stats.mean * 1e3:.2f} ms per run "
-        "(red-black insertion above is the slower mechanism, as §6.1.1 found)"
+    emit_timed(
+        benchmark,
+        lambda mean: f"builtin sort of {N_KEYS} keys: "
+        f"{mean * 1e3:.2f} ms per run "
+        "(red-black insertion above is the slower mechanism, as §6.1.1 found)",
     )
 
 
@@ -74,10 +74,10 @@ def test_spillmerge_insert_and_drain(benchmark):
 
     drained, spills = benchmark(insert_and_drain)
     assert drained == 20_000 and spills >= 2
-    rate = 20_000 / benchmark.stats.stats.mean
-    emit(
-        f"SpillMergeStore insert+drain, 20,000 distinct keys at 256 KiB "
-        f"({spills} runs): {rate:,.0f} ops/s"
+    emit_timed(
+        benchmark,
+        lambda mean: f"SpillMergeStore insert+drain, 20,000 distinct keys at "
+        f"256 KiB ({spills} runs): {20_000 / mean:,.0f} ops/s",
     )
 
 
@@ -92,8 +92,10 @@ def test_treemapstore_fold(benchmark):
 
     store = benchmark(fold)
     assert len(store) == len(set(keys))
-    rate = N_KEYS / benchmark.stats.stats.mean
-    emit(f"TreeMapStore read-modify-update: {rate:,.0f} ops/s")
+    emit_timed(
+        benchmark,
+        lambda mean: f"TreeMapStore read-modify-update: {N_KEYS / mean:,.0f} ops/s",
+    )
 
 
 def test_spillmerge_fold(benchmark):
@@ -110,8 +112,10 @@ def test_spillmerge_fold(benchmark):
 
     merged = benchmark(fold)
     assert merged == len(set(keys))
-    rate = N_KEYS / benchmark.stats.stats.mean
-    emit(f"SpillMergeStore fold+merge: {rate:,.0f} ops/s")
+    emit_timed(
+        benchmark,
+        lambda mean: f"SpillMergeStore fold+merge: {N_KEYS / mean:,.0f} ops/s",
+    )
 
 
 def test_kvstore_read_modify_update(benchmark):
@@ -128,10 +132,10 @@ def test_kvstore_read_modify_update(benchmark):
 
     total = benchmark(fold)
     assert total == len(set(keys))
-    rate = N_KEYS / benchmark.stats.stats.mean
-    emit(
-        f"SpillingKVStore read-modify-update: {rate:,.0f} ops/s "
-        "(paper measured ~30,000 inserts/s for BerkeleyDB JE)"
+    emit_timed(
+        benchmark,
+        lambda mean: f"SpillingKVStore read-modify-update: {N_KEYS / mean:,.0f} "
+        "ops/s (paper measured ~30,000 inserts/s for BerkeleyDB JE)",
     )
 
 
@@ -173,8 +177,11 @@ def test_map_side_collector_vs_three_pass(benchmark, app, records, path):
     published = benchmark(lambda: [run_split(split) for split in splits])
     emitted = sum(len(b) for out in published for s in out.values() for b in s)
     assert emitted == records
-    rate = emitted / benchmark.stats.stats.mean
-    emit(f"map side, {path}, {emitted:,} {app} records: {rate:,.0f} ops/s")
+    emit_timed(
+        benchmark,
+        lambda mean: f"map side, {path}, {emitted:,} {app} records: "
+        f"{emitted / mean:,.0f} ops/s",
+    )
 
 
 def test_engine_pipelining_overhead(benchmark, testbed):

@@ -15,6 +15,7 @@ from typing import Sequence
 from repro.analysis.loc import table_2
 from repro.analysis.stats import five_number_summary
 from repro.analysis.sweeps import (
+    MAPPER_SWEPT,
     MemorySweepPoint,
     SweepPoint,
     figure6_series,
@@ -121,7 +122,7 @@ def export_all(directory: str) -> list[str]:
     written: list[str] = []
 
     for app, series in figure6_series().items():
-        x = "mappers" if app in ("ga", "bs") else "input_gb"
+        x = "mappers" if app in MAPPER_SWEPT else "input_gb"
         written.append(
             write_sweep_csv(os.path.join(directory, f"fig6_{app}.csv"), x, series)
         )

@@ -110,19 +110,34 @@ def mapper_sweep(
     return points
 
 
+#: Figure 6's panels, keyed by the paper's abbreviations: each app's
+#: profile builder and the x values it is swept over — input GB, or
+#: mapper count for the :data:`MAPPER_SWEPT` apps.
+FIGURE6_PANELS: dict[str, tuple[Callable, Sequence[float]]] = {
+    "sort": (sort_profile, SIZE_SWEEP_GB),
+    "wc": (wordcount_profile, SIZE_SWEEP_GB),
+    "knn": (knn_profile, SIZE_SWEEP_GB),
+    "pp": (lastfm_profile, SIZE_SWEEP_GB),
+    "ga": (genetic_profile, GA_MAPPER_SWEEP),
+    "bs": (blackscholes_profile, BS_MAPPER_SWEEP),
+}
+#: The Figure 6 apps swept over mapper count instead of input size.
+MAPPER_SWEPT: tuple[str, ...] = ("ga", "bs")
+
+
+def figure6_reducers(app: str, num_reducers: int = 40) -> int:
+    """Reducers a Figure 6 app runs with: Black-Scholes folds one global
+    aggregate, so it always runs a single reducer."""
+    return 1 if app == "bs" else num_reducers
+
+
 def figure6_series(cluster: ClusterSpec | None = None) -> dict[str, list[SweepPoint]]:
     """All six Figure 6 panels, keyed by the paper's abbreviations."""
     return {
-        "sort": size_sweep(sort_profile, cluster=cluster),
-        "wc": size_sweep(wordcount_profile, cluster=cluster),
-        "knn": size_sweep(knn_profile, cluster=cluster),
-        "pp": size_sweep(lastfm_profile, cluster=cluster),
-        "ga": mapper_sweep(
-            genetic_profile, GA_MAPPER_SWEEP, num_reducers=40, cluster=cluster
-        ),
-        "bs": mapper_sweep(
-            blackscholes_profile, BS_MAPPER_SWEEP, num_reducers=1, cluster=cluster
-        ),
+        app: (mapper_sweep if app in MAPPER_SWEPT else size_sweep)(
+            build, xs, figure6_reducers(app), cluster
+        )
+        for app, (build, xs) in FIGURE6_PANELS.items()
     }
 
 

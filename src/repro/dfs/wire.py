@@ -65,8 +65,8 @@ BATCHES_COUNTER = "shuffle.batches"
 
 @dataclass(frozen=True)
 class WireConfig:
-    """Knobs for the wire format: where frames are cut, whether they are
-    deflated, and how many bytes a fetch stream may have in flight.
+    """Knobs for the wire format: where frames are cut and whether they
+    are deflated.
 
     There is no "off": wherever a ``wire`` argument is ``None`` it means
     ``WireConfig()``.
@@ -76,7 +76,6 @@ class WireConfig:
     max_batch_bytes: int = 64 * 1024
     compress: bool = True
     compress_min_bytes: int = 64
-    max_inflight_bytes: int = 1 << 20
 
     def __post_init__(self) -> None:
         if self.max_batch_records <= 0:
@@ -85,8 +84,6 @@ class WireConfig:
             raise ValueError("max_batch_bytes must be positive")
         if self.compress_min_bytes < 0:
             raise ValueError("compress_min_bytes must be non-negative")
-        if self.max_inflight_bytes <= 0:
-            raise ValueError("max_inflight_bytes must be positive")
 
 
 @dataclass(frozen=True)

@@ -169,6 +169,11 @@ class RunInstruments:
         )
 
 
+#: Bytes of decoded batches a reduce attempt's fetch streams may have
+#: waiting for the reduce thread before they block (the flow-control window).
+MAX_INFLIGHT_BYTES = 1 << 20
+
+
 class FlowController:
     """Size-based flow control for in-flight shuffle batches.
 
@@ -457,8 +462,8 @@ def run_pipelined_reduce_attempt(
     store_token = None
 
     # Size-based flow control: fetch threads block once the decoded
-    # batches waiting in the shared buffer exceed the wire window.
-    flow = FlowController(wire.max_inflight_bytes)
+    # batches waiting in the shared buffer exceed MAX_INFLIGHT_BYTES.
+    flow = FlowController(MAX_INFLIGHT_BYTES)
 
     local_counters = Counters()
     reducer = prepare_reducer(job)

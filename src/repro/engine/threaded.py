@@ -104,20 +104,16 @@ class ThreadedEngine(Engine):
         obs: JobObservability | None = None,
         fetch_injector: FetchFaultInjector | None = None,
         recovery: RecoveryConfig | None = None,
-        metrics_interval_s: float = 0.01,
         wire: WireConfig | None = None,
     ) -> None:
         if map_slots <= 0:
             raise ValueError("map_slots must be positive")
-        if metrics_interval_s <= 0:
-            raise ValueError("metrics_interval_s must be positive")
         self.map_slots = map_slots
         self._fault_injector = fault_injector
         self._max_attempts = max_attempts
         self.obs = obs if obs is not None else JobObservability()
         self._fetch_injector = fetch_injector
         self._recovery = recovery if recovery is not None else RecoveryConfig()
-        self.metrics_interval_s = metrics_interval_s
         self._wire = wire if wire is not None else WireConfig()
 
     def run(
@@ -164,7 +160,7 @@ class ThreadedEngine(Engine):
         # same names at virtual times).
         inst = RunInstruments()
         inst.register(obs)
-        ticker = MetricsTicker(obs.metrics, interval_s=self.metrics_interval_s)
+        ticker = MetricsTicker(obs.metrics)
 
         map_done_times: list[float] = []
         map_done_lock = threading.Lock()

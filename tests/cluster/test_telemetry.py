@@ -278,7 +278,7 @@ def test_status_verb_matches_local_snapshot(runtime):
 
 
 def test_status_renders_as_dashboard(runtime):
-    from repro.cli import _render_cluster_status
+    from repro.cli.server import _render_cluster_status
 
     job, pairs = _demo("wc")
     runtime.run_job(job, pairs, num_maps=NUM_MAPS)
