@@ -102,11 +102,18 @@ class ReduceContext:
     def write(self, key: Key, value: Value) -> None:
         """Write one final output record."""
         self._written.append(Record(key, value))
-        self.counters.increment("reduce.output_records")
 
     def drain(self) -> list[Record]:
-        """Remove and return all records written so far."""
+        """Remove and return all records written so far.
+
+        ``reduce.output_records`` is added here, once per drain, not per
+        ``write`` — the way a sink-backed :class:`MapContext` leaves
+        ``map.output_records`` to its owner.  A task that wrote nothing
+        leaves the counter absent.
+        """
         out = self._written
+        if out:
+            self.counters.increment("reduce.output_records", len(out))
         self._written = []
         return out
 

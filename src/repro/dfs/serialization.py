@@ -118,8 +118,10 @@ def _encode_side(obj: Any) -> bytes:
     """One half of a pair: ``encode(obj)``, one container level down.
 
     An *exact* ``str`` or ``int`` is put together from the pre-built
-    heads.  Dispatch is on ``type(obj) is ...``, so ``bool``, ``IntEnum``
-    and ``str`` subclasses never match and, like every other shape, go
+    heads; a positive int of two or three varint bytes (below 2**21, the
+    widths :func:`decode_pairs` reads in line) is built byte by byte.
+    Dispatch is on ``type(obj) is ...``, so ``bool``, ``IntEnum`` and
+    ``str`` subclasses never match and, like every other shape, go
     through the general encoder as they always have.
     """
     kind = type(obj)
@@ -130,9 +132,18 @@ def _encode_side(obj: Any) -> bytes:
             return _SHORT_STR_HEAD[length] + payload
         return _STR_TAG + encode_varint(length) + payload
     if kind is int:
-        if 0 <= obj < 0x80:
-            return _SMALL_INT[obj]
-        if obj > 0:
+        if obj >= 0:
+            if obj < 0x80:
+                return _SMALL_INT[obj]
+            if obj < 0x4000:
+                return bytes((_INT_POS, obj & 0x7F | 0x80, obj >> 7))
+            if obj < 0x200000:
+                return bytes((
+                    _INT_POS,
+                    obj & 0x7F | 0x80,
+                    obj >> 7 & 0x7F | 0x80,
+                    obj >> 14,
+                ))
             return _INT_POS_TAG + encode_varint(obj)
         return _INT_NEG_TAG + encode_varint(-obj)
     out = bytearray()

@@ -54,7 +54,7 @@ def deep_size(obj: Any, _depth: int = 0) -> int:
 #: Exact types :func:`deep_size` sizes with one ``sys.getsizeof`` and no
 #: recursion.  Subclasses are excluded on purpose: a ``str`` subclass may
 #: define ``__sizeof__`` and must keep going through ``shallow_size``.
-_FLAT_TYPES = frozenset(
+FLAT_TYPES = frozenset(
     (type(None), bool, int, float, complex, str, bytes, bytearray)
 )
 
@@ -65,12 +65,15 @@ def entry_size(key: Any, value: Any) -> int:
     Always ``ENTRY_OVERHEAD_BYTES + deep_size(key) + deep_size(value)``;
     flat scalars — nearly every key and most aggregation partials — take
     a shortcut to the same number, so spill points do not move.
+    :meth:`SpillMergeStore.put <repro.memory.spill.SpillMergeStore.put>`
+    writes this expression out in line; ``tests/memory/test_spill.py``
+    pins the two to each other.
     """
     getsizeof = sys.getsizeof
     return (
         ENTRY_OVERHEAD_BYTES
-        + (getsizeof(key) if type(key) in _FLAT_TYPES else deep_size(key))
-        + (getsizeof(value) if type(value) in _FLAT_TYPES else deep_size(value))
+        + (getsizeof(key) if type(key) in FLAT_TYPES else deep_size(key))
+        + (getsizeof(value) if type(value) in FLAT_TYPES else deep_size(value))
     )
 
 

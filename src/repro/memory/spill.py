@@ -26,10 +26,12 @@ descriptors however small the threshold is against the data.
 
 from __future__ import annotations
 
-import heapq
 import os
 import tempfile
-from operator import itemgetter
+from bisect import bisect_right
+from itertools import islice
+from operator import eq, itemgetter
+from sys import getsizeof
 from typing import Any, Callable, Iterable, Iterator
 
 from repro.core.partial import MergeFunction
@@ -42,7 +44,12 @@ from repro.memory.checkpoint import (
     write_checkpoint,
 )
 from repro.dfs.wire import write_batch
-from repro.memory.estimator import MemoryTracker, entry_size
+from repro.memory.estimator import (
+    ENTRY_OVERHEAD_BYTES,
+    FLAT_TYPES,
+    MemoryTracker,
+    deep_size,
+)
 
 #: Most sorted runs a store keeps, and so the most files one merge opens.
 #: Hadoop's ``io.sort.factor`` plays this role; it is a constant here
@@ -53,15 +60,17 @@ _MISSING = object()
 _KEY = itemgetter(0)
 
 
-def _read_run(path: str) -> Iterator[tuple[Key, Value]]:
-    """Stream one wire-framed run file; the file is open only while read.
+def _read_run(path: str) -> Iterator[list[tuple[Key, Value]]]:
+    """Stream one wire-framed run file as its non-empty decoded frames;
+    the file is open only while read.
 
     Closing the generator (or abandoning it to an exception) leaves the
     ``with`` and releases the descriptor.
     """
     with open(path, "rb") as fh:
         for entries in read_entry_frames(fh):
-            yield from entries
+            if entries:
+                yield entries
 
 
 class SpillMergeStore:
@@ -144,8 +153,23 @@ class SpillMergeStore:
         if self._finalized:
             raise RuntimeError("store already finalized")
         self._checked_out.discard(key)
-        new_cost = entry_size(key, value)
-        old_cost = self._sizes.get(key, 0)
+        # ``entry_size(key, value)`` written out, one call fewer per
+        # write-back; ``tests/memory/test_spill.py`` pins the two together.
+        new_cost = (
+            ENTRY_OVERHEAD_BYTES
+            + (getsizeof(key) if type(key) in FLAT_TYPES else deep_size(key))
+            + (
+                getsizeof(value)
+                if type(value) in FLAT_TYPES
+                else deep_size(value)
+            )
+        )
+        sizes = self._sizes
+        old_cost = sizes.get(key, 0)
+        tracker = self._tracker
+        # ``used`` is always the sum of ``_sizes``, so it never drops
+        # below ``old_cost`` and needs no floor here.
+        used = tracker.used + new_cost - old_cost
         # Spill *before* inserting: the entry being written must survive in
         # the buffer so the reducer's read-modify-update cycle can read it
         # back on the next fold.  (Spilling it away mid-cycle would hand
@@ -153,21 +177,20 @@ class SpillMergeStore:
         # version of this key must NOT reach the spill file: the incoming
         # value replaces it, and merging both at the end would double-count
         # everything the old partial already folded in.
-        if self._tracker.used + new_cost - old_cost >= self._threshold:
+        if used >= self._threshold:
             if old_cost:
                 del self._buffer[key]
-                del self._sizes[key]
-                self._tracker.discharge(old_cost)
+                del sizes[key]
+                tracker.discharge(old_cost)
             self._spill()
-            old_cost = 0
+            used = tracker.used + new_cost
         self._buffer[key] = value
-        self._sizes[key] = new_cost
-        if new_cost >= old_cost:
-            self._tracker.charge(new_cost - old_cost)
-        else:
-            self._tracker.discharge(old_cost - new_cost)
+        sizes[key] = new_cost
+        tracker.used = used
+        if used > tracker.peak:
+            tracker.peak = used
         if self._on_sample is not None:
-            self._on_sample(self._tracker.used)
+            self._on_sample(used)
 
     def contains(self, key: Key) -> bool:
         return key in self._buffer
@@ -316,35 +339,72 @@ class SpillMergeStore:
         self, buffered: list[tuple[Key, Value]] | None = None
     ) -> Iterator[tuple[Key, Value]]:
         """K-way merge of the runs on disk (then ``buffered``), equal keys
-        merged.
+        merged — the "repeatedly read the globally lowest key" loop of
+        §5.1, a batch at a time.
 
-        Streams are given oldest first and ``heapq.merge`` is stable, so
-        a key's partials reach ``merge_fn`` in the order they were cut.
+        Each source (a run's frames, oldest first, then ``buffered`` as
+        one batch) has one decoded batch in hand.  A source's unread
+        batches hold only keys above its batch's last key, so nothing
+        unread is at or below the smallest of those last keys: every
+        entry up to it is moved into one chunk, oldest source first, and
+        the chunk is stable-sorted, so a key's partials reach ``merge_fn``
+        in the order they were cut.  Keys are unique within a source, so a
+        chunk drawn from one source, and the tail once one source is
+        left, pass through as they are.
         """
         runs = [_read_run(path) for path in self._spill_paths]
-        streams: list[Iterable[tuple[Key, Value]]] = list(runs)
+        sources: list[Iterator[list[tuple[Key, Value]]]] = list(runs)
         if buffered:
-            streams.append(buffered)
+            sources.append(iter((buffered,)))
+        merge_fn = self._merge_fn
         try:
-            if len(streams) == 1:
-                # One sorted stream holds each key once: nothing to merge.
-                yield from streams[0]
-                return
-            # heapq.merge performs the "repeatedly read the globally lowest
-            # key" loop of §5.1 across all sorted runs.
-            merged = heapq.merge(*streams, key=_KEY)
-            first = next(merged, None)
-            if first is None:
-                return
-            current_key, current_value = first
-            merge_fn = self._merge_fn
-            for key, value in merged:
-                if key == current_key:
-                    current_value = merge_fn(current_value, value)
-                else:
-                    yield current_key, current_value
-                    current_key, current_value = key, value
-            yield current_key, current_value
+            # [batch, first unread index, source] per source with entries left.
+            heads = []
+            for source in sources:
+                batch = next(source, None)
+                if batch is not None:
+                    heads.append([batch, 0, source])
+            while len(heads) > 1:
+                bound = min([head[0][-1][0] for head in heads])
+                chunk: list[tuple[Key, Value]] = []
+                parts = 0
+                for head in heads:
+                    batch, start, source = head
+                    if bound < batch[-1][0]:
+                        stop = bisect_right(batch, bound, start, key=_KEY)
+                        if stop == start:
+                            continue
+                        chunk += batch[start:stop]
+                        head[1] = stop
+                    else:
+                        chunk += batch[start:] if start else batch
+                        head[0] = next(source, None)
+                        head[1] = 0
+                    parts += 1
+                heads = [head for head in heads if head[0] is not None]
+                if parts == 1:
+                    yield from chunk
+                    continue
+                chunk.sort(key=_KEY)
+                keys = list(map(_KEY, chunk))
+                # Sorting's distinct keys leave nothing to fold: one C
+                # pass proves it and skips the per-entry loop below.
+                if not any(map(eq, keys, islice(keys, 1, None))):
+                    yield from chunk
+                    continue
+                key, value = chunk[0]
+                for next_key, next_value in islice(chunk, 1, None):
+                    if next_key == key:
+                        value = merge_fn(value, next_value)
+                    else:
+                        yield key, value
+                        key, value = next_key, next_value
+                yield key, value
+            if heads:
+                batch, start, source = heads[0]
+                yield from islice(batch, start, None)
+                for batch in source:
+                    yield from batch
         finally:
             # Deterministic descriptor release even when the merge is
             # abandoned mid-stream (closing a generator is idempotent).

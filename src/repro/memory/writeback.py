@@ -70,6 +70,7 @@ class WriteBackStore:
         self._cache: dict[Key, Value] = {}
         self._dirty: set[Key] = set()
         self._check_in = getattr(inner, "check_in", None)
+        self._inner_get = inner.get
 
     # -- PartialResultStore protocol ----------------------------------------
 
@@ -77,14 +78,20 @@ class WriteBackStore:
         # A miss reads through, not ``inner.contains``: the reducer's
         # next call is ``get`` for the same key, and one lookup in the
         # store can serve both.
-        return key in self._cache or self.get(key, _MISSING) is not _MISSING
+        cache = self._cache
+        if key in cache:
+            return True
+        value = self._inner_get(key, _MISSING)
+        if value is _MISSING:
+            return False
+        cache[key] = value
+        return True
 
     def get(self, key: Key, default: Value = None) -> Value:
-        try:
-            return self._cache[key]
-        except KeyError:
-            pass
-        value = self._inner.get(key, _MISSING)
+        value = self._cache.get(key, _MISSING)
+        if value is not _MISSING:
+            return value
+        value = self._inner_get(key, _MISSING)
         if value is _MISSING:
             return default
         self._cache[key] = value

@@ -14,7 +14,9 @@ from repro.core.api import (
     Reducer,
     group_sorted_records,
 )
-from repro.core.types import Record
+from repro.apps import sortapp
+from repro.core.types import Counters, ExecutionMode, Record
+from repro.engine.base import run_reduce_task
 
 
 class TestMapContext:
@@ -61,6 +63,37 @@ class TestReduceContext:
         ctx.write("k", 9)
         assert ctx.drain() == [Record("k", 9)]
         assert ctx.counters.get("reduce.output_records") == 1
+
+    def test_output_records_are_counted_once_per_drain(self):
+        ctx = ReduceContext([])
+        for i in range(5):
+            ctx.write("k", i)
+        # Counted when the task hands its output over, not per write.
+        assert "reduce.output_records" not in ctx.counters.values
+        assert len(ctx.drain()) == 5
+        ctx.write("k", 5)
+        ctx.drain()
+        assert ctx.counters.get("reduce.output_records") == 6
+
+    def test_a_task_that_wrote_nothing_leaves_the_counter_absent(self):
+        ctx = ReduceContext([])
+        assert ctx.drain() == []
+        assert ctx.counters.values == {}
+
+
+@pytest.mark.parametrize("mode", list(ExecutionMode))
+@pytest.mark.parametrize("records", [0, 1, 37])
+def test_reduce_task_counts_what_it_wrote(mode, records):
+    job = sortapp.make_job(mode, num_reducers=1)
+    counters = Counters()
+    out = run_reduce_task(
+        job, [Record(k % 7, k % 7) for k in range(records)], counters
+    )
+    assert len(out) == records
+    if records:
+        assert counters.get("reduce.output_records") == records
+    else:
+        assert "reduce.output_records" not in counters.values
 
 
 class TestGrouping:

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import enum
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -10,10 +12,13 @@ from repro.dfs.serialization import (
     MAX_DEPTH,
     SerializationError,
     decode,
+    decode_pairs,
     decode_varint,
     encode,
+    encode_pair,
     encode_varint,
 )
+from repro.dfs.wire import entry_pair
 
 
 class TestVarint:
@@ -140,6 +145,53 @@ class TestEncodeDecode:
             b"\x0a\x02" + encode(nan_a) + encode("first")
             + encode(nan_b) + encode("second")
         )
+
+
+class _Level(enum.IntEnum):
+    HIGH = 300
+
+
+#: Every width edge of the in-line int paths on both codec sides (one,
+#: two and three varint bytes, then the general encoder up to the 77-bit
+#: cap), negatives, and the int subclasses that must not take them.
+_BOUNDARY_INTS = [
+    0, 127, 128, 16383, 16384, 2**21 - 1, 2**21, 2**28, 2**77 - 1,
+    -1, -128, True, _Level.HIGH,
+]
+
+
+class TestPairBoundaries:
+    """Deterministic rows for ``encode_pair`` / ``decode_pairs`` at the
+    exact edges hypothesis need not draw."""
+
+    @pytest.mark.parametrize("other", [5, "word", 2**21 - 1])
+    @pytest.mark.parametrize("value", _BOUNDARY_INTS, ids=repr)
+    def test_either_side_matches_the_general_encoder(self, value, other):
+        for key, val in ((value, other), (other, value)):
+            payload = encode_pair(key, val)
+            assert payload == encode((key, val))
+            assert decode_pairs(payload, entry_pair) == [(key, val)]
+            assert decode_pairs(payload * 2, entry_pair) == [(key, val)] * 2
+
+    def test_widths(self):
+        # The key's tag plus one, two, three, then four varint bytes (the
+        # pair head and the value take four).
+        edges = (127, 128, 16383, 16384, 2**21 - 1, 2**21)
+        widths = [len(encode_pair(v, 0)) - 4 for v in edges]
+        assert widths == [2, 3, 3, 4, 4, 5]
+
+    def test_bool_and_int_enum_keep_their_general_encoding(self):
+        assert encode_pair(True, 0)[2] == 0x02  # _TRUE, not an int tag
+        assert encode_pair(_Level.HIGH, 0) == encode((300, 0))
+
+    @pytest.mark.parametrize("wide", [2**77, -(2**77)])
+    def test_past_77_bits_still_raises(self, wide):
+        with pytest.raises(SerializationError):
+            encode_pair(wide, 0)
+        with pytest.raises(SerializationError):
+            encode_pair(0, wide)
+        with pytest.raises(SerializationError):
+            encode((wide, 0))
 
 
 # Recursive value strategy matching the supported shapes.

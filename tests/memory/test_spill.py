@@ -3,12 +3,19 @@
 from __future__ import annotations
 
 import os
+import random
 import resource
+import tempfile
+from operator import itemgetter
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from repro.dfs.wire import WireConfig
+from repro.memory import checkpoint
+from repro.memory.checkpoint import read_checkpoint
+from repro.memory.estimator import entry_size
 from repro.memory.spill import MERGE_FAN_IN, SpillMergeStore
 from repro.memory.store import TreeMapStore
 from tests.fdutil import open_fd_count
@@ -357,3 +364,141 @@ class TestBoundedMergeFanIn:
         assert dict(fresh.items()) == {key: 8 for key in range(50)}
         spill.close()
         fresh.close()
+
+
+class TestPutAccounting:
+    """``put`` writes :func:`entry_size` out in line; the two must agree."""
+
+    @pytest.mark.parametrize(
+        "key, value",
+        [
+            (7, 1),
+            (2**70, -3),
+            ("word", 1.5),
+            (b"raw", None),
+            (True, "x" * 300),
+            ("k", (1, "two", [3.0])),
+            (("a", 1), frozenset({1, 2})),
+            ("k", {"n": [1, 2]}),
+        ],
+        ids=repr,
+    )
+    def test_charge_is_entry_size(self, key, value):
+        store = SpillMergeStore(add, spill_threshold_bytes=1 << 20)
+        store.put(key, value)
+        assert store._sizes[key] == store.memory_used() == entry_size(key, value)
+        store.put(key, 0)  # a replacement charges the difference
+        assert store.memory_used() == entry_size(key, 0)
+        assert store.peak_memory == max(entry_size(key, value), entry_size(key, 0))
+        store.close()
+
+    def test_used_is_the_sum_of_the_buffered_sizes(self):
+        rng = random.Random(3)
+        samples = []
+        store = SpillMergeStore(
+            add, spill_threshold_bytes=700, on_sample=samples.append
+        )
+        peak = 0
+        for _ in range(500):
+            key = rng.randrange(30)
+            store.put(key, store.get(key, 0) + rng.choice((1, 2**40)))
+            used = sum(store._sizes.values())
+            peak = max(peak, used)
+            assert store.memory_used() == used == samples[-1]
+        assert store.num_spill_files > 3 and store.peak_memory == peak
+        store.close()
+
+
+def _concat(a, b):
+    """Tuple concatenation: not commutative, so it pins the fold order."""
+    return a + b
+
+
+def _reference_merge(sources):
+    """Concatenate the sources oldest first, stable-sort, fold equal keys."""
+    out = []
+    for key, value in sorted(
+        (entry for source in sources for entry in source), key=itemgetter(0)
+    ):
+        if out and out[-1][0] == key:
+            out[-1] = (key, _concat(out[-1][1], value))
+        else:
+            out.append((key, value))
+    return out
+
+
+def _store_with_runs(runs, buffered, frame_records):
+    """A store holding ``runs`` as sorted runs on disk, oldest first,
+    framed ``frame_records`` entries a batch, and ``buffered`` in memory."""
+    store = SpillMergeStore(_concat, spill_threshold_bytes=1 << 30)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(
+            checkpoint, "STORE_WIRE", WireConfig(max_batch_records=frame_records)
+        )
+        for index, run in enumerate(runs):
+            store._add_run(os.path.join(store._dir, f"run-{index:05d}"), run)
+    for key, value in buffered:
+        store.put(key, value)
+    return store
+
+
+def _runs(draw_keys):
+    """Sources of unique sorted keys, each value naming its source."""
+    return [
+        [(key, (index,)) for key in sorted(set(keys))]
+        for index, keys in enumerate(draw_keys)
+    ]
+
+
+_keys = st.lists(st.integers(0, 24), max_size=20)
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    run_keys=st.lists(_keys, max_size=6),
+    buffered_keys=_keys,
+    frame_records=st.integers(1, 4),
+)
+# Batch boundaries sharing a last key: frames [0, 1] [2, 3] and [2, 3] [5].
+@example(run_keys=[[0, 1, 2, 3], [2, 3, 5]], buffered_keys=[3, 4], frame_records=2)
+# One stream: a run alone, the buffer alone, nothing at all.
+@example(run_keys=[[4, 1, 9]], buffered_keys=[], frame_records=2)
+@example(run_keys=[], buffered_keys=[4, 1, 9], frame_records=2)
+@example(run_keys=[], buffered_keys=[], frame_records=1)
+def test_property_batchwise_merge_equals_the_reference(
+    run_keys, buffered_keys, frame_records
+):
+    runs = _runs(run_keys)
+    buffered = [(key, ("buffer",)) for key in sorted(set(buffered_keys))]
+    expected = _reference_merge(runs + [buffered])
+    store = _store_with_runs(runs, buffered, frame_records)
+    try:
+        with tempfile.TemporaryDirectory() as directory:
+            store.checkpoint(directory)
+            assert read_checkpoint(directory)[1] == expected
+        store.finalize()
+        assert list(store.items()) == expected
+        assert list(store.items()) == expected  # merging reads, never moves
+    finally:
+        store.close()
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_batchwise_merge_after_compaction_equals_the_reference(seed):
+    """More runs than :data:`MERGE_FAN_IN`: the merge that folds them into
+    one, and the final merge over that run and the rest, keep each key's
+    partials oldest to newest."""
+    rng = random.Random(seed)
+    run_keys = [
+        rng.sample(range(60), rng.randrange(1, 12))
+        for _ in range(MERGE_FAN_IN + 6)
+    ]
+    runs = _runs(run_keys)
+    buffered = [(key, ("buffer",)) for key in sorted(rng.sample(range(60), 9))]
+    store = _store_with_runs(runs, buffered, frame_records=3)
+    try:
+        assert store.compactions == 1 and len(store._spill_paths) == 7
+        store.finalize()
+        assert list(store.items()) == _reference_merge(runs + [buffered])
+    finally:
+        store.close()

@@ -259,3 +259,35 @@ def test_check_in_waits_for_the_dirty_write_backs():
     assert merged["hot"] == 8 and merged["cold"] == 1
     assert sum(merged.values()) == 49
     inner.close()
+
+
+@pytest.mark.parametrize("kind", sorted(STORE_FACTORIES))
+@pytest.mark.parametrize("partial", [None, 0, False, []], ids=repr)
+def test_a_falsy_partial_in_the_store_is_found(kind, partial):
+    inner = STORE_FACTORIES[kind]()
+    inner.put("k", partial)
+    try:
+        backed = WriteBackStore(inner)
+        assert backed.contains("k")
+        assert backed.get("k", "dflt") == partial
+        assert type(backed.get("k", "dflt")) is type(partial)
+        fresh = WriteBackStore(inner)  # get first, then contains
+        assert fresh.get("k", "dflt") == partial and fresh.contains("k")
+    finally:
+        _close(inner)
+
+
+def test_a_miss_caches_and_checks_out_nothing():
+    inner = SpillMergeStore(add, spill_threshold_bytes=1 << 20)
+    inner.put("present", 1)
+    backed = WriteBackStore(inner)
+    assert not backed.contains("absent")
+    assert backed.get("absent", "dflt") == "dflt"
+    assert backed.get("absent") is None
+    assert backed._cache == {} and not inner._checked_out
+    # A hit is cached and, in the spill store, checked out until written.
+    assert backed.contains("present")
+    assert backed._cache == {"present": 1} and inner._checked_out == {"present"}
+    backed.flush()
+    assert backed._cache == {} and not inner._checked_out
+    inner.close()
