@@ -39,23 +39,26 @@ codec:
 		--hypothesis-profile=ci
 
 # The partial-result stores' contract in one command: tests/memory with
-# the spill store's golden runs (same spill points, same bytes as the
-# tree-buffer store they were computed on) and the write-back-over-spill
-# state machine, as CI's store job runs them.  Run it before and after
-# any change to memory/spill.py, memory/writeback.py or memory/checkpoint.py.
+# the spill store's golden runs (same spill points, same bytes as when
+# its buffer was a red-black tree), the in-memory store's pinned wc
+# checkpoint digest (taken on the tree it replaced) and the
+# write-back-over-spill state machine, as CI's store job runs them.  Run
+# it before and after any change to memory/spill.py, memory/store.py,
+# memory/writeback.py or memory/checkpoint.py.
 store:
 	pytest tests/memory -q -p no:cacheprovider --hypothesis-profile=ci
 
 # The map side's contract in one command: the sort-and-spill buffer, the
 # collector every engine maps through against the codec-free three-pass
 # composition (frames, cut points, counters, what the partition memo may
-# remember) and the wire golden digest, as CI's mapside job runs them.
-# Run it before and after any change to engine/mapside.py or
-# run_map_task_encoded.
+# remember), the codec rows it builds frames from (a remembered key's
+# pair head plus each value) and the wire golden digest, as CI's mapside
+# job runs them.  Run it before and after any change to engine/mapside.py,
+# run_map_task_encoded or the pair encoder in dfs/serialization.py.
 mapside:
 	pytest tests/engine/test_mapside.py tests/engine/test_collector.py \
-		tests/dfs/test_wire_golden.py -q -p no:cacheprovider \
-		--hypothesis-profile=ci
+		tests/dfs/test_serialization.py tests/dfs/test_wire_golden.py -q \
+		-p no:cacheprovider --hypothesis-profile=ci
 
 # The barrier-less fold's contract in one command: the fold ledger
 # killed at every batch boundary, grouped input against the ungrouped

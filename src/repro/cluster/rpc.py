@@ -18,10 +18,15 @@ into ``bytes`` fields, keeping the framing layer pickle-free.
 
 Socket reads are hang-proof by construction: the 4-byte length prefix is
 read first and validated against :data:`MAX_MESSAGE_BYTES` before any
-allocation, so an oversized or garbage prefix raises immediately; a
-connection that dies mid-frame raises :class:`RpcError` (EOF) or
-``socket.timeout`` rather than blocking forever, because every receive
-runs under the socket's configured timeout.
+allocation, so an oversized or garbage prefix raises immediately.  The
+prefix lies outside the frame's CRC, so before waiting for the payload
+the reader also takes the shortest legal frame's worth of bytes and
+checks the prefix against the length the frame's own header gives: a
+corrupted prefix raises :class:`RpcError` at once instead of waiting
+for bytes that were never sent.  A connection that dies mid-frame
+raises :class:`RpcError` (EOF) or ``socket.timeout`` rather than
+blocking forever, because every receive runs under the socket's
+configured timeout.
 """
 
 from __future__ import annotations
@@ -32,7 +37,7 @@ from typing import Any
 
 from repro.core.types import Record
 from repro.dfs.serialization import SerializationError
-from repro.dfs.wire import WireConfig, decode_frame, encode_frame
+from repro.dfs.wire import WireConfig, decode_frame, encode_frame, frame_size
 
 __all__ = [
     "MAX_MESSAGE_BYTES",
@@ -51,6 +56,11 @@ __all__ = [
 MAX_MESSAGE_BYTES = 32 * 1024 * 1024
 
 _LENGTH_BYTES = 4
+
+#: The shortest legal frame: flags, one-byte count and payload-length
+#: varints, an empty payload and the CRC.  A message frame (one record,
+#: at most :data:`MAX_MESSAGE_BYTES`) has its whole header in these.
+_MIN_FRAME_BYTES = 7
 
 #: The protocol vocabulary.  Control plane: worker lifecycle and task
 #: assignment.  Data plane: the shuffle fetch stream.  Documented per
@@ -203,8 +213,10 @@ def recv_message(
     ``timeout`` (seconds) bounds the whole read; ``None`` keeps the
     socket's current timeout.  Raises :class:`RpcError` on EOF or a
     malformed frame, ``socket.timeout`` on a stall — never hangs past
-    the configured timeout, and never reads a byte of payload before
-    the length prefix has been validated.
+    the configured timeout, and never waits for payload before the
+    length prefix has been checked against the limit and against the
+    frame header.  Every legal frame is at least :data:`_MIN_FRAME_BYTES`
+    long, so reading that much never blocks on a well-formed sender.
     """
     if timeout is not None:
         sock.settimeout(timeout)
@@ -212,7 +224,17 @@ def recv_message(
     (length,) = struct.unpack(">I", prefix)
     if length > MAX_MESSAGE_BYTES:
         raise RpcError(f"message length {length} exceeds limit")
-    return _decode_frame_body(_recv_exact(sock, length))
+    head = _recv_exact(sock, _MIN_FRAME_BYTES)
+    try:
+        framed = frame_size(head)
+    except SerializationError as exc:
+        raise RpcError(f"bad message frame header: {exc}") from exc
+    if framed != length:
+        raise RpcError(
+            f"message length mismatch: prefix says {length}, "
+            f"frame header says {framed}"
+        )
+    return _decode_frame_body(head + _recv_exact(sock, length - len(head)))
 
 
 def close_listener(listener: socket.socket) -> None:

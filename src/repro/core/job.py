@@ -24,8 +24,8 @@ class MemoryConfig:
 
     ``store`` picks the partial-result technique:
 
-    - ``"inmemory"`` — red-black TreeMap held entirely on the heap
-      (Figure 5(a); can OOM).
+    - ``"inmemory"`` — every partial held on the heap in a hash table,
+      sorted once for the final sweep (Figure 5(a); can OOM).
     - ``"spillmerge"`` — disk spill and merge (§5.1, Figure 5(b)): an
       unordered buffer sorted into a run file at each spill, runs merged
       with ``merge_fn`` at the end.

@@ -4,7 +4,7 @@ When the stage barrier is removed, a reducer no longer sees all values for a
 key at once; it must keep a *partial result* per key and fold each incoming
 record into it (§3.2 of the paper).  The store abstraction below is the seam
 between the reduce logic and the memory-management techniques of §5: the
-same reducer code runs against an in-memory red-black tree, a disk
+same reducer code runs against an in-memory store, a disk
 spill-and-merge store, or a disk-spilling key/value store.
 """
 

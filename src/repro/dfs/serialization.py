@@ -114,7 +114,7 @@ def encode(obj: Any) -> bytes:
     return bytes(out)
 
 
-def _encode_side(obj: Any) -> bytes:
+def encode_side(obj: Any) -> bytes:
     """One half of a pair: ``encode(obj)``, one container level down.
 
     An *exact* ``str`` or ``int`` is put together from the pre-built
@@ -155,9 +155,19 @@ def encode_pair(key: Any, value: Any) -> bytes:
     """Exactly ``encode((key, value))`` — the shuffle's per-record encoder.
 
     The tuple head is a constant; word counts, line numbers, text keys
-    and lines take :func:`_encode_side`'s table-driven paths.
+    and lines take :func:`encode_side`'s table-driven paths.  Always
+    ``pair_head(key) + encode_side(value)``, written out in line.
     """
-    return _PAIR_HEAD + _encode_side(key) + _encode_side(value)
+    return _PAIR_HEAD + encode_side(key) + encode_side(value)
+
+
+def pair_head(key: Any) -> bytes:
+    """Everything of ``encode_pair(key, value)`` before the value's bytes.
+
+    A writer that sees one key many times (a map task's collector) keeps
+    this and appends ``encode_side(value)`` per record.
+    """
+    return _PAIR_HEAD + encode_side(key)
 
 
 def _encode_into(obj: Any, out: bytearray, depth: int) -> None:

@@ -157,6 +157,17 @@ def _frame_header(data: bytes, offset: int) -> tuple[int, int, int, int]:
     return flags, count, position, position + payload_len
 
 
+def frame_size(data: bytes, offset: int = 0) -> int:
+    """Length of the frame at ``offset``, CRC included, from its header.
+
+    Reads only the header (raising :class:`SerializationError` if that is
+    malformed or cut short), so a reader handed a length from outside the
+    frame can check it before waiting for the payload.
+    """
+    _flags, _count, _start, stop = _frame_header(data, offset)
+    return stop + _CRC.size - offset
+
+
 def decode_frame(
     data: bytes,
     offset: int = 0,
@@ -323,8 +334,8 @@ def read_frames(
             buffer += fh.read(_READ_BYTES)
             if not buffer:
                 return
-        _flags, _count, _start, stop = _frame_header(buffer, position)
-        while len(buffer) < stop + _CRC.size:
+        end = position + frame_size(buffer, position)
+        while len(buffer) < end:
             block = fh.read(_READ_BYTES)
             if not block:
                 raise SerializationError(

@@ -42,7 +42,7 @@ from repro.core.types import (
     Value,
     default_partition,
 )
-from repro.dfs.serialization import encode_pair
+from repro.dfs.serialization import encode_pair, encode_side, pair_head
 from repro.dfs.wire import (
     WireBatch,
     WireConfig,
@@ -221,10 +221,14 @@ class MapOutputCollector:
     — without the list.
 
     The job's default partitioner is a pure function of ``repr(key)``, a
-    byte-at-a-time hash in Python; for an exact ``str`` key its answer is
-    remembered (at most :data:`PARTITION_MEMO_KEYS` keys a task).  Other
-    key types are never remembered — ``1``, ``1.0`` and ``True`` are one
-    dict key with three reprs — and neither is any other partitioner.
+    byte-at-a-time hash in Python, and a task's keys repeat (a word count
+    emits a few hundred words tens of thousands of times).  So for an
+    exact ``str`` key the collector remembers the partition *and* the
+    key's encoded pair head (:func:`~repro.dfs.serialization.pair_head`),
+    at most :data:`PARTITION_MEMO_KEYS` keys a task, and a repeat costs
+    one value encoding.  Other key types are never remembered — ``1``,
+    ``1.0`` and ``True`` are one dict key with three reprs and three
+    encodings — and neither is any key under another partitioner.
     """
 
     def __init__(
@@ -238,7 +242,8 @@ class MapOutputCollector:
         self._wire = wire if wire is not None else WireConfig()
         self._max_records = self._wire.max_batch_records
         self._max_bytes = self._wire.max_batch_bytes
-        self._memo: dict[str, int] | None = (
+        #: ``{key: (partition, pair head)}`` for exact-``str`` keys.
+        self._memo: dict[str, tuple[int, bytes]] | None = (
             {} if partition_fn is default_partition else None
         )
         self._chunks: list[list[bytes]] = [[] for _ in range(num_partitions)]
@@ -246,22 +251,28 @@ class MapOutputCollector:
         self._sealed: list[list[WireBatch]] = [[] for _ in range(num_partitions)]
 
     def collect(self, key: Key, value: Value) -> None:
-        """Route one emitted record to its partition and :meth:`add` it."""
+        """Route one emitted record to its partition and append it."""
         memo = self._memo
         if memo is None or type(key) is not str:
-            self.add(self._partition_fn(key, self.num_partitions), key, value)
+            self._append(
+                self._partition_fn(key, self.num_partitions),
+                encode_pair(key, value),
+            )
             return
-        partition = memo.get(key)
-        if partition is None:
-            partition = self._partition_fn(key, self.num_partitions)
+        known = memo.get(key)
+        if known is None:
+            known = (self._partition_fn(key, self.num_partitions), pair_head(key))
             if len(memo) < PARTITION_MEMO_KEYS:
-                memo[key] = partition
-        self.add(partition, key, value)
+                memo[key] = known
+        self._append(known[0], known[1] + encode_side(value))
 
     def add(self, partition: int, key: Key, value: Value) -> None:
-        """Append one record to a partition's stream, cutting if it is full."""
+        """Append one record to a partition already chosen for it."""
+        self._append(partition, encode_pair(key, value))
+
+    def _append(self, partition: int, encoded: bytes) -> None:
+        """Add one encoded record to a partition's chunk, cutting if full."""
         chunk = self._chunks[partition]
-        encoded = encode_pair(key, value)
         size = len(encoded)
         if chunk and (
             len(chunk) >= self._max_records

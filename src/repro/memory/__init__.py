@@ -3,8 +3,8 @@
 Three interchangeable :class:`~repro.core.partial.PartialResultStore`
 implementations:
 
-- :class:`TreeMapStore` — everything in a red-black tree on the heap
-  (fast; can OOM — Figure 5(a)).
+- :class:`TreeMapStore` — everything in a hash table on the heap, sorted
+  once where key order is read (fast; can OOM — Figure 5(a)).
 - :class:`SpillMergeStore` — disk spill and merge (§5.1, Figure 5(b)):
   a hash buffer sorted into a run each time it is cut, the runs merged
   at the end.
@@ -20,8 +20,8 @@ All three stores support atomic, CRC-verified ``checkpoint``/``restore``
 (:mod:`repro.memory.checkpoint`) so a restarted reduce attempt can resume
 from its last snapshot instead of refolding the partition from zero.
 
-Plus the building blocks: :class:`TreeMap` (the red-black tree behind
-:class:`TreeMapStore` and Figure 5(a); no other store keeps one), byte
+Plus the building blocks: :class:`TreeMap` (the paper's red-black tree,
+kept as the measured reference for its cost; no store keeps one), byte
 estimation (:mod:`repro.memory.estimator`) and eviction policies
 (:mod:`repro.memory.policies`).
 """

@@ -1,15 +1,27 @@
 """In-memory partial-result store (the Figure 5(a) baseline).
 
-``TreeMapStore`` keeps every partial result in a red-black tree on the
-heap.  It tracks an estimated footprint and, when configured with a heap
-limit, reproduces the paper's failure mode: the store raises
+``TreeMapStore`` keeps every partial result on the heap.  It tracks an
+estimated footprint and, when configured with a heap limit, reproduces
+the paper's failure mode: the store raises
 :class:`ReducerOutOfMemoryError` once the estimate exceeds the limit,
 killing the job exactly as Hadoop's JVM OutOfMemoryError did at 80 seconds
 in Figure 5(a).
+
+The paper's reducer holds its partials in a Java ``TreeMap``; this store
+keeps the name and the key-ordered output but not the tree.  Partials
+live in a hash table and are sorted once (a C timsort) where order is
+consumed — :meth:`~TreeMapStore.items` and
+:meth:`~TreeMapStore.checkpoint` — as
+:class:`~repro.memory.spill.SpillMergeStore`'s buffer does.  A fold
+touches a key far more often than the sweep reads it, so a red-black
+descent per write-back bought nothing the one sort does not.  What
+Figure 5(a) measures, the footprint estimate, is charged per entry
+(:func:`~repro.memory.estimator.entry_size`) either way.
 """
 
 from __future__ import annotations
 
+from operator import itemgetter
 from typing import Any, Callable, Iterator
 
 from repro.core.types import Key, ReducerOutOfMemoryError, Value
@@ -19,17 +31,23 @@ from repro.memory.checkpoint import (
     write_checkpoint,
 )
 from repro.memory.estimator import MemoryTracker, entry_size
-from repro.memory.treemap import TreeMap
+
+_KEY = itemgetter(0)
 
 
 class TreeMapStore:
-    """Partial-result store holding everything in a red-black tree.
+    """Partial-result store holding everything in memory, output in key order.
 
     Implements :class:`repro.core.partial.PartialResultStore`.  A
     ``heap_limit_bytes`` of ``None`` disables the OOM model (tests that only
     care about semantics use that).  ``on_sample`` is an optional callback
     ``(used_bytes) -> None`` invoked after every mutation, which the
     analysis layer uses to collect heap traces.
+
+    Keys must be hashable and mutually comparable.  Nothing compares them
+    until the sort, so keys that cannot be ordered (``1`` and ``"a"``)
+    raise ``TypeError`` at :meth:`items` or :meth:`checkpoint`, not at
+    the ``put`` that brought them in; the task fails either way.
     """
 
     def __init__(
@@ -37,7 +55,7 @@ class TreeMapStore:
         heap_limit_bytes: int | None = None,
         on_sample: Callable[[int], None] | None = None,
     ) -> None:
-        self._tree = TreeMap()
+        self._entries: dict[Key, Value] = {}
         self._tracker = MemoryTracker()
         self._sizes: dict[Key, int] = {}  # charged bytes, for replace accounting
         self._heap_limit = heap_limit_bytes
@@ -46,12 +64,12 @@ class TreeMapStore:
     # -- PartialResultStore protocol ----------------------------------------
 
     def get(self, key: Key, default: Value = None) -> Value:
-        return self._tree.get(key, default)
+        return self._entries.get(key, default)
 
     def put(self, key: Key, value: Value) -> None:
         new_cost = entry_size(key, value)
         old_cost = self._sizes.get(key, 0)
-        self._tree.put(key, value)
+        self._entries[key] = value
         self._sizes[key] = new_cost
         if new_cost >= old_cost:
             self._tracker.charge(new_cost - old_cost)
@@ -62,10 +80,10 @@ class TreeMapStore:
             self._on_sample(self._tracker.used)
 
     def contains(self, key: Key) -> bool:
-        return key in self._tree
+        return key in self._entries
 
     def items(self) -> Iterator[tuple[Key, Value]]:
-        return self._tree.items()
+        return iter(self._sorted())
 
     def finalize(self) -> None:
         """Nothing to merge: everything already lives in memory."""
@@ -74,7 +92,7 @@ class TreeMapStore:
         return self._tracker.used
 
     def __len__(self) -> int:
-        return len(self._tree)
+        return len(self._entries)
 
     # -- extras ----------------------------------------------------------------
 
@@ -85,24 +103,19 @@ class TreeMapStore:
 
     def remove(self, key: Key) -> bool:
         """Drop a key (used by window-style reducers retiring results)."""
-        if not self._tree.remove(key):
+        if key not in self._entries:
             return False
+        del self._entries[key]
         self._tracker.discharge(self._sizes.pop(key, 0))
         if self._on_sample is not None:
             self._on_sample(self._tracker.used)
         return True
 
-    def pop_first(self) -> tuple[Key, Value]:
-        """Remove and return the smallest-key entry (spill drain order)."""
-        key, value = self._tree.pop_first()
-        self._tracker.discharge(self._sizes.pop(key, 0))
-        return key, value
-
     def checkpoint(
         self, directory: str, *, meta: dict[str, Any] | None = None
     ) -> CheckpointStats:
         """Atomically snapshot every entry (see :mod:`repro.memory.checkpoint`)."""
-        return write_checkpoint(directory, self._tree.items(), meta=meta)
+        return write_checkpoint(directory, self._sorted(), meta=meta)
 
     def restore(self, directory: str) -> dict[str, Any]:
         """Load a verified snapshot into this (fresh) store; returns its meta.
@@ -114,6 +127,10 @@ class TreeMapStore:
         for key, value in entries:
             self.put(key, value)
         return meta
+
+    def _sorted(self) -> list[tuple[Key, Value]]:
+        """Every entry in ascending key order: one C sort."""
+        return sorted(self._entries.items(), key=_KEY)
 
     def _check_heap(self) -> None:
         if self._heap_limit is not None and self._tracker.used > self._heap_limit:

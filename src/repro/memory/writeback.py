@@ -2,17 +2,17 @@
 
 A barrier-less reducer touches its store three or four times per record
 (``contains``, an initial ``put``, ``get``, ``put``), and every real
-``put`` pays a size estimate plus the store's own insert (a red-black
-descent in :class:`~repro.memory.store.TreeMapStore`).  Records
-arrive in wire batches, and inside one batch keys repeat — so, following
-the in-node combiner of Lee et al. (PAPERS.md: absorb repeats in a
+``put`` pays a size estimate plus the store's own bookkeeping (heap
+accounting, spill checks, an LRU cache update).  Records arrive in wire
+batches, and inside one batch keys repeat — so, following the in-node
+combiner of Lee et al. (PAPERS.md: absorb repeats in a
 process-local hash map before touching the expensive structure),
 :class:`WriteBackStore` answers a batch's reads and writes from a plain
 dict and writes each dirty key back *once*, through the store's ordinary
 ``put``, when the engine calls :meth:`~WriteBackStore.flush` at the batch
-boundary.  The ordered store behind it is unchanged and still decides
-ordering, spilling and the heap model; it just sees one operation per
-distinct key per batch.
+boundary.  The store behind it is unchanged and still decides ordering,
+spilling and the heap model; it just sees one operation per distinct
+key per batch.
 
 Application code does not change: the write-back implements the same
 :class:`~repro.core.partial.PartialResultStore` protocol and

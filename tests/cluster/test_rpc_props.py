@@ -15,6 +15,7 @@ import os
 import socket
 import struct
 import threading
+import time
 
 import pytest
 from hypothesis import given, settings
@@ -154,6 +155,26 @@ class TestSocketReads:
             client.sendall(struct.pack(">I", MAX_MESSAGE_BYTES + 1))
             with pytest.raises(RpcError):
                 recv_message(server)
+        finally:
+            server.close()
+            client.close()
+
+    @pytest.mark.parametrize("bit", range(32))
+    def test_any_length_prefix_bit_flip_raises_at_once(self, bit):
+        # The prefix is outside the frame's CRC.  A flip that makes it
+        # claim more bytes than were sent must fail on the frame header
+        # already received, not wait out the 2s socket timeout.
+        server, client = self._pair()
+        try:
+            blob = bytearray(
+                encode_message("batch", {"epoch": 1, "frame": b"x" * 40})
+            )
+            blob[bit // 8] ^= 0x80 >> (bit % 8)
+            client.sendall(bytes(blob))
+            started = time.monotonic()
+            with pytest.raises(RpcError):
+                recv_message(server)
+            assert time.monotonic() - started < 0.5
         finally:
             server.close()
             client.close()

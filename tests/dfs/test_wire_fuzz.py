@@ -30,6 +30,8 @@ from repro.dfs.serialization import (
     decode_pairs,
     encode,
     encode_pair,
+    encode_side,
+    pair_head,
 )
 from repro.dfs.wire import (
     FLAG_COMPRESSED,
@@ -201,6 +203,13 @@ class TestFastPathsMatchReference:
     @given(st.one_of(_keys, _fast_sides), st.one_of(_values, _fast_sides))
     def test_pair_encoder_equals_general_encoder(self, key, value):
         assert encode_pair(key, value) == encode((key, value))
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.one_of(_keys, _fast_sides), st.one_of(_values, _fast_sides))
+    def test_pair_is_its_head_then_its_value(self, key, value):
+        # The map-side collector remembers a key's head and appends each
+        # value's encoding: that must be the pair encoder's bytes.
+        assert encode_pair(key, value) == pair_head(key) + encode_side(value)
 
     @settings(max_examples=150, deadline=None)
     @given(_records)

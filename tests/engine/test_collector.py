@@ -215,6 +215,21 @@ def _placed(collector: MapOutputCollector) -> dict[int, list]:
     }
 
 
+def _collected_like_three_pass(keys: list, wire: WireConfig = WIRE) -> None:
+    """Collect ``(key, index)`` for each key; the frames must be what
+    partitioning the record list and encoding each partition gives."""
+    collector = MapOutputCollector(_WIDE, default_partition, wire)
+    records = [Record(key, index) for index, key in enumerate(keys)]
+    for record in records:
+        collector.collect(record.key, record.value)
+    job = SimpleNamespace(num_reducers=_WIDE, partition_fn=default_partition)
+    want = {
+        partition: encode_record_batches(part, wire)
+        for partition, part in partition_records(job, records).items()
+    }
+    assert collector.finish() == want
+
+
 def test_only_exact_str_keys_are_remembered():
     # Equal as dict keys, different under repr(): a memo keyed on any of
     # them would send the others to the wrong reducer.
@@ -229,6 +244,12 @@ def test_only_exact_str_keys_are_remembered():
     assert list(collector._memo) == ["1"]
     assert type(next(iter(collector._memo))) is str
     assert _placed(collector) == want
+    # Remembered heads beside str-subclass and non-str keys in one task,
+    # and small frames so several are cut mid-stream: the bytes are the
+    # three-pass bytes.
+    mixed = keys * 40 + [Loud("w"), "w", b"w", ("w",), "w", None] * 30
+    _collected_like_three_pass(mixed)
+    _collected_like_three_pass(mixed, WireConfig(max_batch_records=7))
 
 
 def test_a_user_partitioner_is_called_for_every_record():
@@ -256,6 +277,10 @@ def test_the_memo_stops_growing_at_its_bound(monkeypatch):
         want.setdefault(default_partition(key, _WIDE), []).append(index)
     assert list(collector._memo) == keys[:8]
     assert _placed(collector) == want
+    # With the memo full, remembered and forgotten keys interleave; a
+    # forgotten key's head is built per record, to the same bytes.
+    _collected_like_three_pass(keys * 10)
+    _collected_like_three_pass(keys * 10, WireConfig(max_batch_bytes=64))
 
 
 # ---------------------------------------------------------------------------

@@ -2,10 +2,17 @@
 
 from __future__ import annotations
 
+import hashlib
+
 import pytest
 
+from repro.apps.demo import demo_job_and_input
+from repro.core.api import BatchReduceContext, Mapper
 from repro.core.partial import PartialResultStore
-from repro.core.types import ReducerOutOfMemoryError
+from repro.core.types import Counters, ExecutionMode, ReducerOutOfMemoryError
+from repro.engine.base import run_map_task
+from repro.engine.local import LocalEngine
+from repro.memory.checkpoint import checkpoint_path
 from repro.memory.store import TreeMapStore
 
 
@@ -58,13 +65,6 @@ class TestMemoryAccounting:
         assert store.memory_used() == 0
         assert not store.remove("a")
 
-    def test_pop_first_releases_and_orders(self):
-        store = TreeMapStore()
-        store.put("b", 2)
-        store.put("a", 1)
-        assert store.pop_first() == ("a", 1)
-        assert len(store) == 1
-
     def test_peak_memory(self):
         store = TreeMapStore()
         store.put("a", "y" * 500)
@@ -96,3 +96,50 @@ class TestOOM:
         for i in range(200):
             store.put(f"key-{i}", "v" * 50)
         assert len(store) == 200
+
+
+class TestKeyOrder:
+    """Partials live in a hash table; order is made once, where it is read."""
+
+    def test_wc_demo_checkpoint_bytes_are_pinned(self, tmp_path):
+        # The digest was taken when the store was a red-black tree and is
+        # never updated: the one sort must write the bytes the in-order
+        # walk wrote, frame for frame.
+        job, pairs = demo_job_and_input("wc", ExecutionMode.BARRIERLESS)
+        store = TreeMapStore()
+        reducer = job.reducer_factory()
+        reducer.attach_store(store)
+        reducer.run(BatchReduceContext([run_map_task(job, pairs, Counters())]))
+        assert (len(store), store.peak_memory) == (319, 47212)
+        store.checkpoint(str(tmp_path), meta={"app": "wc"})
+        with open(checkpoint_path(str(tmp_path)), "rb") as fh:
+            digest = hashlib.sha256(fh.read()).hexdigest()
+        assert digest == (
+            "31c036221f49e7167b397b75ebd7c0dd231616b0886e79f78d87181d4ea1f769"
+        )
+
+    def test_unorderable_keys_raise_where_order_is_read(self, tmp_path):
+        store = TreeMapStore()
+        store.put(1, "int")
+        store.put("a", "str")  # a hash table takes both
+        assert store.get(1) == "int" and store.get("a") == "str"
+        with pytest.raises(TypeError):
+            store.items()
+        with pytest.raises(TypeError):
+            store.checkpoint(str(tmp_path))
+
+    def test_unorderable_keys_still_fail_the_task(self):
+        job, pairs = demo_job_and_input(
+            "wc", ExecutionMode.BARRIERLESS, records=20, num_reducers=1
+        )
+        job.mapper_factory = _MixedKeyMapper
+        with pytest.raises(TypeError):
+            LocalEngine().run(job, pairs, num_maps=1)
+
+
+class _MixedKeyMapper(Mapper):
+    """Emits an int key and a str key for every input record."""
+
+    def map(self, key, value, context) -> None:
+        context.emit(1, 1)
+        context.emit("a", 1)

@@ -110,11 +110,6 @@ class TestOrderedAccess:
         assert tree.ceiling_key(9) == 9
         assert tree.ceiling_key(10) is None
 
-    def test_range_items(self):
-        tree = self._tree()
-        assert list(tree.range_items(3, 7)) == [(3, 30), (5, 50), (7, 70)]
-        assert list(tree.range_items(10, 20)) == []
-
 
 class TestInvariantsUnit:
     def test_sequential_inserts_stay_balanced(self):
