@@ -98,6 +98,7 @@ chaos:
 
 cluster:
 	pytest tests/cluster/test_dispatch.py tests/cluster/test_worker_core.py -q
+	pytest tests/core/test_types.py -q --hypothesis-profile=ci
 	python -m repro.cli cluster all --workers 2
 	python -m repro.cli cluster wc --workers 2 --chaos --checkpoint
 	pytest tests/cluster -q

@@ -184,6 +184,91 @@ def test_map_side_collector_vs_three_pass(benchmark, app, records, path):
     )
 
 
+def test_reduce_output_pickle_round_trip(benchmark):
+    """One cluster reducer's output on the control plane: the worker
+    pickles its ``Record`` list into ``reduce-done`` and the dispatcher
+    unpickles it at ``reduce-commit``.  1,000 of ``sort``'s Records."""
+    import pickle
+
+    from repro.apps.demo import demo_job_and_input
+    from repro.core.types import ExecutionMode
+    from repro.engine import LocalEngine
+
+    job, pairs = demo_job_and_input(
+        "sort", ExecutionMode.BARRIERLESS, 2_000, num_reducers=2, num_maps=2
+    )
+    records = LocalEngine().run(job, pairs, num_maps=2).output[1][:1_000]
+    assert len(records) == 1_000
+
+    loaded = benchmark(lambda: pickle.loads(pickle.dumps(records)))
+    assert loaded == records
+    emit_timed(
+        benchmark,
+        lambda mean: f"1,000 Records through pickle.dumps + pickle.loads: "
+        f"{mean * 1e3:.2f} ms",
+    )
+
+
+def test_cluster_split_path(benchmark):
+    """One job's input on the control plane, at ``server_mix``'s ``pp``
+    shape (2,000 listens, 2 maps, 2 reducers): ``Coordinator.submit``'s
+    ``splits`` field, the dispatcher's ``job-start`` (journal apply of
+    ``job-submit``, then the grants) and the two ``assign-map`` payloads
+    a worker unpickles."""
+    import pickle
+
+    from repro.apps.demo import demo_job_and_input
+    from repro.cluster.dispatch import Dispatcher
+    from repro.core.job import split_input
+    from repro.core.types import ExecutionMode
+    from repro.dfs.wire import WireConfig
+    from repro.engine.recovery import RecoveryConfig
+    from repro.obs import JobObservability
+
+    job, pairs = demo_job_and_input(
+        "pp", ExecutionMode.BARRIERLESS, 2_000, num_reducers=2, num_maps=2
+    )
+    spec = {
+        "job": pickle.dumps(job),
+        "wire": pickle.dumps(WireConfig()),
+        "recovery": pickle.dumps(RecoveryConfig()),
+        "checkpoint_root": "", "placement": "spread", "deadline_s": 60.0,
+        "task_retries": 0, "retry_mode": "fail_fast", "kill": None,
+    }
+    obs = JobObservability()
+
+    def submit():
+        splits = [pickle.dumps(split) for split in split_input(pairs, 2)]
+        payloads = []
+
+        def send(worker, kind, fields):
+            if kind == "assign-map":
+                payloads.append(fields["split"])
+
+        dispatcher = Dispatcher(
+            obs, log=lambda kind, fields: None, send=send,
+            conclude=lambda job_id, result, error: None,
+            lost=lambda worker, gen: None,
+        )
+        for gen, name in enumerate(("w0", "w1")):
+            dispatcher.handle(0.0, "worker-joined", {
+                "worker": name, "gen": gen, "shuffle_host": "127.0.0.1",
+                "shuffle_port": 9000 + gen,
+            })
+        dispatcher.handle(
+            0.0, "job-start", {"job_id": "job-1", "splits": splits, **spec}
+        )
+        return payloads
+
+    granted = benchmark(submit)
+    assert [pickle.loads(split) for split in granted] == split_input(pairs, 2)
+    emit_timed(
+        benchmark,
+        lambda mean: f"pp split path, 2,000 listens in 2 maps: "
+        f"{mean * 1e3:.2f} ms per job",
+    )
+
+
 def test_engine_pipelining_overhead(benchmark, testbed):
     """Threaded pipelined engine vs sequential reference on real data.
 

@@ -416,7 +416,10 @@ class Coordinator:
             {
                 "job_id": job_id,
                 "job": pickle.dumps(job),
-                "splits": pickle.dumps(split_input(pairs, num_maps)),
+                # One pickle per split, forwarded as is in assign-map.
+                "splits": [
+                    pickle.dumps(split) for split in split_input(pairs, num_maps)
+                ],
                 "wire": pickle.dumps(wire),
                 "recovery": pickle.dumps(recovery),
                 "checkpoint_root": checkpoint_root or "",

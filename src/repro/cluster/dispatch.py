@@ -168,7 +168,23 @@ class _JobState:
         #: The pickled spec exactly as journaled; forwarded to workers.
         self.pickled = {k: fields[k] for k in ("job", "wire", "recovery")}
         self.job = pickle.loads(fields["job"])
-        self.splits: list[list] = pickle.loads(fields["splits"])
+        #: One pickle per map split, made once at submit and forwarded
+        #: to each map's worker as is: the dispatcher never unpickles
+        #: job input.
+        self.splits: list[bytes] = fields["splits"]
+        #: Why this submission cannot run, or ``""``.  A ``job-submit``
+        #: journaled before splits were pickled one per map holds a single
+        #: pickle of the whole list; indexed, its bytes would grant one
+        #: map per byte, each an int that fails only inside the map task.
+        self.invalid = ""
+        if not isinstance(self.splits, list) or not all(
+            isinstance(split, bytes) for split in self.splits
+        ):
+            self.invalid = (
+                "splits must be a list of bytes, one pickle per map split; "
+                f"got {type(self.splits).__name__}"
+            )
+            self.splits = []
         self.num_maps = len(self.splits)
         self.checkpoint_root = str(fields.get("checkpoint_root", ""))
         self.placement = str(fields.get("placement", "spread"))
@@ -608,6 +624,15 @@ class Dispatcher:
         self._begin_job(now, state)
 
     def _begin_job(self, now: float, state: _JobState) -> None:
+        if state.invalid:
+            self._conclude(
+                state,
+                ClusterJobError(
+                    f"{state.job_id}: dispatcher error on 'job-submit': "
+                    f"{state.invalid}"
+                ),
+            )
+            return
         workers = self._eligible(now)
         if not workers:
             quarantined = self._quarantine.quarantined(now)
@@ -757,7 +782,7 @@ class Dispatcher:
                 "job_id": state.job_id,
                 "mapper": mapper,
                 "epoch": epoch,
-                "split": pickle.dumps(state.splits[mapper]),
+                "split": state.splits[mapper],
                 "ctx": TraceContext(
                     job_id=state.job_id, task_id=f"map-{mapper}",
                     attempt=0, epoch=epoch,

@@ -28,7 +28,9 @@ always a consistent, possibly slightly stale, view of the job.
 
 Record kinds (fields documented in docs/cluster.md):
 
-- ``job-submit`` — job spec, input splits and configs, pickled.
+- ``job-submit`` — job spec and configs, pickled, and the input as one
+  pickle per map split, made once at submit and forwarded verbatim in
+  each ``assign-map``.
 - ``map-grant`` / ``reduce-grant`` — a task assignment to a worker.
 - ``epoch-bump`` — a map task's outputs were invalidated.
 - ``map-location`` — a completed map's output location broadcast
@@ -65,7 +67,8 @@ __all__ = [
 #: from live registrations, never replayed from history.
 RECORD_KINDS = (
     "job-submit",     # job_id, job, splits, wire, recovery, checkpoint_root,
-                      # placement, deadline_s  (object fields pickled bytes)
+                      # placement, deadline_s  (object fields pickled bytes;
+                      # splits a list of them, one per map)
     "map-grant",      # job_id, mapper, epoch, worker
     "epoch-bump",     # job_id, mapper, epoch
     "reduce-grant",   # job_id, reducer, attempt, worker

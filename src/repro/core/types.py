@@ -37,6 +37,13 @@ class Record:
         # context unpacks every record it is handed.
         return iter((self.key, self.value))
 
+    def __reduce__(self) -> tuple[type, tuple[Key, Value]]:
+        # Pickle (and copy) as a constructor call, which the C pickler
+        # saves without a Python frame; the frozen-slots default goes
+        # through ``__getstate__``, calling ``fields()`` once per record.
+        # Pickles in that older shape still load via ``__setstate__``.
+        return Record, (self.key, self.value)
+
 
 class ExecutionMode(enum.Enum):
     """Whether the shuffle stage enforces the stage barrier.

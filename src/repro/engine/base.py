@@ -216,7 +216,9 @@ def interleave_arrival(map_outputs: Sequence[list[Record]]) -> list[Record]:
 #: Reduce classes whose barrier-less input is grouped per batch: their
 #: fold is per key and their result does not depend on how a key's
 #: values are split into ``reduce`` calls.  Identity, Cross-key and
-#: Single-reducer write in arrival order; every Sorting key is distinct.
+#: Single-reducer write in arrival order.  Sorting is left out because
+#: grouping would buy nothing: its keys are almost all distinct (19,791
+#: among the 20,000 records of stagebench's ``sort_spill``).
 GROUPED_CLASSES = frozenset(
     {ReduceClass.AGGREGATION, ReduceClass.SELECTION, ReduceClass.POST_REDUCTION}
 )
@@ -425,9 +427,14 @@ def finish_result(
     counters: Counters,
     stage_times: StageTimes,
 ) -> JobResult:
-    """Assemble the JobResult (shared tail of every engine)."""
+    """Assemble the JobResult (shared tail of every engine).
+
+    ``output`` is copied into a new dict in reducer order: engines fill
+    theirs as reducers commit, and the cluster's is dispatcher state the
+    journal replays, which a caller must not be able to mutate.
+    """
     return JobResult(
-        output=output,
+        output={reducer: output[reducer] for reducer in sorted(output)},
         counters=counters,
         stage_times=stage_times,
         mode=job.mode,

@@ -85,6 +85,20 @@ def test_barrier_output_matches_threaded(runtime_for, app):
     )
 
 
+def test_output_is_keyed_in_reducer_order(runtime_for):
+    # Spread placement puts reducer 0 on w0, which folds 3 ms per record,
+    # so reducer 1 commits first; the result is still keyed 0, 1.
+    job, pairs = _demo("wc", ExecutionMode.BARRIERLESS)
+    result = runtime_for(2).run_job(
+        job, pairs, num_maps=NUM_MAPS,
+        kill={"worker": "w0", "trigger": "reduce-delay", "delay_ms": 3},
+    )
+    assert list(result.output) == sorted(result.output) == [0, 1]
+    assert normalized_output("wc", result) == _baseline(
+        "wc", ExecutionMode.BARRIERLESS
+    )
+
+
 def test_cluster_counters_account_for_work(runtime_for):
     """The coordinator merges task counters into a coherent job view."""
     job, pairs = _demo("wc", ExecutionMode.BARRIERLESS)

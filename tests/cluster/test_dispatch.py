@@ -26,6 +26,7 @@ import pytest
 
 from repro.apps.demo import demo_job_and_input
 from repro.cluster.dispatch import (
+    ClusterJobError,
     ClusterTaskError,
     Dispatcher,
     JobPreemptedError,
@@ -264,7 +265,9 @@ class Rig:
         job, pairs = _job()
         self.step("job-start", {
             "job_id": job_id, "job": pickle.dumps(job),
-            "splits": pickle.dumps(split_input(pairs, NUM_MAPS)),
+            "splits": [
+                pickle.dumps(split) for split in split_input(pairs, NUM_MAPS)
+            ],
             "wire": pickle.dumps(WireConfig()),
             "recovery": pickle.dumps(RecoveryConfig()),
             "checkpoint_root": "", "placement": "spread",
@@ -488,6 +491,46 @@ def test_malformed_frame_does_not_kill_dispatcher(oracle):
     rig.submit("job-2")
     rig.run()
     assert rig.result("job-2").output == oracle
+
+
+def test_job_submit_with_one_pickle_of_all_splits_fails_loudly(oracle):
+    # A job-submit journaled before splits were pickled one per map holds
+    # one pickle of the whole list.  Indexed, its bytes are ints, so the
+    # job would fail only later, in its map tasks.  Live or replayed, it
+    # must fail before any grant, naming the field, and leave the
+    # dispatcher running.
+    job, pairs = _job()
+    live = Rig(oracle)
+    live.submit(splits=pickle.dumps(split_input(pairs, NUM_MAPS)))
+    replayed = Rig(oracle, records=live.journal)
+    replayed.step("job-recover", {"job_id": "job-1"})
+    for rig in (live, replayed):
+        result, error = rig.conclusions["job-1"]
+        assert result is None and isinstance(error, ClusterJobError)
+        assert "dispatcher error" in str(error) and "splits" in str(error)
+        assert rig.kinds() == ["job-submit"]
+    live.submit("job-2")
+    live.run()
+    assert live.result("job-2").output == oracle
+
+
+def test_result_output_is_in_reducer_order_and_not_dispatcher_state(oracle):
+    # Reduces held until every map is done, then w1 (reducer 1) finishes
+    # before w0 (reducer 0).  The result is keyed in reducer order and is
+    # a copy: the dispatcher's output dict is journal-replayable state.
+    rig = Rig(oracle)
+    rig.hold_reduces = True
+    rig.submit()
+    rig.run()
+    rig.hold_reduces = False
+    for name in ("w1", "w0"):
+        rig.workers[name].finish_ready()
+        rig.run()
+    state = rig.dispatcher.job("job-1")
+    assert list(state.output) == [1, 0]
+    output = rig.result().output
+    assert list(output) == [0, 1] and output == oracle
+    assert output is not state.output
 
 
 # -- (ii) crash at every journal append --------------------------------------

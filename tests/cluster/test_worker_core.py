@@ -681,7 +681,9 @@ class SimCluster:
     def submit(self, job, pairs, job_id="job-1"):
         self.net.append(("coord", None, None, "job-start", {
             "job_id": job_id, "job": pickle.dumps(job),
-            "splits": pickle.dumps(split_input(pairs, NUM_MAPS)),
+            "splits": [
+                pickle.dumps(split) for split in split_input(pairs, NUM_MAPS)
+            ],
             "wire": pickle.dumps(WIRE),
             "recovery": pickle.dumps(RecoveryConfig()),
             "checkpoint_root": "", "placement": "spread", "deadline_s": 60.0,

@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import copy
+import pickle
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -16,6 +19,26 @@ from repro.core.types import (
     StageTimes,
     default_partition,
     make_records,
+)
+from tests.dfs.test_wire_fuzz import _keys, _values
+
+#: ``[Record("a", 1), Record(("k", -3), [1.5, b"x", None]),
+#: Record(2**70, {"n": (True, "v")})]`` pickled at protocols 2 and 4
+#: while ``Record`` still pickled through the dataclass's
+#: ``__getstate__``: the shape of every ``reduce-commit`` output
+#: journaled before ``Record.__reduce__``.  Never update these.
+_OLD_PICKLES = (
+    b"\x80\x02]q\x00(crepro.core.types\nRecord\nq\x01)\x81q\x02]q\x03(X"
+    b"\x01\x00\x00\x00aq\x04K\x01ebh\x01)\x81q\x05]q\x06(X\x01\x00\x00\x00kq"
+    b"\x07J\xfd\xff\xff\xff\x86q\x08]q\t(G?\xf8\x00\x00\x00\x00\x00\x00c_codecs"
+    b"\nencode\nq\nX\x01\x00\x00\x00xq\x0bX\x06\x00\x00\x00latin1q\x0c\x86q\r"
+    b"Rq\x0eNeebh\x01)\x81q\x0f]q\x10(\x8a\t\x00\x00\x00\x00\x00\x00\x00\x00@}"
+    b"q\x11X\x01\x00\x00\x00nq\x12\x88X\x01\x00\x00\x00vq\x13\x86q\x14sebe.",
+    b"\x80\x04\x95{\x00\x00\x00\x00\x00\x00\x00]\x94(\x8c\x10repro.core.types"
+    b"\x94\x8c\x06Record\x94\x93\x94)\x81\x94]\x94(\x8c\x01a\x94K\x01ebh\x03)"
+    b"\x81\x94]\x94(\x8c\x01k\x94J\xfd\xff\xff\xff\x86\x94]\x94(G?\xf8\x00\x00"
+    b"\x00\x00\x00\x00C\x01x\x94Neebh\x03)\x81\x94]\x94(\x8a\t\x00\x00\x00\x00"
+    b"\x00\x00\x00\x00@}\x94\x8c\x01n\x94\x88\x8c\x01v\x94\x86\x94sebe.",
 )
 
 
@@ -37,6 +60,33 @@ class TestRecord:
     def test_make_records(self):
         records = make_records([("a", 1), ("b", 2)])
         assert records == [Record("a", 1), Record("b", 2)]
+
+    def test_reduces_to_a_constructor_call(self):
+        assert Record(1, 2).__reduce__() == (Record, (1, 2))
+
+    @given(_keys, _values)
+    def test_pickle_and_copy_round_trip(self, key, value):
+        record = Record(key, value)
+        copies = [
+            pickle.loads(pickle.dumps(record, protocol))
+            for protocol in range(2, pickle.HIGHEST_PROTOCOL + 1)
+        ]
+        copies += [copy.copy(record), copy.deepcopy(record)]
+        for other in copies:
+            assert type(other) is Record and other == record
+        try:
+            expected = hash(record)
+        except TypeError:  # an unhashable value: a list or dict
+            return
+        assert all(hash(other) == expected for other in copies)
+
+    @pytest.mark.parametrize("data", _OLD_PICKLES)
+    def test_pickles_of_the_dataclass_state_still_load(self, data):
+        assert pickle.loads(data) == [
+            Record("a", 1),
+            Record(("k", -3), [1.5, b"x", None]),
+            Record(2**70, {"n": (True, "v")}),
+        ]
 
 
 class TestCounters:

@@ -6,6 +6,7 @@ import pytest
 
 from repro.apps import lastfm, wordcount
 from repro.core.types import ExecutionMode
+from repro.engine.recovery import FetchFaultInjector, RecoveryConfig
 from repro.engine.threaded import ThreadedEngine
 from repro.workloads.listens import generate_listens, unique_listens_reference
 
@@ -23,6 +24,19 @@ class TestThreadedEngine:
         threaded = ThreadedEngine(map_slots=2).run(job, small_corpus, num_maps=5)
         local = local_engine.run(job, small_corpus, num_maps=5)
         assert threaded.output_as_dict() == local.output_as_dict()
+
+    def test_output_is_keyed_in_reducer_order(self, local_engine, small_corpus):
+        # Reducer 0's attempt stalls and no backup races it, so reducer 1
+        # commits first; the result is still keyed 0, 1 like LocalEngine's.
+        job = wordcount.make_job(ExecutionMode.BARRIERLESS, num_reducers=2)
+        engine = ThreadedEngine(
+            map_slots=2,
+            fetch_injector=FetchFaultInjector(stall_reducer_seconds={0: 0.2}),
+            recovery=RecoveryConfig(speculative_reduce=False),
+        )
+        result = engine.run(job, small_corpus, num_maps=3)
+        assert list(result.output) == sorted(result.output) == [0, 1]
+        assert result.output == local_engine.run(job, small_corpus, num_maps=3).output
 
     def test_more_slots_than_tasks(self, small_corpus):
         engine = ThreadedEngine(map_slots=16)
