@@ -51,10 +51,10 @@ store:
 # The map side's contract in one command: the sort-and-spill buffer, the
 # collector every engine maps through against the codec-free three-pass
 # composition (frames, cut points, counters, what the partition memo may
-# remember), the codec rows it builds frames from (a remembered key's
-# pair head plus each value) and the wire golden digest, as CI's mapside
-# job runs them.  Run it before and after any change to engine/mapside.py,
-# run_map_task_encoded or the pair encoder in dfs/serialization.py.
+# remember), the row codec its frames fall back to and the wire golden
+# digests (rows and columns), as CI's mapside job runs them.  Run it
+# before and after any change to engine/mapside.py, run_map_task_encoded,
+# wire.cut_frames or the pair encoder in dfs/serialization.py.
 mapside:
 	pytest tests/engine/test_mapside.py tests/engine/test_collector.py \
 		tests/dfs/test_serialization.py tests/dfs/test_wire_golden.py -q \

@@ -184,6 +184,46 @@ def test_map_side_collector_vs_three_pass(benchmark, app, records, path):
     )
 
 
+#: 256-pair batches (one frame at ``WireConfig()``) in the shapes the
+#: shuffle moves most: ``wc``'s words and counts, ``sort``'s int keys.
+_BATCHES = {
+    "str-int": ([f"w{i % 500}" for i in range(256)], [1] * 256),
+    "int-int": (
+        [i * 7919 % 100_003 for i in range(256)],
+        [i % 1000 for i in range(256)],
+    ),
+}
+
+
+@pytest.mark.parametrize("op", ("seal", "decode"))
+@pytest.mark.parametrize("shape", sorted(_BATCHES))
+def test_columnar_frame(benchmark, shape, op):
+    """One 256-pair batch sealed into a columnar frame, or decoded back
+    into ``(key, value)`` tuples the barrier-less fold reads."""
+    from repro.dfs.wire import (
+        FLAG_COLUMNAR,
+        WireConfig,
+        decode_frame,
+        entry_pair,
+        seal_pairs,
+    )
+
+    keys, values = _BATCHES[shape]
+    wire = WireConfig()
+    batch = seal_pairs(keys, values, wire)
+    assert batch.count == 256 and batch.frame[0] & FLAG_COLUMNAR
+    if op == "seal":
+        assert benchmark(lambda: seal_pairs(keys, values, wire)) == batch
+    else:
+        decoded, end = benchmark(lambda: decode_frame(batch.frame, make=entry_pair))
+        assert decoded == list(zip(keys, values)) and end == len(batch.frame)
+    emit_timed(
+        benchmark,
+        lambda mean: f"{op} 256 {shape} pairs ({len(batch.frame)} B frame): "
+        f"{mean * 1e6:.1f} us",
+    )
+
+
 def test_reduce_output_pickle_round_trip(benchmark):
     """One cluster reducer's output on the control plane: the worker
     pickles its ``Record`` list into ``reduce-done`` and the dispatcher

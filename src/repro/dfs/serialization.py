@@ -114,7 +114,7 @@ def encode(obj: Any) -> bytes:
     return bytes(out)
 
 
-def encode_side(obj: Any) -> bytes:
+def _encode_side(obj: Any) -> bytes:
     """One half of a pair: ``encode(obj)``, one container level down.
 
     An *exact* ``str`` or ``int`` is put together from the pre-built
@@ -152,22 +152,12 @@ def encode_side(obj: Any) -> bytes:
 
 
 def encode_pair(key: Any, value: Any) -> bytes:
-    """Exactly ``encode((key, value))`` — the shuffle's per-record encoder.
+    """Exactly ``encode((key, value))`` — a row frame's per-record encoder.
 
     The tuple head is a constant; word counts, line numbers, text keys
-    and lines take :func:`encode_side`'s table-driven paths.  Always
-    ``pair_head(key) + encode_side(value)``, written out in line.
+    and lines take :func:`_encode_side`'s table-driven paths.
     """
-    return _PAIR_HEAD + encode_side(key) + encode_side(value)
-
-
-def pair_head(key: Any) -> bytes:
-    """Everything of ``encode_pair(key, value)`` before the value's bytes.
-
-    A writer that sees one key many times (a map task's collector) keeps
-    this and appends ``encode_side(value)`` per record.
-    """
-    return _PAIR_HEAD + encode_side(key)
+    return _PAIR_HEAD + _encode_side(key) + _encode_side(value)
 
 
 def _encode_into(obj: Any, out: bytearray, depth: int) -> None:
@@ -323,7 +313,7 @@ def _decode_at(data: bytes, offset: int, depth: int) -> tuple[Any, int]:
 def decode_pairs(data: bytes, make: Callable[[Any, Any], _T]) -> list[_T]:
     """Decode back-to-back ``(key, value)`` encodings, all of ``data``.
 
-    The shuffle's per-record decoder: equal to calling :func:`decode_at`
+    A row frame's per-record decoder: equal to calling :func:`decode_at`
     until ``data`` is used up, requiring each value to be a 2-tuple and
     handing its halves to ``make`` (so no intermediate tuple list).
     Short strings and positive ints of up to three varint bytes (below

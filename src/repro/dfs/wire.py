@@ -4,9 +4,10 @@ Hadoop moves intermediate data as length-framed, optionally compressed
 record batches (IFile segments on the map side, the shuffle HTTP stream
 on the reduce side), not as language-native objects.  This module is the
 equivalent substrate for the repro engines: record batches are encoded
-with the typed serialization in :mod:`repro.dfs.serialization`, framed
-with varint headers, optionally zlib-deflated per batch, and sealed with
-a CRC32 trailer so corruption and truncation are detected before any
+with the typed serialization in :mod:`repro.dfs.serialization` (or, for
+a batch of one exact type per side, as two typed columns), framed with
+varint headers, optionally zlib-deflated per batch, and sealed with a
+CRC32 trailer so corruption and truncation are detected before any
 payload is interpreted.  Shuffled batches, streaming journals, map-side
 spill runs, store spill runs, kvstore logs and checkpoints are all these
 frames, and nothing else: a value the typed codec cannot express fails
@@ -19,13 +20,29 @@ Frame layout (all integers are LEB128 varints except the fixed trailer)::
     +-------+--------------+---------------+-----------+------------+
 
 - ``flags`` — one byte.  Bit 0 (:data:`FLAG_COMPRESSED`): payload is
-  zlib-deflated.  All other bits must be zero; a frame with any of them
-  set is rejected.
-- ``payload`` — the concatenation of ``serialization.encode((key,
-  value))`` for each record.
+  zlib-deflated.  Bit 1 (:data:`FLAG_COLUMNAR`): payload is columnar.
+  All other bits must be zero; a frame with any of them set is rejected.
+- ``payload`` — a *row* payload is the concatenation of
+  ``serialization.encode((key, value))`` for each record.  A *columnar*
+  payload is a varint giving the key column's length in bytes, the key
+  column, then the value column (to the end of the payload).  A column
+  is one tag byte and a body: ``0x03`` (the codec's int tag) and a
+  little-endian ``array('q')``, ``0x05`` (float) and a little-endian
+  ``array('d')``, or ``0x06`` (str) and the strings' UTF-8 joined by
+  NUL bytes.  Every column holds exactly ``record_count`` items.
 - ``CRC32`` — big-endian ``zlib.crc32`` over everything before it
   (header *and* payload), so a flipped bit anywhere in the frame fails
   before decoding starts.
+
+A frame is columnar exactly when it holds two or more records, every
+key has one exact type, every value has one exact type, and each of
+those types is ``int`` (every item within int64), ``float`` or ``str``
+(no item holding a NUL, every item encodable as UTF-8).  Everything else
+— mixed types, ``bool``, ``IntEnum``, ``str`` / ``int`` subclasses,
+ints outside int64, single-record frames — is a row frame, byte for byte
+what it was before columns existed.  The choice is made per frame by
+:func:`seal_pairs`, the one function every frame is sealed through; it
+has no knob.
 
 Compression is applied per batch and only kept when it actually shrinks
 the payload, so ``shuffle.bytes.raw >= shuffle.bytes.wire`` always holds.
@@ -34,7 +51,9 @@ the payload, so ``shuffle.bytes.raw >= shuffle.bytes.wire`` always holds.
 from __future__ import annotations
 
 import struct
+import sys
 import zlib
+from array import array
 from dataclasses import dataclass
 from typing import Any, BinaryIO, Callable, Iterable, Iterator, Sequence
 
@@ -49,8 +68,10 @@ from repro.dfs.serialization import (
 
 #: Payload is zlib-deflated.
 FLAG_COMPRESSED = 0x01
+#: Payload is a key column and a value column, not a run of pairs.
+FLAG_COLUMNAR = 0x02
 
-_KNOWN_FLAGS = FLAG_COMPRESSED
+_KNOWN_FLAGS = FLAG_COMPRESSED | FLAG_COLUMNAR
 _CRC = struct.Struct(">I")
 #: flags byte + two varints of at most 11 bytes each.
 _MAX_HEADER_BYTES = 23
@@ -117,22 +138,37 @@ def encode_frame(
 ) -> WireBatch:
     """Encode one record batch into a framed :class:`WireBatch`."""
     config = config if config is not None else WireConfig()
-    return seal_encoded(
-        [encode_pair(record.key, record.value) for record in records], config
+    return seal_pairs(
+        [record.key for record in records],
+        [record.value for record in records],
+        config,
     )
 
 
-def seal_encoded(encoded: list[bytes], config: WireConfig) -> WireBatch:
-    """Join already-encoded records, deflate if that helps, and seal."""
-    flags = 0
-    payload = b"".join(encoded)
+def seal_pairs(
+    keys: Sequence[Any], values: Sequence[Any], config: WireConfig
+) -> WireBatch:
+    """Seal ``zip(keys, values)`` as one frame: the one framing function.
+
+    Columnar when the pairs qualify (see the module docstring), rows
+    otherwise; deflated if that helps.
+    """
+    payload = _columnar(keys, values)
+    if payload is not None:
+        return _seal(FLAG_COLUMNAR, len(keys), payload, config)
+    return _seal(0, len(keys), b"".join(map(encode_pair, keys, values)), config)
+
+
+def _seal(
+    flags: int, count: int, payload: bytes, config: WireConfig
+) -> WireBatch:
     raw_bytes = len(payload)
     if config.compress and raw_bytes >= config.compress_min_bytes:
         deflated = zlib.compress(payload)
         if len(deflated) < raw_bytes:
             payload = deflated
             flags |= FLAG_COMPRESSED
-    return seal_frame(flags, len(encoded), payload, raw_bytes)
+    return seal_frame(flags, count, payload, raw_bytes)
 
 
 def seal_frame(
@@ -143,6 +179,123 @@ def seal_frame(
     crc = zlib.crc32(payload, zlib.crc32(header))
     frame = b"".join((header, payload, _CRC.pack(crc)))
     return WireBatch(frame=frame, count=count, raw_bytes=raw_bytes)
+
+
+# ---------------------------------------------------------------------------
+# columns
+# ---------------------------------------------------------------------------
+
+#: Column tags: the typed codec's tags for the three column types.
+_INT64 = 0x03
+_FLOAT64 = 0x05
+_UTF8 = 0x06
+_ARRAY_CODES = {_INT64: "q", _FLOAT64: "d"}
+_COLUMN_TAGS = {int: _INT64, float: _FLOAT64}
+_INT64_MIN = -(1 << 63)
+_INT64_MAX = (1 << 63) - 1
+#: Column bodies are little-endian whatever the host's byte order.
+_SWAP = sys.byteorder == "big"
+
+
+def _column(items: Sequence[Any]) -> bytes | None:
+    """One column (tag and body) for ``items``, or ``None`` if they are
+    not all one column type."""
+    kinds = set(map(type, items))
+    if len(kinds) != 1:
+        return None
+    kind = kinds.pop()
+    if kind is str:
+        text = "\0".join(items)
+        if text.count("\0") != len(items) - 1:
+            return None
+        try:
+            return bytes((_UTF8,)) + text.encode("utf-8")
+        except UnicodeEncodeError:
+            return None
+    tag = _COLUMN_TAGS.get(kind)
+    if tag is None:
+        return None
+    try:
+        column = array(_ARRAY_CODES[tag], items)
+    except OverflowError:
+        return None
+    if _SWAP:
+        column.byteswap()
+    return bytes((tag,)) + column.tobytes()
+
+
+def _columnar(keys: Sequence[Any], values: Sequence[Any]) -> bytes | None:
+    """The columnar payload for these pairs, or ``None`` if they do not
+    qualify (fewer than two, or either side not one column type)."""
+    if len(keys) < 2:
+        return None
+    key_column = _column(keys)
+    if key_column is None:
+        return None
+    value_column = _column(values)
+    if value_column is None:
+        return None
+    return encode_varint(len(key_column)) + key_column + value_column
+
+
+def _column_cost(item: Any, kind: type) -> int | None:
+    """Bytes ``item`` adds to a column of ``kind`` (a ``str`` counts its
+    NUL separator), or ``None`` if it cannot join one."""
+    if type(item) is not kind:
+        return None
+    if kind is str:
+        if "\0" in item:
+            return None
+        try:
+            return len(item.encode("utf-8")) + 1
+        except UnicodeEncodeError:
+            return None
+    if kind is int and not _INT64_MIN <= item <= _INT64_MAX:
+        return None
+    return 8 if kind in _COLUMN_TAGS else None
+
+
+def _decode_columns(payload: bytes, count: int) -> tuple[list[Any], list[Any]]:
+    """Split a columnar payload back into its key and value lists."""
+    if count < 2:
+        raise SerializationError(
+            f"columnar frame must hold two or more records, not {count}"
+        )
+    key_bytes, start = decode_varint(payload, 0)
+    split = start + key_bytes
+    if key_bytes == 0 or split >= len(payload):
+        raise SerializationError("truncated column")
+    return (
+        _decode_column(payload, start, split, count),
+        _decode_column(payload, split, len(payload), count),
+    )
+
+
+def _decode_column(payload: bytes, start: int, stop: int, count: int) -> list[Any]:
+    tag = payload[start]
+    body = payload[start + 1 : stop]
+    if tag == _UTF8:
+        try:
+            items = str(body, "utf-8").split("\0")
+        except UnicodeDecodeError as exc:
+            raise SerializationError(f"invalid UTF-8 in column: {exc}") from exc
+    elif tag in _ARRAY_CODES:
+        if len(body) != 8 * count:
+            raise SerializationError(
+                f"column of {len(body)} bytes for {count} records"
+            )
+        column = array(_ARRAY_CODES[tag])
+        column.frombytes(body)
+        if _SWAP:
+            column.byteswap()
+        items = column.tolist()
+    else:
+        raise SerializationError(f"unknown column tag 0x{tag:02x}")
+    if len(items) != count:
+        raise SerializationError(
+            f"column holds {len(items)} items, header says {count}"
+        )
+    return items
 
 
 def _frame_header(data: bytes, offset: int) -> tuple[int, int, int, int]:
@@ -177,8 +330,9 @@ def decode_frame(
     """Decode one frame at ``offset``; returns ``(records, next_offset)``.
 
     Every malformed input — truncation, unknown flags, bad CRC, payload
-    that does not decode to exactly ``record_count`` key/value tuples —
-    raises :class:`SerializationError`.  Each entry is built by
+    that does not decode to exactly ``record_count`` key/value tuples,
+    a column that is cut short, overlong, of an unknown tag or not
+    UTF-8 — raises :class:`SerializationError`.  Each entry is built by
     ``make(key, value)``: a :class:`Record` for the shuffle, whatever
     pair shape a store file's reader wants.
     """
@@ -203,6 +357,11 @@ def decode_frame(
             raise SerializationError(f"bad compressed payload: {exc}") from exc
     else:
         payload = bytes(view[start:stop])
+    if flags & FLAG_COLUMNAR:
+        keys, values = _decode_columns(payload, count)
+        if make is entry_pair:
+            return list(zip(keys, values)), end
+        return list(map(make, keys, values)), end
     records = decode_pairs(payload, make)
     if len(records) != count:
         raise SerializationError(
@@ -249,34 +408,120 @@ def decode_batches(
 
 
 def encode_record_batches(
-    records: Sequence[Record], config: WireConfig
+    records: Iterable[Record], config: WireConfig
 ) -> list[WireBatch]:
-    """Split ``records`` into framed batches under the config's limits.
+    """Split ``records`` into framed batches under the config's limits
+    (:func:`cut_frames`' rule)."""
+    keys: list[Any] = []
+    values: list[Any] = []
+    for record in records:
+        keys.append(record.key)
+        values.append(record.value)
+    batches: list[WireBatch] = []
+    cut_frames(keys, values, config, batches)
+    return batches
 
-    Batches are cut at ``max_batch_records`` records or when the *raw*
-    (pre-compression) typed encoding of a batch would exceed
-    ``max_batch_bytes`` — raw size keeps the split deterministic
-    whether or not compression shrinks a batch.
+
+def cut_frames(
+    keys: list[Any],
+    values: list[Any],
+    config: WireConfig,
+    out: list[WireBatch],
+    final: bool = True,
+) -> int:
+    """Seal frames off the front of ``keys`` / ``values`` into ``out``;
+    returns how many pairs they hold.
+
+    A frame takes the next pair while it holds fewer than
+    ``max_batch_records`` and its *raw* (pre-compression) payload, in the
+    layout it would be sealed in, stays within ``max_batch_bytes``; its
+    first pair always joins, so a pair larger than the limit travels
+    alone and boundaries never depend on compression.  Each frame's end
+    depends only on the pairs up to the one that did not fit, so pairs
+    may be handed over in pieces: with ``final`` false, a last frame that
+    more pairs could still join is left unsealed (and uncounted) for the
+    next call.
     """
     max_records = config.max_batch_records
     max_bytes = config.max_batch_bytes
-    batches: list[WireBatch] = []
-    chunk: list[bytes] = []
-    chunk_bytes = 0
-    for record in records:
-        encoded = encode_pair(record.key, record.value)
-        size = len(encoded)
-        if chunk and (
-            len(chunk) >= max_records or chunk_bytes + size > max_bytes
-        ):
-            batches.append(seal_encoded(chunk, config))
-            chunk = []
-            chunk_bytes = 0
-        chunk.append(encoded)
-        chunk_bytes += size
-    if chunk:
-        batches.append(seal_encoded(chunk, config))
-    return batches
+    total = len(keys)
+    start = 0
+    while start < total:
+        stop = min(start + max_records, total)
+        closed = final or stop - start == max_records
+        window_keys = keys[start:stop]
+        window_values = values[start:stop]
+        payload = _columnar(window_keys, window_values)
+        if payload is not None and len(payload) <= max_bytes:
+            # Every shorter prefix is columnar and smaller: one frame.
+            if not closed:
+                break
+            out.append(_seal(FLAG_COLUMNAR, stop - start, payload, config))
+            start = stop
+            continue
+        count, flags, payload = _front_frame(
+            window_keys, window_values, max_bytes
+        )
+        if count == stop - start and not closed:
+            break
+        out.append(_seal(flags, count, payload, config))
+        start += count
+    return start
+
+
+def _front_frame(
+    keys: list[Any], values: list[Any], max_bytes: int
+) -> tuple[int, int, bytes]:
+    """The frame the cut rule takes off the front of a window:
+    ``(count, flags, payload)``.
+
+    Walks the window pair by pair.  While every pair so far can join a
+    column the prefix is measured as columns (tags, bodies, the key
+    column's length varint); from the first pair that cannot, it is
+    measured as rows, each pair encoded once and its bytes kept for the
+    payload.
+    """
+    key_kind = type(keys[0])
+    value_kind = type(values[0])
+    key_bytes = _column_cost(keys[0], key_kind)
+    value_bytes = _column_cost(values[0], value_kind)
+    #: How many leading pairs can be columns.
+    columns = int(key_bytes is not None and value_bytes is not None)
+    rows: list[bytes] = []
+    row_bytes = 0
+    count = len(keys)
+    for index in range(1, count):
+        if columns == index:
+            key_cost = _column_cost(keys[index], key_kind)
+            value_cost = _column_cost(values[index], value_kind)
+            if key_cost is not None and value_cost is not None:
+                columns += 1
+                key_bytes += key_cost
+                value_bytes += value_cost
+        if columns > index:
+            key_column = 1 + key_bytes - (key_kind is str)
+            size = (
+                len(encode_varint(key_column))
+                + key_column
+                + 1
+                + value_bytes
+                - (value_kind is str)
+            )
+        else:
+            while len(rows) <= index:
+                row = encode_pair(keys[len(rows)], values[len(rows)])
+                rows.append(row)
+                row_bytes += len(row)
+            size = row_bytes
+        if size > max_bytes:
+            count = index
+            break
+    if 1 < count <= columns:
+        payload = _columnar(keys[:count], values[:count])
+        return count, FLAG_COLUMNAR, payload
+    while len(rows) < count:
+        rows.append(encode_pair(keys[len(rows)], values[len(rows)]))
+    return count, 0, b"".join(rows[:count])
 
 
 def account_batches(counters: Any, batches: Sequence[WireBatch]) -> None:

@@ -11,9 +11,9 @@ implements that substrate for the real engines:
   order.  Spill runs are wire frames (typed encoding + optional zlib +
   CRC, Hadoop's IFile analogue), the one run format; the buffer is a
   context manager so spills never outlive a failed map task.
-- :class:`MapOutputCollector` — "serialise at collect": where the
-  concurrent engines' map output becomes wire frames, one record at a
-  time, with no record list in between.
+- :class:`MapOutputCollector` — "serialise at collect": where every
+  engine's map output becomes wire frames as it is emitted, with no
+  record list in between.
 
 A ``wire`` argument of ``None`` means ``WireConfig()``: every batch this
 module writes or returns is a sealed :class:`~repro.dfs.wire.WireBatch`.
@@ -42,13 +42,12 @@ from repro.core.types import (
     Value,
     default_partition,
 )
-from repro.dfs.serialization import encode_pair, encode_side, pair_head
 from repro.dfs.wire import (
     WireBatch,
     WireConfig,
+    cut_frames,
     encode_record_batches,
     read_frames,
-    seal_encoded,
     write_batch,
 )
 from repro.memory.estimator import entry_size
@@ -211,24 +210,23 @@ class MapOutputCollector:
     """Serialise at collect: a map task's output, sealed as it is emitted.
 
     Hadoop's ``collect()`` serialises each record with its partition
-    number the moment the mapper emits it; so does this.  :meth:`collect`
-    picks the partition, encodes the pair once, appends the bytes to that
-    partition's open chunk and seals a frame under
-    :func:`~repro.dfs.wire.encode_record_batches`' rule exactly (cut
-    *before* the record that would pass ``max_batch_records`` or
-    ``max_batch_bytes``), so :meth:`finish` returns, frame for frame, what
-    partitioning the task's record list and encoding each partition would
-    — without the list.
+    number the moment the mapper emits it; this collector picks the
+    partition per record and appends the key and value to that
+    partition's open lists.  Once a partition holds ``max_batch_records``
+    pairs, :func:`~repro.dfs.wire.cut_frames` seals what it can off their
+    front, columnar when a frame's sides are one type each; a frame ends
+    exactly where :func:`~repro.dfs.wire.encode_record_batches` would end
+    it, so :meth:`finish` returns, frame for frame, what partitioning the
+    task's record list and encoding each partition would — without the
+    list, and without a per-record encode.
 
     The job's default partitioner is a pure function of ``repr(key)``, a
     byte-at-a-time hash in Python, and a task's keys repeat (a word count
     emits a few hundred words tens of thousands of times).  So for an
-    exact ``str`` key the collector remembers the partition *and* the
-    key's encoded pair head (:func:`~repro.dfs.serialization.pair_head`),
-    at most :data:`PARTITION_MEMO_KEYS` keys a task, and a repeat costs
-    one value encoding.  Other key types are never remembered — ``1``,
-    ``1.0`` and ``True`` are one dict key with three reprs and three
-    encodings — and neither is any key under another partitioner.
+    exact ``str`` key the collector remembers the partition, at most
+    :data:`PARTITION_MEMO_KEYS` keys a task.  Other key types are never
+    remembered — ``1``, ``1.0`` and ``True`` are one dict key with three
+    reprs — and neither is any key under another partitioner.
     """
 
     def __init__(
@@ -241,58 +239,49 @@ class MapOutputCollector:
         self._partition_fn = partition_fn
         self._wire = wire if wire is not None else WireConfig()
         self._max_records = self._wire.max_batch_records
-        self._max_bytes = self._wire.max_batch_bytes
-        #: ``{key: (partition, pair head)}`` for exact-``str`` keys.
-        self._memo: dict[str, tuple[int, bytes]] | None = (
+        #: ``{key: partition}`` for exact-``str`` keys.
+        self._memo: dict[str, int] | None = (
             {} if partition_fn is default_partition else None
         )
-        self._chunks: list[list[bytes]] = [[] for _ in range(num_partitions)]
-        self._chunk_bytes = [0] * num_partitions
+        self._keys: list[list[Key]] = [[] for _ in range(num_partitions)]
+        self._values: list[list[Value]] = [[] for _ in range(num_partitions)]
         self._sealed: list[list[WireBatch]] = [[] for _ in range(num_partitions)]
 
     def collect(self, key: Key, value: Value) -> None:
         """Route one emitted record to its partition and append it."""
         memo = self._memo
         if memo is None or type(key) is not str:
-            self._append(
-                self._partition_fn(key, self.num_partitions),
-                encode_pair(key, value),
-            )
-            return
-        known = memo.get(key)
-        if known is None:
-            known = (self._partition_fn(key, self.num_partitions), pair_head(key))
-            if len(memo) < PARTITION_MEMO_KEYS:
-                memo[key] = known
-        self._append(known[0], known[1] + encode_side(value))
+            partition = self._partition_fn(key, self.num_partitions)
+        else:
+            partition = memo.get(key)
+            if partition is None:
+                partition = self._partition_fn(key, self.num_partitions)
+                if len(memo) < PARTITION_MEMO_KEYS:
+                    memo[key] = partition
+        # ``add``, written out: a call per record is what it would cost.
+        keys = self._keys[partition]
+        keys.append(key)
+        self._values[partition].append(value)
+        if len(keys) >= self._max_records:
+            self._cut(partition, final=False)
 
     def add(self, partition: int, key: Key, value: Value) -> None:
         """Append one record to a partition already chosen for it."""
-        self._append(partition, encode_pair(key, value))
+        keys = self._keys[partition]
+        keys.append(key)
+        self._values[partition].append(value)
+        if len(keys) >= self._max_records:
+            self._cut(partition, final=False)
 
-    def _append(self, partition: int, encoded: bytes) -> None:
-        """Add one encoded record to a partition's chunk, cutting if full."""
-        chunk = self._chunks[partition]
-        size = len(encoded)
-        if chunk and (
-            len(chunk) >= self._max_records
-            or self._chunk_bytes[partition] + size > self._max_bytes
-        ):
-            self._cut(partition)
-            chunk = self._chunks[partition]
-        chunk.append(encoded)
-        self._chunk_bytes[partition] += size
-
-    def _cut(self, partition: int) -> None:
-        self._sealed[partition].append(
-            seal_encoded(self._chunks[partition], self._wire)
-        )
-        self._chunks[partition] = []
-        self._chunk_bytes[partition] = 0
+    def _cut(self, partition: int, final: bool) -> None:
+        keys = self._keys[partition]
+        values = self._values[partition]
+        used = cut_frames(keys, values, self._wire, self._sealed[partition], final)
+        del keys[:used]
+        del values[:used]
 
     def finish(self) -> dict[int, list[WireBatch]]:
-        """Seal the open chunks; ``{partition: [batch, ...]}``, all present."""
-        for partition, chunk in enumerate(self._chunks):
-            if chunk:
-                self._cut(partition)
+        """Seal the open lists; ``{partition: [batch, ...]}``, all present."""
+        for partition in range(self.num_partitions):
+            self._cut(partition, final=True)
         return dict(enumerate(self._sealed))

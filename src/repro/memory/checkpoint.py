@@ -39,13 +39,13 @@ from itertools import islice
 from typing import Any, BinaryIO, Iterable, Iterator
 
 from repro.core.types import Key, Value
-from repro.dfs.serialization import SerializationError, encode_pair
+from repro.dfs.serialization import SerializationError
 from repro.dfs.wire import (
     WireBatch,
     WireConfig,
     entry_pair,
     read_frames,
-    seal_encoded,
+    seal_pairs,
     write_batch,
 )
 
@@ -165,11 +165,12 @@ def encode_entry_frames(
 def encode_entry_frame(
     entries: list[tuple[Key, Value]], wire: WireConfig | None = None
 ) -> WireBatch:
-    """Frame one batch of entries; raises :class:`SerializationError` for
-    a key or value the typed codec cannot express."""
+    """Frame one batch of entries (columnar when they qualify); raises
+    :class:`SerializationError` for a key or value the typed codec
+    cannot express."""
     wire = wire if wire is not None else STORE_WIRE
-    return seal_encoded(
-        [encode_pair(key, value) for key, value in entries], wire
+    return seal_pairs(
+        [key for key, _ in entries], [value for _, value in entries], wire
     )
 
 

@@ -80,7 +80,6 @@ class SpillingKVStore:
         self.disk_writes = 0
         self.bytes_written = 0
         self.bytes_read = 0
-        self.compactions = 0
 
     # -- PartialResultStore protocol ----------------------------------------
 
@@ -162,28 +161,6 @@ class SpillingKVStore:
             "bytes_read": self.bytes_read,
         }
 
-    def compact(self) -> int:
-        """Rewrite the log keeping only each key's live version.
-
-        The log is append-only, so overwritten values accumulate dead
-        space — BerkeleyDB JE runs a cleaner for the same reason.  Flushes
-        pending state first; returns the number of bytes reclaimed.
-        """
-        self.finalize()
-        old_size = self._log.seek(0, os.SEEK_END)
-        live: list[tuple[Key, Value]] = []
-        for key, location in self._index.items():
-            live.append((key, self._read_log(location)))
-        self._log.close()
-        self._log = open(self._log_path, "w+b")
-        self._index.clear()
-        for key, value in live:
-            self._append_entry(key, value, account=False)
-        self._log.flush()
-        new_size = self._log.tell()
-        self.compactions += 1
-        return max(0, old_size - new_size)
-
     def checkpoint(
         self, directory: str, *, meta: dict[str, Any] | None = None
     ) -> CheckpointStats:
@@ -250,15 +227,14 @@ class SpillingKVStore:
         self._write_buffer.clear()
         self._write_buffer_bytes = 0
 
-    def _append_entry(self, key: Key, value: Value, account: bool = True) -> None:
+    def _append_entry(self, key: Key, value: Value) -> None:
         """Append one framed entry at the log's current end position."""
         frame = encode_entry_frame([(key, value)]).frame
         offset = self._log.tell()
         self._log.write(frame)
         self._index[key] = (offset, len(frame))
-        if account:
-            self.disk_writes += 1
-            self.bytes_written += len(frame)
+        self.disk_writes += 1
+        self.bytes_written += len(frame)
 
     def _read_log(self, location: tuple[int, int]) -> Value:
         offset, length = location

@@ -9,13 +9,18 @@ anywhere, corrupted anywhere, or correctly sealed around a payload that
 is garbage — raises :class:`SerializationError` instead of decoding
 garbage or escaping as some other exception.  The store files' pair
 constructor (``make=entry_pair``: entries read back as plain tuples, no
-:class:`Record` in between) is held to every one of them.
+:class:`Record` in between) is held to every one of them.  Columnar
+frames are held to the same, and a batch that must not be columnar is
+held to the row frame the general encoder gives (same bytes, or the same
+error), cut where the row rule cuts.
 """
 
 from __future__ import annotations
 
 import enum
 import io
+import math
+import struct
 import zlib
 
 import pytest
@@ -28,18 +33,20 @@ from repro.dfs.serialization import (
     SerializationError,
     decode_at,
     decode_pairs,
+    decode_varint,
     encode,
     encode_pair,
-    encode_side,
-    pair_head,
+    encode_varint,
 )
 from repro.dfs.wire import (
+    FLAG_COLUMNAR,
     FLAG_COMPRESSED,
     WireConfig,
     decode_batch,
     decode_batches,
     decode_frame,
     encode_frame,
+    cut_frames,
     encode_record_batches,
     entry_pair,
     read_frames,
@@ -203,13 +210,6 @@ class TestFastPathsMatchReference:
     @given(st.one_of(_keys, _fast_sides), st.one_of(_values, _fast_sides))
     def test_pair_encoder_equals_general_encoder(self, key, value):
         assert encode_pair(key, value) == encode((key, value))
-
-    @settings(max_examples=200, deadline=None)
-    @given(st.one_of(_keys, _fast_sides), st.one_of(_values, _fast_sides))
-    def test_pair_is_its_head_then_its_value(self, key, value):
-        # The map-side collector remembers a key's head and appends each
-        # value's encoding: that must be the pair encoder's bytes.
-        assert encode_pair(key, value) == pair_head(key) + encode_side(value)
 
     @settings(max_examples=150, deadline=None)
     @given(_records)
@@ -414,10 +414,15 @@ class TestMalformedFrames:
         with pytest.raises(SerializationError):
             decode_frame(bytes(corrupted))
 
-    @pytest.mark.parametrize("flag", [0x80, 0x02], ids=["0x80", "0x02"])
+    @pytest.mark.parametrize(
+        "flag",
+        [0x80, 0x40, 0x20, 0x10, 0x08, 0x04],
+        ids=["0x80", "0x40", "0x20", "0x10", "0x08", "0x04"],
+    )
     def test_unknown_flags_rejected(self, flag):
         # Correctly sealed around a valid payload, so nothing but the
-        # flags byte can reject it.  Compression is the only flag.
+        # flags byte can reject it.  Compression and columns are the
+        # only flags.
         frame = seal_frame(flag, 1, encode_pair("k", 1), 0).frame
         with pytest.raises(SerializationError, match="unknown frame flags"):
             decode_frame(frame)
@@ -531,3 +536,390 @@ class TestPairConstructor:
     def test_sealed_malformed_payload_is_a_serialization_error(self, name):
         with pytest.raises(SerializationError):
             decode_frame(_sealed(_ESCAPES[name], 1), make=entry_pair)
+
+
+# ---------------------------------------------------------------------------
+# columnar frames
+# ---------------------------------------------------------------------------
+
+_INT64_MIN, _INT64_MAX = -(2**63), 2**63 - 1
+
+#: One strategy per column type, edges drawn on purpose.
+_column_items = {
+    "int": st.one_of(
+        st.integers(_INT64_MIN, _INT64_MAX),
+        st.sampled_from(
+            [0, 1, -1, 127, 128, 2**31, -(2**31), _INT64_MAX, _INT64_MIN]
+        ),
+    ),
+    "float": st.one_of(
+        st.floats(),
+        st.sampled_from(
+            [0.0, -0.0, math.nan, -math.nan, math.inf, -math.inf, 5e-324]
+        ),
+    ),
+    "str": st.one_of(
+        st.text(
+            st.characters(codec="utf-8", exclude_characters="\x00"), max_size=30
+        ),
+        st.just(""),
+        st.text(
+            st.characters(min_codepoint=0x10000, max_codepoint=0x10FFFF),
+            min_size=1, max_size=4,
+        ),
+    ),
+}
+
+
+@st.composite
+def _homogeneous(draw, min_size=2, max_size=40):
+    """Pairs whose keys are one column type and values another."""
+    key_kind = draw(st.sampled_from(sorted(_column_items)))
+    value_kind = draw(st.sampled_from(sorted(_column_items)))
+    size = draw(st.integers(min_size, max_size))
+    keys = draw(st.lists(_column_items[key_kind], min_size=size, max_size=size))
+    values = draw(
+        st.lists(_column_items[value_kind], min_size=size, max_size=size)
+    )
+    return list(zip(keys, values))
+
+
+class _Colour(enum.IntEnum):
+    RED = 1
+
+
+class _Word(str):
+    pass
+
+
+#: Items that keep a batch out of the columnar layout wherever they sit.
+_POISON = st.one_of(
+    st.sampled_from([2**63, _INT64_MIN - 1, 2**77 - 1, -(2**77 - 1)]),
+    st.booleans(),
+    st.just(_Colour.RED),
+    st.text(max_size=10).map(_Word),
+    st.text(max_size=10).map(lambda text: text + "\x00"),
+    st.none(),
+    st.binary(max_size=10),
+)
+
+
+def _bits(pairs) -> list:
+    """Pairs with every float as its bit pattern: NaN and -0.0 compare."""
+    def side(item):
+        if type(item) is float:
+            return ("float", struct.pack("<d", item))
+        return (type(item), item)
+
+    return [(side(key), side(value)) for key, value in pairs]
+
+
+def _row_frame(pairs, config: WireConfig) -> bytes:
+    """The row frame the general encoder gives: what every frame was
+    before columns existed."""
+    payload = b"".join(encode((key, value)) for key, value in pairs)
+    raw = len(payload)
+    flags = 0
+    if config.compress and raw >= config.compress_min_bytes:
+        deflated = zlib.compress(payload)
+        if len(deflated) < raw:
+            payload, flags = deflated, FLAG_COMPRESSED
+    return seal_frame(flags, len(pairs), payload, raw).frame
+
+
+def _row_cuts(pairs, config: WireConfig) -> list[int]:
+    """Frame sizes under the row rule: cut before the pair that would
+    pass ``max_batch_records`` or ``max_batch_bytes`` of row bytes."""
+    counts: list[int] = []
+    count = size = 0
+    for key, value in pairs:
+        width = len(encode((key, value)))
+        if count and (
+            count >= config.max_batch_records
+            or size + width > config.max_batch_bytes
+        ):
+            counts.append(count)
+            count = size = 0
+        count += 1
+        size += width
+    return counts + [count] if count else counts
+
+
+_configs = st.builds(
+    WireConfig,
+    max_batch_records=st.integers(1, 9),
+    max_batch_bytes=st.integers(8, 400),
+    compress=st.booleans(),
+    compress_min_bytes=st.sampled_from([0, 64]),
+)
+
+
+class TestColumnarFrames:
+    @settings(max_examples=200, deadline=None)
+    @given(_homogeneous(), st.booleans())
+    def test_homogeneous_batch_round_trips_as_columns(self, pairs, compress):
+        config = WireConfig(compress=compress, compress_min_bytes=0)
+        batch = encode_frame([Record(k, v) for k, v in pairs], config)
+        assert batch.frame[0] & FLAG_COLUMNAR
+        decoded, end = decode_frame(batch.frame, make=entry_pair)
+        assert end == len(batch.frame)
+        assert _bits(decoded) == _bits(pairs)
+        assert all(type(pair) is tuple for pair in decoded)
+        records = decode_batch(batch, config)
+        assert _bits((r.key, r.value) for r in records) == _bits(pairs)
+        assert batch.count == len(pairs)
+
+    @settings(max_examples=200, deadline=None)
+    @given(_homogeneous(min_size=1), _POISON, st.data())
+    def test_a_batch_that_cannot_be_columns_is_the_row_frame(
+        self, pairs, poison, data
+    ):
+        where = data.draw(st.integers(0, len(pairs) - 1))
+        key, value = pairs[where]
+        pairs[where] = (poison, value) if data.draw(st.booleans()) else (key, poison)
+        config = WireConfig(compress_min_bytes=0)
+        try:
+            want = _row_frame(pairs, config)
+        except (SerializationError, UnicodeEncodeError) as exc:
+            with pytest.raises(type(exc)):
+                encode_frame([Record(k, v) for k, v in pairs], config)
+            return
+        batch = encode_frame([Record(k, v) for k, v in pairs], config)
+        assert batch.frame == want
+        assert not batch.frame[0] & FLAG_COLUMNAR
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.data(), st.integers(2, 12))
+    def test_a_side_of_one_non_column_type_is_the_row_frame(self, data, size):
+        # Every item of the side has one exact type, so only the type
+        # (or an item's value) may keep the batch out of the columns.
+        poison = data.draw(
+            st.sampled_from([
+                st.booleans(),
+                st.just(_Colour.RED),
+                st.text(max_size=10).map(_Word),
+                st.integers(2**63, 2**77 - 1),
+                st.integers(-(2**77 - 1), _INT64_MIN - 1),
+                st.text(max_size=10).map(lambda text: "\x00" + text),
+                st.none(),
+            ])
+        )
+        column = data.draw(st.sampled_from(sorted(_column_items)))
+        bad = data.draw(st.lists(poison, min_size=size, max_size=size))
+        good = data.draw(
+            st.lists(_column_items[column], min_size=size, max_size=size)
+        )
+        pairs = list(zip(bad, good) if data.draw(st.booleans()) else zip(good, bad))
+        config = WireConfig(compress_min_bytes=0)
+        batch = encode_frame([Record(k, v) for k, v in pairs], config)
+        assert batch.frame == _row_frame(pairs, config)
+        (batch,) = encode_record_batches([Record(k, v) for k, v in pairs], config)
+        assert batch.frame == _row_frame(pairs, config)
+
+    @pytest.mark.parametrize(
+        "pairs",
+        [[("a", 1)], [(1, 2.5)], [("", "")]],
+        ids=["str-int", "int-float", "empty-str"],
+    )
+    def test_a_single_record_is_a_row_frame(self, pairs):
+        config = WireConfig()
+        assert encode_frame([Record(*pairs[0])], config).frame == _row_frame(
+            pairs, config
+        )
+
+    @pytest.mark.parametrize(
+        "text", ["\ud800", "lone \udfff", "\udc80\udc80"], ids=["hi", "lo", "two"]
+    )
+    @pytest.mark.parametrize("side", ["key", "value"])
+    def test_lone_surrogates_fail_as_the_row_encoder_fails(self, text, side):
+        pairs = [("k", "v"), (text, "v") if side == "key" else ("k", text)]
+        with pytest.raises(UnicodeEncodeError):
+            encode((pairs[1]))
+        with pytest.raises(UnicodeEncodeError):
+            encode_frame([Record(k, v) for k, v in pairs])
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        st.lists(
+            st.one_of(
+                st.tuples(_column_items["str"], _column_items["int"]),
+                st.tuples(_column_items["int"], _column_items["str"]),
+                st.tuples(_POISON, _column_items["int"]),
+            ),
+            max_size=40,
+        ),
+        _configs,
+        st.data(),
+    )
+    def test_cut_rule_holds_and_pieces_cut_like_the_whole(
+        self, pairs, config, data
+    ):
+        keys = [key for key, _ in pairs]
+        values = [value for _, value in pairs]
+        try:
+            whole: list = []
+            cut_frames(keys, values, config, whole)
+        except SerializationError:
+            return
+        for batch in whole:
+            assert batch.count <= config.max_batch_records
+            assert batch.count == 1 or batch.raw_bytes <= config.max_batch_bytes
+        assert whole == encode_record_batches(
+            [Record(k, v) for k, v in pairs], config
+        )
+        # Handed over in pieces, as the map-side collector hands them.
+        pieces: list = []
+        open_keys: list = []
+        open_values: list = []
+        for key, value in pairs:
+            open_keys.append(key)
+            open_values.append(value)
+            if data.draw(st.booleans()):
+                used = cut_frames(open_keys, open_values, config, pieces, False)
+                del open_keys[:used]
+                del open_values[:used]
+        assert cut_frames(open_keys, open_values, config, pieces) == len(open_keys)
+        assert pieces == whole
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        st.lists(
+            st.tuples(
+                st.tuples(_column_items["str"], _column_items["int"]),
+                st.tuples(_column_items["int"], _column_items["str"]),
+            ),
+            max_size=20,
+        ),
+        _configs,
+    )
+    def test_row_streams_keep_the_row_cut_points(self, couples, config):
+        # Neighbours never share a shape, so no frame can be columnar.
+        pairs = [pair for couple in couples for pair in couple]
+        batches = encode_record_batches(
+            [Record(k, v) for k, v in pairs], config
+        )
+        assert [batch.count for batch in batches] == _row_cuts(pairs, config)
+        offset = 0
+        for batch in batches:
+            assert batch.frame == _row_frame(
+                pairs[offset : offset + batch.count], config
+            )
+            offset += batch.count
+
+    def test_flag_0x02_is_known(self):
+        # A columnar flag around a row payload: a column error, not an
+        # unknown flag.
+        payload = encode_pair("a", 1) + encode_pair("b", 2)
+        frame = seal_frame(FLAG_COLUMNAR, 2, payload, len(payload)).frame
+        with pytest.raises(SerializationError) as raised:
+            decode_frame(frame)
+        assert "unknown frame flags" not in str(raised.value)
+
+
+def _columns(key_column: bytes, value_column: bytes) -> bytes:
+    return encode_varint(len(key_column)) + key_column + value_column
+
+
+_INTS_2 = b"\x03" + struct.pack("<2q", 1, 2)
+_STRS_2 = b"\x06a\x00b"
+
+#: CRC-valid columnar frames of two records whose payload is wrong.
+_BAD_COLUMNS = {
+    "unknown-key-tag": _columns(b"\x04" + bytes(16), _INTS_2),
+    "unknown-value-tag": _columns(_INTS_2, b"\x07" + bytes(16)),
+    "bool-tag": _columns(b"\x02", _INTS_2),
+    "int-column-short": _columns(b"\x03" + bytes(15), _INTS_2),
+    "int-column-long": _columns(b"\x03" + bytes(24), _INTS_2),
+    "float-column-short": _columns(_INTS_2, b"\x05" + bytes(9)),
+    "str-column-one-item": _columns(b"\x06ab", _INTS_2),
+    "str-column-three-items": _columns(_STRS_2 + b"\x00c", _INTS_2),
+    "str-column-bad-utf8": _columns(b"\x06\xff\x00\xfe", _INTS_2),
+    "str-column-cut-utf8": _columns(_STRS_2, b"\x06\xc3\x00a"),
+    "key-length-past-end": encode_varint(40) + _INTS_2 + _INTS_2,
+    "key-length-zero": b"\x00" + _INTS_2,
+    "no-value-column": _columns(_INTS_2, b""),
+    "trailing-after-ints": _columns(_INTS_2, _INTS_2 + b"\x00"),
+    "empty": b"",
+    "varint-cut": b"\x80",
+}
+
+
+class TestMalformedColumns:
+    @pytest.mark.parametrize("name", sorted(_BAD_COLUMNS))
+    @pytest.mark.parametrize("deflate", [False, True])
+    def test_sealed_bad_columns_are_serialization_errors(self, name, deflate):
+        payload = _BAD_COLUMNS[name]
+        if deflate:
+            body, flags = zlib.compress(payload), FLAG_COLUMNAR | FLAG_COMPRESSED
+        else:
+            body, flags = payload, FLAG_COLUMNAR
+        frame = seal_frame(flags, 2, body, len(payload)).frame
+        for make in (Record, entry_pair):
+            with pytest.raises(SerializationError):
+                decode_frame(frame, make=make)
+        with pytest.raises(SerializationError):
+            list(read_frames(io.BytesIO(frame)))
+
+    @pytest.mark.parametrize("count", [0, 1, 3])
+    def test_columns_must_match_the_header_count(self, count):
+        payload = _columns(_STRS_2, _INTS_2)
+        frame = seal_frame(FLAG_COLUMNAR, count, payload, len(payload)).frame
+        with pytest.raises(SerializationError):
+            decode_frame(frame, make=entry_pair)
+        good = seal_frame(FLAG_COLUMNAR, 2, payload, len(payload)).frame
+        assert decode_frame(good, make=entry_pair)[0] == [("a", 1), ("b", 2)]
+
+    @pytest.mark.parametrize(
+        "count, payload",
+        [
+            (1, _columns(b"\x03" + bytes(8), b"\x06v")),
+            (1, _columns(b"\x06k", b"\x05" + bytes(8))),
+            (0, _columns(b"\x03", b"\x05")),
+        ],
+        ids=["one-int-str", "one-str-float", "none"],
+    )
+    def test_fewer_than_two_records_are_never_columns(self, count, payload):
+        # Consistent columns, but the encoder writes a frame of fewer
+        # than two records as rows: any other spelling is malformed.
+        frame = seal_frame(FLAG_COLUMNAR, count, payload, len(payload)).frame
+        with pytest.raises(SerializationError, match="two or more"):
+            decode_frame(frame)
+
+    @settings(max_examples=300, deadline=None)
+    @given(_homogeneous(), st.data())
+    def test_sealed_mutated_columns_never_escape(self, pairs, data):
+        config = WireConfig(compress=False)
+        frame = encode_frame([Record(k, v) for k, v in pairs], config).frame
+        _flags, count, start, stop = _header(frame)
+        payload = bytearray(frame[start:stop])
+        for _ in range(data.draw(st.integers(min_value=1, max_value=4))):
+            where = data.draw(st.integers(min_value=0, max_value=len(payload)))
+            edit = data.draw(st.sampled_from(["set", "insert", "delete"]))
+            if edit == "insert" or where == len(payload):
+                payload.insert(where, data.draw(st.integers(0, 255)))
+            elif edit == "set":
+                payload[where] = data.draw(st.integers(0, 255))
+            else:
+                del payload[where]
+        mutated = seal_frame(FLAG_COLUMNAR, count, bytes(payload), 0).frame
+        try:
+            decoded, _end = decode_frame(mutated, make=entry_pair)
+        except SerializationError:
+            return
+        assert len(decoded) == count
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.binary(max_size=80), st.integers(min_value=0, max_value=12))
+    def test_sealed_arbitrary_columns_never_escape(self, payload, count):
+        frame = seal_frame(FLAG_COLUMNAR, count, payload, len(payload)).frame
+        try:
+            decoded, _end = decode_frame(frame)
+        except SerializationError:
+            return
+        assert len(decoded) == count
+
+
+def _header(frame: bytes) -> tuple[int, int, int, int]:
+    count, position = decode_varint(frame, 1)
+    length, position = decode_varint(frame, position)
+    return frame[0], count, position, position + length

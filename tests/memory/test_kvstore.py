@@ -138,50 +138,6 @@ def test_property_kvstore_folding_matches_dict(pairs, cache_bytes):
     store.close()
 
 
-class TestCompaction:
-    def test_reclaims_dead_versions(self):
-        store = SpillingKVStore(cache_bytes=256, write_buffer_bytes=128)
-        for _round in range(10):
-            for key in range(20):
-                store.put(key, f"value-{_round}-{key}" * 3)
-        store.finalize()
-        before = store.log_size_bytes()
-        reclaimed = store.compact()
-        after = store.log_size_bytes()
-        assert reclaimed > 0
-        assert after < before
-        assert before - after == reclaimed
-        assert store.compactions == 1
-        store.close()
-
-    def test_values_survive_compaction(self):
-        store = SpillingKVStore(cache_bytes=256, write_buffer_bytes=128)
-        for key in range(30):
-            store.put(key, key)
-        for key in range(30):
-            store.put(key, key * 10)  # dead first versions
-        store.compact()
-        for key in range(30):
-            assert store.get(key) == key * 10, key
-        assert len(store) == 30
-        store.close()
-
-    def test_compacting_fresh_store_is_noop(self):
-        store = SpillingKVStore()
-        assert store.compact() == 0
-        store.close()
-
-    def test_read_modify_update_after_compaction(self):
-        store = SpillingKVStore(cache_bytes=512, write_buffer_bytes=128)
-        for key in range(25):
-            store.put(key, 1)
-        store.compact()
-        for key in range(25):
-            store.put(key, store.get(key, 0) + 1)
-        assert all(store.get(key) == 2 for key in range(25))
-        store.close()
-
-
 class TestWireFormatIntegrity:
     """The append log is CRC-framed: corrupt entries fail loudly instead
     of handing a decoded-garbage value back to the reducer."""

@@ -1,15 +1,17 @@
 """Same spill points, same bytes: the spill-merge store's golden runs.
 
 The store may get faster; *when* it spills and *what* it writes may not
-move.  Every number and digest below was computed at the commit before
-the hash-buffer store (PR 23's parent, red-black tree buffer, ``Record``
-round trip on the run path) by running this file's own ``observe`` there:
-per reduce task the spill accounting and heap peak, the sha256 of every
-run file in the order it was cut, and the sha256 of a checkpoint of the
-merged view.  A change that spills on a different ``put``, orders a run
-differently, frames it differently or snapshots different bytes fails
-here — the way ``tests/dfs/test_wire_golden.py`` pins the frames
-themselves.  Never update a constant to make a speed-up pass.
+move. Every number below was computed at the commit before the
+hash-buffer store (red-black tree buffer, ``Record`` round trip on the
+run path) by running this file's own ``observe`` there: per reduce task
+the spill accounting and heap peak, the sha256 of every run file in the
+order it was cut, and the sha256 of a checkpoint of the merged view. The
+bytes written and the digests were re-pinned once, when store files
+gained columnar frames; spill counts, spilled entries and heap peaks
+were not touched. A change that spills on a different ``put``, orders a
+run differently, frames it differently or snapshots different bytes
+fails here — the way ``tests/dfs/test_wire_golden.py`` pins the frames
+themselves. Never update a constant to make a speed-up pass.
 """
 
 from __future__ import annotations
@@ -77,10 +79,10 @@ def observe(app: str, records: int, reducers: int, threshold: int | None):
 #: The ``sort`` demo job stagebench's ``sort_spill`` runs: 20,000 records,
 #: 4 reducers, the demo's 256 KiB threshold, seed 1.
 SORT_GOLDEN: list[tuple] = [
-    (2, 4366, 10855, 262080, ("c112a9b193f23183", "96275845791516d8"), "724f136be19ced0f"),
-    (2, 4365, 10776, 262080, ("c723b86f5a53e259", "6326f2251c14fef5"), "ac90b729430c6b00"),
-    (2, 4366, 10772, 262080, ("9668791f2efaeea2", "66995c9552695fdb"), "b428422a266c60a9"),
-    (2, 4365, 10765, 262080, ("74838e427c98df44", "37653e4283d64b26"), "22e1246fd3bdeb45"),
+    (2, 4366, 10904, 262080, ("8c1dbe75b27c76e6", "2bd0cf9068aef371"), "7e613b72f549aa8d"),
+    (2, 4365, 10963, 262080, ("1d7541020e01d2b4", "1d07104ac43b81a4"), "62680e866fed0f8d"),
+    (2, 4366, 10958, 262080, ("42448f31bd2d3b2d", "0acd8583d8143c7e"), "ea6a92b454df5444"),
+    (2, 4365, 10929, 262080, ("3ecb9930246dc422", "604cec175cb0652a"), "99068b918cc5d6dd"),
 ]
 
 #: ``wc`` with a 16 KiB threshold: ~500 hot keys, so the same key lands in
@@ -88,26 +90,26 @@ SORT_GOLDEN: list[tuple] = [
 #: in the middle of a write-back.
 WC_GOLDEN: list[tuple] = [
     (
-        20, 1969, 5870, 16280,
+        20, 1969, 6413, 16280,
         (
-            "6d6fe2a804699e18", "1982c0da57f3eda6", "4da4509d73f35814", "d32640643070a9ee",
-            "2cca514e76ea81a9", "fe53ed4113eb5691", "7f7c9de4dc2ea88b", "58b319cfee17310a",
-            "5bf7f196b89765b2", "045c228b61577e6b", "babe833691452d94", "aec5d41484b82dfb",
-            "7d5c827d45d86f56", "788da349cc2b57fa", "04ca2af99a2f61c5", "408a1c132bfce39d",
-            "634ca700216fd4d9", "ee74dca4cdaf9df8", "17c116839d2d0786", "5bc004587a3fb270",
+            "70334a73ba4f9eba", "2fdeb94863148ed4", "fd49b3f229c7fbf2", "31133b92fd2c90cd",
+            "69efaec4689eb479", "28bd33ea89c7d22a", "90de03127e199d7e", "5e617281971782a4",
+            "e9cf6c4be72136a3", "2bacd4c1a11118fc", "ce877d2a149ec622", "2c52906e6f53ecb6",
+            "ae680002de57c9cc", "fc8565299ab0dedd", "e76cee6739de39d0", "158287d62ef5ff90",
+            "c0b42d486daf0c06", "c0afb73a33d8405e", "918922549a6132a3", "53a3a897ef2b6ab4",
         ),
-        "d14d6e002f7033fa",
+        "cc23a09b23397336",
     ),
     (
-        20, 1900, 5751, 16280,
+        20, 1900, 6338, 16280,
         (
-            "2f2ef19e6319343e", "78d1ef2451fafb64", "ae57d9d635a7e872", "648d770dcdb1eb98",
-            "e080e717a12e3784", "6978e3691ad7dfdf", "00e515604e41c86b", "75dde4a16c1c4323",
-            "2131cdccfffed7a5", "650694cf2ce5b1d8", "f189d6a597d62689", "f2768dd4813bbd23",
-            "a455d95da7b9320b", "6e98f88ea1506c79", "56d86f263b9bd004", "e4b9cc9cf9dac556",
-            "8c097c4bd06f16fc", "6d6dba7a6b273a2b", "ef562cd6af58fb1e", "59a13799eac24e4a",
+            "0c83dfcb5b5e1172", "8e230e875e8d3a34", "8e34801c427f04d9", "88c779d0df5594c0",
+            "fc0a1ebe243f3ccc", "14d7552d66bdc735", "613ec233958b7fdf", "34252e422b68c1aa",
+            "eb163d035d26d1ab", "55c2da4dae17070d", "adddf958ad697fca", "51ceb83bdc0e63d2",
+            "12d7a5a4701fd29f", "79d248948f2ec29a", "c29b6756304a59b5", "f3ec5cc55bd1fc3b",
+            "572df7eb63a94913", "472ab9ab396f157c", "f77b748ae9f2e343", "bc1b16ceeeeb2287",
         ),
-        "ee59ca838bf02e35",
+        "902a1a70c489f828",
     ),
 ]
 

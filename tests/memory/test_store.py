@@ -102,9 +102,10 @@ class TestKeyOrder:
     """Partials live in a hash table; order is made once, where it is read."""
 
     def test_wc_demo_checkpoint_bytes_are_pinned(self, tmp_path):
-        # The digest was taken when the store was a red-black tree and is
-        # never updated: the one sort must write the bytes the in-order
-        # walk wrote, frame for frame.
+        # The digest was taken when the store was a red-black tree
+        # (31c03622...) and re-pinned only when store files gained
+        # columnar frames: the one sort must write the entries, order and
+        # frame cuts the in-order walk wrote.
         job, pairs = demo_job_and_input("wc", ExecutionMode.BARRIERLESS)
         store = TreeMapStore()
         reducer = job.reducer_factory()
@@ -115,7 +116,7 @@ class TestKeyOrder:
         with open(checkpoint_path(str(tmp_path)), "rb") as fh:
             digest = hashlib.sha256(fh.read()).hexdigest()
         assert digest == (
-            "31c036221f49e7167b397b75ebd7c0dd231616b0886e79f78d87181d4ea1f769"
+            "890681dd72f0cf0fb94fa3586f43cd48fe3be9ea6c400268256a002cd1c73ffe"
         )
 
     def test_unorderable_keys_raise_where_order_is_read(self, tmp_path):
