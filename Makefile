@@ -114,7 +114,8 @@ cluster-trace:
 
 netchaos:
 	python -m repro.cli cluster all --workers 2 --chaos net
-	pytest tests/cluster/test_netchaos.py tests/cluster/test_coordinator_recovery.py -q
+	pytest tests/cluster/test_shuffle.py tests/cluster/test_netchaos.py \
+		tests/cluster/test_coordinator_recovery.py -q
 
 server:
 	pytest tests/server/test_kernel.py tests/server/test_props.py -q

@@ -309,6 +309,71 @@ def test_cluster_split_path(benchmark):
     )
 
 
+def test_shuffle_fetch_loopback(benchmark):
+    """A cluster reducer's data plane alone: ``wc``'s 25,000-record map
+    output (4 maps x 4 reducers) published to one ``ShuffleServer`` and
+    drained stream by stream through ``RemoteMapOutputSource`` on
+    127.0.0.1, one ``fetch`` round trip per window of frames."""
+    from repro.apps.demo import demo_job_and_input
+    from repro.cluster.shuffle import (
+        LocationTable,
+        RemoteMapOutputSource,
+        ShuffleServer,
+        ShuffleStore,
+    )
+    from repro.core.job import split_input
+    from repro.core.types import Counters, ExecutionMode
+    from repro.dfs.wire import WireConfig
+    from repro.engine.base import run_map_task_encoded
+
+    job, pairs = demo_job_and_input(
+        "wc", ExecutionMode.BARRIERLESS, 25_000, num_reducers=4, num_maps=4
+    )
+    published = {
+        mapper: run_map_task_encoded(job, split, Counters(), WireConfig())
+        for mapper, split in enumerate(split_input(pairs, 4))
+    }
+    store = ShuffleStore()
+    server = ShuffleServer(store)
+    locations = LocationTable()
+    for mapper, streams in published.items():
+        store.publish("job-1", mapper, 0, streams)
+        locations.update(mapper, server.host, server.port, 0)
+
+    def drain():
+        source = RemoteMapOutputSource("job-1", locations, fetch_timeout_s=5.0)
+        got = {}
+        try:
+            for mapper, streams in published.items():
+                for reducer in streams:
+                    frames = got[mapper, reducer] = []
+                    while True:
+                        _epoch, batch = source.read(mapper, reducer, len(frames))
+                        if batch is None:
+                            break
+                        frames.append(batch)
+        finally:
+            source.close()
+        return got
+
+    try:
+        got = benchmark(drain)
+    finally:
+        server.close()
+    assert got == {
+        (mapper, reducer): batches
+        for mapper, streams in published.items()
+        for reducer, batches in streams.items()
+    }
+    frames = sum(len(batches) for batches in got.values())
+    assert sum(len(b) for batches in got.values() for b in batches) == 25_000
+    emit_timed(
+        benchmark,
+        lambda mean: f"shuffle fetch on loopback, {frames} wc frames in "
+        f"{len(got)} streams: {mean * 1e3:.2f} ms per drain",
+    )
+
+
 def test_engine_pipelining_overhead(benchmark, testbed):
     """Threaded pipelined engine vs sequential reference on real data.
 

@@ -96,9 +96,12 @@ MESSAGE_KINDS = (
     "job-done",      # job_id
     "shutdown",      # (no fields)
     # data plane (reducer <-> shuffle server)
-    "fetch",         # job_id, mapper, reducer, seq
-    "batch",         # epoch, frame(bytes), count, raw
-    "end",           # epoch
+    "fetch",         # job_id, mapper, reducer, seq, window — ask for up
+                     # to `window` (>= 1) consecutive batches from `seq`
+    "batch",         # epoch, frames [bytes], counts, raws, end — one to
+                     # `window` consecutive batches of one epoch; `end`
+                     # when the stream is exhausted after them
+    "end",           # epoch — `seq` is past the stream's last batch
     "gone",          # (mapper output not held here)
     # submission plane (client <-> job server — see repro.server)
     "submit",        # tenant, app, mode, records, num_maps, num_reducers,
@@ -117,6 +120,11 @@ MESSAGE_KINDS = (
 #: (workers and coordinator must agree), so it is fixed, not configured.
 _FRAME_WIRE = WireConfig()
 
+#: ``batch`` replies skip the deflate attempt: the shuffle frames they
+#: carry were already deflated where deflating helped, so a second pass
+#: costs time and saves next to nothing.
+_BATCH_WIRE = WireConfig(compress=False)
+
 
 class RpcError(RuntimeError):
     """A malformed, oversized or truncated RPC message."""
@@ -127,7 +135,10 @@ def encode_message(kind: str, fields: dict[str, Any] | None = None) -> bytes:
     if kind not in MESSAGE_KINDS:
         raise RpcError(f"unknown message kind {kind!r}")
     try:
-        batch = encode_frame([Record(kind, fields or {})], _FRAME_WIRE)
+        batch = encode_frame(
+            [Record(kind, fields or {})],
+            _BATCH_WIRE if kind == "batch" else _FRAME_WIRE,
+        )
     except SerializationError as exc:
         raise RpcError(f"unencodable {kind} message: {exc}") from exc
     frame = batch.frame

@@ -9,17 +9,25 @@ The worker-local half of the cluster data plane:
   :class:`~repro.engine.recovery.MapOutputService`'s batch streams).
 - :class:`ShuffleServer` serves those frames over TCP as length-prefixed
   RPC messages (``fetch`` → ``batch``/``end``/``gone``), one thread per
-  connection, sequenced exactly like the in-memory service so the
-  reducer-side :class:`~repro.engine.recovery.FetchLedger` semantics
-  carry over unchanged.
+  connection.  A ``fetch`` asks for a *window* of consecutive batches
+  and one ``batch`` reply carries up to that many, all of one epoch and
+  at most :data:`WINDOW_BYTES` of frames (a single larger frame travels
+  alone) — one round trip per window, as Hadoop's copier moves a map's
+  partition per request, not one per frame.
 - :class:`RemoteMapOutputSource` is the reducer-side client: it
   implements the ``wait_available`` / ``read`` / ``epoch_of`` protocol
   that :func:`~repro.engine.recovery.run_fetch_stream` drives, backed by
   a :class:`LocationTable` of where each mapper's output currently
-  lives.  Socket failures surface as the retryable
+  lives.  ``read`` still answers one batch per sequence number, mostly
+  from the window last received for that stream, so the reducer-side
+  :class:`~repro.engine.recovery.FetchLedger` semantics carry over
+  unchanged.  Socket failures surface as the retryable
   :class:`~repro.engine.recovery.FetchAttemptError` /
   :class:`~repro.engine.recovery.FetchTimeoutError`, so the existing
-  backoff/timeout/dedup policies apply verbatim to real network faults.
+  backoff/timeout/dedup policies apply verbatim to real network faults;
+  after one, the stream's next request asks for a single batch and each
+  success doubles the window back towards :data:`FETCH_WINDOW`, so a
+  link that corrupts most multi-kilobyte replies still makes progress.
 """
 
 from __future__ import annotations
@@ -43,11 +51,20 @@ from repro.cluster.rpc import (
 )
 
 __all__ = [
+    "FETCH_WINDOW",
     "LocationTable",
     "RemoteMapOutputSource",
     "ShuffleServer",
     "ShuffleStore",
+    "WINDOW_BYTES",
 ]
+
+#: Batches a fetch asks for on a healthy stream.
+FETCH_WINDOW = 64
+
+#: Frame bytes one ``batch`` reply may carry, unless it holds a single
+#: batch; far below :data:`~repro.cluster.rpc.MAX_MESSAGE_BYTES`.
+WINDOW_BYTES = 256 * 1024
 
 
 class ShuffleStore:
@@ -80,13 +97,38 @@ class ShuffleStore:
         self, job_id: str, mapper: int, reducer: int, seq: int
     ) -> tuple[int, WireBatch | None] | None:
         """Serve one batch; ``(epoch, None)`` = stream end; ``None`` = gone."""
+        held = self.read_window(job_id, mapper, reducer, seq, 1)
+        if held is None:
+            return None
+        epoch, batches, _end = held
+        return epoch, (batches[0] if batches else None)
+
+    def read_window(
+        self, job_id: str, mapper: int, reducer: int, seq: int, window: int
+    ) -> tuple[int, list[WireBatch], bool] | None:
+        """Serve batches ``seq, seq + 1, ...`` under one lock acquisition.
+
+        Returns ``(epoch, batches, end)``: at most ``window`` batches
+        whose frames stay within :data:`WINDOW_BYTES` (the first is
+        always taken), and ``end`` when the stream holds nothing after
+        them; an empty list means ``seq`` is past the end.  ``None``
+        means this worker does not hold the output.
+        """
         with self._lock:
             held = self._outputs.get((job_id, mapper))
             if held is None:
                 return None
             epoch, batches, _size = held
             stream = batches.get(reducer, [])
-            return epoch, (stream[seq] if seq < len(stream) else None)
+            taken = stream[seq:seq + max(window, 1)]
+            if len(taken) > 1:  # a single batch goes out at any size
+                size = 0
+                for count, batch in enumerate(taken):
+                    size += len(batch.frame)
+                    if count and size > WINDOW_BYTES:
+                        del taken[count:]
+                        break
+            return epoch, taken, seq + len(taken) >= len(stream)
 
     def held(self) -> list[tuple[str, int, int]]:
         """Every output held, as sorted ``(job_id, mapper, epoch)``.
@@ -121,15 +163,18 @@ class ShuffleServer:
     """Thread-per-connection TCP server over a :class:`ShuffleStore`.
 
     Speaks the data-plane subset of the RPC protocol: a reducer sends
-    ``fetch {job_id, mapper, reducer, seq}`` and receives ``batch``
-    (one encoded frame + its epoch), ``end`` (stream exhausted at that
-    epoch) or ``gone`` (this worker does not hold that output — the
-    client treats it as a transient fault and retries, by which time the
-    coordinator has usually republished the location elsewhere).
+    ``fetch {job_id, mapper, reducer, seq, window}`` and receives
+    ``batch`` (one to ``window`` consecutive frames of one epoch, see
+    :meth:`ShuffleStore.read_window`, with ``end`` set when the stream
+    holds nothing after them), ``end`` (``seq`` is past the stream's end
+    at that epoch) or ``gone`` (this worker does not hold that output —
+    the client treats it as a transient fault and retries, by which time
+    the coordinator has usually republished the location elsewhere).
 
     ``on_serve`` fires after every successfully written ``batch`` reply,
-    on the serving thread; the worker's ``serves`` kill spec hangs off it
-    — a worker dying mid-shuffle with its sockets mid-stream.
+    on the serving thread, with the cumulative number of batches served;
+    the worker's ``serves`` kill spec hangs off it — a worker dying
+    mid-shuffle with its sockets mid-stream.
     """
 
     def __init__(
@@ -180,15 +225,15 @@ class ShuffleServer:
                     return
 
     def _answer_fetch(self, conn: socket.socket, fields: dict) -> None:
-        held = self._store.read(
+        held = self._store.read_window(
             str(fields["job_id"]), int(fields["mapper"]),
-            int(fields["reducer"]), int(fields["seq"]),
+            int(fields["reducer"]), int(fields["seq"]), int(fields["window"]),
         )
         if held is None:
             send_message(conn, "gone", {})
             return
-        epoch, batch = held
-        if batch is None:
+        epoch, batches, end = held
+        if not batches:
             send_message(conn, "end", {"epoch": epoch})
             return
         send_message(
@@ -196,13 +241,14 @@ class ShuffleServer:
             "batch",
             {
                 "epoch": epoch,
-                "frame": batch.frame,
-                "count": batch.count,
-                "raw": batch.raw_bytes,
+                "frames": [batch.frame for batch in batches],
+                "counts": [batch.count for batch in batches],
+                "raws": [batch.raw_bytes for batch in batches],
+                "end": end,
             },
         )
         with self._serves_lock:
-            self._serves += 1
+            self._serves += len(batches)
             serves = self._serves
         if self._on_serve is not None:
             self._on_serve(serves)
@@ -279,6 +325,14 @@ class RemoteMapOutputSource:
     retryable fetch errors, letting the caller's fetch-level backoff
     pace the attempt (by which time a dead peer's outputs have usually
     moved, via a ``location`` update).
+
+    Each (mapper, reducer) stream keeps the last window it received and
+    answers ``read`` from it while the mapper's :class:`LocationTable`
+    entry is still the ``(host, port, epoch)`` it came from; a read one
+    past a window that ended the stream returns ``(epoch, None)`` with no
+    round trip.  A failed attempt (timeout, socket or CRC error,
+    ``gone``) shrinks the stream's next request to one batch, and each
+    success doubles it again up to :data:`FETCH_WINDOW`.
     """
 
     #: Dial retries per fetch attempt: brief, because the fetch-level
@@ -300,6 +354,15 @@ class RemoteMapOutputSource:
             tuple[str, int], tuple[socket.socket, threading.Lock]
         ] = {}
         self._lock = threading.Lock()
+        # (mapper, reducer) -> the last window received for that stream:
+        # (location it came from, epoch, first seq, batches, end).  Valid
+        # only while the mapper's location is still that one.
+        self._windows: dict[
+            tuple[int, int],
+            tuple[tuple[str, int, int], int, int, tuple[WireBatch, ...], bool],
+        ] = {}
+        # (mapper, reducer) -> batches the stream's next request asks for.
+        self._asks: dict[tuple[int, int], int] = {}
 
     # -- MapOutputService read protocol -----------------------------------
 
@@ -320,6 +383,36 @@ class RemoteMapOutputSource:
         held = self._locations.get(mapper)
         if held is None:
             raise FetchAttemptError(f"map-{mapper} has no known location")
+        stream = (mapper, reducer)
+        cached = self._windows.get(stream)
+        if cached is not None and cached[0] == held:
+            _where, epoch, first, batches, end = cached
+            offset = seq - first
+            if 0 <= offset < len(batches):
+                return epoch, batches[offset]
+            if offset == len(batches) and end:
+                return epoch, None
+        ask = self._asks.get(stream, FETCH_WINDOW)
+        try:
+            epoch, batches, end = self._fetch(held, mapper, reducer, seq, ask)
+        except (FetchAttemptError, FetchTimeoutError):
+            # Collapse: after any failed attempt ask for one batch, so a
+            # link that mangles large replies still moves the stream.
+            self._asks[stream] = 1
+            raise
+        self._asks[stream] = min(2 * ask, FETCH_WINDOW)
+        self._windows[stream] = (held, epoch, seq, batches, end)
+        return epoch, (batches[0] if batches else None)
+
+    def _fetch(
+        self,
+        held: tuple[str, int, int],
+        mapper: int,
+        reducer: int,
+        seq: int,
+        window: int,
+    ) -> tuple[int, tuple[WireBatch, ...], bool]:
+        """One ``fetch`` round trip: ``(epoch, batches, end)``."""
         host, port, _epoch = held
         address = (host, port)
         try:
@@ -333,6 +426,7 @@ class RemoteMapOutputSource:
                         "mapper": mapper,
                         "reducer": reducer,
                         "seq": seq,
+                        "window": window,
                     },
                 )
                 kind, fields = recv_message(conn, timeout=self._timeout)
@@ -355,15 +449,17 @@ class RemoteMapOutputSource:
                 f"map-{mapper} output gone from {host}:{port}"
             )
         if kind == "end":
-            return int(fields["epoch"]), None
+            return int(fields["epoch"]), (), True
         if kind != "batch":
             self._drop(address)
             raise FetchAttemptError(f"unexpected {kind} reply to fetch")
-        return int(fields["epoch"]), WireBatch(
-            frame=bytes(fields["frame"]),
-            count=int(fields["count"]),
-            raw_bytes=int(fields["raw"]),
+        batches = tuple(
+            WireBatch(frame=bytes(frame), count=int(count), raw_bytes=int(raw))
+            for frame, count, raw in zip(
+                fields["frames"], fields["counts"], fields["raws"]
+            )
         )
+        return int(fields["epoch"]), batches, bool(fields["end"])
 
     # -- connection cache --------------------------------------------------
 
@@ -420,7 +516,9 @@ class RemoteMapOutputSource:
                 pass
 
     def close(self) -> None:
-        """Close every cached connection (end of the reduce attempt)."""
+        """Close every cached connection and drop every window (end of
+        the reduce attempt)."""
+        self._windows.clear()
         with self._lock:
             held = list(self._conns.values())
             self._conns.clear()

@@ -23,10 +23,10 @@ the plane that brings it back together:
   (the minimum of ``recv_wall - send_wall`` over samples bounds skew
   from above because network delay is non-negative), and merges
   everything onto the coordinator's timeline: a multi-process Chrome
-  trace (coordinator as pid 0, one pid per worker), an event stream
-  totally ordered by ``(t_adjusted, worker, seq)``, a combined metrics
+  trace (coordinator as pid 0, one pid per worker), a combined metrics
   snapshot, and the per-worker status used by the ``status`` RPC verb
-  and the ``repro top`` dashboard.
+  and the ``repro top`` dashboard.  Shipped events are decoded but not
+  kept: nothing on the coordinator reads them.
 
 Shipped telemetry is *presentation* state: the coordinator never merges
 a telemetry frame's counters into the job's counter registry — task
@@ -45,7 +45,7 @@ from dataclasses import dataclass
 from repro.core.types import Record
 from repro.dfs.serialization import SerializationError
 from repro.dfs.wire import WireConfig, decode_frame, encode_frame
-from repro.obs import JobObservability, ObsEvent, Span, to_chrome_trace_multi
+from repro.obs import JobObservability, Span, to_chrome_trace_multi
 from repro.obs.metrics import METRICS_SCHEMA_VERSION
 from repro.cluster.rpc import RpcError, recv_message, send_message
 
@@ -301,7 +301,7 @@ class _WorkerTelemetry:
 
     __slots__ = (
         "name", "pid", "truncated", "delay_min_s", "frames", "bytes",
-        "spans", "events", "counters", "series", "last_wall",
+        "spans", "counters", "series", "last_wall",
     )
 
     def __init__(self, name: str) -> None:
@@ -313,12 +313,11 @@ class _WorkerTelemetry:
         self.delay_min_s: float | None = None
         self.frames = 0
         self.bytes = 0
-        #: Spans and event times are stored on the *worker's wall clock*
-        #: (job epoch + job-relative time) and shifted onto the
-        #: coordinator timeline at export, so a refined skew estimate
-        #: retroactively improves alignment.
+        #: Span times are stored on the *worker's wall clock* (job epoch
+        #: + job-relative time) and shifted onto the coordinator
+        #: timeline at export, so a refined skew estimate retroactively
+        #: improves alignment.
         self.spans: list[Span] = []
-        self.events: list[tuple[float, int, str, dict]] = []
         self.counters: dict[str, int] = {}
         self.series: dict[str, dict] = {}
         self.last_wall = 0.0
@@ -400,15 +399,6 @@ class ClusterTelemetry:
                         end=epoch0 + float(span.get("end", 0.0)),
                         tid=int(span.get("tid", 0)),
                         attrs=dict(span.get("attrs", {})),
-                    )
-                )
-            for event in payload.get("events", ()):
-                wt.events.append(
-                    (
-                        epoch0 + float(event.get("t", 0.0)),
-                        int(event.get("seq", 0)),
-                        str(event.get("kind", "")),
-                        dict(event.get("attrs", {})),
                     )
                 )
             for counter, delta in dict(payload.get("counters", {})).items():
@@ -509,32 +499,6 @@ class ClusterTelemetry:
             label = f"worker {name}" + (" (truncated)" if truncated else "")
             processes.append((pid, label, adjusted))
         return to_chrome_trace_multi(processes, counters=self.obs.counters)
-
-    def merged_events(self) -> list[ObsEvent]:
-        """Every event, coordinator's first, under ``(t, worker, seq)``.
-
-        Worker event times are shifted onto the coordinator timeline;
-        the worker name rides in ``attrs["worker"]`` (empty string for
-        the coordinator's own events, which therefore sort first among
-        exact timestamp ties).
-        """
-        merged: list[tuple[float, str, int, str, dict]] = [
-            (event.t, "", event.seq, event.kind, dict(event.attrs))
-            for event in self.obs.events.events()
-        ]
-        with self._lock:
-            for wt in self._workers.values():
-                offset = self._offset_s(wt)
-                merged.extend(
-                    (t + offset, wt.name, seq, kind, dict(attrs))
-                    for t, seq, kind, attrs in wt.events
-                )
-        merged.sort(key=lambda item: (item[0], item[1], item[2]))
-        return [
-            ObsEvent(t=t, kind=kind, seq=seq,
-                     attrs={**attrs, "worker": worker})
-            for t, worker, seq, kind, attrs in merged
-        ]
 
     def metrics_snapshot(self) -> dict:
         """Coordinator + worker series in the ``write_metrics`` schema.

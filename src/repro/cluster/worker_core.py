@@ -260,7 +260,8 @@ class WorkerCore:
                 self._shell.die()
 
     def served(self, serves: int) -> None:
-        """The shuffle server has answered ``serves`` fetches with a batch."""
+        """The shuffle server has served ``serves`` batches in all (it
+        reports once per ``batch`` reply, which may carry several)."""
         if serves >= self._kill_serves:
             self._shell.die()
 

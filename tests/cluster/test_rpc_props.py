@@ -30,6 +30,7 @@ from repro.cluster.rpc import (
     recv_message,
     send_message,
 )
+from repro.dfs.wire import FLAG_COMPRESSED
 
 # Field values: everything the typed wire codec supports, NaN excluded
 # (breaks equality round-trips) and ints inside the 77-bit varint range.
@@ -230,3 +231,22 @@ class TestSocketReads:
                 thread.join()
             server.close()
             client.close()
+
+
+class TestBatchCompression:
+    """``batch`` replies carry frames already deflated where that helped,
+    so their message frame skips the deflate attempt; other kinds keep
+    the usual rule."""
+
+    def test_compressible_batch_stays_raw_and_round_trips(self):
+        fields = {
+            "epoch": 1, "frames": [b"x" * 400] * 4, "counts": [1] * 4,
+            "raws": [400] * 4, "end": True,
+        }
+        blob = encode_message("batch", fields)
+        assert not blob[4] & FLAG_COMPRESSED
+        assert decode_message(blob) == ("batch", fields)
+
+    def test_compressible_message_of_another_kind_is_deflated(self):
+        blob = encode_message("reduce-done", {"output": b"x" * 1600})
+        assert blob[4] & FLAG_COMPRESSED

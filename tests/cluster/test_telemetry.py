@@ -235,20 +235,6 @@ def test_merged_trace_schema(runtime):
         assert args["pid"] == event["pid"]
 
 
-def test_merged_events_are_totally_ordered(runtime):
-    job, pairs = _demo("wc")
-    runtime.run_job(job, pairs, num_maps=NUM_MAPS)
-    merged = runtime.telemetry.merged_events()
-    assert merged
-    keys = [
-        (event.t, event.attrs["worker"], event.seq) for event in merged
-    ]
-    assert keys == sorted(keys)
-    workers = {event.attrs["worker"] for event in merged}
-    assert "" in workers  # the coordinator's own events
-    assert any(worker for worker in workers)  # and shipped worker events
-
-
 # ---------------------------------------------------------------------------
 # Status plane
 # ---------------------------------------------------------------------------
