@@ -73,13 +73,15 @@ fold:
 		-q -p no:cacheprovider --hypothesis-profile=ci
 
 # Figure 4 in one command: the stage-concurrency series read from the
-# simulator's spans (with the CSV golden digests), the simulator's own
-# suite and the Figure 4 claims, as CI's timeline job runs them.  Run it
-# before and after any change to sim/hadoop.py or analysis/timeline.py.
+# simulator's spans (with the CSV golden digests), the simulator's stage
+# times pinned over a grid of runs, the simulator's own suite and the
+# Figure 4 claims, as CI's timeline job runs them.  Run it before and
+# after any change to sim/hadoop.py, analysis/timeline.py or
+# repro.obs.stage_times.
 timeline:
-	pytest tests/analysis/test_timeline.py tests/sim/test_hadoop.py \
-		benchmarks/test_fig4_timeline.py --benchmark-disable -q \
-		-p no:cacheprovider
+	pytest tests/analysis/test_timeline.py tests/sim/test_stage_times_grid.py \
+		tests/sim/test_hadoop.py benchmarks/test_fig4_timeline.py \
+		--benchmark-disable -q -p no:cacheprovider
 
 stagebench-smoke:
 	python -m benchmarks.stagebench --seed 1 --smoke

@@ -56,7 +56,7 @@ from repro.core.job import JobSpec, split_input
 from repro.core.types import JobResult, Key, Value
 from repro.dfs.wire import WireConfig
 from repro.engine.recovery import RecoveryConfig
-from repro.obs import JobObservability
+from repro.obs import JobObservability, stage_times
 from repro.cluster.dispatch import (
     DEFAULT_LEASE_S,
     PLACEMENTS,
@@ -204,6 +204,17 @@ class Coordinator:
         self, job_id: str, result: JobResult | None,
         error: ClusterJobError | None,
     ) -> None:
+        job_span = (
+            self._dispatcher.job(job_id).span if result is not None else None
+        )
+        if job_span is not None:
+            # Each committed task's telemetry frame was ingested before
+            # its completion message was queued.  Spans that ended
+            # before the job span began are a resumed job's earlier run.
+            result.stage_times = stage_times([job_span] + [
+                span for span in self.telemetry.job_spans(job_id)
+                if span.end >= job_span.start
+            ])
         waiter = self._waiters.pop(job_id, None)
         if waiter is None:
             return

@@ -222,9 +222,9 @@ class _JobState:
         #: nothing more is decided for the job until it is resumed.
         self.concluded = False
         self.result: JobResult | None = None
-        self.started = 0.0
         self.deadline = 0.0
-        self.map_done_at: list[float] = []
+        #: The job span of the current run; it stays on the state once
+        #: closed, for the shell to read the run's stage times under.
         self.span = None
 
     def spec_message(self) -> dict:
@@ -538,7 +538,7 @@ class Dispatcher:
                     },
                 )
             state.preempt_pending.discard(reducer)
-            self._maybe_finish(now, state)
+            self._maybe_finish(state)
             self._maybe_park(state)
         elif kind == "reduce-preempted":
             self.obs.counters.increment("cluster.preempt.acks")
@@ -624,6 +624,7 @@ class Dispatcher:
         self._begin_job(now, state)
 
     def _begin_job(self, now: float, state: _JobState) -> None:
+        state.span = None  # a resumed job's last run span is closed
         if state.invalid:
             self._conclude(
                 state,
@@ -648,9 +649,7 @@ class Dispatcher:
             state.begun = True
             self.obs.counters.increment("cluster.jobs")
         self._active[state.job_id] = state
-        state.started = now
         state.deadline = now + state.deadline_s
-        state.map_done_at = []
         state.span = self.obs.tracer.open(
             state.job.name, "job", mode=state.job.mode.value,
             engine="cluster", resumed=state.resuming,
@@ -662,7 +661,7 @@ class Dispatcher:
             self._place_fresh(state, workers)
         # A resumed job whose every reduce-commit survived in the journal
         # (only the job-done record was torn) is already complete.
-        self._maybe_finish(now, state)
+        self._maybe_finish(state)
 
     def _place_fresh(self, state: _JobState, workers: list[_Worker]) -> None:
         map_pool = reduce_pool = workers
@@ -725,21 +724,13 @@ class Dispatcher:
             reduces_reassigned=moved - maps_moved,
         )
 
-    def _maybe_finish(self, now: float, state: _JobState) -> None:
+    def _maybe_finish(self, state: _JobState) -> None:
         if state.concluded or len(state.output) < state.job.num_reducers:
             return
         self._commit("job-done", {"job_id": state.job_id})
-        elapsed = now - state.started
-        times = StageTimes(
-            first_map_done=min(state.map_done_at, default=elapsed),
-            last_map_done=max(state.map_done_at, default=elapsed),
-            shuffle_done=elapsed,
-            sort_done=elapsed,
-            reduce_done=elapsed,
-            job_done=elapsed,
-        )
+        # Stage times are the shell's to read off the merged spans.
         state.result = finish_result(
-            state.job, state.output, state.counters, times
+            state.job, state.output, state.counters, StageTimes()
         )
         self._conclude(state, None)
 
@@ -758,9 +749,7 @@ class Dispatcher:
         self._answer(state, error)
 
     def _answer(self, state: _JobState, error: ClusterJobError | None) -> None:
-        if state.span is not None:
-            self.obs.tracer.close(state.span)
-            state.span = None
+        self.obs.tracer.close(state.span)
         state.concluded = True
         self._concluded(state.job_id, None if error else state.result, error)
 
@@ -944,9 +933,7 @@ class Dispatcher:
         # Registration snapshots go stale the moment new maps finish, and
         # park/resume validates held outputs against this set.
         owner.held.add((state.job_id, mapper, epoch))
-        if first:
-            state.map_done_at.append(now - state.started)
-        else:
+        if not first:
             self.obs.counters.increment("map.reexecutions")
         self._publish(state, mapper)
 

@@ -40,7 +40,7 @@ from __future__ import annotations
 import socket
 import threading
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from repro.core.types import Record
 from repro.dfs.serialization import SerializationError
@@ -313,11 +313,11 @@ class _WorkerTelemetry:
         self.delay_min_s: float | None = None
         self.frames = 0
         self.bytes = 0
-        #: Span times are stored on the *worker's wall clock* (job epoch
-        #: + job-relative time) and shifted onto the coordinator
-        #: timeline at export, so a refined skew estimate retroactively
-        #: improves alignment.
-        self.spans: list[Span] = []
+        #: job_id -> that job's spans from this worker.  Times are stored
+        #: on the *worker's wall clock* (job epoch + job-relative time)
+        #: and shifted onto the coordinator timeline when read, so a
+        #: refined skew estimate retroactively improves alignment.
+        self.spans: dict[str, list[Span]] = {}
         self.counters: dict[str, int] = {}
         self.series: dict[str, dict] = {}
         self.last_wall = 0.0
@@ -325,6 +325,10 @@ class _WorkerTelemetry:
     @property
     def skew_s(self) -> float:
         return self.delay_min_s if self.delay_min_s is not None else 0.0
+
+
+def _shifted(span: Span, offset: float) -> Span:
+    return replace(span, start=span.start + offset, end=span.end + offset)
 
 
 class ClusterTelemetry:
@@ -383,9 +387,10 @@ class ClusterTelemetry:
             if wt.delay_min_s is None or delay < wt.delay_min_s:
                 wt.delay_min_s = delay
             key = (name, job_id)
+            job_spans = wt.spans.setdefault(job_id, [])
             for span in payload.get("spans", ()):
                 parent = span.get("parent")
-                wt.spans.append(
+                job_spans.append(
                     Span(
                         span_id=self._merged_id(key, int(span["id"])),
                         parent_id=(
@@ -461,6 +466,16 @@ class ClusterTelemetry:
         """Worker-wall → coordinator-job-relative time shift."""
         return wt.skew_s - self.obs.epoch
 
+    def job_spans(self, job_id: str) -> list[Span]:
+        """One job's spans from every worker, shifted onto the
+        coordinator timeline as :meth:`chrome_trace` shifts them."""
+        with self._lock:
+            return [
+                _shifted(span, self._offset_s(wt))
+                for wt in self._workers.values()
+                for span in wt.spans.get(job_id, ())
+            ]
+
     def truncated_workers(self) -> list[str]:
         """Names of workers whose telemetry is flagged truncated."""
         with self._lock:
@@ -472,7 +487,8 @@ class ClusterTelemetry:
         """Multi-process Chrome trace: coordinator pid 0, one pid/worker."""
         with self._lock:
             workers = [
-                (wt.pid, wt.name, wt.truncated, list(wt.spans),
+                (wt.pid, wt.name, wt.truncated,
+                 [span for spans in wt.spans.values() for span in spans],
                  self._offset_s(wt))
                 for wt in self._workers.values()
                 # pid 0 = no frame ever landed (died pre-heartbeat);
@@ -483,19 +499,7 @@ class ClusterTelemetry:
             (0, f"{process_name} coordinator", self.obs.tracer.spans())
         ]
         for pid, name, truncated, spans, offset in sorted(workers):
-            adjusted = [
-                Span(
-                    span_id=span.span_id,
-                    parent_id=span.parent_id,
-                    name=span.name,
-                    kind=span.kind,
-                    start=span.start + offset,
-                    end=span.end + offset,
-                    tid=span.tid,
-                    attrs=span.attrs,
-                )
-                for span in spans
-            ]
+            adjusted = [_shifted(span, offset) for span in spans]
             label = f"worker {name}" + (" (truncated)" if truncated else "")
             processes.append((pid, label, adjusted))
         return to_chrome_trace_multi(processes, counters=self.obs.counters)

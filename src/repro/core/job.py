@@ -106,23 +106,6 @@ class JobSpec:
                 "function used to merge partial results across spill files)"
             )
 
-    def with_mode(self, mode: ExecutionMode) -> "JobSpec":
-        """A copy of this spec running under a different shuffle mode."""
-        return JobSpec(
-            name=self.name,
-            mapper_factory=self.mapper_factory,
-            reducer_factory=self.reducer_factory,
-            num_reducers=self.num_reducers,
-            mode=mode,
-            combiner_factory=self.combiner_factory,
-            partition_fn=self.partition_fn,
-            reduce_class=self.reduce_class,
-            memory=self.memory,
-            merge_fn=self.merge_fn,
-            store_factory=self.store_factory,
-            map_output_buffer_bytes=self.map_output_buffer_bytes,
-            value_sort_key=self.value_sort_key,
-        )
 
 
 InputSplit = Sequence[tuple[Key, Value]]

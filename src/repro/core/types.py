@@ -154,11 +154,13 @@ class Counters:
 
 @dataclass(slots=True)
 class StageTimes:
-    """Wall-clock stage boundaries observed for one job execution.
+    """Stage boundaries of one job execution, read off its spans.
 
-    All times are seconds relative to job start.  ``first_map_done`` marks
-    the beginning of *mapper slack* — the interval the paper defines between
-    the first mapper finishing and the shuffle completing (§3.2).
+    All times are seconds relative to the job span's start, as
+    :func:`repro.obs.stage_times` reads them (0.0 where nothing was
+    recorded).  ``first_map_done`` marks the beginning of *mapper
+    slack* — the interval the paper defines between the first mapper
+    finishing and the shuffle completing (§3.2).
     """
 
     map_start: float = 0.0

@@ -19,7 +19,6 @@ and wiring partial-result stores into barrier-less reducers.
 from __future__ import annotations
 
 import abc
-import time
 from itertools import islice
 from typing import Callable, Iterable, Sequence
 
@@ -439,14 +438,3 @@ def finish_result(
         stage_times=stage_times,
         mode=job.mode,
     )
-
-
-class Stopwatch:
-    """Monotonic elapsed-seconds helper for stage timing."""
-
-    def __init__(self) -> None:
-        self._start = time.monotonic()
-
-    def elapsed(self) -> float:
-        """Seconds since construction."""
-        return time.monotonic() - self._start

@@ -184,11 +184,6 @@ class RetryingTaskRunner:
         raise TaskPermanentlyFailedError(task_id, self.max_attempts)
 
     @property
-    def total_attempts(self) -> int:
-        """Attempts made across all tasks (retries included)."""
-        return sum(self.attempts_made.values())
-
-    @property
     def retried_tasks(self) -> list[str]:
         """Task ids that needed more than one attempt."""
         return [task for task, n in self.attempts_made.items() if n > 1]

@@ -27,12 +27,10 @@ from repro.core.types import (
     JobResult,
     Key,
     Record,
-    StageTimes,
     Value,
 )
 from repro.engine.base import (
     Engine,
-    Stopwatch,
     barrier_merge_sort,
     finish_result,
     interleave_arrival,
@@ -46,7 +44,7 @@ from repro.engine.faults import (
     FaultInjector,
     RetryingTaskRunner,
 )
-from repro.obs import JobObservability
+from repro.obs import JobObservability, stage_times
 
 
 class LocalEngine(Engine):
@@ -84,8 +82,6 @@ class LocalEngine(Engine):
     ) -> JobResult:
         job.validate()
         counters = Counters()
-        watch = Stopwatch()
-        times = StageTimes()
         obs = self.obs
         runner = RetryingTaskRunner(
             injector=self._fault_injector,
@@ -98,11 +94,9 @@ class LocalEngine(Engine):
         ) as job_span:
             # Map stage: one task per split, sequentially, with retry.
             splits = split_input(pairs, num_maps)
-            per_reducer_outputs: dict[int, list[list[Record]]] = {
+            per_reducer_frames: dict[int, list[list]] = {
                 i: [] for i in range(job.num_reducers)
             }
-            times.map_start = watch.elapsed()
-            first_done: float | None = None
             with obs.tracer.span("map", "stage", parent=job_span):
                 for task_index, split in enumerate(splits):
 
@@ -143,54 +137,46 @@ class LocalEngine(Engine):
                         [b for bs in encoded.values() for b in bs],
                     )
                     for index, batches in encoded.items():
-                        per_reducer_outputs[index].append(
-                            decode_batches(batches, self._wire)
-                        )
+                        per_reducer_frames[index].append(batches)
                     counters.increment("map.tasks")
                     obs.counters.increment("map.tasks")
-                    if first_done is None:
-                        first_done = watch.elapsed()
-            times.first_map_done = (
-                first_done if first_done is not None else watch.elapsed()
-            )
-            times.last_map_done = watch.elapsed()
 
             # Shuffle + reduce per partition.
             output: dict[int, list[Record]] = {}
             with obs.tracer.span("reduce", "stage", parent=job_span):
                 for reducer_index in range(job.num_reducers):
-                    map_outputs = per_reducer_outputs[reducer_index]
-                    if job.mode is ExecutionMode.BARRIER:
-                        stream = barrier_merge_sort(map_outputs)
-                    else:
-                        stream = interleave_arrival(map_outputs)
-                    counters.increment("shuffle.records", len(stream))
-                    obs.counters.increment("shuffle.records", len(stream))
-                    # Fetch accounting mirrors the threaded engine's
-                    # ledger: sequentially, every record is fetched once
-                    # and consumed once (nothing to dedup).
-                    obs.counters.increment("shuffle.records.fetched", len(stream))
-                    obs.counters.increment("shuffle.records.consumed", len(stream))
                     hook = self._heap_sample_hook
                     on_sample = (
                         (lambda used, _i=reducer_index: hook(_i, used))
                         if hook is not None
                         else None
                     )
-
-                    def reduce_attempt(stream=stream, on_sample=on_sample):
-                        attempt_counters = Counters()
-                        produced = run_reduce_task(
-                            job, stream, attempt_counters, on_sample=on_sample
-                        )
-                        return produced, attempt_counters
-
                     task_id = f"reduce-{reducer_index}"
                     obs.events.emit("task.start", task=task_id, stage="reduce")
                     with obs.tracer.span(task_id, "task") as task_span:
-                        produced, task_counters = runner.run(
-                            task_id, reduce_attempt, parent=task_span
+                        stream = self._fetch(
+                            job, per_reducer_frames[reducer_index]
                         )
+                        counters.increment("shuffle.records", len(stream))
+                        obs.counters.increment("shuffle.records", len(stream))
+                        # Fetch accounting mirrors the threaded engine's
+                        # ledger: sequentially, every record is fetched
+                        # once and consumed once (nothing to dedup).
+                        obs.counters.increment("shuffle.records.fetched", len(stream))
+                        obs.counters.increment("shuffle.records.consumed", len(stream))
+
+                        def reduce_attempt(stream=stream, on_sample=on_sample):
+                            attempt_counters = Counters()
+                            produced = run_reduce_task(
+                                job, stream, attempt_counters,
+                                on_sample=on_sample,
+                            )
+                            return produced, attempt_counters
+
+                        with obs.tracer.span("reduce", "op"):
+                            produced, task_counters = runner.run(
+                                task_id, reduce_attempt, parent=task_span
+                            )
                     obs.events.emit(
                         "task.finish", task=task_id, stage="reduce", status="ok"
                     )
@@ -211,9 +197,21 @@ class LocalEngine(Engine):
                     output[reducer_index] = produced
                     counters.increment("reduce.tasks")
                     obs.counters.increment("reduce.tasks")
-        times.shuffle_done = times.last_map_done
-        times.sort_done = times.shuffle_done
-        times.reduce_done = watch.elapsed()
-        times.job_done = watch.elapsed()
         self.last_run_attempts = dict(runner.attempts_made)
-        return finish_result(job, output, counters, times)
+        return finish_result(
+            job, output, counters, stage_times(obs.tracer.job_spans(job_span))
+        )
+
+    def _fetch(self, job: JobSpec, frames: list[list]) -> list[Record]:
+        """One reducer's input, as the op spans of its task: decode every
+        map's frames (``shuffle``), then merge-sort them (``sort``,
+        barrier) or keep them in arrival order (barrier-less)."""
+        tracer = self.obs.tracer
+        with tracer.span("shuffle", "op"):
+            map_outputs = [
+                decode_batches(batches, self._wire) for batches in frames
+            ]
+        if job.mode is ExecutionMode.BARRIERLESS:
+            return interleave_arrival(map_outputs)
+        with tracer.span("sort", "op"):
+            return barrier_merge_sort(map_outputs)

@@ -27,8 +27,9 @@ This module keeps what needs threads: fetch workers, the shared FIFO
 queue, flow control and gauges.  What a barrier-less reducer owes at a
 batch boundary — write-back flush, record classification, checkpoint
 and preempt cuts — is :mod:`repro.engine.fold`'s, which has none.  An
-attempt's phases are the ``shuffle`` / ``sort`` / ``reduce`` /
-``shuffle+reduce`` op spans it opens under its task span.
+attempt's phases are the op spans it opens under its task span:
+``shuffle`` / ``sort`` / ``reduce`` (barrier) or ``shuffle+reduce`` /
+``output`` (barrier-less).
 """
 
 from __future__ import annotations
@@ -207,10 +208,6 @@ class FlowController:
         with self._cond:
             self._used = max(0, self._used - min(nbytes, self._limit))
             self._cond.notify_all()
-
-    def in_flight(self) -> int:
-        with self._cond:
-            return self._used
 
 
 def checkpoint_gate(
@@ -468,6 +465,7 @@ def run_pipelined_reduce_attempt(
     local_counters = Counters()
     reducer = prepare_reducer(job)
     threads: list[threading.Thread] = []
+    phase = None
     try:
         store = getattr(reducer, "_store", None)
         if inst is not None and store is not None:
@@ -524,6 +522,7 @@ def run_pipelined_reduce_attempt(
             # The "single buffer" of the barrier-less reducer, consumed
             # "in a first-in first-out manner" until every fetch thread
             # has sent its sentinel.
+            nonlocal phase
             finished = 0
             while finished < num_maps:
                 item = shared.get()
@@ -531,6 +530,9 @@ def run_pipelined_reduce_attempt(
                     finished += 1
                 else:
                     yield item
+            if phase is not None:
+                tracer.close(phase)
+                phase = tracer.open("output", "op", parent=task_span)
 
         def batch_done(records, nbytes, mapper, seq, epoch) -> None:
             flow.release(nbytes)
@@ -549,30 +551,29 @@ def run_pipelined_reduce_attempt(
             thread.start()
             threads.append(thread)
 
-        def run_reduce():
-            context = make_reduce_context(
-                job,
-                reducer,
-                fold_batches(arrivals(), batch_done),
-                local_counters,
-                reduce_record_hook(injector, reducer_index),
-            )
-            reducer.run(context)  # consumes batches as they arrive
-            for thread in threads:
-                thread.join()
-            return context
-
+        # The attempt's two phases, as the simulator records them:
+        # ``shuffle+reduce`` until the fold has taken the last batch,
+        # then ``output`` for the final sweep and the drain.
         if tracer is not None:
-            with tracer.span("shuffle+reduce", "op", parent=task_span):
-                context = run_reduce()
-        else:
-            context = run_reduce()
+            phase = tracer.open("shuffle+reduce", "op", parent=task_span)
+        context = make_reduce_context(
+            job,
+            reducer,
+            fold_batches(arrivals(), batch_done),
+            local_counters,
+            reduce_record_hook(injector, reducer_index),
+        )
+        reducer.run(context)  # consumes batches as they arrive
+        for thread in threads:
+            thread.join()
         if fetch_errors:
             raise fetch_errors[0]
         recovery.finish(local_counters)
         harvest_store_counters(reducer, local_counters)
         return context.drain(), local_counters
     finally:
+        if phase is not None:
+            tracer.close(phase)
         # On a crash (e.g. an injected ReducerCrashError) or a preempt
         # this stops the fetch threads before a restart re-fetches
         # cleanly; after a clean run they have already exited.

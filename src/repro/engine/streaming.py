@@ -58,7 +58,6 @@ from repro.core.types import (
     JobResult,
     Key,
     Record,
-    StageTimes,
     Value,
 )
 from repro.engine.base import (
@@ -87,7 +86,7 @@ from repro.engine.recovery import (
 )
 from repro.engine.runtime import checkpoint_gate
 from repro.memory import WriteBackStore
-from repro.obs import JobObservability, LiveGauge, MetricsTicker
+from repro.obs import JobObservability, LiveGauge, MetricsTicker, stage_times
 
 _SENTINEL = None
 
@@ -533,4 +532,7 @@ class StreamingEngine:
         if self._restarts:
             obs.counters.increment("task.retries", self._restarts)
             obs.counters.increment("task.failed_attempts", self._restarts)
-        return finish_result(self.job, output, self.counters, StageTimes())
+        return finish_result(
+            self.job, output, self.counters,
+            stage_times(obs.tracer.job_spans(self._job_span)),
+        )

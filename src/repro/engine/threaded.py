@@ -35,7 +35,10 @@ map-slot pool, attempt retry/speculation orchestration, and commit.
 
 A run's stage timeline is its trace: ``task`` spans per map and reduce
 task, with the ``shuffle`` / ``sort`` / ``reduce`` (barrier) or
-``shuffle+reduce`` (barrier-less) op spans of each attempt under them.
+``shuffle+reduce`` / ``output`` (barrier-less) op spans of each attempt
+under them.  ``JobResult.stage_times`` is read off that job's spans
+(:func:`repro.obs.stage_times`), so ``shuffle_done`` is when the last
+reducer's shuffle op closed, not when the engine joined its threads.
 """
 
 from __future__ import annotations
@@ -53,12 +56,10 @@ from repro.core.types import (
     JobResult,
     Key,
     Record,
-    StageTimes,
     Value,
 )
 from repro.engine.base import (
     Engine,
-    Stopwatch,
     finish_result,
     reducer_is_store_backed,
     run_map_task_encoded,
@@ -82,7 +83,7 @@ from repro.engine.runtime import (
     run_pipelined_reduce_attempt,
 )
 from repro.dfs.wire import WireConfig
-from repro.obs import JobObservability, MetricsTicker
+from repro.obs import JobObservability, MetricsTicker, stage_times
 
 
 class ThreadedEngine(Engine):
@@ -125,8 +126,6 @@ class ThreadedEngine(Engine):
         job.validate()
         counters = Counters()
         counters_lock = threading.Lock()
-        watch = Stopwatch()
-        times = StageTimes()
         obs = self.obs
         config = self._recovery
         injector = self._fetch_injector
@@ -162,8 +161,6 @@ class ThreadedEngine(Engine):
         inst.register(obs)
         ticker = MetricsTicker(obs.metrics)
 
-        map_done_times: list[float] = []
-        map_done_lock = threading.Lock()
         errors: list[BaseException] = []
         errors_lock = threading.Lock()
 
@@ -256,8 +253,6 @@ class ThreadedEngine(Engine):
                     # Close the stream so reducers terminate; the recorded
                     # error still fails the job at the end of run().
                     service.publish(mapper_index, {})
-                with map_done_lock:
-                    map_done_times.append(watch.elapsed())
 
         # Bounded map-slot pool: at most ``map_slots`` map tasks at once,
         # matching the per-node slot configuration of the testbed.
@@ -425,7 +420,6 @@ class ThreadedEngine(Engine):
             and injector.may_stall_reduce
         )
 
-        times.map_start = watch.elapsed()
         ticker.start()
         try:
             for thread in map_threads:
@@ -441,9 +435,6 @@ class ThreadedEngine(Engine):
                     target=speculation_monitor, name="reduce-speculation"
                 )
                 monitor.start()
-            with map_done_lock:
-                times.first_map_done = min(map_done_times, default=watch.elapsed())
-                times.last_map_done = max(map_done_times, default=watch.elapsed())
             for thread in reduce_threads:
                 thread.join()
             if monitor is not None:
@@ -456,14 +447,12 @@ class ThreadedEngine(Engine):
                 ckpt_owned.cleanup()
         obs.tracer.close(reduce_stage)
         obs.tracer.close(job_span)
-        times.shuffle_done = watch.elapsed()
-        times.sort_done = times.shuffle_done
-        times.reduce_done = watch.elapsed()
-        times.job_done = watch.elapsed()
 
         if errors:
             raise errors[0]
-        return finish_result(job, output, counters, times)
+        return finish_result(
+            job, output, counters, stage_times(obs.tracer.job_spans(job_span))
+        )
 
     # -- reduce attempts -------------------------------------------------------
 

@@ -186,13 +186,6 @@ class SpillingKVStore:
         self._log.flush()
         return meta
 
-    def log_size_bytes(self) -> int:
-        """Current on-disk size of the data log."""
-        position = self._log.tell()
-        size = self._log.seek(0, os.SEEK_END)
-        self._log.seek(position)
-        return size
-
     def close(self) -> None:
         """Close the log file and delete its directory (idempotent)."""
         self._log.close()

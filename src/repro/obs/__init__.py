@@ -8,7 +8,8 @@ produce diffable artifacts:
   (records mapped/combined/shuffled/reduced, bytes spilled, task
   attempts/retries, partial-store builds/resets);
 - :class:`Tracer` / :class:`Span` — nestable spans (job → stage → task →
-  attempt → op), the one timeline format of engines and simulator;
+  attempt → op), the one timeline format of engines and simulator, and
+  :func:`stage_times`, every engine's ``StageTimes`` read off them;
 - :class:`MetricsRegistry` / :class:`TimeSeries` — sampled gauges
   (buffer depth, store bytes, in-flight fetches, records/sec) on a
   wall-clock ticker for live engines and virtual-time hooks for the
@@ -48,7 +49,7 @@ from repro.obs.metrics import (
     write_metrics,
 )
 from repro.obs.session import JobObservability
-from repro.obs.trace import KIND_DEPTH, Span, Tracer
+from repro.obs.trace import KIND_DEPTH, Span, Tracer, stage_times
 
 __all__ = [
     "CounterRegistry",
@@ -67,6 +68,7 @@ __all__ = [
     "read_event_log",
     "render_counters",
     "render_trace_summary",
+    "stage_times",
     "to_chrome_trace",
     "to_chrome_trace_multi",
     "validate_span_nesting",

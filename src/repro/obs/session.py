@@ -16,7 +16,7 @@ import time
 from typing import Callable
 
 from repro.obs.counters import CounterRegistry
-from repro.obs.events import EventLog, write_event_log
+from repro.obs.events import EventLog
 from repro.obs.export import (
     render_trace_summary,
     to_chrome_trace,
@@ -65,10 +65,6 @@ class JobObservability:
     def write_metrics(self, path: str) -> str:
         """Write the sampled time-series JSON to ``path``; returns it."""
         return write_metrics(path, self.metrics)
-
-    def write_events(self, path: str) -> str:
-        """Write the structured event log as JSONL to ``path``; returns it."""
-        return write_event_log(path, self.events)
 
     def summary(self) -> str:
         """Plain-text span tree + counter table."""

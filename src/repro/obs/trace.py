@@ -16,11 +16,14 @@ what makes real and simulated traces diffable.
 
 from __future__ import annotations
 
+import re
 import threading
 import time
 from contextlib import contextmanager
 from dataclasses import dataclass, field
-from typing import Callable, Iterator
+from typing import Callable, Iterable, Iterator
+
+from repro.core.types import StageTimes
 
 #: Allowed nesting depth per span kind: a child's depth must be strictly
 #: greater than its parent's (``op`` spans may nest under anything below
@@ -75,6 +78,10 @@ class Tracer:
             clock = lambda: time.monotonic() - origin  # noqa: E731
         self._clock = clock
         self._spans: list[Span] = []
+        #: span id -> its nearest ``job`` span's id (a job's is its own),
+        #: and job span id -> that job's completed spans.
+        self._job_of: dict[int, int] = {}
+        self._by_job: dict[int, list[Span]] = {}
         self._lock = threading.Lock()
         self._next_id = 0
         self._stack = threading.local()
@@ -87,11 +94,21 @@ class Tracer:
 
     # -- recording --------------------------------------------------------
 
-    def _allocate_id(self) -> int:
+    def _allocate_id(self, kind: str, parent_id: int | None) -> int:
         with self._lock:
             span_id = self._next_id
             self._next_id += 1
+            job = span_id if kind == "job" else self._job_of.get(parent_id)
+            if job is not None:
+                self._job_of[span_id] = job
             return span_id
+
+    def _commit(self, span: Span) -> None:
+        with self._lock:
+            self._spans.append(span)
+            job = self._job_of.get(span.span_id)
+            if job is not None:
+                self._by_job.setdefault(job, []).append(span)
 
     @staticmethod
     def _parent_id(parent: "Span | int | None") -> int | None:
@@ -127,7 +144,7 @@ class Tracer:
         if parent_id is None:
             parent_id = self._implicit_parent()
         return Span(
-            span_id=self._allocate_id(),
+            span_id=self._allocate_id(kind, parent_id),
             parent_id=parent_id,
             name=name,
             kind=kind,
@@ -142,8 +159,7 @@ class Tracer:
         if span is None:
             return
         span.end = self._clock()
-        with self._lock:
-            self._spans.append(span)
+        self._commit(span)
 
     @contextmanager
     def span(
@@ -196,9 +212,10 @@ class Tracer:
             raise ValueError(f"unknown span kind {kind!r}")
         if end < start:
             raise ValueError(f"span {name!r}: end {end} < start {start}")
+        parent_id = self._parent_id(parent)
         span = Span(
-            span_id=self._allocate_id(),
-            parent_id=self._parent_id(parent),
+            span_id=self._allocate_id(kind, parent_id),
+            parent_id=parent_id,
             name=name,
             kind=kind,
             start=start,
@@ -206,8 +223,7 @@ class Tracer:
             tid=tid,
             attrs=dict(attrs),
         )
-        with self._lock:
-            self._spans.append(span)
+        self._commit(span)
         return span
 
     # -- read side --------------------------------------------------------
@@ -220,18 +236,18 @@ class Tracer:
             snapshot = [span for span in snapshot if span.kind == kind]
         return sorted(snapshot, key=lambda span: (span.start, span.span_id))
 
-    def find(self, name: str) -> list[Span]:
-        """All completed spans with the given name."""
-        return [span for span in self.spans() if span.name == name]
+    def job_spans(self, job: Span | int | None) -> list[Span]:
+        """``job``'s completed spans, itself included once closed.
 
-    def children(self, parent: Span | int) -> list[Span]:
-        """Direct children of a span, sorted by start time."""
-        parent_id = self._parent_id(parent)
-        return [span for span in self.spans() if span.parent_id == parent_id]
-
-    def roots(self) -> list[Span]:
-        """Spans with no parent (normally the job spans)."""
-        return [span for span in self.spans() if span.parent_id is None]
+        A span belongs to its nearest ``job`` ancestor, so jobs sharing
+        one tracer never see each other's spans; the cost is that job's
+        span count, not the tracer's.  ``None`` (a disabled tracer's
+        handle) has no spans.
+        """
+        if job is None:
+            return []
+        with self._lock:
+            return list(self._by_job.get(self._parent_id(job), ()))
 
     def makespan(self) -> float:
         """Latest end time across all spans (0.0 when empty)."""
@@ -243,3 +259,49 @@ class Tracer:
     def __len__(self) -> int:
         with self._lock:
             return len(self._spans)
+
+
+def stage_times(spans: Iterable[Span]) -> StageTimes:
+    """One job's stage boundaries, relative to the start of its job span.
+
+    Keyed on span kind and name, not on stage parents (cluster workers
+    record none): maps from the ``map-N`` task spans (a re-executed map
+    by its last end; ``map-N-reexec`` is not one), ``shuffle_done`` / ``sort_done`` from the
+    ``shuffle`` or ``shuffle+reduce`` / ``sort`` ops of ``reduce-N``
+    tasks (no sort: ``shuffle_done``), ``reduce_done`` and ``job_done``
+    from the ends of those tasks and of the job span.  What was not
+    recorded is 0.0; with no job span every field is.
+    """
+    spans = list(spans)
+    job = next((span for span in spans if span.kind == "job"), None)
+    if job is None:
+        return StageTimes()
+    t0 = job.start
+    tasks = [span for span in spans if span.kind == "task"]
+    maps = [span for span in tasks if re.fullmatch(r"map-\d+", span.name)]
+    reduces = {
+        span.span_id: span for span in tasks
+        if re.fullmatch(r"reduce-\d+", span.name)
+    }
+    # The last end per map: a re-executed map's surviving output.
+    map_done = {
+        span.name: span.end for span in sorted(maps, key=lambda s: s.end)
+    }
+
+    def op_end(*names: str) -> float:
+        return max(
+            (span.end - t0 for span in spans if span.kind == "op"
+             and span.parent_id in reduces and span.name in names),
+            default=0.0,
+        )
+
+    shuffle_done = op_end("shuffle", "shuffle+reduce")
+    return StageTimes(
+        map_start=min((span.start - t0 for span in maps), default=0.0),
+        first_map_done=min(map_done.values(), default=t0) - t0,
+        last_map_done=max(map_done.values(), default=t0) - t0,
+        shuffle_done=shuffle_done,
+        sort_done=op_end("sort") or shuffle_done,
+        reduce_done=max((s.end - t0 for s in reduces.values()), default=0.0),
+        job_done=job.end - t0,
+    )

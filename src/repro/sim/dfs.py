@@ -36,28 +36,13 @@ class Chunk:
 
 @dataclass(slots=True)
 class FileLayout:
-    """All chunks of one input file, with placement statistics."""
+    """All chunks of one input file."""
 
     chunks: list[Chunk] = field(default_factory=list)
 
     @property
     def total_mb(self) -> float:
         return sum(chunk.size_mb for chunk in self.chunks)
-
-    def chunks_on(self, node_id: int) -> list[Chunk]:
-        """Chunks with a replica on ``node_id``."""
-        return [c for c in self.chunks if c.is_local_to(node_id)]
-
-    def replica_balance(self) -> float:
-        """Max/mean ratio of replicas per node (1.0 = perfectly even)."""
-        counts: dict[int, int] = {}
-        for chunk in self.chunks:
-            for node in chunk.replicas:
-                counts[node] = counts.get(node, 0) + 1
-        if not counts:
-            return 1.0
-        values = list(counts.values())
-        return max(values) / (sum(values) / len(values))
 
 
 class DistributedFileSystem:

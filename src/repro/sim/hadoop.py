@@ -32,7 +32,7 @@ import math
 from dataclasses import dataclass, field
 
 from repro.core.types import ExecutionMode, StageTimes
-from repro.obs import JobObservability, Tracer
+from repro.obs import JobObservability, Tracer, stage_times
 from repro.sim.cluster import ClusterSpec, NodeSpec
 from repro.sim.dfs import (
     DistributedFileSystem,
@@ -157,7 +157,6 @@ class SimJobResult:
     failed: bool
     failure_time: float | None
     failure_reason: str | None
-    stage_times: StageTimes
     #: The run's span tree at virtual times (job → map stage → map tasks,
     #: reduce stage → tasks → attempts → ops): the Figure 4 record.
     tracer: Tracer
@@ -193,6 +192,12 @@ class SimJobResult:
     checkpoint_mb: float = 0.0
     #: ``(virtual_time, MB)`` per snapshot write, for disk-series export.
     checkpoint_schedule: list[tuple[float, float]] = field(default_factory=list)
+
+    @property
+    def stage_times(self) -> StageTimes:
+        """Stage boundaries read off :attr:`tracer`, by the same rule as
+        every engine's (:func:`repro.obs.stage_times`)."""
+        return stage_times(self.tracer.spans())
 
     @property
     def mapper_slack(self) -> float:
@@ -810,15 +815,6 @@ class HadoopSimulator:
             if failed and failure_time is not None
             else max((t.finish for t in reducers), default=0.0)
         )
-        stage_times = StageTimes(
-            map_start=0.0,
-            first_map_done=map_finish_times[0] if map_finish_times else 0.0,
-            last_map_done=map_finish_times[-1] if map_finish_times else 0.0,
-            shuffle_done=max((t.shuffle_done for t in reducers), default=0.0),
-            sort_done=max((t.sort_done for t in reducers), default=0.0),
-            reduce_done=completion,
-            job_done=completion,
-        )
         result = SimJobResult(
             profile_name=profile.name,
             mode=mode,
@@ -826,7 +822,6 @@ class HadoopSimulator:
             failed=failed,
             failure_time=failure_time if failed else None,
             failure_reason=failure_reason if failed else None,
-            stage_times=stage_times,
             tracer=Tracer(),
             map_finish_times=map_finish_times,
             reducers=reducers,

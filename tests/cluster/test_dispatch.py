@@ -330,10 +330,6 @@ def test_clean_job_journals_every_transition_before_acting(oracle):
     assert owners == ["w0", "w1", "w0"]
     status = rig.dispatcher.status(rig.now)
     assert status["jobs"]["job-1"]["done"] and status["active_jobs"] == 0
-    # Stage times are differences of the step clock, not wall time.
-    times = rig.result().stage_times
-    assert 0 < times.first_map_done <= times.last_map_done <= times.job_done
-    assert times.job_done < 100 * STEP_S
 
 
 def test_worker_death_mid_map_bumps_epoch_and_ignores_the_stale_answer(oracle):

@@ -139,6 +139,12 @@ class TestPreemptResume:
             resumed = runtime.resume_job("pj")
             assert normalized_output("wc", resumed) == _baseline()
             assert counters.get("cluster.preempt.resumed") == 1
+            # Stage times are the resumed run's own: its maps were
+            # reused, not re-run, and its reduces ran inside its span.
+            times = resumed.stage_times
+            assert times.first_map_done == times.last_map_done == 0.0
+            assert 0.0 < times.shuffle_done <= times.reduce_done
+            assert times.reduce_done <= times.job_done
             buckets = _assert_reconciled(counters)
             # The park actually cut state and the resume actually used
             # it: some records came back from checkpoints...

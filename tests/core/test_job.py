@@ -63,13 +63,6 @@ class TestJobSpec:
             memory=MemoryConfig(store="spillmerge"), merge_fn=lambda a, b: a + b
         ).validate()
 
-    def test_with_mode_copies(self):
-        spec = _spec(mode=ExecutionMode.BARRIER)
-        other = spec.with_mode(ExecutionMode.BARRIERLESS)
-        assert other.mode is ExecutionMode.BARRIERLESS
-        assert spec.mode is ExecutionMode.BARRIER
-        assert other.name == spec.name
-        assert other.mapper_factory is spec.mapper_factory
 
 
 class TestSplitInput:

