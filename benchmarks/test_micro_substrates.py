@@ -309,6 +309,86 @@ def test_cluster_split_path(benchmark):
     )
 
 
+def test_telemetry_delta_round_trip(benchmark):
+    """One worker's telemetry delta at a ``server_mix`` reduce's shape,
+    what a completion message carries: the task span with its grant tags,
+    two fetch ops, ``shuffle+reduce`` and ``output``, five counters and
+    eight two-point gauge series.  ``TelemetryBuffer.collect`` on the
+    worker, then ``decode_telemetry`` on the coordinator."""
+    from repro.cluster.telemetry import TelemetryBuffer, decode_telemetry
+    from repro.obs import JobObservability
+
+    obs = JobObservability()
+    task = obs.tracer.open(
+        "reduce-0", "task", worker="w0", pid=4242, job_id="job-4",
+        task_id="reduce-0", attempt=0, epoch=0,
+    )
+    for name, attrs in (
+        ("fetch-0", {"mapper": 0, "retries": 0, "timeouts": 0}),
+        ("fetch-1", {"mapper": 1, "retries": 0, "timeouts": 0}),
+        ("shuffle+reduce", {}),
+        ("output", {}),
+    ):
+        obs.tracer.close(obs.tracer.open(name, "op", parent=task, **attrs))
+    obs.tracer.close(task)
+    for name, total in (
+        ("shuffle.records.fetched", 1000), ("shuffle.records.consumed", 1000),
+        ("shuffle.batches", 8), ("reduce.output_records", 500),
+        ("store.puts", 500),
+    ):
+        obs.counters.increment(name, total)
+    for name in (
+        "reduce.records_per_s", "shuffle.buffer.depth",
+        "shuffle.compress.ratio", "shuffle.fetch.inflight", "store.bytes",
+        "worker.fetch.inflight", "worker.records_per_s", "worker.store.bytes",
+    ):
+        obs.metrics.sample(name, 1.0)
+        obs.metrics.sample(name, 2.0)
+
+    def round_trip():
+        buffer = TelemetryBuffer(obs, job_id="job-4", worker="w0", pid=4242)
+        return decode_telemetry(buffer.collect())
+
+    payload = benchmark(round_trip)
+    assert [span["name"] for span in payload["spans"]] == [
+        "reduce-0", "fetch-0", "fetch-1", "shuffle+reduce", "output",
+    ]
+    assert len(payload["counters"]) == 5 and len(payload["series"]) == 8
+    emit_timed(
+        benchmark,
+        lambda mean: f"telemetry delta (5 spans, 5 counters, 8 series) "
+        f"encode+decode: {mean * 1e6:.1f} us",
+    )
+
+
+def test_assign_map_message_round_trip(benchmark):
+    """One ``assign-map`` grant at ``wc_cluster``'s split size (25,000
+    documents in 4 maps): ``encode_message`` on the coordinator's
+    dispatch thread, ``decode_message`` on the worker."""
+    import pickle
+
+    from repro.apps.demo import demo_job_and_input
+    from repro.cluster.rpc import decode_message, encode_message
+    from repro.cluster.telemetry import TraceContext
+    from repro.core.job import split_input
+    from repro.core.types import ExecutionMode
+
+    _job, pairs = demo_job_and_input("wc", ExecutionMode.BARRIERLESS, 25_000)
+    fields = {
+        "job_id": "job-1", "mapper": 0, "epoch": 0,
+        "split": pickle.dumps(split_input(pairs, 4)[0]),
+        "ctx": TraceContext("job-1", "map-0", 0, 0).as_fields(),
+    }
+
+    kind, decoded = benchmark(lambda: decode_message(encode_message("assign-map", fields)))
+    assert kind == "assign-map" and decoded == fields
+    emit_timed(
+        benchmark,
+        lambda mean: f"assign-map, {len(fields['split']):,} B split, "
+        f"encode+decode: {mean * 1e3:.3f} ms",
+    )
+
+
 def test_shuffle_fetch_loopback(benchmark):
     """A cluster reducer's data plane alone: ``wc``'s 25,000-record map
     output (4 maps x 4 reducers) published to one ``ShuffleServer`` and

@@ -8,7 +8,7 @@ shared registry once per task, so the registry lock is taken O(tasks)
 times regardless of record volume.
 
 The same bar applies to the cluster telemetry plane (PR 8): shipping
-spans/events/counters/series deltas on every worker heartbeat must cost
+spans/counters/series deltas on every worker heartbeat must cost
 at most 5% wall time on a cluster WordCount versus workers forked with
 ``ship_telemetry=False``.  Delta encoding happens at heartbeat cadence
 (20–50 ms), never per record, so the cost is O(heartbeats).

@@ -8,10 +8,11 @@ as CRC-framed wire records — so a restarted coordinator replays the
 journal and resumes jobs instead of restarting them from zero.
 
 Each record is one :func:`repro.dfs.wire.encode_frame` frame holding a
-single ``(kind, fields)`` record in the typed serialization — exactly
-the framing the RPC codec uses, so a journal inherits the shuffle
-wire's integrity properties: CRC32 over header and payload, optional
-per-record deflate, and no pickle at the framing layer (structured
+single ``(kind, fields)`` record in the typed serialization — the
+framing the RPC codec uses, so a journal inherits the shuffle wire's
+integrity properties: CRC32 over header and payload, per-record deflate
+where it helps (on disk; RPC frames are sealed raw), and no pickle at
+the framing layer (structured
 blobs such as job specs are pickled explicitly by the coordinator into
 ``bytes`` fields, like any RPC message).
 

@@ -10,11 +10,18 @@ shuffle fetch — is one length-prefixed wire frame::
 The frame body reuses :func:`repro.dfs.wire.encode_frame` verbatim: the
 payload is a single record ``(kind, fields)`` in the typed serialization
 of :mod:`repro.dfs.serialization`, so a message inherits the shuffle
-wire's integrity properties — CRC32 over header and payload, optional
-zlib deflate, and decode-safety on untrusted bytes (no pickle on the
-frame itself).  Structured Python objects that the typed codec cannot
-express (job specs, record lists) are pickled *explicitly by the caller*
-into ``bytes`` fields, keeping the framing layer pickle-free.
+wire's integrity properties — CRC32 over header and payload and
+decode-safety on untrusted bytes (no pickle on the frame itself).
+Structured Python objects that the typed codec cannot express (job
+specs, record lists) are pickled *explicitly by the caller* into
+``bytes`` fields, keeping the framing layer pickle-free.
+
+Frames are sealed raw, whatever the kind: the control plane runs over
+loopback or a LAN, where deflating costs more CPU than the bytes it
+saves, and shuffle frames inside ``batch`` replies are already deflated
+where that helped.  One exception keeps every message that fits today
+fitting: a frame whose raw size is over :data:`MAX_MESSAGE_BYTES` is
+sealed once more with deflate.  Decoding accepts either.
 
 Socket reads are hang-proof by construction: the 4-byte length prefix is
 read first and validated against :data:`MAX_MESSAGE_BYTES` before any
@@ -115,15 +122,10 @@ MESSAGE_KINDS = (
     "list-jobs-reply",   # jobs (list of nested dicts)
 )
 
-#: Message framing always uses the typed wire codec, uncompressed-when-
-#: small like any shuffle frame; the codec choice is part of the protocol
-#: (workers and coordinator must agree), so it is fixed, not configured.
-_FRAME_WIRE = WireConfig()
-
-#: ``batch`` replies skip the deflate attempt: the shuffle frames they
-#: carry were already deflated where deflating helped, so a second pass
-#: costs time and saves next to nothing.
-_BATCH_WIRE = WireConfig(compress=False)
+#: Message framing always uses the typed wire codec, sealed raw; the
+#: codec choice is part of the protocol (workers and coordinator must
+#: agree), so it is fixed, not configured.
+_FRAME_WIRE = WireConfig(compress=False)
 
 
 class RpcError(RuntimeError):
@@ -134,14 +136,13 @@ def encode_message(kind: str, fields: dict[str, Any] | None = None) -> bytes:
     """Encode one message into a length-prefixed frame blob."""
     if kind not in MESSAGE_KINDS:
         raise RpcError(f"unknown message kind {kind!r}")
+    message = [Record(kind, fields or {})]
     try:
-        batch = encode_frame(
-            [Record(kind, fields or {})],
-            _BATCH_WIRE if kind == "batch" else _FRAME_WIRE,
-        )
+        frame = encode_frame(message, _FRAME_WIRE).frame
     except SerializationError as exc:
         raise RpcError(f"unencodable {kind} message: {exc}") from exc
-    frame = batch.frame
+    if len(frame) > MAX_MESSAGE_BYTES:
+        frame = encode_frame(message, WireConfig()).frame
     if len(frame) > MAX_MESSAGE_BYTES:
         raise RpcError(
             f"{kind} message is {len(frame)} bytes "

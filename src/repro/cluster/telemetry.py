@@ -7,17 +7,17 @@ the plane that brings it back together:
 
 - :class:`TraceContext` — the ``(job_id, task_id, attempt, epoch)``
   identity the coordinator stamps on every map/reduce grant, carried
-  over the framed RPC and attached to every span and event a worker
-  records for that task;
+  over the framed RPC and attached to every span a worker records for
+  that task;
 - :class:`TelemetryBuffer` — the worker side.  Wraps a per-job
   observability bundle and, on every heartbeat (plus a final flush on
-  each task completion), encodes the *delta* since the last ship —
-  newly completed spans, new events, counter increments, new
-  metrics-series points thinned to a per-frame cap — as one wire-codec
-  frame (:func:`repro.dfs.wire.encode_frame`), inheriting the shuffle
-  wire's CRC-or-nothing integrity.  Only completed spans ship: a
-  SIGKILLed worker leaves everything up to its last heartbeat on the
-  coordinator and nothing fabricated beyond it;
+  each task completion), pickles the *delta* since the last ship —
+  newly completed spans, counter increments, new metrics-series points
+  thinned to a per-frame cap — into one raw wire frame
+  (:func:`repro.dfs.wire.encode_frame`), inheriting the shuffle wire's
+  CRC-or-nothing integrity.  Only completed spans ship: a SIGKILLed
+  worker leaves everything up to its last heartbeat on the coordinator
+  and nothing fabricated beyond it.  Events are not recorded or shipped;
 - :class:`ClusterTelemetry` — the coordinator side.  Decodes frames,
   estimates each worker's clock offset from heartbeat delivery delays
   (the minimum of ``recv_wall - send_wall`` over samples bounds skew
@@ -25,8 +25,9 @@ the plane that brings it back together:
   everything onto the coordinator's timeline: a multi-process Chrome
   trace (coordinator as pid 0, one pid per worker), a combined metrics
   snapshot, and the per-worker status used by the ``status`` RPC verb
-  and the ``repro top`` dashboard.  Shipped events are decoded but not
-  kept: nothing on the coordinator reads them.
+  and the ``repro top`` dashboard.  Unpickling a delta adds no trust
+  edge (the coordinator already unpickles ``reduce-done`` outputs); the
+  ``status`` plane stays pickle-free.
 
 Shipped telemetry is *presentation* state: the coordinator never merges
 a telemetry frame's counters into the job's counter registry — task
@@ -37,6 +38,8 @@ cannot double-count through the telemetry path.
 
 from __future__ import annotations
 
+import io
+import pickle
 import socket
 import threading
 import time
@@ -59,7 +62,7 @@ __all__ = [
 ]
 
 #: Version tag carried in every telemetry frame payload.
-TELEMETRY_SCHEMA_VERSION = 1
+TELEMETRY_SCHEMA_VERSION = 2
 
 #: At most this many new points per series per frame; the rest are
 #: thinned (evenly, keeping the newest point) and counted as dropped.
@@ -70,9 +73,9 @@ MAX_SERIES_POINTS_PER_FRAME = 32
 #: its status plane without bound.
 MAX_SERIES_POINTS_RETAINED = 2048
 
-#: Telemetry frames use the same fixed framing as RPC messages: typed
-#: codec, CRC32, compression only when it pays.
-_TELEMETRY_WIRE = WireConfig()
+#: Telemetry frames use the same fixed framing as RPC messages: one
+#: record, CRC32, sealed raw.
+_TELEMETRY_WIRE = WireConfig(compress=False)
 
 
 @dataclass(frozen=True, slots=True)
@@ -82,8 +85,8 @@ class TraceContext:
     ``task_id`` is ``map-<i>`` or ``reduce-<i>``; ``attempt`` counts
     reduce reassignments (always 0 for maps, whose re-executions are
     identified by ``epoch`` instead); ``epoch`` is the map-output epoch
-    (always 0 for reduces).  Workers tag every span and event they
-    record for the task with these four fields plus their own
+    (always 0 for reduces).  Workers tag every span they record for
+    the task with these four fields plus their own
     ``(worker, pid)``, so a merged trace can be sliced by grant.
     """
 
@@ -115,7 +118,7 @@ class TraceContext:
 
 
 def _codec_safe(value):
-    """Coerce arbitrary attr values into the typed codec's vocabulary."""
+    """Coerce attr values into the builtins :class:`_PlainUnpickler` loads."""
     if value is None or isinstance(value, (bool, int, float, str, bytes)):
         return value
     if isinstance(value, (list, tuple)):
@@ -166,7 +169,6 @@ class TelemetryBuffer:
         self._max_points = max_points
         self._lock = threading.Lock()
         self._shipped_spans: set[int] = set()
-        self._event_cursor = 0
         self._counter_base: dict[str, int] = {}
         self._series_cursor: dict[str, int] = {}
         self._generation = 0
@@ -178,7 +180,6 @@ class TelemetryBuffer:
         with self._lock:
             undo = (
                 set(self._shipped_spans),
-                self._event_cursor,
                 dict(self._counter_base),
                 dict(self._series_cursor),
             )
@@ -187,34 +188,12 @@ class TelemetryBuffer:
                 if span.span_id in self._shipped_spans:
                     continue
                 self._shipped_spans.add(span.span_id)
-                spans.append(
-                    {
-                        "id": span.span_id,
-                        "parent": span.parent_id,
-                        "name": span.name,
-                        "kind": span.kind,
-                        "start": float(span.start),
-                        "end": float(span.end),
-                        "tid": span.tid,
-                        "attrs": _codec_safe(span.attrs),
-                    }
-                )
-            events = []
-            for event in obs.events.events():
-                if event.seq < self._event_cursor:
-                    continue
-                events.append(
-                    {
-                        "t": float(event.t),
-                        "kind": event.kind,
-                        "seq": event.seq,
-                        "attrs": _codec_safe(event.attrs),
-                    }
-                )
-            if events:
-                self._event_cursor = (
-                    max(event["seq"] for event in events) + 1
-                )
+                spans.append({
+                    "id": span.span_id, "parent": span.parent_id,
+                    "name": span.name, "kind": span.kind,
+                    "start": float(span.start), "end": float(span.end),
+                    "tid": span.tid, "attrs": _codec_safe(span.attrs),
+                })
             totals = obs.counters.as_dict()
             counter_delta = {
                 name: total - self._counter_base.get(name, 0)
@@ -249,13 +228,11 @@ class TelemetryBuffer:
             "epoch0": float(obs.epoch),
             "wall": time.time(),
             "spans": spans,
-            "events": events,
             "counters": counter_delta,
             "series": series,
         }
-        return encode_frame(
-            [Record("telemetry", payload)], _TELEMETRY_WIRE
-        ).frame
+        blob = pickle.dumps(payload, protocol=pickle.HIGHEST_PROTOCOL)
+        return encode_frame([Record("telemetry", blob)], _TELEMETRY_WIRE).frame
 
     def rollback(self) -> None:
         """Undo the most recent collect (frame never made it out).
@@ -269,19 +246,26 @@ class TelemetryBuffer:
                 return
             (
                 self._shipped_spans,
-                self._event_cursor,
                 self._counter_base,
                 self._series_cursor,
             ) = self._undo[1]
             self._undo = None
 
 
+class _PlainUnpickler(pickle.Unpickler):
+    """Builtin scalars and containers only: a delta names no class."""
+
+    def find_class(self, module: str, name: str):
+        raise pickle.UnpicklingError(f"telemetry may not load {module}.{name}")
+
+
 def decode_telemetry(frame: bytes) -> dict:
     """Decode one telemetry frame; inverse of :meth:`TelemetryBuffer.collect`.
 
     Raises :class:`~repro.dfs.serialization.SerializationError` on any
-    defect — truncation, bit corruption (CRC), trailing bytes, or a
-    payload that is not the single ``("telemetry", dict)`` record.
+    defect — truncation, bit corruption (CRC), trailing bytes, a frame
+    that is not the single ``("telemetry", bytes)`` record (all checked
+    before unpickling), or bytes that do not unpickle to a dict.
     """
     records, end = decode_frame(frame)
     if end != len(frame):
@@ -290,7 +274,10 @@ def decode_telemetry(frame: bytes) -> dict:
         )
     if len(records) != 1 or records[0].key != "telemetry":
         raise SerializationError("telemetry frame must hold one record")
-    payload = records[0].value
+    try:
+        payload = _PlainUnpickler(io.BytesIO(records[0].value)).load()
+    except Exception as exc:  # a non-bytes value, or any unpickling error
+        raise SerializationError(f"telemetry payload: {exc!r}") from exc
     if not isinstance(payload, dict):
         raise SerializationError("telemetry payload must be a dict")
     return payload
@@ -363,68 +350,74 @@ class ClusterTelemetry:
         return merged
 
     def ingest(self, frame: bytes, recv_wall: float | None = None) -> bool:
-        """Merge one telemetry frame; returns False on a corrupt frame."""
+        """Merge one telemetry frame; returns False on a corrupt frame.
+
+        Every field is read before any is merged: a frame that does not
+        decode, or holds a malformed delta, is dropped whole.
+        """
         if recv_wall is None:
             recv_wall = time.time()
         try:
             payload = decode_telemetry(frame)
-        except SerializationError:
+            name = str(payload.get("worker", ""))
+            job_id = str(payload.get("job_id", ""))
+            pid = int(payload.get("pid", 0))
+            wall = float(payload.get("wall", recv_wall))
+            epoch0 = float(payload.get("epoch0", recv_wall))
+            spans = [(
+                int(span["id"]),
+                None if span.get("parent") is None else int(span["parent"]),
+                str(span.get("name", "")), str(span.get("kind", "op")),
+                epoch0 + float(span.get("start", 0.0)),
+                epoch0 + float(span.get("end", 0.0)),
+                int(span.get("tid", 0)), dict(span.get("attrs", {})),
+            ) for span in payload.get("spans", ())]
+            deltas = {
+                str(counter): int(delta)
+                for counter, delta in dict(payload.get("counters", {})).items()
+            }
+            series = [(
+                str(series_name), str(shipped.get("unit", "")),
+                [[epoch0 + float(t), float(v)]
+                 for t, v in shipped.get("points", ())],
+                int(shipped.get("dropped", 0)),
+            ) for series_name, shipped in dict(payload.get("series", {})).items()]
+        except (SerializationError, ArithmeticError, AttributeError,
+                LookupError, TypeError, ValueError):
             self.obs.counters.increment("cluster.telemetry.dropped")
             return False
-        name = str(payload.get("worker", ""))
-        job_id = str(payload.get("job_id", ""))
-        epoch0 = float(payload.get("epoch0", recv_wall))
         with self._lock:
             wt = self._workers.get(name)
             if wt is None:
                 wt = _WorkerTelemetry(name)
                 self._workers[name] = wt
-            wt.pid = int(payload.get("pid", wt.pid))
+            wt.pid = pid or wt.pid
             wt.frames += 1
             wt.bytes += len(frame)
-            wt.last_wall = float(payload.get("wall", recv_wall))
-            delay = recv_wall - wt.last_wall
+            wt.last_wall = wall
+            delay = recv_wall - wall
             if wt.delay_min_s is None or delay < wt.delay_min_s:
                 wt.delay_min_s = delay
             key = (name, job_id)
             job_spans = wt.spans.setdefault(job_id, [])
-            for span in payload.get("spans", ()):
-                parent = span.get("parent")
+            for span_id, parent, *fields in spans:
                 job_spans.append(
                     Span(
-                        span_id=self._merged_id(key, int(span["id"])),
-                        parent_id=(
-                            self._merged_id(key, int(parent))
-                            if parent is not None
-                            else None
-                        ),
-                        name=str(span.get("name", "")),
-                        kind=str(span.get("kind", "op")),
-                        start=epoch0 + float(span.get("start", 0.0)),
-                        end=epoch0 + float(span.get("end", 0.0)),
-                        tid=int(span.get("tid", 0)),
-                        attrs=dict(span.get("attrs", {})),
+                        self._merged_id(key, span_id),
+                        None if parent is None else self._merged_id(key, parent),
+                        *fields,
                     )
                 )
-            for counter, delta in dict(payload.get("counters", {})).items():
-                wt.counters[counter] = (
-                    wt.counters.get(counter, 0) + int(delta)
-                )
+            for counter, delta in deltas.items():
+                wt.counters[counter] = wt.counters.get(counter, 0) + delta
             dropped = 0
-            for series_name, shipped in dict(
-                payload.get("series", {})
-            ).items():
+            for series_name, unit, points, shipped_dropped in series:
                 entry = wt.series.setdefault(
-                    series_name,
-                    {"unit": str(shipped.get("unit", "")), "points": [],
-                     "dropped": 0},
+                    series_name, {"unit": unit, "points": [], "dropped": 0}
                 )
-                entry["points"].extend(
-                    [epoch0 + float(t), float(v)]
-                    for t, v in shipped.get("points", ())
-                )
-                entry["dropped"] += int(shipped.get("dropped", 0))
-                dropped += int(shipped.get("dropped", 0))
+                entry["points"].extend(points)
+                entry["dropped"] += shipped_dropped
+                dropped += shipped_dropped
                 excess = len(entry["points"]) - MAX_SERIES_POINTS_RETAINED
                 if excess > 0:
                     del entry["points"][:excess]

@@ -55,7 +55,7 @@ from repro.engine.runtime import (
     run_barrier_reduce_attempt,
     run_pipelined_reduce_attempt,
 )
-from repro.obs import JobObservability, MetricsTicker
+from repro.obs import EventLog, JobObservability, MetricsTicker
 from repro.cluster.rpc import (
     RpcError,
     close_listener as _hang_up,
@@ -128,13 +128,16 @@ class _JobContext:
         self.runs: dict[tuple[int, int], tuple[threading.Event, dict]] = {}
         # One long-lived observability bundle per (worker, job): task
         # executors record into it, the telemetry buffer ships deltas on
-        # heartbeats.  With shipping off the bundle is fully disabled and
-        # every recording call no-ops, which is the overhead baseline.
+        # heartbeats.  Its event log is disabled: events are not shipped
+        # and nothing on the worker reads them.  With shipping off the
+        # whole bundle is disabled and every recording call no-ops,
+        # which is the overhead baseline.
         self.instruments = RunInstruments()
         self.ticker: MetricsTicker | None = None
         self.telemetry: TelemetryBuffer | None = None
         if worker.ship_telemetry:
             obs = JobObservability()
+            obs.events = EventLog(enabled=False)
             self.instruments.register(obs)
             obs.metrics.register_gauge(
                 "worker.store.bytes", worker.store.bytes_held, unit="bytes"
@@ -172,9 +175,10 @@ class _JobContext:
 
         Completion messages must carry *this attempt's* counters only —
         the coordinator merges them first-wins, and a shared per-job
-        registry would double-count re-executions.  Spans, events,
-        metrics and the clock stay the job-wide instances so the
-        attempt's activity lands in the long-lived telemetry state.
+        registry would double-count re-executions.  Spans, metrics, the
+        (disabled) event log and the clock stay the job-wide instances
+        so the attempt's activity lands in the long-lived telemetry
+        state.
         """
         attempt_obs = JobObservability()
         attempt_obs.tracer = self.obs.tracer

@@ -30,7 +30,8 @@ from repro.cluster.rpc import (
     recv_message,
     send_message,
 )
-from repro.dfs.wire import FLAG_COMPRESSED
+from repro.core.types import Record
+from repro.dfs.wire import FLAG_COMPRESSED, WireConfig, encode_frame
 
 # Field values: everything the typed wire codec supports, NaN excluded
 # (breaks equality round-trips) and ints inside the 77-bit varint range.
@@ -234,9 +235,10 @@ class TestSocketReads:
 
 
 class TestBatchCompression:
-    """``batch`` replies carry frames already deflated where that helped,
-    so their message frame skips the deflate attempt; other kinds keep
-    the usual rule."""
+    """Every message frame is sealed raw — ``batch`` replies carry frames
+    already deflated where that helped, and the control plane's own
+    fields are not worth the deflate CPU — except one whose raw frame
+    would not fit under the ceiling, which is deflated once more."""
 
     def test_compressible_batch_stays_raw_and_round_trips(self):
         fields = {
@@ -247,6 +249,32 @@ class TestBatchCompression:
         assert not blob[4] & FLAG_COMPRESSED
         assert decode_message(blob) == ("batch", fields)
 
-    def test_compressible_message_of_another_kind_is_deflated(self):
-        blob = encode_message("reduce-done", {"output": b"x" * 1600})
+    @pytest.mark.parametrize("kind", MESSAGE_KINDS)
+    def test_every_kind_is_sealed_raw(self, kind):
+        fields = {"output": b"x" * 1600, "note": "y" * 400}
+        blob = encode_message(kind, fields)
+        assert not blob[4] & FLAG_COMPRESSED
+        assert decode_message(blob) == (kind, fields)
+
+    def test_compressible_message_over_the_ceiling_is_deflated(self):
+        # Raw, this frame is over the ceiling; deflated, it is tiny.
+        fields = {"output": bytes(MAX_MESSAGE_BYTES)}
+        blob = encode_message("reduce-done", fields)
         assert blob[4] & FLAG_COMPRESSED
+        assert len(blob) < MAX_MESSAGE_BYTES // 100
+        assert decode_message(blob) == ("reduce-done", fields)
+
+    def test_deflated_frame_still_decodes(self):
+        fields = {"job_id": "job-1", "split": b"x" * 1600}
+        frame = encode_frame([Record("assign-map", fields)], WireConfig()).frame
+        assert frame[0] & FLAG_COMPRESSED
+        blob = struct.pack(">I", len(frame)) + frame
+        assert decode_message(blob) == ("assign-map", fields)
+        server, client = socket.socketpair()
+        try:
+            server.settimeout(2.0)
+            client.sendall(blob)
+            assert recv_message(server) == ("assign-map", fields)
+        finally:
+            server.close()
+            client.close()

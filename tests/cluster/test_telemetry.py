@@ -16,6 +16,8 @@ runtime reports locally.
 from __future__ import annotations
 
 import json
+import pickle
+import socket
 import time
 
 import pytest
@@ -28,10 +30,16 @@ from repro.cluster import (
     decode_telemetry,
     request_status,
 )
-from repro.cluster.telemetry import TELEMETRY_SCHEMA_VERSION, TelemetryBuffer
-from repro.core.types import ExecutionMode
+from repro.cluster.coordinator import Coordinator
+from repro.cluster.rpc import send_message
+from repro.cluster.telemetry import (
+    TELEMETRY_SCHEMA_VERSION,
+    ClusterTelemetry,
+    TelemetryBuffer,
+)
+from repro.core.types import ExecutionMode, Record
 from repro.dfs.serialization import SerializationError
-from repro.dfs.wire import WireConfig
+from repro.dfs.wire import WireConfig, encode_frame
 from repro.engine.threaded import ThreadedEngine
 from repro.obs import JobObservability, validate_span_nesting
 from repro.obs.export import spans_from_chrome_trace
@@ -113,13 +121,12 @@ def test_telemetry_frame_round_trips():
     assert payload["pid"] == 4242
     assert payload["counters"]["map.output_records"] == 7
     assert [s["name"] for s in payload["spans"]] == ["map-0"]
-    assert [e["kind"] for e in payload["events"]] == ["task.start"]
     series = payload["series"]["store.bytes"]
     assert series["unit"] == "bytes"
     assert [v for _t, v in series["points"]] == [123.0, 456.0]
     # A second collect with nothing new ships an empty delta.
     empty = decode_telemetry(buffer.collect())
-    assert not empty["spans"] and not empty["events"]
+    assert not empty["spans"]
     assert not empty["counters"] and not empty["series"]
 
 
@@ -135,6 +142,83 @@ def test_corrupt_telemetry_frame_raises():
         decode_telemetry(frame + b"\x00")
     with pytest.raises(SerializationError):
         decode_telemetry(frame[: len(frame) - 3])
+
+
+def _sealed(value) -> bytes:
+    """A telemetry-shaped frame with a valid CRC around ``value``."""
+    return encode_frame(
+        [Record("telemetry", value)], WireConfig(compress=False)
+    ).frame
+
+
+#: Frames whose CRC holds but whose payload is no telemetry delta: not a
+#: pickle, a pickled non-dict, a pickle that names a class, a typed dict
+#: where pickled bytes belong, and a delta whose second span is malformed
+#: after a well-formed first one.
+_UNDECODABLE = {
+    "garbage": _sealed(b"\x80\x05not a pickle"),
+    "non-dict": _sealed(pickle.dumps([1, 2, 3])),
+    "names-a-class": _sealed(pickle.dumps({"ctx": TraceContext("j", "t", 0, 0)})),
+    "typed-dict": _sealed({"worker": "w9"}),
+    "malformed-span": _sealed(pickle.dumps({
+        "v": TELEMETRY_SCHEMA_VERSION, "worker": "w9", "job_id": "job-1",
+        "pid": 9, "counters": {"map.tasks": 1},
+        "spans": [{"id": 1, "name": "map-0"}, {"name": "no-id"}],
+    })),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_UNDECODABLE))
+def test_undecodable_telemetry_payload_is_dropped_whole(case):
+    frame = _UNDECODABLE[case]
+    if case != "malformed-span":
+        with pytest.raises(SerializationError):
+            decode_telemetry(frame)
+    merged = ClusterTelemetry(JobObservability())
+    assert merged.ingest(frame) is False
+    assert merged.obs.counters.get("cluster.telemetry.dropped") == 1
+    assert merged.obs.counters.get("cluster.telemetry.frames") == 0
+    assert merged.status_snapshot() == {} and merged.job_spans("job-1") == []
+    # The next good frame merges as if the bad one never came.
+    good = TelemetryBuffer(_loaded_obs(), job_id="job-1", worker="w0", pid=7)
+    assert merged.ingest(good.collect()) is True
+    assert [s.name for s in merged.job_spans("job-1")] == ["map-0"]
+    assert merged.status_snapshot()["w0"]["frames"] == 1
+
+
+def test_receiver_thread_survives_undecodable_telemetry():
+    """A worker link keeps being served after frames it cannot merge."""
+    coordinator = Coordinator()
+    try:
+        with socket.create_connection(
+            (coordinator.host, coordinator.port), timeout=5.0
+        ) as conn:
+            send_message(conn, "register", {
+                "worker": "w9", "pid": 9, "shuffle_host": "127.0.0.1",
+                "shuffle_port": 1, "held": [], "active": [],
+            })
+            for frame in _UNDECODABLE.values():
+                send_message(conn, "heartbeat", {
+                    "worker": "w9", "job_id": "", "progress": {},
+                    "telemetry": frame,
+                })
+            good = TelemetryBuffer(
+                _loaded_obs(), job_id="job-1", worker="w9", pid=9
+            )
+            send_message(conn, "heartbeat", {
+                "worker": "w9", "job_id": "", "progress": {},
+                "telemetry": good.collect(),
+            })
+            counters = coordinator.obs.counters
+            assert _wait_for(
+                lambda: counters.get("cluster.telemetry.frames") == 1
+            )
+            assert counters.get("cluster.telemetry.dropped") == len(
+                _UNDECODABLE
+            )
+            assert coordinator.status()["workers"]["w9"]["frames"] == 1
+    finally:
+        coordinator.shutdown()
 
 
 def test_rollback_reships_an_unsent_delta():
