@@ -224,6 +224,78 @@ def test_columnar_frame(benchmark, shape, op):
     )
 
 
+def _int64_frame_bytes(keys: list, values: list) -> int:
+    """Wire bytes of the same pairs with every int column written at
+    8 bytes an item (``array('q')``), deflated the way the codec would."""
+    from array import array
+    import zlib
+
+    from repro.dfs.serialization import encode_varint
+    from repro.dfs.wire import FLAG_COLUMNAR, FLAG_COMPRESSED, seal_frame
+
+    def column(items: list) -> bytes:
+        if type(items[0]) is str:
+            return b"\x06" + "\0".join(items).encode("utf-8")
+        return b"\x03" + array("q", items).tobytes()
+
+    key_column = column(keys)
+    payload = encode_varint(len(key_column)) + key_column + column(values)
+    deflated = zlib.compress(payload)
+    if len(deflated) < len(payload):
+        frame = seal_frame(FLAG_COLUMNAR | FLAG_COMPRESSED, len(keys),
+                           deflated, len(payload))
+    else:
+        frame = seal_frame(FLAG_COLUMNAR, len(keys), payload, len(payload))
+    return len(frame.frame)
+
+
+def _app_shapes() -> dict[str, tuple[list, list]]:
+    """256 pairs as ``sort`` shuffles them (random int keys below 10**6,
+    each its own value) and as ``wc`` does (words, each counted once)."""
+    from repro.workloads.ints import generate_sort_records
+
+    sort_pairs = generate_sort_records(256, seed=1)
+    return {
+        "sort": ([k for k, _ in sort_pairs], [v for _, v in sort_pairs]),
+        "wc": ([f"w{i % 500}" for i in range(256)], [1] * 256),
+    }
+
+
+@pytest.mark.parametrize("op", ("seal", "decode"))
+@pytest.mark.parametrize("shape", ("sort", "wc"))
+def test_narrow_int_columns(benchmark, shape, op):
+    """A 256-pair frame in an app's shape, its int columns at their
+    narrowest width as byte planes: the round trip, and wire bytes no
+    larger than the same frame with int64 columns."""
+    from repro.dfs.wire import (
+        FLAG_COLUMNAR,
+        WireConfig,
+        decode_frame,
+        entry_pair,
+        seal_pairs,
+    )
+
+    keys, values = _app_shapes()[shape]
+    wire = WireConfig()
+    batch = seal_pairs(keys, values, wire)
+    assert batch.count == 256 and batch.frame[0] & FLAG_COLUMNAR
+    int64_bytes = _int64_frame_bytes(keys, values)
+    assert batch.wire_bytes <= int64_bytes
+    if op == "seal":
+        assert benchmark(lambda: seal_pairs(keys, values, wire)) == batch
+    else:
+        decoded, end = benchmark(
+            lambda: decode_frame(batch.frame, make=entry_pair)
+        )
+        assert decoded == list(zip(keys, values)) and end == len(batch.frame)
+    emit_timed(
+        benchmark,
+        lambda mean: f"{op} 256 {shape} pairs: {mean * 1e6:.1f} us, "
+        f"{batch.raw_bytes} B raw, {batch.wire_bytes} B frame "
+        f"(int64 columns: {int64_bytes} B)",
+    )
+
+
 def test_reduce_output_pickle_round_trip(benchmark):
     """One cluster reducer's output on the control plane: the worker
     pickles its ``Record`` list into ``reduce-done`` and the dispatcher

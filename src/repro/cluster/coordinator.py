@@ -204,10 +204,9 @@ class Coordinator:
         self, job_id: str, result: JobResult | None,
         error: ClusterJobError | None,
     ) -> None:
-        job_span = (
-            self._dispatcher.job(job_id).span if result is not None else None
-        )
-        if job_span is not None:
+        state = self._dispatcher.job(job_id)
+        job_span = state.span if state is not None else None
+        if result is not None and job_span is not None:
             # Each committed task's telemetry frame was ingested before
             # its completion message was queued.  Spans that ended
             # before the job span began are a resumed job's earlier run.
@@ -215,6 +214,9 @@ class Coordinator:
                 span for span in self.telemetry.job_spans(job_id)
                 if span.end >= job_span.start
             ])
+        if not isinstance(error, JobPreemptedError):
+            # A parked job is not over: its spans stay for the resume.
+            self.telemetry.job_concluded(job_id, job_span)
         waiter = self._waiters.pop(job_id, None)
         if waiter is None:
             return

@@ -43,6 +43,7 @@ import pickle
 import socket
 import threading
 import time
+from collections import OrderedDict
 from dataclasses import dataclass, replace
 
 from repro.core.types import Record
@@ -72,6 +73,11 @@ MAX_SERIES_POINTS_PER_FRAME = 32
 #: discarded (and counted dropped) so a long-lived cluster cannot grow
 #: its status plane without bound.
 MAX_SERIES_POINTS_RETAINED = 2048
+
+#: Concluded jobs whose spans the coordinator keeps — its own job span,
+#: every worker's spans and span-id maps; older jobs are dropped, oldest
+#: first, so a long-lived cluster cannot grow its trace without bound.
+MAX_JOBS_RETAINED = 32
 
 #: Telemetry frames use the same fixed framing as RPC messages: one
 #: record, CRC32, sealed raw.
@@ -337,6 +343,12 @@ class ClusterTelemetry:
         #: before that parent's frame arrives), stable thereafter.
         self._id_maps: dict[tuple[str, str], dict[int, int]] = {}
         self._next_span_id = 0
+        #: The retained concluded jobs, oldest first: job_id -> the
+        #: coordinator's span for it.
+        self._concluded: OrderedDict[str, Span | None] = OrderedDict()
+        #: The most recently dropped job ids (as many as are retained):
+        #: spans that still arrive for them are not merged.
+        self._dropped_jobs: OrderedDict[str, None] = OrderedDict()
 
     # -- ingest ------------------------------------------------------------
 
@@ -398,16 +410,18 @@ class ClusterTelemetry:
             delay = recv_wall - wall
             if wt.delay_min_s is None or delay < wt.delay_min_s:
                 wt.delay_min_s = delay
-            key = (name, job_id)
-            job_spans = wt.spans.setdefault(job_id, [])
-            for span_id, parent, *fields in spans:
-                job_spans.append(
-                    Span(
-                        self._merged_id(key, span_id),
-                        None if parent is None else self._merged_id(key, parent),
-                        *fields,
+            if spans and job_id not in self._dropped_jobs:
+                key = (name, job_id)
+                job_spans = wt.spans.setdefault(job_id, [])
+                for span_id, parent, *fields in spans:
+                    job_spans.append(
+                        Span(
+                            self._merged_id(key, span_id),
+                            None if parent is None
+                            else self._merged_id(key, parent),
+                            *fields,
+                        )
                     )
-                )
             for counter, delta in deltas.items():
                 wt.counters[counter] = wt.counters.get(counter, 0) + delta
             dropped = 0
@@ -433,6 +447,31 @@ class ClusterTelemetry:
             "cluster.telemetry.clock_skew_ms", skew_ms, unit="ms"
         )
         return True
+
+    def job_concluded(self, job_id: str, job_span: Span | None) -> None:
+        """Count ``job_id`` among the concluded jobs kept.
+
+        Past :data:`MAX_JOBS_RETAINED` the oldest concluded job is
+        dropped: every worker's spans and span-id maps for it, and its
+        span in the coordinator's tracer.  A job's stage times are read
+        before it concludes (``Coordinator._conclude``).
+        """
+        dropped: list[Span | None] = []
+        with self._lock:
+            self._concluded.pop(job_id, None)
+            self._concluded[job_id] = job_span
+            while len(self._concluded) > MAX_JOBS_RETAINED:
+                old_id, old_span = self._concluded.popitem(last=False)
+                for wt in self._workers.values():
+                    wt.spans.pop(old_id, None)
+                for key in [key for key in self._id_maps if key[1] == old_id]:
+                    del self._id_maps[key]
+                self._dropped_jobs[old_id] = None
+                if len(self._dropped_jobs) > MAX_JOBS_RETAINED:
+                    self._dropped_jobs.popitem(last=False)
+                dropped.append(old_span)
+        for span in dropped:
+            self.obs.tracer.forget_job(span)
 
     def mark_truncated(self, name: str) -> None:
         """Flag a dead worker: its telemetry stops at its last heartbeat.

@@ -26,10 +26,15 @@ Frame layout (all integers are LEB128 varints except the fixed trailer)::
   ``serialization.encode((key, value))`` for each record.  A *columnar*
   payload is a varint giving the key column's length in bytes, the key
   column, then the value column (to the end of the payload).  A column
-  is one tag byte and a body: ``0x03`` (the codec's int tag) and a
-  little-endian ``array('q')``, ``0x05`` (float) and a little-endian
-  ``array('d')``, or ``0x06`` (str) and the strings' UTF-8 joined by
-  NUL bytes.  Every column holds exactly ``record_count`` items.
+  is one tag byte and a body: ``0x05`` (float) and a little-endian
+  ``array('d')``, ``0x06`` (str) and the strings' UTF-8 joined by NUL
+  bytes, or an int column.  An int column is written at the narrowest
+  signed width ``w`` of 1, 2, 4 or 8 bytes that holds its min..max,
+  under tag ``0x10 + w``, as byte planes: every item's first (least
+  significant) byte, then every item's second byte, and so on.  An int
+  column whose items are all equal is tag ``0x10`` and that one value
+  as a little-endian int64.  Every column holds exactly
+  ``record_count`` items.
 - ``CRC32`` — big-endian ``zlib.crc32`` over everything before it
   (header *and* payload), so a flipped bit anywhere in the frame fails
   before decoding starts.
@@ -153,9 +158,9 @@ def seal_pairs(
     Columnar when the pairs qualify (see the module docstring), rows
     otherwise; deflated if that helps.
     """
-    payload = _columnar(keys, values)
-    if payload is not None:
-        return _seal(FLAG_COLUMNAR, len(keys), payload, config)
+    columns = _columnar(keys, values)
+    if columns is not None:
+        return _seal(FLAG_COLUMNAR, len(keys), columns[0], config)
     return _seal(0, len(keys), b"".join(map(encode_pair, keys, values)), config)
 
 
@@ -185,12 +190,19 @@ def seal_frame(
 # columns
 # ---------------------------------------------------------------------------
 
-#: Column tags: the typed codec's tags for the three column types.
-_INT64 = 0x03
+#: Column tags.  Float and str columns carry the typed codec's own tags;
+#: an int column is ``_CONSTANT`` (all items equal, stored once) or
+#: ``_CONSTANT + width`` (byte planes of that many bytes an item).
 _FLOAT64 = 0x05
 _UTF8 = 0x06
-_ARRAY_CODES = {_INT64: "q", _FLOAT64: "d"}
-_COLUMN_TAGS = {int: _INT64, float: _FLOAT64}
+_CONSTANT = 0x10
+#: Int column tag -> ``(width, array code)`` for 1, 2, 4 and 8 bytes,
+#: narrowest first.
+_PLANE_CODES = {
+    _CONSTANT + array(code).itemsize: (array(code).itemsize, code)
+    for code in "bhilq"
+}
+_INT64 = struct.Struct("<q")
 _INT64_MIN = -(1 << 63)
 _INT64_MAX = (1 << 63) - 1
 #: Column bodies are little-endian whatever the host's byte order.
@@ -204,6 +216,8 @@ def _column(items: Sequence[Any]) -> bytes | None:
     if len(kinds) != 1:
         return None
     kind = kinds.pop()
+    if kind is int:
+        return _int_column(items)
     if kind is str:
         text = "\0".join(items)
         if text.count("\0") != len(items) - 1:
@@ -212,22 +226,52 @@ def _column(items: Sequence[Any]) -> bytes | None:
             return bytes((_UTF8,)) + text.encode("utf-8")
         except UnicodeEncodeError:
             return None
-    tag = _COLUMN_TAGS.get(kind)
-    if tag is None:
+    if kind is not float:
         return None
-    try:
-        column = array(_ARRAY_CODES[tag], items)
-    except OverflowError:
-        return None
+    column = array("d", items)
     if _SWAP:
         column.byteswap()
-    return bytes((tag,)) + column.tobytes()
+    return bytes((_FLOAT64,)) + column.tobytes()
 
 
-def _columnar(keys: Sequence[Any], values: Sequence[Any]) -> bytes | None:
-    """The columnar payload for these pairs, or ``None`` if they do not
-    qualify (fewer than two, or either side not one column type)."""
-    if len(keys) < 2:
+def _int_column(items: Sequence[int]) -> bytes | None:
+    """An int column at the narrowest width that holds ``items``' range,
+    as byte planes; ``None`` if an item is outside int64."""
+    low = min(items)
+    high = max(items)
+    if low == high:
+        if not _INT64_MIN <= low <= _INT64_MAX:
+            return None
+        return bytes((_CONSTANT,)) + _INT64.pack(low)
+    for tag, (width, code) in _PLANE_CODES.items():
+        bound = 1 << (8 * width - 1)
+        if -bound <= low and high < bound:
+            break
+    else:
+        return None
+    column = array(code, items)
+    if _SWAP:
+        column.byteswap()
+    data = column.tobytes()
+    return bytes((tag,)) + b"".join(
+        data[plane::width] for plane in range(width)
+    )
+
+
+def _measure(column: bytes, count: int) -> int:
+    """What the cut rule charges for a column of ``count`` items: its
+    length, an int column counted at 8 bytes an item whatever its width."""
+    return len(column) if column[0] == _UTF8 else 1 + 8 * count
+
+
+def _columnar(
+    keys: Sequence[Any], values: Sequence[Any]
+) -> tuple[bytes, int] | None:
+    """The columnar payload for these pairs and its size as the cut rule
+    measures it, or ``None`` if they do not qualify (fewer than two, or
+    either side not one column type)."""
+    count = len(keys)
+    if count < 2:
         return None
     key_column = _column(keys)
     if key_column is None:
@@ -235,12 +279,17 @@ def _columnar(keys: Sequence[Any], values: Sequence[Any]) -> bytes | None:
     value_column = _column(values)
     if value_column is None:
         return None
-    return encode_varint(len(key_column)) + key_column + value_column
+    key_size = _measure(key_column, count)
+    size = (
+        len(encode_varint(key_size)) + key_size + _measure(value_column, count)
+    )
+    return encode_varint(len(key_column)) + key_column + value_column, size
 
 
 def _column_cost(item: Any, kind: type) -> int | None:
-    """Bytes ``item`` adds to a column of ``kind`` (a ``str`` counts its
-    NUL separator), or ``None`` if it cannot join one."""
+    """Bytes the cut rule charges ``item`` in a column of ``kind`` (a
+    ``str`` counts its NUL separator, an int its int64 width), or
+    ``None`` if it cannot join one."""
     if type(item) is not kind:
         return None
     if kind is str:
@@ -250,9 +299,9 @@ def _column_cost(item: Any, kind: type) -> int | None:
             return len(item.encode("utf-8")) + 1
         except UnicodeEncodeError:
             return None
-    if kind is int and not _INT64_MIN <= item <= _INT64_MAX:
-        return None
-    return 8 if kind in _COLUMN_TAGS else None
+    if kind is int:
+        return 8 if _INT64_MIN <= item <= _INT64_MAX else None
+    return 8 if kind is float else None
 
 
 def _decode_columns(payload: bytes, count: int) -> tuple[list[Any], list[Any]]:
@@ -279,12 +328,27 @@ def _decode_column(payload: bytes, start: int, stop: int, count: int) -> list[An
             items = str(body, "utf-8").split("\0")
         except UnicodeDecodeError as exc:
             raise SerializationError(f"invalid UTF-8 in column: {exc}") from exc
-    elif tag in _ARRAY_CODES:
-        if len(body) != 8 * count:
+    elif tag == _CONSTANT:
+        if len(body) != _INT64.size:
+            raise SerializationError(
+                f"constant column of {len(body)} bytes, not {_INT64.size}"
+            )
+        items = [_INT64.unpack(body)[0]] * count
+    elif tag == _FLOAT64 or tag in _PLANE_CODES:
+        width, code = (8, "d") if tag == _FLOAT64 else _PLANE_CODES[tag]
+        if len(body) != width * count:
             raise SerializationError(
                 f"column of {len(body)} bytes for {count} records"
             )
-        column = array(_ARRAY_CODES[tag])
+        if tag != _FLOAT64 and width > 1:
+            # Re-interleave the planes: one slice assignment per plane.
+            interleaved = bytearray(len(body))
+            for plane in range(width):
+                interleaved[plane::width] = body[
+                    plane * count : (plane + 1) * count
+                ]
+            body = interleaved
+        column = array(code)
         column.frombytes(body)
         if _SWAP:
             column.byteswap()
@@ -434,9 +498,14 @@ def cut_frames(
 
     A frame takes the next pair while it holds fewer than
     ``max_batch_records`` and its *raw* (pre-compression) payload, in the
-    layout it would be sealed in, stays within ``max_batch_bytes``; its
-    first pair always joins, so a pair larger than the limit travels
-    alone and boundaries never depend on compression.  Each frame's end
+    layout it would be sealed in, measures within ``max_batch_bytes``;
+    its first pair always joins, so a pair larger than the limit travels
+    alone and boundaries never depend on compression.  The measure is
+    the payload's length, except that an int column counts 8 bytes an
+    item, the int64 width: an upper bound on the narrow column actually
+    written, so a boundary never depends on the range of a window's
+    ints, and both measuring paths (the whole window at once, and
+    :func:`_front_frame` pair by pair) agree.  Each frame's end
     depends only on the pairs up to the one that did not fit, so pairs
     may be handed over in pieces: with ``final`` false, a last frame that
     more pairs could still join is left unsealed (and uncounted) for the
@@ -451,12 +520,12 @@ def cut_frames(
         closed = final or stop - start == max_records
         window_keys = keys[start:stop]
         window_values = values[start:stop]
-        payload = _columnar(window_keys, window_values)
-        if payload is not None and len(payload) <= max_bytes:
-            # Every shorter prefix is columnar and smaller: one frame.
+        columns = _columnar(window_keys, window_values)
+        if columns is not None and columns[1] <= max_bytes:
+            # Every shorter prefix is columnar and measures less: one frame.
             if not closed:
                 break
-            out.append(_seal(FLAG_COLUMNAR, stop - start, payload, config))
+            out.append(_seal(FLAG_COLUMNAR, stop - start, columns[0], config))
             start = stop
             continue
         count, flags, payload = _front_frame(
@@ -477,7 +546,8 @@ def _front_frame(
 
     Walks the window pair by pair.  While every pair so far can join a
     column the prefix is measured as columns (tags, bodies, the key
-    column's length varint); from the first pair that cannot, it is
+    column's length varint; ints at 8 bytes, as :func:`cut_frames`
+    says); from the first pair that cannot, it is
     measured as rows, each pair encoded once and its bytes kept for the
     payload.
     """
@@ -517,7 +587,7 @@ def _front_frame(
             count = index
             break
     if 1 < count <= columns:
-        payload = _columnar(keys[:count], values[:count])
+        payload, _size = _columnar(keys[:count], values[:count])
         return count, FLAG_COLUMNAR, payload
     while len(rows) < count:
         rows.append(encode_pair(keys[len(rows)], values[len(rows)]))

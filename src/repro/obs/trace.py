@@ -249,6 +249,26 @@ class Tracer:
         with self._lock:
             return list(self._by_job.get(self._parent_id(job), ()))
 
+    def forget_job(self, job: Span | int | None) -> None:
+        """Drop ``job``'s completed spans, itself included.
+
+        What keeps a long-lived tracer bounded: the cluster coordinator
+        forgets a job once it is no longer among those it reports.
+        """
+        if job is None:
+            return
+        job_id = self._parent_id(job)
+        with self._lock:
+            gone = {span.span_id for span in self._by_job.pop(job_id, ())}
+            self._spans = [
+                span for span in self._spans if span.span_id not in gone
+            ]
+            self._job_of = {
+                span_id: owner
+                for span_id, owner in self._job_of.items()
+                if owner != job_id
+            }
+
     def makespan(self) -> float:
         """Latest end time across all spans (0.0 when empty)."""
         with self._lock:

@@ -32,7 +32,9 @@ from repro.cluster import (
 )
 from repro.cluster.coordinator import Coordinator
 from repro.cluster.rpc import send_message
+from repro.cluster import telemetry as telemetry_module
 from repro.cluster.telemetry import (
+    MAX_JOBS_RETAINED,
     TELEMETRY_SCHEMA_VERSION,
     ClusterTelemetry,
     TelemetryBuffer,
@@ -41,7 +43,7 @@ from repro.core.types import ExecutionMode, Record
 from repro.dfs.serialization import SerializationError
 from repro.dfs.wire import WireConfig, encode_frame
 from repro.engine.threaded import ThreadedEngine
-from repro.obs import JobObservability, validate_span_nesting
+from repro.obs import JobObservability, stage_times, validate_span_nesting
 from repro.obs.export import spans_from_chrome_trace
 
 RECORDS = 200
@@ -440,3 +442,110 @@ def test_sigkill_leaves_truncated_but_valid_telemetry():
         assert sum(buckets.values()) == obs.counters.get(
             "map.output_records"
         ) - before.get("map.output_records", 0)
+
+
+# ---------------------------------------------------------------------------
+# Retention: a long-lived coordinator keeps the last jobs, not every job
+# ---------------------------------------------------------------------------
+
+
+def _job_events(trace: dict, job_id: str) -> list[tuple]:
+    """One job's worker events, span ids left out (they are rebased per
+    trace, so they move when older spans are dropped)."""
+    return sorted(
+        (event["name"], event["ts"], event["dur"], event["pid"], event["tid"],
+         tuple(sorted(
+             (key, repr(value)) for key, value in event["args"].items()
+             if key not in ("span_id", "parent_id")
+         )))
+        for event in trace["traceEvents"]
+        if event["ph"] == "X" and event["pid"] != 0
+        and event["args"].get("job_id") == job_id
+    )
+
+
+def test_retained_telemetry_is_bounded_by_the_last_jobs(monkeypatch):
+    # Every frame the coordinator merges is also kept, to be replayed
+    # into a merge that drops nothing.
+    ingested: list[tuple[bytes, float]] = []
+    ingest = ClusterTelemetry.ingest
+
+    def teed(self, frame, recv_wall=None):
+        recv_wall = time.time() if recv_wall is None else recv_wall
+        ingested.append((frame, recv_wall))
+        return ingest(self, frame, recv_wall)
+
+    monkeypatch.setattr(ClusterTelemetry, "ingest", teed)
+    jobs = 100
+    with ClusterRuntime(2, wire=WIRE) as runtime:
+        for index in range(jobs):
+            job, pairs = _demo("wc")
+            result = runtime.run_job(
+                job, pairs, num_maps=NUM_MAPS, job_id=f"wc-{index}"
+            )
+        telemetry = runtime.telemetry
+        coordinator = runtime.coordinator
+    # Read once the workers are gone, so no frame lands in between.
+    last = f"wc-{jobs - 1}"
+    coordinator_spans = coordinator.obs.tracer.spans()
+    trace = telemetry.chrome_trace()
+    retained = {
+        name: sorted(wt.spans) for name, wt in telemetry._workers.items()
+    }
+    id_maps = len(telemetry._id_maps)
+    last_spans = telemetry.job_spans(last)
+
+    # The coordinator's own spans are one job span per retained job.
+    assert len(coordinator_spans) == MAX_JOBS_RETAINED
+    assert {span.kind for span in coordinator_spans} == {"job"}
+    assert len(retained) == 2
+    for jobs_kept in retained.values():
+        assert len(jobs_kept) <= MAX_JOBS_RETAINED and last in jobs_kept
+    assert id_maps <= 2 * MAX_JOBS_RETAINED
+
+    monkeypatch.setattr(telemetry_module, "MAX_JOBS_RETAINED", jobs)
+    unbounded = ClusterTelemetry(JobObservability())
+    unbounded.obs.epoch = telemetry.obs.epoch
+    for frame, recv_wall in ingested:
+        ingest(unbounded, frame, recv_wall)
+    assert sum(
+        len(wt.spans) for wt in unbounded._workers.values()
+    ) == 2 * jobs
+    assert last_spans == unbounded.job_spans(last) != []
+    job_span = coordinator_spans[-1]
+    assert result.stage_times == stage_times([job_span] + [
+        span for span in unbounded.job_spans(last) if span.end >= job_span.start
+    ])
+    assert _job_events(trace, last) == _job_events(
+        unbounded.chrome_trace(), last
+    ) != []
+
+
+def test_spans_for_a_dropped_job_are_not_merged_again():
+    merged = ClusterTelemetry(JobObservability())
+
+    def ship(job_id: str) -> None:
+        buffer = TelemetryBuffer(
+            _loaded_obs(), job_id=job_id, worker="w0", pid=7
+        )
+        assert merged.ingest(buffer.collect()) is True
+
+    for index in range(MAX_JOBS_RETAINED + 1):
+        ship(f"job-{index}")
+        if index == 1:
+            # As stored: the read-side shift moves as the skew refines.
+            kept = list(merged._workers["w0"].spans["job-1"])
+        merged.job_concluded(f"job-{index}", None)
+    assert merged.job_spans("job-0") == []
+    assert merged._workers["w0"].spans["job-1"] == kept != []
+    # A frame that arrives after its job was dropped counts, but its
+    # spans are not merged: nothing of the job comes back.
+    ship("job-0")
+    assert merged.job_spans("job-0") == []
+    assert merged.status_snapshot()["w0"]["frames"] == MAX_JOBS_RETAINED + 2
+    assert len(merged._id_maps) == MAX_JOBS_RETAINED
+    # A job that is still running is never dropped for others' sake.
+    ship("running")
+    for index in range(MAX_JOBS_RETAINED + 1, 2 * MAX_JOBS_RETAINED + 2):
+        merged.job_concluded(f"job-{index}", None)
+    assert [s.name for s in merged.job_spans("running")] == ["map-0"]

@@ -816,20 +816,241 @@ class TestColumnarFrames:
         assert "unknown frame flags" not in str(raised.value)
 
 
+#: Ints either side of every width edge, and the width that holds them.
+_WIDTH_EDGES = {
+    "int8-edges": ([-(2**7), 2**7 - 1, 0], 1),
+    "int8-under": ([-(2**7) - 1, 0], 2),
+    "int8-over": ([0, 2**7], 2),
+    "int16-edges": ([-(2**15), 2**15 - 1, 0], 2),
+    "int16-under": ([-(2**15) - 1, 0], 4),
+    "int16-over": ([0, 2**15], 4),
+    "int32-edges": ([-(2**31), 2**31 - 1, 0], 4),
+    "int32-under": ([-(2**31) - 1, 0], 8),
+    "int32-over": ([0, 2**31], 8),
+    "int64-edges": ([_INT64_MIN, _INT64_MAX, -1, 0, 1], 8),
+}
+
+#: Lists of ints drawn around one width edge, the edges themselves on
+#: purpose.
+_near_an_edge = st.sampled_from([2**7, 2**15, 2**31, 2**63]).flatmap(
+    lambda edge: st.lists(
+        st.one_of(
+            st.integers(max(-edge - 2, _INT64_MIN), min(edge + 1, _INT64_MAX)),
+            st.sampled_from(
+                [n for n in (edge - 1, edge, -edge, -edge - 1, 0)
+                 if _INT64_MIN <= n <= _INT64_MAX]
+            ),
+        ),
+        min_size=2,
+        max_size=300,
+    )
+)
+
+
+def _narrowest_tag(items) -> int:
+    """The int column tag the width rule gives ``items``."""
+    if min(items) == max(items):
+        return _CONSTANT_TAG
+    for width, tag in _PLANE_TAGS.items():
+        bound = 1 << (8 * width - 1)
+        if -bound <= min(items) and max(items) < bound:
+            return tag
+    raise AssertionError("outside int64")
+
+
+def _column_tags(frame: bytes) -> tuple[int, int]:
+    """The key and value column tags of an undeflated columnar frame."""
+    _flags, _count, start, _stop = _header(frame)
+    key_bytes, position = decode_varint(frame, start)
+    return frame[position], frame[position + key_bytes]
+
+
+def _int64_payload_bytes(count: int) -> int:
+    """A two-int-column payload with both columns at 8 bytes an item."""
+    column = 1 + 8 * count
+    return len(encode_varint(column)) + 2 * column
+
+
+def _int64_cuts(pairs, config: WireConfig) -> list[int]:
+    """Frame sizes for int keys and one-type values when every int
+    column is measured at 8 bytes an item, whatever its width."""
+    counts: list[int] = []
+    start = 0
+    while start < len(pairs):
+        count = 1
+        while start + count < len(pairs) and count < config.max_batch_records:
+            window = pairs[start : start + count + 1]
+            key_size = 1 + 8 * len(window)
+            values = [value for _, value in window]
+            if type(values[0]) is str:
+                value_size = 1 + len("\0".join(values).encode("utf-8"))
+            else:
+                value_size = 1 + 8 * len(window)
+            size = len(encode_varint(key_size)) + key_size + value_size
+            if size > config.max_batch_bytes:
+                break
+            count += 1
+        counts.append(count)
+        start += count
+    return counts
+
+
+class TestNarrowIntColumns:
+    """An int column is its narrowest width, as byte planes, or one
+    constant; the cut rule measures it at int64 width all the same."""
+
+    @pytest.mark.parametrize("name", sorted(_WIDTH_EDGES))
+    @pytest.mark.parametrize("side", ["key", "value"])
+    def test_width_edges_round_trip_at_the_narrowest_width(self, name, side):
+        items, width = _WIDTH_EDGES[name]
+        other = [f"s{i}" for i in range(len(items))]
+        pairs = list(zip(items, other) if side == "key" else zip(other, items))
+        batch = encode_frame(
+            [Record(k, v) for k, v in pairs], WireConfig(compress=False)
+        )
+        tags = _column_tags(batch.frame)
+        assert tags[0 if side == "key" else 1] == _PLANE_TAGS[width]
+        decoded, end = decode_frame(batch.frame, make=entry_pair)
+        assert end == len(batch.frame) and decoded == pairs
+        index = 0 if side == "key" else 1
+        assert all(type(pair[index]) is int for pair in decoded)
+
+    @settings(max_examples=300, deadline=None)
+    @given(_near_an_edge, st.booleans())
+    def test_columns_near_an_edge_round_trip_and_are_never_wider(
+        self, keys, compress
+    ):
+        values = keys[::-1]
+        pairs = list(zip(keys, values))
+        batch = encode_frame(
+            [Record(k, v) for k, v in pairs],
+            WireConfig(compress=compress, compress_min_bytes=0),
+        )
+        assert batch.frame[0] & FLAG_COLUMNAR
+        decoded, _end = decode_frame(batch.frame, make=entry_pair)
+        assert decoded == pairs
+        assert all(type(k) is int and type(v) is int for k, v in decoded)
+        assert batch.raw_bytes <= _int64_payload_bytes(len(pairs))
+        plain = encode_frame(
+            [Record(k, v) for k, v in pairs], WireConfig(compress=False)
+        )
+        assert _column_tags(plain.frame) == (
+            _narrowest_tag(keys), _narrowest_tag(values)
+        )
+
+    @pytest.mark.parametrize(
+        "constant", [0, 1, -1, 255, -(2**31), _INT64_MIN, _INT64_MAX]
+    )
+    @pytest.mark.parametrize("count", [2, 3, 256])
+    @pytest.mark.parametrize("compress", [False, True])
+    def test_all_equal_columns_are_stored_once(self, constant, count, compress):
+        pairs = [(f"k{i}", constant) for i in range(count)]
+        batch = encode_frame(
+            [Record(k, v) for k, v in pairs],
+            WireConfig(compress=compress, compress_min_bytes=0),
+        )
+        decoded, _end = decode_frame(batch.frame, make=entry_pair)
+        assert decoded == pairs and all(type(v) is int for _k, v in decoded)
+        records = decode_batch(batch, WireConfig())
+        assert [(r.key, r.value) for r in records] == pairs
+        plain = encode_frame(
+            [Record(k, v) for k, v in pairs], WireConfig(compress=False)
+        )
+        _flags, _count, _start, stop = _header(plain.frame)
+        # The value column closes the payload: one tag, one int64.
+        assert plain.frame[stop - 9 : stop] == bytes(
+            (_CONSTANT_TAG,)
+        ) + struct.pack("<q", constant)
+        both = encode_frame(
+            [Record(constant, constant) for _ in range(count)],
+            WireConfig(compress=False),
+        )
+        assert _column_tags(both.frame) == (_CONSTANT_TAG, _CONSTANT_TAG)
+        assert decode_frame(both.frame, make=entry_pair)[0] == [
+            (constant, constant)
+        ] * count
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.lists(
+            st.one_of(
+                st.integers(-128, 127),
+                st.integers(-(2**40), 2**40),
+                _column_items["int"],
+            ),
+            max_size=60,
+        ),
+        st.sampled_from(["int", "str"]),
+        st.builds(
+            WireConfig,
+            max_batch_records=st.integers(1, 40),
+            max_batch_bytes=st.integers(8, 600),
+            compress=st.booleans(),
+        ),
+        st.data(),
+    )
+    def test_cut_rule_measures_int_columns_at_int64_width(
+        self, keys, value_kind, config, data
+    ):
+        values = data.draw(
+            st.lists(
+                _column_items[value_kind], min_size=len(keys), max_size=len(keys)
+            )
+        )
+        pairs = list(zip(keys, values))
+        batches: list = []
+        assert cut_frames(keys, values, config, batches) == len(pairs)
+        assert [batch.count for batch in batches] == _int64_cuts(pairs, config)
+        offset = 0
+        for batch in batches:
+            assert (batch.frame[0] & FLAG_COLUMNAR != 0) == (batch.count > 1)
+            decoded = decode_batch(batch, config, make=entry_pair)
+            assert decoded == pairs[offset : offset + batch.count]
+            offset += batch.count
+
+
 def _columns(key_column: bytes, value_column: bytes) -> bytes:
     return encode_varint(len(key_column)) + key_column + value_column
 
 
-_INTS_2 = b"\x03" + struct.pack("<2q", 1, 2)
+#: Two ints, 1 and 2, as one byte plane.
+_INTS_2 = b"\x11\x01\x02"
 _STRS_2 = b"\x06a\x00b"
+#: Int column tag for each width: ``0x10`` plus the width in bytes.
+_PLANE_TAGS = {width: 0x10 + width for width in (1, 2, 4, 8)}
+_CONSTANT_TAG = 0x10
 
 #: CRC-valid columnar frames of two records whose payload is wrong.
 _BAD_COLUMNS = {
     "unknown-key-tag": _columns(b"\x04" + bytes(16), _INTS_2),
     "unknown-value-tag": _columns(_INTS_2, b"\x07" + bytes(16)),
     "bool-tag": _columns(b"\x02", _INTS_2),
-    "int-column-short": _columns(b"\x03" + bytes(15), _INTS_2),
-    "int-column-long": _columns(b"\x03" + bytes(24), _INTS_2),
+    # The int64 tag of the first columnar layout is not a column tag.
+    "retired-int64-tag": _columns(b"\x03" + struct.pack("<2q", 1, 2), _INTS_2),
+    "constant-column-empty": _columns(bytes((_CONSTANT_TAG,)), _INTS_2),
+    "constant-column-short": _columns(
+        bytes((_CONSTANT_TAG,)) + bytes(7), _INTS_2
+    ),
+    "constant-column-long": _columns(
+        _INTS_2, bytes((_CONSTANT_TAG,)) + bytes(9)
+    ),
+    "constant-column-two-items": _columns(
+        bytes((_CONSTANT_TAG,)) + bytes(16), _INTS_2
+    ),
+    **{
+        f"int{8 * width}-column-{edit}": _columns(
+            bytes((tag,)) + bytes(2 * width + delta), _INTS_2
+        )
+        for width, tag in _PLANE_TAGS.items()
+        for edit, delta in (("short", -1), ("long", 1))
+    },
+    **{
+        f"int{8 * width}-value-column-{edit}": _columns(
+            _STRS_2, bytes((tag,)) + bytes(2 * width + delta)
+        )
+        for width, tag in _PLANE_TAGS.items()
+        for edit, delta in (("short", -1), ("long", 1))
+    },
     "float-column-short": _columns(_INTS_2, b"\x05" + bytes(9)),
     "str-column-one-item": _columns(b"\x06ab", _INTS_2),
     "str-column-three-items": _columns(_STRS_2 + b"\x00c", _INTS_2),
@@ -872,11 +1093,12 @@ class TestMalformedColumns:
     @pytest.mark.parametrize(
         "count, payload",
         [
-            (1, _columns(b"\x03" + bytes(8), b"\x06v")),
+            (1, _columns(b"\x18" + bytes(8), b"\x06v")),
             (1, _columns(b"\x06k", b"\x05" + bytes(8))),
-            (0, _columns(b"\x03", b"\x05")),
+            (1, _columns(b"\x06k", b"\x10" + bytes(8))),
+            (0, _columns(b"\x11", b"\x05")),
         ],
-        ids=["one-int-str", "one-str-float", "none"],
+        ids=["one-int-str", "one-str-float", "one-str-constant", "none"],
     )
     def test_fewer_than_two_records_are_never_columns(self, count, payload):
         # Consistent columns, but the encoder writes a frame of fewer

@@ -8,7 +8,9 @@ any later codec change that alters a row frame, a batch boundary or the
 accounting that rides with it fails here, in one assert. The corpus is
 mixed, so none of its frames is columnar. The columnar digest pins the
 frames of one-type-per-side batches (the apps' shapes) the same way,
-from the commit that introduced them, and the read-compat rows hold that
+from the commit that introduced them, re-pinned once when int columns
+became narrow byte planes (every frame boundary and the batch count
+unchanged), and the read-compat rows hold that
 frames, spill runs and checkpoints written in the row layout before
 columns existed still decode and restore. ``make codec`` runs this file
 with the serialization tests and the wire fuzz suite.
@@ -228,7 +230,7 @@ def columnar_corpus() -> list[list[tuple]]:
 
 
 COLUMNAR_SHA256 = (
-    "f890e7b04afd8e372f9d5882b4c1f0d0edccb5196fed303fefc9db6663e65f39"
+    "defbd4a414e064edbf25c18c5df397ac665573ec00e8cdc04fb9ce28c103bd8a"
 )
 COLUMNAR_BATCHES = 973
 

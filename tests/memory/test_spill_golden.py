@@ -6,9 +6,9 @@ hash-buffer store (red-black tree buffer, ``Record`` round trip on the
 run path) by running this file's own ``observe`` there: per reduce task
 the spill accounting and heap peak, the sha256 of every run file in the
 order it was cut, and the sha256 of a checkpoint of the merged view. The
-bytes written and the digests were re-pinned once, when store files
-gained columnar frames; spill counts, spilled entries and heap peaks
-were not touched. A change that spills on a different ``put``, orders a
+bytes written and the digests were re-pinned twice, when store files
+gained columnar frames and when int columns became narrow byte planes;
+spill counts, spilled entries and heap peaks were not touched. A change that spills on a different ``put``, orders a
 run differently, frames it differently or snapshots different bytes
 fails here — the way ``tests/dfs/test_wire_golden.py`` pins the frames
 themselves. Never update a constant to make a speed-up pass.
@@ -79,10 +79,10 @@ def observe(app: str, records: int, reducers: int, threshold: int | None):
 #: The ``sort`` demo job stagebench's ``sort_spill`` runs: 20,000 records,
 #: 4 reducers, the demo's 256 KiB threshold, seed 1.
 SORT_GOLDEN: list[tuple] = [
-    (2, 4366, 10904, 262080, ("8c1dbe75b27c76e6", "2bd0cf9068aef371"), "7e613b72f549aa8d"),
-    (2, 4365, 10963, 262080, ("1d7541020e01d2b4", "1d07104ac43b81a4"), "62680e866fed0f8d"),
-    (2, 4366, 10958, 262080, ("42448f31bd2d3b2d", "0acd8583d8143c7e"), "ea6a92b454df5444"),
-    (2, 4365, 10929, 262080, ("3ecb9930246dc422", "604cec175cb0652a"), "99068b918cc5d6dd"),
+    (2, 4366, 9012, 262080, ("32ec672d43d0a5b6", "d89562a618b34ebf"), "b1a374e2fe5d7353"),
+    (2, 4365, 8981, 262080, ("8f295797c9cb7d6f", "8fbab9d8e85778ab"), "c6b003d4bda85c2d"),
+    (2, 4366, 9038, 262080, ("fe69b144a76cf2c7", "78b577f41648b583"), "1025e3bfc0f42ca0"),
+    (2, 4365, 9024, 262080, ("769745d8f7aa5629", "4df7a8d1ef1a9b56"), "c42bee788df1e092"),
 ]
 
 #: ``wc`` with a 16 KiB threshold: ~500 hot keys, so the same key lands in
@@ -90,26 +90,26 @@ SORT_GOLDEN: list[tuple] = [
 #: in the middle of a write-back.
 WC_GOLDEN: list[tuple] = [
     (
-        20, 1969, 6413, 16280,
+        20, 1969, 5902, 16280,
         (
-            "70334a73ba4f9eba", "2fdeb94863148ed4", "fd49b3f229c7fbf2", "31133b92fd2c90cd",
-            "69efaec4689eb479", "28bd33ea89c7d22a", "90de03127e199d7e", "5e617281971782a4",
-            "e9cf6c4be72136a3", "2bacd4c1a11118fc", "ce877d2a149ec622", "2c52906e6f53ecb6",
-            "ae680002de57c9cc", "fc8565299ab0dedd", "e76cee6739de39d0", "158287d62ef5ff90",
-            "c0b42d486daf0c06", "c0afb73a33d8405e", "918922549a6132a3", "53a3a897ef2b6ab4",
+            "6642b72982548e20", "c89110653e04ea5a", "abeecd2f68af5ab7", "394b0fe88fe9997e",
+            "756520a6814f423e", "5cbd9f90c0295bee", "9a3c8fd42044c388", "153303722d7a3239",
+            "dbf999ccad1edac1", "6a70b492db099af3", "c842c99bde154011", "6e3933c8bba6ba5f",
+            "30cff5424ced1b12", "e509199af3568bf0", "43e9962403736d47", "c2da6b607bc2535b",
+            "7153cb1ee5b97bd2", "ce3df3a290966bb2", "55047b6f63570d93", "b3d0a25869906116",
         ),
-        "cc23a09b23397336",
+        "c8a19548f4ad7b0b",
     ),
     (
-        20, 1900, 6338, 16280,
+        20, 1900, 5709, 16280,
         (
-            "0c83dfcb5b5e1172", "8e230e875e8d3a34", "8e34801c427f04d9", "88c779d0df5594c0",
-            "fc0a1ebe243f3ccc", "14d7552d66bdc735", "613ec233958b7fdf", "34252e422b68c1aa",
-            "eb163d035d26d1ab", "55c2da4dae17070d", "adddf958ad697fca", "51ceb83bdc0e63d2",
-            "12d7a5a4701fd29f", "79d248948f2ec29a", "c29b6756304a59b5", "f3ec5cc55bd1fc3b",
-            "572df7eb63a94913", "472ab9ab396f157c", "f77b748ae9f2e343", "bc1b16ceeeeb2287",
+            "8f31e3d542ade49e", "15142659d8112305", "b546686975424735", "5292bf8c82d579b4",
+            "5444012104402db6", "17c1f1f8cfcb1869", "378b7b4202c5f6b4", "f802c024c6c628a0",
+            "7a01769a1d609860", "30a0a8166c45cd26", "bd0610a85d482118", "cf8f22c7e89fb2f7",
+            "0c59ca6965d632b9", "c2f97585de734074", "a9c0c2d23e2949c1", "741039a1053569da",
+            "e0e273ad90b34d08", "398013269bd03547", "65be9eb781e32eb6", "2346bc416f357711",
         ),
-        "902a1a70c489f828",
+        "e84c742c74d07fb0",
     ),
 ]
 

@@ -104,8 +104,9 @@ class TestKeyOrder:
     def test_wc_demo_checkpoint_bytes_are_pinned(self, tmp_path):
         # The digest was taken when the store was a red-black tree
         # (31c03622...) and re-pinned only when store files gained
-        # columnar frames: the one sort must write the entries, order and
-        # frame cuts the in-order walk wrote.
+        # columnar frames (890681dd...) and when int columns became
+        # narrow byte planes: the one sort must write the entries, order
+        # and frame cuts the in-order walk wrote.
         job, pairs = demo_job_and_input("wc", ExecutionMode.BARRIERLESS)
         store = TreeMapStore()
         reducer = job.reducer_factory()
@@ -116,7 +117,7 @@ class TestKeyOrder:
         with open(checkpoint_path(str(tmp_path)), "rb") as fh:
             digest = hashlib.sha256(fh.read()).hexdigest()
         assert digest == (
-            "890681dd72f0cf0fb94fa3586f43cd48fe3be9ea6c400268256a002cd1c73ffe"
+            "06cec8471d1fd3f9bd7b7482f5c1b92bafdc961159b0aaef70a22e0f02932789"
         )
 
     def test_unorderable_keys_raise_where_order_is_read(self, tmp_path):
