@@ -216,7 +216,9 @@ class Coordinator:
             ])
         if not isinstance(error, JobPreemptedError):
             # A parked job is not over: its spans stay for the resume.
-            self.telemetry.job_concluded(job_id, job_span)
+            self.telemetry.job_concluded(
+                job_id, state.run_spans if state is not None else []
+            )
         waiter = self._waiters.pop(job_id, None)
         if waiter is None:
             return

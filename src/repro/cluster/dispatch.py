@@ -226,6 +226,9 @@ class _JobState:
         #: The job span of the current run; it stays on the state once
         #: closed, for the shell to read the run's stage times under.
         self.span = None
+        #: Every run's job span, the current one last: what the shell
+        #: drops from its tracer once the job is no longer reported.
+        self.run_spans: list = []
 
     def spec_message(self) -> dict:
         """The ``job`` message: what a worker needs to take part."""
@@ -654,6 +657,7 @@ class Dispatcher:
             state.job.name, "job", mode=state.job.mode.value,
             engine="cluster", resumed=state.resuming,
         )
+        state.run_spans.append(state.span)
         self._broadcast("job", state.spec_message())
         if state.resuming:
             self._place_resumed(state, workers)

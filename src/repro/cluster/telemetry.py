@@ -344,11 +344,11 @@ class ClusterTelemetry:
         self._id_maps: dict[tuple[str, str], dict[int, int]] = {}
         self._next_span_id = 0
         #: The retained concluded jobs, oldest first: job_id -> the
-        #: coordinator's span for it.
-        self._concluded: OrderedDict[str, Span | None] = OrderedDict()
-        #: The most recently dropped job ids (as many as are retained):
-        #: spans that still arrive for them are not merged.
-        self._dropped_jobs: OrderedDict[str, None] = OrderedDict()
+        #: coordinator's job span of each of its runs.
+        self._concluded: OrderedDict[str, list[Span]] = OrderedDict()
+        #: Every dropped job id: spans that still arrive for one are not
+        #: merged.  An id, not its spans, is what grows per job.
+        self._dropped_jobs: set[str] = set()
 
     # -- ingest ------------------------------------------------------------
 
@@ -448,28 +448,28 @@ class ClusterTelemetry:
         )
         return True
 
-    def job_concluded(self, job_id: str, job_span: Span | None) -> None:
+    def job_concluded(self, job_id: str, run_spans: list[Span]) -> None:
         """Count ``job_id`` among the concluded jobs kept.
 
-        Past :data:`MAX_JOBS_RETAINED` the oldest concluded job is
-        dropped: every worker's spans and span-id maps for it, and its
-        span in the coordinator's tracer.  A job's stage times are read
-        before it concludes (``Coordinator._conclude``).
+        ``run_spans`` are the coordinator's job spans, one per run (a
+        preempted and resumed job has several).  Past
+        :data:`MAX_JOBS_RETAINED` the oldest concluded job is dropped:
+        every worker's spans and span-id maps for it, and its run spans
+        in the coordinator's tracer.  A job's stage times are read before
+        it concludes (``Coordinator._conclude``).
         """
-        dropped: list[Span | None] = []
+        dropped: list[Span] = []
         with self._lock:
             self._concluded.pop(job_id, None)
-            self._concluded[job_id] = job_span
+            self._concluded[job_id] = list(run_spans)
             while len(self._concluded) > MAX_JOBS_RETAINED:
-                old_id, old_span = self._concluded.popitem(last=False)
+                old_id, old_spans = self._concluded.popitem(last=False)
                 for wt in self._workers.values():
                     wt.spans.pop(old_id, None)
                 for key in [key for key in self._id_maps if key[1] == old_id]:
                     del self._id_maps[key]
-                self._dropped_jobs[old_id] = None
-                if len(self._dropped_jobs) > MAX_JOBS_RETAINED:
-                    self._dropped_jobs.popitem(last=False)
-                dropped.append(old_span)
+                self._dropped_jobs.add(old_id)
+                dropped.extend(old_spans)
         for span in dropped:
             self.obs.tracer.forget_job(span)
 

@@ -31,10 +31,8 @@ Frame layout (all integers are LEB128 varints except the fixed trailer)::
   bytes, or an int column.  An int column is written at the narrowest
   signed width ``w`` of 1, 2, 4 or 8 bytes that holds its min..max,
   under tag ``0x10 + w``, as byte planes: every item's first (least
-  significant) byte, then every item's second byte, and so on.  An int
-  column whose items are all equal is tag ``0x10`` and that one value
-  as a little-endian int64.  Every column holds exactly
-  ``record_count`` items.
+  significant) byte, then every item's second byte, and so on.
+  Every column holds exactly ``record_count`` items.
 - ``CRC32`` — big-endian ``zlib.crc32`` over everything before it
   (header *and* payload), so a flipped bit anywhere in the frame fails
   before decoding starts.
@@ -190,19 +188,12 @@ def seal_frame(
 # columns
 # ---------------------------------------------------------------------------
 
-#: Column tags.  Float and str columns carry the typed codec's own tags;
-#: an int column is ``_CONSTANT`` (all items equal, stored once) or
-#: ``_CONSTANT + width`` (byte planes of that many bytes an item).
+#: Column tags.  Float and str columns carry the typed codec's own tags.
 _FLOAT64 = 0x05
 _UTF8 = 0x06
-_CONSTANT = 0x10
-#: Int column tag -> ``(width, array code)`` for 1, 2, 4 and 8 bytes,
+#: Int column tag (``0x10`` plus the width) -> ``(width, array code)``,
 #: narrowest first.
-_PLANE_CODES = {
-    _CONSTANT + array(code).itemsize: (array(code).itemsize, code)
-    for code in "bhilq"
-}
-_INT64 = struct.Struct("<q")
+_PLANE_CODES = {0x11: (1, "b"), 0x12: (2, "h"), 0x14: (4, "i"), 0x18: (8, "q")}
 _INT64_MIN = -(1 << 63)
 _INT64_MAX = (1 << 63) - 1
 #: Column bodies are little-endian whatever the host's byte order.
@@ -239,10 +230,6 @@ def _int_column(items: Sequence[int]) -> bytes | None:
     as byte planes; ``None`` if an item is outside int64."""
     low = min(items)
     high = max(items)
-    if low == high:
-        if not _INT64_MIN <= low <= _INT64_MAX:
-            return None
-        return bytes((_CONSTANT,)) + _INT64.pack(low)
     for tag, (width, code) in _PLANE_CODES.items():
         bound = 1 << (8 * width - 1)
         if -bound <= low and high < bound:
@@ -328,12 +315,6 @@ def _decode_column(payload: bytes, start: int, stop: int, count: int) -> list[An
             items = str(body, "utf-8").split("\0")
         except UnicodeDecodeError as exc:
             raise SerializationError(f"invalid UTF-8 in column: {exc}") from exc
-    elif tag == _CONSTANT:
-        if len(body) != _INT64.size:
-            raise SerializationError(
-                f"constant column of {len(body)} bytes, not {_INT64.size}"
-            )
-        items = [_INT64.unpack(body)[0]] * count
     elif tag == _FLOAT64 or tag in _PLANE_CODES:
         width, code = (8, "d") if tag == _FLOAT64 else _PLANE_CODES[tag]
         if len(body) != width * count:

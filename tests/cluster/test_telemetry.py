@@ -18,6 +18,7 @@ from __future__ import annotations
 import json
 import pickle
 import socket
+import threading
 import time
 
 import pytest
@@ -25,6 +26,7 @@ import pytest
 from repro.apps.demo import APP_CHOICES, demo_job_and_input, normalized_output
 from repro.cluster import (
     ClusterRuntime,
+    JobPreemptedError,
     TraceContext,
     cluster_recovery,
     decode_telemetry,
@@ -43,6 +45,7 @@ from repro.core.types import ExecutionMode, Record
 from repro.dfs.serialization import SerializationError
 from repro.dfs.wire import WireConfig, encode_frame
 from repro.engine.threaded import ThreadedEngine
+from repro.memory.checkpoint import CheckpointPolicy
 from repro.obs import JobObservability, stage_times, validate_span_nesting
 from repro.obs.export import spans_from_chrome_trace
 
@@ -380,8 +383,6 @@ def test_sigkill_leaves_truncated_but_valid_telemetry():
     guarantee the victim has shipped frames before it dies, so "partial
     telemetry retained" is testable without racing the heartbeat timer.
     """
-    from repro.memory.checkpoint import CheckpointPolicy
-
     recovery = cluster_recovery(
         checkpoint=CheckpointPolicy(every_records=20)
     )
@@ -535,7 +536,7 @@ def test_spans_for_a_dropped_job_are_not_merged_again():
         if index == 1:
             # As stored: the read-side shift moves as the skew refines.
             kept = list(merged._workers["w0"].spans["job-1"])
-        merged.job_concluded(f"job-{index}", None)
+        merged.job_concluded(f"job-{index}", [])
     assert merged.job_spans("job-0") == []
     assert merged._workers["w0"].spans["job-1"] == kept != []
     # A frame that arrives after its job was dropped counts, but its
@@ -547,5 +548,52 @@ def test_spans_for_a_dropped_job_are_not_merged_again():
     # A job that is still running is never dropped for others' sake.
     ship("running")
     for index in range(MAX_JOBS_RETAINED + 1, 2 * MAX_JOBS_RETAINED + 2):
-        merged.job_concluded(f"job-{index}", None)
+        merged.job_concluded(f"job-{index}", [])
     assert [s.name for s in merged.job_spans("running")] == ["map-0"]
+    # However many drops ago its job went, a late frame merges nothing.
+    for index in range(2 * MAX_JOBS_RETAINED + 2, 4 * MAX_JOBS_RETAINED):
+        merged.job_concluded(f"job-{index}", [])
+    for late in ("job-0", "job-1", f"job-{MAX_JOBS_RETAINED}"):
+        ship(late)
+        assert merged.job_spans(late) == []
+    assert all(job_id == "running" for _name, job_id in merged._id_maps)
+
+
+def test_a_preempted_job_leaves_no_span_behind(monkeypatch):
+    # Keep one concluded job, so the next job drops the resumed one.
+    monkeypatch.setattr(telemetry_module, "MAX_JOBS_RETAINED", 1)
+    job, pairs = demo_job_and_input(
+        "wc", ExecutionMode.BARRIERLESS, records=2400,
+        num_reducers=NUM_REDUCERS, num_maps=NUM_MAPS,
+    )
+    recovery = cluster_recovery(checkpoint=CheckpointPolicy(every_records=50))
+    with ClusterRuntime(2, wire=WIRE, recovery=recovery) as runtime:
+        outcome: list[BaseException] = []
+
+        def submit() -> None:
+            try:
+                runtime.run_job(
+                    job, pairs, num_maps=NUM_MAPS, job_id="pj",
+                    kill={
+                        "worker": "*", "trigger": "reduce-delay",
+                        "delay_ms": 2,
+                    },
+                )
+            except JobPreemptedError as exc:
+                outcome.append(exc)
+
+        submitter = threading.Thread(target=submit, daemon=True)
+        submitter.start()
+        time.sleep(1.2)  # maps done, reduces mid-fold
+        runtime.preempt_job("pj")
+        submitter.join(timeout=60)
+        assert not submitter.is_alive() and len(outcome) == 1
+        runtime.resume_job("pj")
+        tracer = runtime.coordinator.obs.tracer
+        assert [span.attrs["resumed"] for span in tracer.spans()] == [
+            False, True
+        ]
+        small, small_pairs = _demo("wc")
+        runtime.run_job(small, small_pairs, num_maps=NUM_MAPS, job_id="next")
+        assert [span.attrs["resumed"] for span in tracer.spans()] == [False]
+        assert runtime.telemetry.job_spans("pj") == []

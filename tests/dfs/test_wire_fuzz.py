@@ -849,8 +849,6 @@ _near_an_edge = st.sampled_from([2**7, 2**15, 2**31, 2**63]).flatmap(
 
 def _narrowest_tag(items) -> int:
     """The int column tag the width rule gives ``items``."""
-    if min(items) == max(items):
-        return _CONSTANT_TAG
     for width, tag in _PLANE_TAGS.items():
         bound = 1 << (8 * width - 1)
         if -bound <= min(items) and max(items) < bound:
@@ -896,8 +894,8 @@ def _int64_cuts(pairs, config: WireConfig) -> list[int]:
 
 
 class TestNarrowIntColumns:
-    """An int column is its narrowest width, as byte planes, or one
-    constant; the cut rule measures it at int64 width all the same."""
+    """An int column is its narrowest width, as byte planes; the cut
+    rule measures it at int64 width all the same."""
 
     @pytest.mark.parametrize("name", sorted(_WIDTH_EDGES))
     @pytest.mark.parametrize("side", ["key", "value"])
@@ -943,7 +941,7 @@ class TestNarrowIntColumns:
     )
     @pytest.mark.parametrize("count", [2, 3, 256])
     @pytest.mark.parametrize("compress", [False, True])
-    def test_all_equal_columns_are_stored_once(self, constant, count, compress):
+    def test_all_equal_columns_take_the_width_rule(self, constant, count, compress):
         pairs = [(f"k{i}", constant) for i in range(count)]
         batch = encode_frame(
             [Record(k, v) for k, v in pairs],
@@ -956,16 +954,20 @@ class TestNarrowIntColumns:
         plain = encode_frame(
             [Record(k, v) for k, v in pairs], WireConfig(compress=False)
         )
+        tag = _narrowest_tag([constant])
+        width = tag - 0x10
         _flags, _count, _start, stop = _header(plain.frame)
-        # The value column closes the payload: one tag, one int64.
-        assert plain.frame[stop - 9 : stop] == bytes(
-            (_CONSTANT_TAG,)
-        ) + struct.pack("<q", constant)
+        # The value column closes the payload: one tag, then each of the
+        # constant's bytes repeated once per item, plane by plane.
+        little = constant.to_bytes(width, "little", signed=True)
+        assert plain.frame[stop - 1 - width * count : stop] == bytes(
+            (tag,)
+        ) + b"".join(bytes((byte,)) * count for byte in little)
         both = encode_frame(
             [Record(constant, constant) for _ in range(count)],
             WireConfig(compress=False),
         )
-        assert _column_tags(both.frame) == (_CONSTANT_TAG, _CONSTANT_TAG)
+        assert _column_tags(both.frame) == (tag, tag)
         assert decode_frame(both.frame, make=entry_pair)[0] == [
             (constant, constant)
         ] * count
@@ -1018,7 +1020,6 @@ _INTS_2 = b"\x11\x01\x02"
 _STRS_2 = b"\x06a\x00b"
 #: Int column tag for each width: ``0x10`` plus the width in bytes.
 _PLANE_TAGS = {width: 0x10 + width for width in (1, 2, 4, 8)}
-_CONSTANT_TAG = 0x10
 
 #: CRC-valid columnar frames of two records whose payload is wrong.
 _BAD_COLUMNS = {
@@ -1027,16 +1028,16 @@ _BAD_COLUMNS = {
     "bool-tag": _columns(b"\x02", _INTS_2),
     # The int64 tag of the first columnar layout is not a column tag.
     "retired-int64-tag": _columns(b"\x03" + struct.pack("<2q", 1, 2), _INTS_2),
-    "constant-column-empty": _columns(bytes((_CONSTANT_TAG,)), _INTS_2),
-    "constant-column-short": _columns(
-        bytes((_CONSTANT_TAG,)) + bytes(7), _INTS_2
-    ),
-    "constant-column-long": _columns(
-        _INTS_2, bytes((_CONSTANT_TAG,)) + bytes(9)
-    ),
-    "constant-column-two-items": _columns(
-        bytes((_CONSTANT_TAG,)) + bytes(16), _INTS_2
-    ),
+    # ``0x10`` (no width) is not a column tag: an all-equal int column
+    # takes the width rule like any other.
+    "no-width-key-tag": _columns(b"\x10" + bytes(8), _INTS_2),
+    "no-width-value-tag": _columns(_STRS_2, b"\x10" + bytes(8)),
+    **{
+        f"width-{width}-tag": _columns(
+            bytes((0x10 + width,)) + bytes(2 * width), _INTS_2
+        )
+        for width in (3, 5, 7, 9)
+    },
     **{
         f"int{8 * width}-column-{edit}": _columns(
             bytes((tag,)) + bytes(2 * width + delta), _INTS_2
@@ -1081,6 +1082,27 @@ class TestMalformedColumns:
         with pytest.raises(SerializationError):
             list(read_frames(io.BytesIO(frame)))
 
+    @pytest.mark.parametrize(
+        "payload",
+        [
+            _columns(b"\x10" + bytes(8), b"\x10" + bytes(8)),
+            _columns(_INTS_2, _INTS_2),
+            _columns(b"\x18" + bytes(16), _STRS_2),
+            _columns(_STRS_2, _STRS_2),
+        ],
+        ids=["two-no-width-tags", "int8-int8", "int64-str", "str-str"],
+    )
+    @pytest.mark.parametrize("count", [2**27, 2**40, 2**64])
+    def test_a_huge_record_count_is_rejected_before_any_allocation(
+        self, payload, count
+    ):
+        # A frame of a few dozen bytes must not make the decoder build a
+        # list of the count its header claims.
+        frame = seal_frame(FLAG_COLUMNAR, count, payload, len(payload)).frame
+        assert len(frame) < 64
+        with pytest.raises(SerializationError):
+            decode_frame(frame, make=entry_pair)
+
     @pytest.mark.parametrize("count", [0, 1, 3])
     def test_columns_must_match_the_header_count(self, count):
         payload = _columns(_STRS_2, _INTS_2)
@@ -1095,10 +1117,10 @@ class TestMalformedColumns:
         [
             (1, _columns(b"\x18" + bytes(8), b"\x06v")),
             (1, _columns(b"\x06k", b"\x05" + bytes(8))),
-            (1, _columns(b"\x06k", b"\x10" + bytes(8))),
+            (1, _columns(b"\x06k", b"\x11\x00")),
             (0, _columns(b"\x11", b"\x05")),
         ],
-        ids=["one-int-str", "one-str-float", "one-str-constant", "none"],
+        ids=["one-int-str", "one-str-float", "one-str-int8", "none"],
     )
     def test_fewer_than_two_records_are_never_columns(self, count, payload):
         # Consistent columns, but the encoder writes a frame of fewer

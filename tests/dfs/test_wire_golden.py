@@ -230,7 +230,7 @@ def columnar_corpus() -> list[list[tuple]]:
 
 
 COLUMNAR_SHA256 = (
-    "defbd4a414e064edbf25c18c5df397ac665573ec00e8cdc04fb9ce28c103bd8a"
+    "34f735629c16f737d38befdde9be12bfe2ac288001636aa4c5825aff4eefb861"
 )
 COLUMNAR_BATCHES = 973
 

@@ -79,10 +79,10 @@ def observe(app: str, records: int, reducers: int, threshold: int | None):
 #: The ``sort`` demo job stagebench's ``sort_spill`` runs: 20,000 records,
 #: 4 reducers, the demo's 256 KiB threshold, seed 1.
 SORT_GOLDEN: list[tuple] = [
-    (2, 4366, 9012, 262080, ("32ec672d43d0a5b6", "d89562a618b34ebf"), "b1a374e2fe5d7353"),
-    (2, 4365, 8981, 262080, ("8f295797c9cb7d6f", "8fbab9d8e85778ab"), "c6b003d4bda85c2d"),
-    (2, 4366, 9038, 262080, ("fe69b144a76cf2c7", "78b577f41648b583"), "1025e3bfc0f42ca0"),
-    (2, 4365, 9024, 262080, ("769745d8f7aa5629", "4df7a8d1ef1a9b56"), "c42bee788df1e092"),
+    (2, 4366, 9018, 262080, ("640472b69753e08d", "12db54ec11376d07"), "1e87308d7b65cea6"),
+    (2, 4365, 8983, 262080, ("c2b7db1d0a419288", "0c678f25065f419c"), "0ec70efde45220e5"),
+    (2, 4366, 9041, 262080, ("10a9695af67f8217", "7d2a51766073968a"), "c0fa6c4a1d8e6d42"),
+    (2, 4365, 9027, 262080, ("141ae77d1aa27113", "2afa51de79468b6d"), "8059f8d995ba01c0"),
 ]
 
 #: ``wc`` with a 16 KiB threshold: ~500 hot keys, so the same key lands in
