@@ -1,6 +1,6 @@
 # Convenience targets for the reproduction workflow.
 
-.PHONY: install test cli codec store mapside fold timeline stagebench-smoke bench-figures chaos cluster \
+.PHONY: install test cli codec store mapside fold obs timeline stagebench-smoke bench-figures chaos cluster \
 	cluster-trace netchaos server preempt figures csv scoreboard examples \
 	trace-demo all clean
 
@@ -71,6 +71,17 @@ fold:
 	pytest tests/engine/test_fold.py tests/core/test_api.py \
 		tests/dfs/test_wire_golden.py tests/memory/test_spill_golden.py \
 		-q -p no:cacheprovider --hypothesis-profile=ci
+
+# The instrumentation contract in one command: tests/obs (counters,
+# spans, series, exporters, and the guard that keeps a second surface
+# such as an event log out of src/), the cluster telemetry plane, and
+# the dispatcher's malformed-frame row, whose error is read from status,
+# as CI's test job runs them.  Run it before and after any change to
+# repro/obs, cluster/telemetry.py or what an engine records.
+obs:
+	pytest tests/obs tests/cluster/test_telemetry.py \
+		tests/cluster/test_dispatch.py::test_malformed_frame_does_not_kill_dispatcher \
+		-q -p no:cacheprovider
 
 # Figure 4 in one command: the stage-concurrency series read from the
 # simulator's spans (with the CSV golden digests), the simulator's stage

@@ -61,8 +61,6 @@ def add_commands(sub) -> None:
                               "of running an app")
     metrics.add_argument("--width", type=int, default=40,
                          help="sparkline width in columns")
-    metrics.add_argument("--events", action="store_true",
-                         help="also print structured event counts")
     metrics.add_argument("-o", "--output", metavar="FILE",
                          help="also write the metrics snapshot JSON")
     metrics.set_defaults(func=_metrics)
@@ -168,11 +166,6 @@ def _metrics(args) -> int:
         f"input={args.records} records"
     )
     print(render_metrics_table(obs.metrics.as_dict(), width=args.width))
-    if args.events:
-        print()
-        print("events:")
-        for kind, count in sorted(obs.events.counts().items()):
-            print(f"  {kind:<20} {count:>6}")
     if args.output:
         obs.write_metrics(args.output)
         print(f"wrote {args.output}")

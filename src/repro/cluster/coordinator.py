@@ -5,7 +5,7 @@ commits, leases, deadlines, quarantine, preemption — is made by
 :class:`~repro.cluster.dispatch.Dispatcher`, a state machine that never
 touches a socket, a thread or a clock.  This module is what it cannot
 be: the listening socket, one receiver thread per worker connection, the
-inbox, the journal file, the events submitters block on, and the loop
+inbox, the journal file, the futures submitters block on, and the loop
 that feeds the dispatcher one message at a time.
 
 - Each worker connects and keeps that connection for as long as it
@@ -33,7 +33,7 @@ that feeds the dispatcher one message at a time.
 
 Telemetry plane: telemetry frames riding on heartbeats and completion
 messages are ingested into :attr:`Coordinator.telemetry` directly on the
-receiver threads — so spans, events and gauge series keep merging even
+receiver threads — so spans and gauge series keep merging even
 while no job is active.  Ingested counters never touch the job counter
 path; completion messages remain the only authoritative counter source.
 A fresh connection may also open with a ``status`` message instead of
@@ -153,7 +153,7 @@ class Coordinator:
         self._job_seq_lock = threading.Lock()
         #: job_id -> what its not-yet-answered submitter(s) block on.
         self._waiters: dict[str, Future] = {}
-        #: Merged worker telemetry (spans, events, series, skew) keyed
+        #: Merged worker telemetry (spans, counters, series, skew) keyed
         #: by worker name; fed by the receiver threads.
         self.telemetry = ClusterTelemetry(self.obs)
         self._dispatcher = Dispatcher(
@@ -247,13 +247,6 @@ class Coordinator:
             )
             self.obs.counters.increment(
                 "cluster.journal.torn_bytes", stats.torn_bytes
-            )
-            self.obs.events.emit(
-                "cluster.journal.replay",
-                records=stats.records,
-                torn_bytes=stats.torn_bytes,
-                jobs=len(recovered),
-                incomplete=sum(not done for done in recovered.values()),
             )
         # Never reuse a replayed job id for a fresh submission.
         for job_id in recovered:
@@ -421,7 +414,7 @@ class Coordinator:
             self._job_seq += 1
             if job_id is None:
                 job_id = f"job-{self._job_seq}"
-        if job_id in self._waiters or self._dispatcher.job(job_id) is not None:
+        if job_id in self._waiters or self._dispatcher.known(job_id):
             raise ClusterJobError(f"duplicate job id {job_id!r}")
         if checkpoint_root is not None:
             checkpoint_root = os.path.join(checkpoint_root, job_id)
@@ -546,6 +539,7 @@ class Coordinator:
                 "active_jobs": control["active_jobs"],
                 "parked_jobs": control["parked_jobs"],
                 "quarantined_workers": control["quarantined_workers"],
+                "last_dispatch_error": control["last_dispatch_error"],
                 "counters": self.obs.counters.as_dict(),
             },
             "workers": workers,

@@ -39,13 +39,14 @@ from __future__ import annotations
 
 import pickle
 import traceback
+from collections import OrderedDict
 from typing import Callable, Iterable
 
 from repro.core.types import Counters, JobResult, Record, StageTimes
 from repro.engine.base import finish_result
 from repro.obs import JobObservability
 from repro.cluster.quarantine import QuarantineConfig, QuarantineTracker
-from repro.cluster.telemetry import TraceContext
+from repro.cluster.telemetry import MAX_JOBS_RETAINED, TraceContext
 
 __all__ = [
     "ClusterJobError",
@@ -266,8 +267,15 @@ class Dispatcher:
         #: Worker generations whose death has already been handled, so an
         #: EOF and a lease expiry for the same connection drain it once.
         self._handled_gens: set[int] = set()
-        #: Every job ever submitted or replayed, running or finished.
+        #: Every job submitted or replayed and not yet dropped: running,
+        #: parked, or among the retained concluded ones.
         self._jobs: dict[str, _JobState] = {}
+        #: The retained concluded jobs, oldest first.  Past
+        #: :data:`MAX_JOBS_RETAINED` the oldest is dropped from
+        #: :attr:`_jobs` whole, output and result included.
+        self._retained: OrderedDict[str, None] = OrderedDict()
+        #: Every dropped job id, so a reused id is still refused.
+        self._dropped: set[str] = set()
         #: Jobs currently in flight.
         self._active: dict[str, _JobState] = {}
         #: Jobs checkpoint-parked by preemption.  They still accept
@@ -276,6 +284,8 @@ class Dispatcher:
         self._parked: dict[str, _JobState] = {}
         #: Ids of the jobs :meth:`replay` rebuilt from a journal.
         self._recovered: list[str] = []
+        #: The latest frame :meth:`handle` could not process, for status.
+        self._last_error: dict | None = None
 
     # -- the journal: one function per record kind -------------------------
 
@@ -346,19 +356,33 @@ class Dispatcher:
         for kind, fields in records:
             self.apply(kind, fields)
         self._recovered = list(self._jobs)
+        # Replayed done jobs count as concluded; the next live conclusion
+        # drops any past the bound.
+        self._retained.update(
+            (job_id, None) for job_id in self._recovered
+            if self._jobs[job_id].done
+        )
 
     # -- read-only views for the shell -------------------------------------
 
     def job(self, job_id: str) -> _JobState | None:
         return self._jobs.get(job_id)
 
+    def known(self, job_id: str) -> bool:
+        """Whether ``job_id`` was ever submitted or replayed, dropped or not."""
+        return job_id in self._jobs or job_id in self._dropped
+
     def worker_count(self) -> int:
         """Workers that ever registered (dead ones included)."""
         return len(self._workers)
 
     def recovered(self) -> dict[str, bool]:
-        """Replayed job id -> whether its ``job-done`` made the journal."""
-        return {job_id: self._jobs[job_id].done for job_id in self._recovered}
+        """Replayed job id -> whether its ``job-done`` made the journal
+        (jobs dropped since are left out)."""
+        return {
+            job_id: self._jobs[job_id].done
+            for job_id in self._recovered if job_id in self._jobs
+        }
 
     def status(self, now: float) -> dict:
         """The control-plane half of :meth:`Coordinator.status`."""
@@ -400,6 +424,7 @@ class Dispatcher:
             "active_jobs": len(self._active),
             "parked_jobs": len(self._parked),
             "quarantined_workers": self._quarantine.quarantined(now),
+            "last_dispatch_error": self._last_error,
         }
 
     # -- workers -----------------------------------------------------------
@@ -434,10 +459,6 @@ class Dispatcher:
                 # the link makes the worker reconnect and re-register if
                 # it ever wakes up (SIGCONT).
                 self.obs.counters.increment("cluster.lease.expired")
-                self.obs.events.emit(
-                    "cluster.lease.expired", worker=worker.name,
-                    idle_s=round(idle, 3),
-                )
                 self._worker_dead(now, worker.name, worker.gen)
         for state in list(self._active.values()):
             if now >= state.deadline:
@@ -451,7 +472,6 @@ class Dispatcher:
                 )
         for name in self._quarantine.sweep(now):
             self.obs.counters.increment("cluster.quarantine.rejoined")
-            self.obs.events.emit("cluster.quarantine.exit", worker=name)
 
     def handle(self, now: float, kind: str, fields: dict) -> None:
         """Deliver one message received at ``now``."""
@@ -461,18 +481,17 @@ class Dispatcher:
             # One malformed frame (bad pickle, out-of-range index) must
             # not take the dispatcher down — that would hang every active
             # and future job.  Fail the affected job if the frame names
-            # one; otherwise drop the frame.  Either way the traceback
-            # goes to the event log.
+            # one; otherwise drop the frame.  Either way the latest
+            # error, traceback included, is kept for status.
             self.obs.counters.increment("cluster.dispatch.errors")
             job_id = fields.get("job_id") if isinstance(fields, dict) else None
-            self.obs.events.emit(
-                "cluster.dispatch.error",
-                message=kind,
-                job=None if job_id is None else str(job_id),
-                error=type(exc).__name__,
-                detail=str(exc),
-                traceback=traceback.format_exc(),
-            )
+            self._last_error = {
+                "message": kind,
+                "job": None if job_id is None else str(job_id),
+                "error": type(exc).__name__,
+                "detail": str(exc),
+                "traceback": traceback.format_exc(),
+            }
             try:
                 state = self._active.get(str(fields.get("job_id", "")))
                 if state is not None:
@@ -576,16 +595,8 @@ class Dispatcher:
         worker = _Worker(now, fields)
         if worker.name in self._workers:
             self.obs.counters.increment("cluster.workers.rejoined")
-            self.obs.events.emit(
-                "cluster.worker.rejoin", worker=worker.name, pid=worker.pid,
-                held=len(worker.held), active=len(worker.active_reduces),
-            )
         else:
             self.obs.counters.increment("cluster.workers")
-            self.obs.events.emit(
-                "cluster.worker.register", worker=worker.name,
-                pid=worker.pid, shuffle_port=worker.shuffle_port,
-            )
         self._workers[worker.name] = worker
         # A worker that (re)connected mid-job gets everything it needs to
         # take part in every active job: the job spec (ignored if it
@@ -603,9 +614,6 @@ class Dispatcher:
         if worker is not None and worker.gen == gen:
             worker.alive = False
         self.obs.counters.increment("cluster.workers.lost")
-        self.obs.events.emit(
-            "cluster.worker.lost", worker=name, jobs=len(self._active),
-        )
         self._lost(name, gen)
         # The dead worker's map outputs died with its shuffle server, so
         # completed maps move too, not only in-flight tasks.
@@ -691,7 +699,7 @@ class Dispatcher:
         number, superseding the orphan.
         """
         job_id = state.job_id
-        moved = reused = kept = 0
+        moved = reused = 0
         for mapper in range(state.num_maps):
             held = state.map_locations.get(mapper)
             owner = self._workers.get(held[0]) if held is not None else None
@@ -705,7 +713,6 @@ class Dispatcher:
                 continue
             self._regrant_map(state, mapper, targets[moved % len(targets)])
             moved += 1
-        maps_moved = moved
         for reducer in range(state.job.num_reducers):
             if reducer in state.output:
                 continue
@@ -716,17 +723,11 @@ class Dispatcher:
                 and (job_id, reducer, state.reduce_attempt[reducer])
                 in owner.active_reduces
             ):
-                kept += 1
                 continue
             self._regrant_reduce(state, reducer, targets[moved % len(targets)])
             moved += 1
         self.obs.counters.increment("cluster.resume.maps.reused", reused)
         self.obs.counters.increment("cluster.resume.tasks.reassigned", moved)
-        self.obs.events.emit(
-            "cluster.resume.job", job=job_id, maps_reused=reused,
-            maps_reassigned=maps_moved, reduces_kept=kept,
-            reduces_reassigned=moved - maps_moved,
-        )
 
     def _maybe_finish(self, state: _JobState) -> None:
         if state.concluded or len(state.output) < state.job.num_reducers:
@@ -751,6 +752,12 @@ class Dispatcher:
         for worker in self._alive():
             worker.held = {key for key in worker.held if key[0] != state.job_id}
         self._answer(state, error)
+        self._retained.pop(state.job_id, None)
+        self._retained[state.job_id] = None
+        while len(self._retained) > MAX_JOBS_RETAINED:
+            old_id, _ = self._retained.popitem(last=False)
+            self._dropped.add(old_id)  # before the pop: never unknown
+            self._jobs.pop(old_id, None)
 
     def _answer(self, state: _JobState, error: ClusterJobError | None) -> None:
         self.obs.tracer.close(state.span)
@@ -962,12 +969,6 @@ class Dispatcher:
             # task is owned elsewhere (or its job failed), so the drain
             # moves only the worker's other in-flight work.
             self.obs.counters.increment("cluster.quarantine.workers")
-            self.obs.events.emit(
-                "cluster.quarantine.enter",
-                worker=worker,
-                window_failures=self._quarantine.failure_counts().get(worker, 0),
-                probation_s=self._quarantine.config.probation_s,
-            )
             self._drain_worker(
                 now, worker, "quarantined", keep_served=True,
                 counter="cluster.quarantine.reassigned",
@@ -1011,10 +1012,6 @@ class Dispatcher:
             return
         state.retry_used[(kind, index)] = used + 1
         self.obs.counters.increment("cluster.tasks.retried")
-        self.obs.events.emit(
-            "cluster.task.retry", job=state.job_id, task=kind, index=index,
-            attempt=attempt, worker=worker, retries_used=used + 1,
-        )
         target = targets[(index + used) % len(targets)]
         if kind == "map":
             self._regrant_map(state, index, target)
@@ -1034,14 +1031,6 @@ class Dispatcher:
         self._commit("job-preempt", {"job_id": job_id})
         state.preempting = True
         self.obs.counters.increment("cluster.preempt.jobs")
-        self.obs.events.emit(
-            "cluster.preempt.job",
-            job=job_id,
-            reduces_done=len(state.output),
-            reduces_running=sum(
-                1 for r in state.reduce_owner if r not in state.output
-            ),
-        )
         # Ask every uncommitted reduce attempt to stop at its next
         # wire-batch boundary; an attempt whose owner is gone has nothing
         # running and owes no ack.
@@ -1073,12 +1062,6 @@ class Dispatcher:
         self._active.pop(state.job_id, None)
         self._parked[state.job_id] = state
         self.obs.counters.increment("cluster.preempt.parked")
-        self.obs.events.emit(
-            "cluster.job.parked",
-            job=state.job_id,
-            maps_held=len(state.map_locations),
-            reduces_done=len(state.output),
-        )
         # Deliberately NOT :meth:`_conclude`: no job-done broadcast, so
         # workers keep the job context, their held map outputs and the
         # location table — exactly the state the resume reuses.
@@ -1092,6 +1075,5 @@ class Dispatcher:
         state.concluded = False
         self._commit("job-resume", {"job_id": job_id})
         self.obs.counters.increment("cluster.preempt.resumed")
-        self.obs.events.emit("cluster.job.resumed", job=job_id)
         state.resuming = True
         self._begin_job(now, state)

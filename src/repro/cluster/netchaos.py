@@ -248,16 +248,11 @@ class NetChaosProxy:
         corrupted = bytearray(data)
         corrupted[position] ^= bit
         self._obs.counters.increment("netchaos.corrupted_bytes")
-        self._obs.events.emit(
-            "netchaos.corrupt", label=self._label, link=link_id,
-            direction=tag, offset=position,
-        )
         return bytes(corrupted)
 
     def _reset(self, *socks: socket.socket) -> None:
         """Hard-close both halves so peers observe ECONNRESET."""
         self._obs.counters.increment("netchaos.resets")
-        self._obs.events.emit("netchaos.reset", label=self._label)
         for sock in socks:
             try:
                 sock.setsockopt(

@@ -1,6 +1,6 @@
 """Cluster-wide telemetry: trace propagation, shipping and merging.
 
-The in-process engines report spans, events, counters and sampled
+The in-process engines report spans, counters and sampled
 series into one :class:`~repro.obs.JobObservability`; the cluster
 runtime spreads that state across N worker processes.  This module is
 the plane that brings it back together:
@@ -17,7 +17,7 @@ the plane that brings it back together:
   (:func:`repro.dfs.wire.encode_frame`), inheriting the shuffle wire's
   CRC-or-nothing integrity.  Only completed spans ship: a SIGKILLed
   worker leaves everything up to its last heartbeat on the coordinator
-  and nothing fabricated beyond it.  Events are not recorded or shipped;
+  and nothing fabricated beyond it;
 - :class:`ClusterTelemetry` — the coordinator side.  Decodes frames,
   estimates each worker's clock offset from heartbeat delivery delays
   (the minimum of ``recv_wall - send_wall`` over samples bounds skew
@@ -74,9 +74,10 @@ MAX_SERIES_POINTS_PER_FRAME = 32
 #: its status plane without bound.
 MAX_SERIES_POINTS_RETAINED = 2048
 
-#: Concluded jobs whose spans the coordinator keeps — its own job span,
-#: every worker's spans and span-id maps; older jobs are dropped, oldest
-#: first, so a long-lived cluster cannot grow its trace without bound.
+#: Concluded jobs the coordinator keeps — here its own job spans, every
+#: worker's spans and span-id maps; in the dispatcher each job's state,
+#: output and result.  Older jobs are dropped, oldest first, so a
+#: long-lived cluster cannot grow its trace or its memory without bound.
 MAX_JOBS_RETAINED = 32
 
 #: Telemetry frames use the same fixed framing as RPC messages: one
@@ -329,7 +330,7 @@ class ClusterTelemetry:
 
     Thread-safe: frames are ingested from per-connection receiver
     threads while the job loop (and ``status`` connections) read merged
-    views.  ``obs`` is the coordinator's own bundle — its tracer/event
+    views.  ``obs`` is the coordinator's own bundle — its tracer's
     timeline is the merge target, and ``cluster.telemetry.*`` counters
     and the ``cluster.telemetry.clock_skew_ms`` series land in it.
     """
@@ -488,9 +489,6 @@ class ClusterTelemetry:
                 return
             wt.truncated = True
         self.obs.counters.increment("cluster.telemetry.truncated")
-        self.obs.events.emit(
-            "cluster.telemetry.truncated", worker=name,
-        )
 
     # -- merged views ------------------------------------------------------
 

@@ -55,7 +55,7 @@ from repro.engine.runtime import (
     run_barrier_reduce_attempt,
     run_pipelined_reduce_attempt,
 )
-from repro.obs import EventLog, JobObservability, MetricsTicker
+from repro.obs import JobObservability, MetricsTicker
 from repro.cluster.rpc import (
     RpcError,
     close_listener as _hang_up,
@@ -128,16 +128,13 @@ class _JobContext:
         self.runs: dict[tuple[int, int], tuple[threading.Event, dict]] = {}
         # One long-lived observability bundle per (worker, job): task
         # executors record into it, the telemetry buffer ships deltas on
-        # heartbeats.  Its event log is disabled: events are not shipped
-        # and nothing on the worker reads them.  With shipping off the
-        # whole bundle is disabled and every recording call no-ops,
-        # which is the overhead baseline.
+        # heartbeats.  With shipping off the whole bundle is disabled
+        # and every recording call no-ops, which is the overhead baseline.
         self.instruments = RunInstruments()
         self.ticker: MetricsTicker | None = None
         self.telemetry: TelemetryBuffer | None = None
         if worker.ship_telemetry:
             obs = JobObservability()
-            obs.events = EventLog(enabled=False)
             self.instruments.register(obs)
             obs.metrics.register_gauge(
                 "worker.store.bytes", worker.store.bytes_held, unit="bytes"
@@ -175,17 +172,11 @@ class _JobContext:
 
         Completion messages must carry *this attempt's* counters only —
         the coordinator merges them first-wins, and a shared per-job
-        registry would double-count re-executions.  Spans, metrics, the
-        (disabled) event log and the clock stay the job-wide instances
-        so the attempt's activity lands in the long-lived telemetry
-        state.
+        registry would double-count re-executions.  Spans, metrics and
+        the clock stay the job-wide instances so the attempt's activity
+        lands in the long-lived telemetry state.
         """
-        attempt_obs = JobObservability()
-        attempt_obs.tracer = self.obs.tracer
-        attempt_obs.metrics = self.obs.metrics
-        attempt_obs.events = self.obs.events
-        attempt_obs.epoch = self.obs.epoch
-        return attempt_obs
+        return self.obs.with_own_counters()
 
     def flush_telemetry(self) -> bytes | None:
         """Final-flush frame for a completion message (None when off).
@@ -326,7 +317,6 @@ class _Worker:
                 f"{kind}-{index}", "task",
                 worker=self.name, pid=os.getpid(), **tags,
             )
-            obs.events.emit("task.start", worker=self.name, **tags)
             if fail:
                 raise RuntimeError(
                     f"injected task failure on {self.name} (fail-tasks)"
@@ -345,13 +335,9 @@ class _Worker:
         self, ctx: _JobContext, obs: JobObservability, tags: dict, span,
         kind: str, index: int, attempt: int, outcome: Outcome,
     ) -> None:
-        """Turn a task outcome into its ``task.finish`` event, the closed
-        span, the telemetry flush and the core's report."""
+        """Turn a task outcome into the closed span, the telemetry flush
+        and the core's report."""
         status, fields = outcome
-        obs.events.emit(
-            "task.finish", worker=self.name, status=status,
-            **({} if status == "ok" else fields), **tags,
-        )
         if span is not None:
             obs.tracer.close(span)
         with self._lock:
@@ -495,7 +481,7 @@ def worker_main(
     """Process entry point: connect to the coordinator and serve.
 
     ``ship_telemetry=False`` disables the whole per-job observability
-    plane (spans, events, gauges, heartbeat frames) — the baseline arm
+    plane (spans, counters, gauges, heartbeat frames) — the baseline arm
     of the shipping-overhead benchmark.
     """
     _Worker(name, coord_host, coord_port, ship_telemetry).run()

@@ -161,7 +161,6 @@ class RetryingTaskRunner:
             except TaskAttemptError:
                 if obs is not None:
                     obs.counters.increment("task.failed_attempts")
-                    obs.events.emit("task.retry", task=task_id, attempt=attempt)
                     obs.tracer.record(
                         f"{task_id}/attempt-{attempt}",
                         "attempt",

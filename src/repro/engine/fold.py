@@ -199,7 +199,7 @@ class ReduceTaskRecovery:
         }
 
     def _restore(self, still_valid: Callable[[int, int, int], bool]) -> None:
-        obs, task = self._obs, f"reduce-{self.index}"
+        obs = self._obs
         span = self._open_span("checkpoint.restore")
         try:
             meta = peek_checkpoint_meta(self.directory)
@@ -216,7 +216,6 @@ class ReduceTaskRecovery:
             )
             if stale:
                 obs.counters.increment("reduce.checkpoint.stale")
-                obs.events.emit("checkpoint.stale", task=task, mappers=stale)
                 discard_checkpoint(self.directory)
                 return
             self._store.restore(self.directory)
@@ -227,15 +226,8 @@ class ReduceTaskRecovery:
             obs.counters.increment(
                 "reduce.checkpoint.restored_records", restored
             )
-            obs.events.emit(
-                "checkpoint.restore",
-                task=task,
-                records=restored,
-                mappers=len(snapshot),
-            )
         except CheckpointError as exc:
             obs.counters.increment("reduce.checkpoint.invalid")
-            obs.events.emit("checkpoint.invalid", task=task, reason=str(exc))
             discard_checkpoint(self.directory)
         finally:
             if span is not None:
@@ -284,12 +276,11 @@ class ReduceTaskRecovery:
             if self._active:
                 self._write_snapshot(now, preempted=True)
             records = self.records_folded
-            self._obs.events.emit(
-                "reduce.preempt",
-                task=f"reduce-{self.index}",
-                records=records,
-                checkpointed=self._active,
-            )
+            if self._span is not None:
+                # The stop's only record besides the host's ack: what the
+                # attempt had folded and whether its final cut is on disk.
+                self._span.attrs["preempted_records"] = records
+                self._span.attrs["checkpointed"] = self._active
             raise ReducePreemptedError(self.index, records)
         if self._active and self.policy.due(
             self._since_records, self._since_bytes, now - self._since_t
@@ -313,12 +304,6 @@ class ReduceTaskRecovery:
         counters.increment("reduce.checkpoint.writes")
         counters.increment("reduce.checkpoint.bytes", stats.bytes)
         counters.increment("reduce.checkpoint.records", stats.records)
-        self._obs.events.emit(
-            "checkpoint.write",
-            task=f"reduce-{self.index}",
-            records=stats.records,
-            bytes=stats.bytes,
-        )
         self._since_records = self._since_bytes = 0
         self._since_t = now
 

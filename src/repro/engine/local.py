@@ -107,28 +107,11 @@ class LocalEngine(Engine):
                         )
                         return produced, attempt_counters
 
-                    obs.events.emit(
-                        "task.start", task=f"map-{task_index}", stage="map"
-                    )
                     with obs.tracer.span(
                         f"map-{task_index}", "task"
                     ) as task_span:
                         encoded, task_counters = runner.run(
                             f"map-{task_index}", map_attempt, parent=task_span
-                        )
-                    obs.events.emit(
-                        "task.finish",
-                        task=f"map-{task_index}",
-                        stage="map",
-                        status="ok",
-                    )
-                    spills = task_counters.values.get("map.output_spills", 0)
-                    if spills:
-                        obs.events.emit(
-                            "spill",
-                            task=f"map-{task_index}",
-                            spills=spills,
-                            bytes=task_counters.values.get("map.spill_bytes", 0),
                         )
                     counters.merge(task_counters)
                     obs.counters.merge_counters(task_counters)
@@ -152,7 +135,6 @@ class LocalEngine(Engine):
                         else None
                     )
                     task_id = f"reduce-{reducer_index}"
-                    obs.events.emit("task.start", task=task_id, stage="reduce")
                     with obs.tracer.span(task_id, "task") as task_span:
                         stream = self._fetch(
                             job, per_reducer_frames[reducer_index]
@@ -177,16 +159,10 @@ class LocalEngine(Engine):
                             produced, task_counters = runner.run(
                                 task_id, reduce_attempt, parent=task_span
                             )
-                    obs.events.emit(
-                        "task.finish", task=task_id, stage="reduce", status="ok"
-                    )
                     counters.merge(task_counters)
                     obs.counters.merge_counters(task_counters)
                     retries = runner.attempts_made.get(task_id, 1) - 1
                     if retries > 0:
-                        obs.events.emit(
-                            "reduce.restart", task=task_id, restarts=retries
-                        )
                         obs.counters.increment("reduce.restarts", retries)
                         if reducer_is_store_backed(job):
                             # Each retried attempt rebuilt the partial

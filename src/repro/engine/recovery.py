@@ -61,7 +61,7 @@ __all__ = [
 ]
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.obs import CounterRegistry, EventLog, Tracer
+    from repro.obs import CounterRegistry, Tracer
     from repro.obs.trace import Span
 
 
@@ -389,13 +389,11 @@ class MapOutputService:
         num_reducers: int,
         injector: FetchFaultInjector | None = None,
         counters: "CounterRegistry | None" = None,
-        events: "EventLog | None" = None,
     ) -> None:
         self.num_maps = num_maps
         self.num_reducers = num_reducers
         self._injector = injector
         self._counters = counters
-        self._events = events
         self._outputs = [_MapperOutput() for _ in range(num_maps)]
         self._recover_locks = [threading.Lock() for _ in range(num_maps)]
         #: Re-executes one map task, returning its batches as for ``publish``.
@@ -438,8 +436,6 @@ class MapOutputService:
         out.event.clear()
         if self._counters is not None:
             self._counters.increment("shuffle.map_output_lost")
-        if self._events is not None:
-            self._events.emit("map_output.lost", mapper=mapper)
 
     def wait_available(
         self,
@@ -479,8 +475,6 @@ class MapOutputService:
                         out.event.clear()
                         if self._counters is not None:
                             self._counters.increment("shuffle.map_output_lost")
-                        if self._events is not None:
-                            self._events.emit("map_output.lost", mapper=mapper)
                     else:
                         batches = out.batches.get(reducer, [])
                         batch = batches[seq] if seq < len(batches) else None
@@ -677,7 +671,6 @@ def run_fetch_stream(
     config: RecoveryConfig,
     injector: FetchFaultInjector | None = None,
     counters: "CounterRegistry | None" = None,
-    events: "EventLog | None" = None,
     tracer: "Tracer | None" = None,
     parent: "Span | int | None" = None,
     cancelled: threading.Event | None = None,
@@ -725,20 +718,10 @@ def run_fetch_stream(
                 timeouts += 1
                 if counters is not None:
                     counters.increment("shuffle.fetch.timeouts")
-                if events is not None:
-                    events.emit(
-                        "fetch.timeout", reducer=reducer, mapper=mapper,
-                        seq=seq, attempt=attempt,
-                    )
             except FetchAttemptError:
                 retries += 1
                 if counters is not None:
                     counters.increment("shuffle.fetch.retries")
-                if events is not None:
-                    events.emit(
-                        "fetch.retry", reducer=reducer, mapper=mapper,
-                        seq=seq, attempt=attempt,
-                    )
             else:
                 if epoch is not None and got_epoch != epoch:
                     # The mapper re-executed: its new output must be
@@ -747,11 +730,6 @@ def run_fetch_stream(
                     # attempt's output file).
                     if counters is not None:
                         counters.increment("shuffle.epoch_restarts")
-                    if events is not None:
-                        events.emit(
-                            "epoch.restart", reducer=reducer, mapper=mapper,
-                            epoch=got_epoch,
-                        )
                     if on_epoch_change is not None:
                         on_epoch_change(mapper)
                     epoch = got_epoch
@@ -765,11 +743,6 @@ def run_fetch_stream(
                     # Served but lost mid-transfer: retry this batch.
                     if counters is not None:
                         counters.increment("shuffle.fetch.drops")
-                    if events is not None:
-                        events.emit(
-                            "fetch.drop", reducer=reducer, mapper=mapper,
-                            seq=seq, attempt=attempt,
-                        )
                     retries += 1
                 else:
                     if batch is None:

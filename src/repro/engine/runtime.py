@@ -334,7 +334,6 @@ def run_barrier_reduce_attempt(
                 config=config,
                 injector=injector,
                 counters=obs.counters,
-                events=obs.events,
                 tracer=tracer,
                 parent=task_span,
                 attempt_base=attempt_base,
@@ -503,7 +502,6 @@ def run_pipelined_reduce_attempt(
                     config=config,
                     injector=injector,
                     counters=obs.counters,
-                    events=obs.events,
                     tracer=tracer,
                     parent=task_span,
                     cancelled=cancelled,

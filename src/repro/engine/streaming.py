@@ -354,10 +354,6 @@ class StreamingEngine:
         self._closed = False
         self._pushed_batches = 0
         self._routed_records = 0
-        for i in range(job.num_reducers):
-            self.obs.events.emit(
-                "task.start", task=f"reduce-{i}", stage="reduce"
-            )
         # Long-lived gauges: sessions are rebuilt on restart, so the
         # closures re-read the current queue/store every tick.
         metrics = self.obs.metrics
@@ -396,9 +392,6 @@ class StreamingEngine:
         """Restart a crashed reducer session and account for it."""
         self._restarts += 1
         self.obs.counters.increment("reduce.restarts")
-        self.obs.events.emit(
-            "reduce.restart", task=f"reduce-{session._index}"
-        )
         if session.store is not None:
             self.obs.counters.increment("store.resets")
         session.restart()
@@ -509,10 +502,6 @@ class StreamingEngine:
             close_store(session.reducer)
             self.counters.merge(session.counters)
             self.counters.increment("reduce.tasks")
-            obs.events.emit(
-                "task.finish", task=f"reduce-{index}", stage="reduce",
-                status="ok",
-            )
             obs.tracer.close(self._task_spans[index])
         self._ticker.stop()
         if self._ckpt_owned is not None:

@@ -150,7 +150,6 @@ class ThreadedEngine(Engine):
             job.num_reducers,
             injector=injector,
             counters=obs.counters,
-            events=obs.events,
         )
 
         # Sampled time-series: the ticker reads the run's gauges on a
@@ -188,7 +187,6 @@ class ThreadedEngine(Engine):
             produced = run_map_task_encoded(
                 job, splits[mapper_index], Counters(), self._wire
             )
-            obs.events.emit("map.reexec", mapper=mapper_index)
             obs.counters.increment("map.reexecutions")
             obs.counters.increment("task.attempts")
             obs.counters.increment("task.attempts.map")
@@ -208,9 +206,6 @@ class ThreadedEngine(Engine):
             task_span = obs.tracer.open(
                 f"map-{mapper_index}", "task", parent=map_stage
             )
-            obs.events.emit(
-                "task.start", task=f"map-{mapper_index}", stage="map"
-            )
             published = False
             try:
                 def attempt():
@@ -225,14 +220,6 @@ class ThreadedEngine(Engine):
                 )
                 service.publish(mapper_index, partitions)
                 published = True
-                spills = local_counters.values.get("map.output_spills", 0)
-                if spills:
-                    obs.events.emit(
-                        "spill",
-                        task=f"map-{mapper_index}",
-                        spills=spills,
-                        bytes=local_counters.values.get("map.spill_bytes", 0),
-                    )
                 with counters_lock:
                     counters.merge(local_counters)
                     counters.increment("map.tasks")
@@ -242,12 +229,6 @@ class ThreadedEngine(Engine):
                 with errors_lock:
                     errors.append(exc)
             finally:
-                obs.events.emit(
-                    "task.finish",
-                    task=f"map-{mapper_index}",
-                    stage="map",
-                    status="ok" if published else "failed",
-                )
                 obs.tracer.close(task_span)
                 if not published:
                     # Close the stream so reducers terminate; the recorded
@@ -302,10 +283,6 @@ class ThreadedEngine(Engine):
             task_span = obs.tracer.open(
                 f"reduce-{reducer_index}", "task", parent=reduce_stage
             )
-            obs.events.emit(
-                "task.start", task=f"reduce-{reducer_index}", stage="reduce"
-            )
-            committed_ok = False
             try:
                 variant_attempt = 0
 
@@ -313,12 +290,6 @@ class ThreadedEngine(Engine):
                     nonlocal variant_attempt
                     this_attempt = variant_attempt
                     variant_attempt += 1
-                    if this_attempt > 0:
-                        obs.events.emit(
-                            "reduce.restart",
-                            task=f"reduce-{reducer_index}",
-                            attempt=this_attempt,
-                        )
                     if injector is not None and this_attempt == 0:
                         # Injected straggler: the first primary attempt
                         # lags, giving speculation something to race.
@@ -350,19 +321,12 @@ class ThreadedEngine(Engine):
                     if reducer_is_store_backed(job):
                         obs.counters.increment("store.resets", retries)
                 commit_reduce(reducer_index, produced, local_counters)
-                committed_ok = True
             except BaseException as exc:
                 with errors_lock:
                     errors.append(exc)
                 with output_lock:
                     output.setdefault(reducer_index, [])
             finally:
-                obs.events.emit(
-                    "task.finish",
-                    task=f"reduce-{reducer_index}",
-                    stage="reduce",
-                    status="ok" if committed_ok else "failed",
-                )
                 done_events[reducer_index].set()
                 obs.tracer.close(task_span)
 
@@ -384,9 +348,6 @@ class ThreadedEngine(Engine):
                 ):
                     continue
                 obs.counters.increment("speculative.reduces")
-                obs.events.emit(
-                    "speculation.launch", task=f"reduce-{reducer_index}"
-                )
 
                 def backup(reducer_index=reducer_index) -> None:
                     try:
@@ -404,9 +365,6 @@ class ThreadedEngine(Engine):
                         return  # a failed backup never fails the job
                     if commit_reduce(reducer_index, produced, local_counters):
                         obs.counters.increment("speculative.reduce_wins")
-                        obs.events.emit(
-                            "speculation.win", task=f"reduce-{reducer_index}"
-                        )
 
                 thread = threading.Thread(
                     target=backup, name=f"reduce-{reducer_index}-spec"

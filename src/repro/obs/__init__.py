@@ -1,4 +1,4 @@
-"""Unified observability layer: counters, spans, time-series and events.
+"""Unified observability layer: counters, spans and time-series.
 
 The engines, the fault/retry path and the discrete-event simulator all
 report through this package so that *real* and *simulated* executions
@@ -14,9 +14,6 @@ produce diffable artifacts:
   (buffer depth, store bytes, in-flight fetches, records/sec) on a
   wall-clock ticker for live engines and virtual-time hooks for the
   simulator;
-- :class:`EventLog` / :class:`ObsEvent` — append-only structured event
-  log (task transitions, fetch retries, spills, restarts, speculation),
-  persisted as JSONL;
 - :mod:`repro.obs.export` — a Chrome ``trace_event`` JSON exporter
   (open the file in ``chrome://tracing`` or Perfetto) plus a plain-text
   summary;
@@ -25,12 +22,6 @@ produce diffable artifacts:
 """
 
 from repro.obs.counters import CounterRegistry
-from repro.obs.events import (
-    EventLog,
-    ObsEvent,
-    read_event_log,
-    write_event_log,
-)
 from repro.obs.export import (
     render_counters,
     render_trace_summary,
@@ -53,19 +44,16 @@ from repro.obs.trace import KIND_DEPTH, Span, Tracer, stage_times
 
 __all__ = [
     "CounterRegistry",
-    "EventLog",
     "JobObservability",
     "KIND_DEPTH",
     "LiveGauge",
     "MetricsRegistry",
     "MetricsTicker",
-    "ObsEvent",
     "Span",
     "TimeSeries",
     "Tracer",
     "ensure_parent",
     "load_metrics",
-    "read_event_log",
     "render_counters",
     "render_trace_summary",
     "stage_times",
@@ -73,6 +61,5 @@ __all__ = [
     "to_chrome_trace_multi",
     "validate_span_nesting",
     "write_chrome_trace",
-    "write_event_log",
     "write_metrics",
 ]

@@ -5,7 +5,7 @@ evolve *during* the run" — the paper's timing-shape claims (shuffle/reduce
 overlap, buffer occupancy at the barrier, mapper slack) are statements
 about trajectories, not totals.  A :class:`MetricsRegistry` holds named
 :class:`TimeSeries` of ``(t, value)`` samples on the same job-relative
-clock the tracer uses, so series, spans and events line up on one axis.
+clock the tracer uses, so series and spans line up on one axis.
 
 Two sampling disciplines feed the same schema:
 

@@ -1,13 +1,12 @@
 """The observability bundle every engine accepts.
 
-:class:`JobObservability` pairs one :class:`CounterRegistry`, one
-:class:`Tracer`, one :class:`MetricsRegistry` and one :class:`EventLog`
-under a single enabled/disabled switch, and carries the wall-clock epoch
-(``time.time`` at construction) that worker *processes* use to express
-their span times in the parent's trace timeline — the cross-process
-counterpart of the tracer's monotonic clock.  Metrics and events run on
-the tracer's clock, so samples, events and spans share one job-relative
-timeline.
+:class:`JobObservability` groups one :class:`CounterRegistry`, one
+:class:`Tracer` and one :class:`MetricsRegistry` under a single
+enabled/disabled switch, and carries the wall-clock epoch (``time.time``
+at construction) that worker *processes* use to express their span times
+in the parent's trace timeline — the cross-process counterpart of the
+tracer's monotonic clock.  Metrics run on the tracer's clock, so samples
+and spans share one job-relative timeline.
 """
 
 from __future__ import annotations
@@ -16,7 +15,6 @@ import time
 from typing import Callable
 
 from repro.obs.counters import CounterRegistry
-from repro.obs.events import EventLog
 from repro.obs.export import (
     render_trace_summary,
     to_chrome_trace,
@@ -27,9 +25,9 @@ from repro.obs.trace import Tracer
 
 
 class JobObservability:
-    """Counters + tracer + metrics + events, sharing one on/off switch."""
+    """Counters + tracer + metrics, sharing one on/off switch."""
 
-    __slots__ = ("enabled", "counters", "tracer", "metrics", "events", "epoch")
+    __slots__ = ("enabled", "counters", "tracer", "metrics", "epoch")
 
     def __init__(
         self,
@@ -40,7 +38,6 @@ class JobObservability:
         self.counters = CounterRegistry(enabled=enabled)
         self.tracer = Tracer(clock=clock, enabled=enabled)
         self.metrics = MetricsRegistry(clock=self.tracer.now, enabled=enabled)
-        self.events = EventLog(clock=self.tracer.now, enabled=enabled)
         #: Wall-clock anchor of the tracer's t=0.  Worker processes
         #: compute ``time.time() - epoch`` to produce span times directly
         #: comparable with the parent's monotonic clock (same host, so
@@ -51,6 +48,18 @@ class JobObservability:
     def disabled(cls) -> "JobObservability":
         """A no-op bundle: increments and spans cost one branch each."""
         return cls(enabled=False)
+
+    def with_own_counters(self) -> "JobObservability":
+        """An enabled bundle with fresh counters on this one's tracer,
+        metrics and epoch: one task attempt's counters, kept apart while
+        its spans and samples land on the job-wide timeline."""
+        bundle = object.__new__(JobObservability)
+        bundle.enabled = True
+        bundle.counters = CounterRegistry()
+        bundle.tracer = self.tracer
+        bundle.metrics = self.metrics
+        bundle.epoch = self.epoch
+        return bundle
 
     # -- export conveniences ----------------------------------------------
 

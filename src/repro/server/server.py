@@ -389,10 +389,6 @@ class JobServer:
             self.obs.counters.increment(
                 f"server.tenant.{ticket.tenant}.preempted"
             )
-            self.obs.events.emit(
-                "server.job.preempt", job=ticket.job_id,
-                tenant=ticket.tenant,
-            )
             self._runtime.preempt_job(
                 record.cluster_job_id or f"srv-{record.job_id}"
             )
@@ -661,10 +657,6 @@ class JobServer:
             time.sleep(0.02)
         running = sum(1 for r in records if r.state == "running")
         parked = sum(1 for r in records if r.state == "preempted")
-        self.obs.events.emit(
-            "server.drain", cancelled=cancelled, preempt_requested=preempted,
-            parked=parked, still_running=running,
-        )
         return {
             "cancelled": cancelled,
             "preempt_requested": preempted,

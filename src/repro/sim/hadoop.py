@@ -842,7 +842,7 @@ class HadoopSimulator:
         self._record_spans(profile, mode, result, map_tasks, result.tracer)
         if obs is not None and obs.enabled:
             self._record_spans(profile, mode, result, map_tasks, obs.tracer)
-            self._export_observability(profile, mode, result, map_tasks, obs)
+            self._export_observability(profile, mode, result, obs)
         return result
 
     def _record_spans(
@@ -950,10 +950,9 @@ class HadoopSimulator:
         profile: JobProfile,
         mode: ExecutionMode,
         result: SimJobResult,
-        map_tasks: list[tuple[str, float, float]],
         obs: JobObservability,
     ) -> None:
-        """Mirror one simulated execution's counters, events and series.
+        """Mirror one simulated execution's counters and series.
 
         Same names as the real engines; the spans come from
         :meth:`_record_spans`.
@@ -1023,7 +1022,6 @@ class HadoopSimulator:
         counters.increment(
             "sim.disk.checkpoint_mb", int(round(result.checkpoint_mb))
         )
-        self._export_events(result, map_tasks, obs)
         self._export_metrics(
             mode,
             result,
@@ -1031,46 +1029,6 @@ class HadoopSimulator:
             record_bytes=profile.record_bytes,
             wire_ratio=profile.wire_compress_ratio,
         )
-
-    def _export_events(
-        self,
-        result: SimJobResult,
-        map_tasks: list[tuple[str, float, float]],
-        obs: JobObservability,
-    ) -> None:
-        """Mirror the simulated occurrences into the structured event log.
-
-        Same kinds and attribute shapes as the live engines, with virtual
-        timestamps — a simulated run's JSONL is directly diffable against
-        a measured one.
-        """
-        events = obs.events
-        for task, start, end in map_tasks:
-            events.record("task.start", start, task=task, stage="map")
-            events.record(
-                "task.finish", end, task=task, stage="map", status="ok"
-            )
-        restarted_ids = {t.reducer_id for t in result.aborted_reducers}
-        for trace in result.reducers:
-            events.record(
-                "task.start", trace.start,
-                task=f"reduce-{trace.reducer_id}", stage="reduce",
-            )
-            if trace.reducer_id in restarted_ids:
-                events.record(
-                    "reduce.restart", trace.start,
-                    task=f"reduce-{trace.reducer_id}",
-                )
-            for at, mb in _spill_times(trace):
-                events.record(
-                    "spill", at, task=f"reduce-{trace.reducer_id}",
-                    bytes=int(round(mb * MB)),
-                )
-            events.record(
-                "task.finish", trace.finish,
-                task=f"reduce-{trace.reducer_id}", stage="reduce",
-                status="failed" if trace.spills == -1 else "ok",
-            )
 
     def _export_metrics(
         self,

@@ -20,7 +20,9 @@ Nothing here sleeps, forks or opens a socket.
 from __future__ import annotations
 
 import copy
+import gc
 import pickle
+import weakref
 
 import pytest
 
@@ -32,6 +34,7 @@ from repro.cluster.dispatch import (
     JobPreemptedError,
 )
 from repro.cluster.quarantine import QuarantineConfig
+from repro.cluster.telemetry import MAX_JOBS_RETAINED
 from repro.cluster.worker_core import WorkerCore, done, failed, preempted
 from repro.core.job import split_input
 from repro.core.types import ExecutionMode
@@ -464,19 +467,20 @@ def test_lease_expires_on_tick_from_receipt_times(oracle):
 def test_malformed_frame_does_not_kill_dispatcher(oracle):
     # One bad frame (here: a gen that fails int()) used to raise out of
     # the lone dispatcher thread, hanging every active and future job.
-    # It must be counted and dropped, and its traceback logged.
+    # It must be counted and dropped, and the latest one, traceback
+    # included, kept for status.
     rig = Rig(oracle)
+    assert rig.dispatcher.status(rig.now)["last_dispatch_error"] is None
     rig.step("worker-dead", {"worker": "w0", "gen": "bogus"})
     assert rig.counter("cluster.dispatch.errors") == 1
+    first = rig.dispatcher.status(rig.now)["last_dispatch_error"]
     rig.submit()
     # A frame that names a job fails that job, and only that job.
     rig.step("map-done", {"job_id": "job-1", "mapper": 99, "epoch": 0,
                           "worker": "w0"})
     assert rig.counter("cluster.dispatch.errors") == 2
     assert "dispatcher error" in str(rig.conclusions["job-1"][1])
-    first, second = (
-        event.attrs for event in rig.obs.events.events("cluster.dispatch.error")
-    )
+    second = rig.dispatcher.status(rig.now)["last_dispatch_error"]
     assert first["message"] == "worker-dead" and first["job"] is None
     assert first["error"] == "ValueError" and "bogus" in first["detail"]
     assert second["message"] == "map-done" and second["job"] == "job-1"
@@ -487,6 +491,29 @@ def test_malformed_frame_does_not_kill_dispatcher(oracle):
     rig.submit("job-2")
     rig.run()
     assert rig.result("job-2").output == oracle
+
+
+def test_only_the_newest_concluded_jobs_are_retained(oracle):
+    # A long-lived coordinator (a cluster-backed job server) must not
+    # keep every finished job's state and output: past the bound the
+    # oldest concluded job is dropped whole, and its id stays taken.
+    rig = Rig(oracle)
+    states = {}
+    for n in range(1, 41):
+        job_id = f"job-{n}"
+        rig.submit(job_id)
+        states[job_id] = weakref.ref(rig.dispatcher.job(job_id))
+        rig.run()
+        assert rig.result(job_id).output == oracle
+    retained = [j for j in states if rig.dispatcher.job(j) is not None]
+    assert len(retained) <= MAX_JOBS_RETAINED == 32
+    assert retained == list(states)[-MAX_JOBS_RETAINED:]
+    assert sorted(rig.dispatcher.status(rig.now)["jobs"]) == sorted(retained)
+    gc.collect()
+    for job_id in states.keys() - set(retained):
+        assert states[job_id]() is None, f"{job_id}'s state and output held"
+        assert rig.dispatcher.known(job_id), f"{job_id} reusable"
+    assert not rig.dispatcher.known("job-41")
 
 
 def test_job_submit_with_one_pickle_of_all_splits_fails_loudly(oracle):

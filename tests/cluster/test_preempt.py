@@ -86,6 +86,17 @@ def _assert_reconciled(counters) -> dict:
     return buckets
 
 
+def _wait_maps_done(status, job_id: str, timeout_s: float = 30.0) -> None:
+    """Poll ``status()`` until every map of ``job_id`` is done."""
+    deadline = time.monotonic() + timeout_s
+    while time.monotonic() < deadline:
+        job = status()["jobs"].get(job_id)
+        if job is not None and job["maps_done"] == job["num_maps"]:
+            return
+        time.sleep(0.02)
+    raise AssertionError(f"{job_id}: maps not all done within {timeout_s}s")
+
+
 class _Submitter(threading.Thread):
     """Run submit/run_job in the background, capturing the outcome."""
 
@@ -121,7 +132,7 @@ class TestPreemptResume:
                 )
             )
             submitter.start()
-            time.sleep(1.2)  # maps done, reduces mid-fold
+            _wait_maps_done(runtime.status, "pj")  # reduces mid-fold
             runtime.preempt_job("pj")
             result, error = submitter.outcome()
             assert result is None
@@ -247,7 +258,7 @@ class TestPreemptChaos:
                 )
             )
             submitter.start()
-            time.sleep(1.2)
+            _wait_maps_done(runtime.status, "pk")
             runtime.preempt_job("pk")
             result, error = submitter.outcome()
             assert result is None
@@ -308,7 +319,7 @@ def _doomed_preempting_coordinator(
         daemon=True,
     )
     submitter.start()
-    time.sleep(1.2)  # reduces mid-fold, checkpoints on disk
+    _wait_maps_done(coordinator.status, "job-1")  # reduces mid-fold
     coordinator.preempt("job-1")
     time.sleep(30.0)  # unreachable: the journal append SIGKILLs first
     os._exit(1)

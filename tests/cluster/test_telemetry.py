@@ -102,7 +102,6 @@ def _wait_for(predicate, timeout_s: float = 5.0) -> bool:
 def _loaded_obs() -> JobObservability:
     obs = JobObservability()
     span = obs.tracer.open("map-0", "task", worker="w0")
-    obs.events.emit("task.start", task="map-0")
     obs.counters.increment("map.output_records", 7)
     obs.metrics.sample("store.bytes", 123.0, unit="bytes")
     obs.metrics.sample("store.bytes", 456.0, unit="bytes")
@@ -584,8 +583,13 @@ def test_a_preempted_job_leaves_no_span_behind(monkeypatch):
 
         submitter = threading.Thread(target=submit, daemon=True)
         submitter.start()
-        time.sleep(1.2)  # maps done, reduces mid-fold
-        runtime.preempt_job("pj")
+
+        def maps_done() -> bool:
+            job = runtime.status()["jobs"].get("pj")
+            return job is not None and job["maps_done"] == job["num_maps"]
+
+        assert _wait_for(maps_done, timeout_s=30.0), "pj: maps not all done"
+        runtime.preempt_job("pj")  # reduces mid-fold
         submitter.join(timeout=60)
         assert not submitter.is_alive() and len(outcome) == 1
         runtime.resume_job("pj")

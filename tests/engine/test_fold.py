@@ -246,6 +246,27 @@ def test_kill_at_every_boundary_then_recover(
             assert obs.counters.get("reduce.checkpoint.restores") == 0
 
 
+@pytest.mark.parametrize("cadence", ["off", "every-3rd"])
+def test_a_preempt_is_recorded_on_the_task_span(tmp_path, cadence):
+    # Besides the host's ack, the task span is where a stop is recorded:
+    # what the attempt had folded, and whether its final cut is on disk.
+    obs = JobObservability(clock=lambda: 0.0)
+    span = obs.tracer.open("reduce-0", "task")
+    rec = ReduceTaskRecovery(CADENCES[cadence], str(tmp_path), 0)
+    store = ScriptedStore()
+    rec.begin(store, _by_epoch({0: 0}), obs, 0.0, span)
+    store.fold(0, 0, 5)
+    rec.folded(0, 0, 0, 5, 40, 1.0)
+    assert "preempted_records" not in span.attrs
+    store.fold(0, 1, 3)
+    with pytest.raises(ReducePreemptedError):
+        rec.folded(0, 1, 0, 3, 24, 2.0, stop=True)
+    assert span.attrs == {
+        "preempted_records": 8, "checkpointed": cadence != "off",
+    }
+
+
+
 def test_streaming_mapping_classifies_like_the_runtime_mapping(tmp_path):
     script = SCRIPTS["one-source"]
     journal = sum(script[0])

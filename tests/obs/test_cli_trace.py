@@ -75,11 +75,10 @@ def test_counters_diff_runs_both_modes(capsys):
 
 
 def test_metrics_command_prints_sparklines(capsys):
-    assert main(["metrics", "wc", "--records", "300", "--events"]) == 0
+    assert main(["metrics", "wc", "--records", "300"]) == 0
     out = capsys.readouterr().out
     assert "shuffle.buffer.depth" in out
     assert "high-water marks" in out
-    assert "task.start" in out
 
 
 def test_metrics_file_rendering(tmp_path, capsys):

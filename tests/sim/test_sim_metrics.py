@@ -1,4 +1,4 @@
-"""Simulator metrics/events export: schema presence and determinism."""
+"""Simulator metrics and span export: schema presence and determinism."""
 
 from __future__ import annotations
 
@@ -45,14 +45,12 @@ class TestExportedSeries:
         assert barrier_hwm > barrierless_hwm
 
     def test_task_events_exported(self):
+        # Every task's start and finish reach the trace as a task span.
         obs = simulate(ExecutionMode.BARRIERLESS)
-        counts = obs.events.counts()
-        assert counts.get("task.start", 0) > 0
-        assert counts.get("task.finish", 0) > 0
-        # Virtual-time ties are common; (t, seq) must still totally order.
-        events = obs.events.events()
-        keys = [(event.t, event.seq) for event in events]
-        assert keys == sorted(keys)
+        tasks = [span for span in obs.tracer.spans() if span.kind == "task"]
+        assert any(span.name.startswith("map-") for span in tasks)
+        assert any(span.name.startswith("reduce-") for span in tasks)
+        assert all(span.start <= span.end for span in tasks)
 
 
 class TestDeterminism:
@@ -62,9 +60,7 @@ class TestDeterminism:
             second = simulate(mode)
             assert first.metrics.as_dict() == second.metrics.as_dict()
 
-    def test_event_log_is_identical_across_runs(self):
+    def test_span_list_is_identical_across_runs(self):
         first = simulate(ExecutionMode.BARRIERLESS)
         second = simulate(ExecutionMode.BARRIERLESS)
-        assert [event.to_json() for event in first.events.events()] == [
-            event.to_json() for event in second.events.events()
-        ]
+        assert first.tracer.spans() == second.tracer.spans()
