@@ -48,15 +48,15 @@ codec:
 store:
 	pytest tests/memory -q -p no:cacheprovider --hypothesis-profile=ci
 
-# The map side's contract in one command: the sort-and-spill buffer, the
-# collector every engine maps through against the codec-free three-pass
-# composition (frames, cut points, counters, what the partition memo may
-# remember), the row codec its frames fall back to and the wire golden
-# digests (rows and columns), as CI's mapside job runs them.  Run it
-# before and after any change to engine/mapside.py, run_map_task_encoded,
-# wire.cut_frames or the pair encoder in dfs/serialization.py.
+# The map side's contract in one command: the collector every engine
+# maps through against the codec-free three-pass composition (frames,
+# cut points, counters, what the partition memo may remember), the row
+# codec its frames fall back to and the wire golden digests (rows and
+# columns), as CI's mapside job runs them.  Run it before and after any
+# change to engine/mapside.py, run_map_task_encoded, wire.cut_frames or
+# the pair encoder in dfs/serialization.py.
 mapside:
-	pytest tests/engine/test_mapside.py tests/engine/test_collector.py \
+	pytest tests/engine/test_collector.py \
 		tests/dfs/test_serialization.py tests/dfs/test_wire_golden.py -q \
 		-p no:cacheprovider --hypothesis-profile=ci
 

@@ -60,9 +60,6 @@ def cluster_recovery(**overrides) -> RecoveryConfig:
         "fetch_timeout_s": 1.0,
         "max_fetch_attempts": 60,
         "backoff": BackoffPolicy(base_s=0.002, cap_s=0.05),
-        "straggler_threshold_s": 0.25,
-        "speculative_fetch": True,
-        "speculative_reduce": False,
         "publish_timeout_s": 30.0,
     }
     config.update(overrides)

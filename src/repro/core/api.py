@@ -27,7 +27,7 @@ class MapContext:
     Emission is buffered per-context by default; the engine drains
     ``drain()`` after each input split (optionally through a combiner) and
     routes records to partitions.  With a ``sink`` the context's ``emit``
-    *is* the sink (a map-output collector or sort-and-spill buffer): no
+    *is* the sink (the task's map-output collector): no
     ``Record`` is built and no counter touched per emission, and whoever
     owns the sink adds ``map.output_records`` once, when the task ends.
     """

@@ -76,11 +76,6 @@ class JobSpec:
     memory: MemoryConfig = field(default_factory=MemoryConfig)
     merge_fn: MergeFunction | None = None
     store_factory: StoreFactory | None = None
-    #: Map-side sort-and-spill: bound each map task's output buffer to
-    #: this many bytes (Hadoop's io.sort.mb); ``None`` keeps task output
-    #: in memory.  With a combiner set, combining happens before the
-    #: buffer (whole-task), not per spill.
-    map_output_buffer_bytes: int | None = None
     #: Secondary sort (barrier mode only): orders each key group's values
     #: by this key before the reduce call, the way Hadoop's sort/grouping
     #: comparator pair delivers value-ordered groups (used by Selection
@@ -95,11 +90,6 @@ class JobSpec:
         if not callable(self.mapper_factory) or not callable(self.reducer_factory):
             raise InvalidJobError("mapper_factory and reducer_factory must be callable")
         self.memory.validate()
-        if (
-            self.map_output_buffer_bytes is not None
-            and self.map_output_buffer_bytes <= 0
-        ):
-            raise InvalidJobError("map_output_buffer_bytes must be positive")
         if self.memory.store == "spillmerge" and self.merge_fn is None:
             raise InvalidJobError(
                 "spill-and-merge storage requires a merge_fn (the combiner-like "

@@ -44,7 +44,7 @@ from repro.core.types import (
 )
 from repro.dfs.wire import WireBatch, WireConfig
 from repro.engine.fold import fold_batches
-from repro.engine.mapside import MapOutputBuffer, MapOutputCollector
+from repro.engine.mapside import MapOutputCollector
 from repro.memory import WriteBackStore, innermost_store, make_store
 
 #: Slice size when a flat record stream stands in for wire batches: the
@@ -115,21 +115,6 @@ def _run_mapper(
     _add(counters, "map.input_records", len(split))
 
 
-def _spill_buffer(job: JobSpec, wire: WireConfig | None):
-    """The job's bounded sort-and-spill map-output buffer.
-
-    Context-managed, so spill files are removed even when the map
-    function raises mid-task.  ``wire`` sets where spill frames are cut.
-    """
-    return MapOutputBuffer(
-        num_partitions=job.num_reducers,
-        partition_fn=job.partition_fn,
-        buffer_bytes=job.map_output_buffer_bytes,
-        spill_dir=job.memory.spill_dir,
-        wire=wire,
-    )
-
-
 def run_map_task_encoded(
     job: JobSpec,
     split: Sequence[tuple[Key, Value]],
@@ -143,25 +128,14 @@ def run_map_task_encoded(
     :class:`~repro.engine.mapside.MapOutputCollector`, which partitions,
     encodes and cuts frames record by record.  Frames and counters equal
     ``encode_record_batches`` over ``partition_records(run_map_task(...))``
-    — the codec-free composition it is tested against.  With
-    ``job.map_output_buffer_bytes`` set (and no combiner), emissions go
-    through the bounded sort-and-spill buffer first and its merge feeds
-    the same collector: each partition then holds the same records
-    stably sorted by key.
+    — the codec-free composition it is tested against.
     """
     collector = MapOutputCollector(job.num_reducers, job.partition_fn, wire)
     if job.combiner_factory is not None:
         for key, value in run_map_task(job, split, counters):
             collector.collect(key, value)
         return collector.finish()
-    if job.map_output_buffer_bytes is None:
-        _run_mapper(job, split, counters, collector.collect)
-    else:
-        with _spill_buffer(job, wire) as buffer:
-            _run_mapper(job, split, counters, buffer.collect)
-            buffer.count_spills(counters)
-            for entry in buffer.merged():
-                collector.add(*entry)
+    _run_mapper(job, split, counters, collector.collect)
     batches = collector.finish()
     _add(
         counters,

@@ -103,9 +103,7 @@ class ReduceTaskRecovery:
     cumulative record count any attempt folded, which the committing
     attempt uses to split re-done work (``reduce.replayed_records`` with
     a restored snapshot, ``reduce.refolded_records`` without) from live
-    work.  :meth:`begin` resets everything attempt-scoped.  Speculative
-    backup attempts never share one: a backup racing the primary must
-    not share its snapshot file.
+    work.  :meth:`begin` resets everything attempt-scoped.
     """
 
     __slots__ = (

@@ -13,8 +13,7 @@ those recovery paths real for the live engines:
   regenerated by re-executing the map task, bumping the epoch.
 - :func:`run_fetch_stream` is the reducer-side fetch protocol: capped
   exponential backoff with deterministic jitter on transient failures,
-  a per-fetch timeout for stalls, stream restart on an epoch change, and
-  optional **speculative backup fetches** for stragglers.
+  a per-fetch timeout for stalls, and stream restart on an epoch change.
 - :class:`FetchLedger` deduplicates re-fetched batches by
   ``(mapper, sequence)`` so a record is never double-consumed in
   barrier-less mode, and accounts for every delivered record:
@@ -33,7 +32,6 @@ dedup the re-fetch instead — the asymmetry the §8 claim glosses over.
 from __future__ import annotations
 
 import itertools
-import queue
 import threading
 import time
 from dataclasses import dataclass, field
@@ -142,12 +140,6 @@ class RecoveryConfig:
     #: Attempt budget per (mapper, seq) batch before the job fails.
     max_fetch_attempts: int = 8
     backoff: BackoffPolicy = BackoffPolicy()
-    #: How long a fetch / reduce task may lag before a backup launches.
-    straggler_threshold_s: float = 0.05
-    #: Launch a concurrent backup fetch when an attempt stalls.
-    speculative_fetch: bool = True
-    #: Launch backup reduce attempts for straggling reducers.
-    speculative_reduce: bool = True
     #: Upper bound on waiting for a mapper to publish (deadlock guard).
     publish_timeout_s: float = 60.0
     #: When to snapshot a barrier-less reducer's partial-result store
@@ -202,8 +194,6 @@ class FetchFaultInjector:
     lose_output_after: Mapping[int, int] = field(default_factory=dict)
     #: reducer -> number of consumed records after which it crashes once.
     crash_reducer_after: Mapping[int, int] = field(default_factory=dict)
-    #: reducer -> straggler delay injected into its first task attempt.
-    stall_reducer_seconds: Mapping[int, float] = field(default_factory=dict)
     seed: int = 0
     max_injected_attempts: int = 2
 
@@ -312,22 +302,6 @@ class FetchFaultInjector:
                 f"injected reducer crash: reduce-{reducer} after "
                 f"{consumed} records"
             )
-
-    def reducer_stall(self, reducer: int, variant: int) -> float:
-        """Straggler delay for a reduce attempt (first attempt only)."""
-        if variant != 0:
-            return 0.0
-        return self.stall_reducer_seconds.get(reducer, 0.0)
-
-    # -- capability probes ------------------------------------------------
-
-    @property
-    def may_stall_fetch(self) -> bool:
-        return bool(self.stall_first_fetch_of) or self.stall_probability > 0.0
-
-    @property
-    def may_stall_reduce(self) -> bool:
-        return bool(self.stall_reducer_seconds)
 
 
 def reduce_record_hook(
@@ -595,70 +569,24 @@ def _fetch_once(
     attempt: int,
     config: RecoveryConfig,
     injector: FetchFaultInjector | None,
-    counters: "CounterRegistry | None",
 ) -> tuple[int, WireBatch | None]:
-    """One fetch attempt, with speculative backup on a straggler.
+    """One fetch attempt, on the fetching thread.
 
     Raises :class:`FetchAttemptError` / :class:`FetchTimeoutError` for
-    the retry loop.  When the injector can stall transfers and
-    speculation is enabled, the primary attempt runs on a helper thread;
-    if it exceeds the straggler threshold a backup attempt (with a
-    different attempt number, hence independent injection decisions)
-    races it and the first result wins — the fetch-side mirror of the
-    simulator's LATE-style map speculation.
+    the retry loop; an injected stall sleeps at most ``fetch_timeout_s``
+    and, if it is longer, is observed as a timeout.
     """
-
-    def attempt_io(attempt_number: int) -> tuple[int, WireBatch | None]:
-        if injector is not None:
-            injector.check_fetch(reducer, mapper, seq, attempt_number)
-            stall = injector.stall_for(reducer, mapper, seq, attempt_number)
-            if stall > 0.0:
-                time.sleep(min(stall, config.fetch_timeout_s))
-                if stall > config.fetch_timeout_s:
-                    raise FetchTimeoutError(
-                        f"fetch reduce-{reducer} <- map-{mapper} seq {seq} "
-                        f"stalled {stall:.3f}s (budget {config.fetch_timeout_s}s)"
-                    )
-        return service.read(mapper, reducer, seq)
-
-    speculate = (
-        config.speculative_fetch
-        and injector is not None
-        and injector.may_stall_fetch
-    )
-    if not speculate:
-        return attempt_io(attempt)
-
-    results: "queue.Queue[tuple[int, str, object]]" = queue.Queue()
-
-    def run_attempt(attempt_number: int) -> None:
-        try:
-            results.put((attempt_number, "ok", attempt_io(attempt_number)))
-        except BaseException as exc:  # noqa: BLE001 - relayed to caller
-            results.put((attempt_number, "err", exc))
-
-    threading.Thread(
-        target=run_attempt, args=(attempt,),
-        name=f"fetch-{reducer}-{mapper}-{seq}", daemon=True,
-    ).start()
-    try:
-        winner, kind, payload = results.get(
-            timeout=config.straggler_threshold_s
-        )
-    except queue.Empty:
-        # Straggler: race a backup attempt against the stalled primary.
-        if counters is not None:
-            counters.increment("speculative.fetches")
-        threading.Thread(
-            target=run_attempt, args=(attempt + 1,),
-            name=f"fetch-{reducer}-{mapper}-{seq}-spec", daemon=True,
-        ).start()
-        winner, kind, payload = results.get()
-        if winner != attempt and kind == "ok" and counters is not None:
-            counters.increment("speculative.fetch_wins")
-    if kind == "err":
-        raise payload  # type: ignore[misc]
-    return payload  # type: ignore[return-value]
+    if injector is not None:
+        injector.check_fetch(reducer, mapper, seq, attempt)
+        stall = injector.stall_for(reducer, mapper, seq, attempt)
+        if stall > 0.0:
+            time.sleep(min(stall, config.fetch_timeout_s))
+            if stall > config.fetch_timeout_s:
+                raise FetchTimeoutError(
+                    f"fetch reduce-{reducer} <- map-{mapper} seq {seq} "
+                    f"stalled {stall:.3f}s (budget {config.fetch_timeout_s}s)"
+                )
+    return service.read(mapper, reducer, seq)
 
 
 def run_fetch_stream(
@@ -689,11 +617,11 @@ def run_fetch_stream(
     handed to ``deliver(batch, mapper, seq, epoch)``.  ``on_epoch_change``
     lets barrier reducers clear their per-mapper buffer instead
     (discard-and-refetch).  ``attempt_base`` offsets attempt numbering so
-    distinct task attempts / speculative variants draw independent
-    injections.  ``start_seq``/``start_epoch`` resume a stream past a
-    restored checkpoint: fetching begins at ``start_seq``, and a served
-    epoch differing from ``start_epoch`` triggers the normal epoch-restart
-    path (restart from 0, dedup through the seeded ledger).
+    distinct task attempts draw independent injections.
+    ``start_seq``/``start_epoch`` resume a stream past a restored
+    checkpoint: fetching begins at ``start_seq``, and a served epoch
+    differing from ``start_epoch`` triggers the normal epoch-restart path
+    (restart from 0, dedup through the seeded ledger).
     """
     span = None
     if tracer is not None:
@@ -711,8 +639,7 @@ def run_fetch_stream(
                 return
             try:
                 got_epoch, batch = _fetch_once(
-                    service, reducer, mapper, seq, attempt,
-                    config, injector, counters,
+                    service, reducer, mapper, seq, attempt, config, injector
                 )
             except FetchTimeoutError:
                 timeouts += 1

@@ -85,9 +85,8 @@ __all__ = [
 
 SENTINEL = None
 
-#: Attempt-number spacing between reduce-attempt variants, so every task
-#: attempt (and every speculative backup) draws independent fetch-fault
-#: decisions from the injector's stable hash.  Must exceed any plausible
+#: Attempt-number spacing between reduce-task attempts, so every task
+#: attempt draws independent fetch-fault decisions from the injector's stable hash.  Must exceed any plausible
 #: ``max_fetch_attempts`` budget.
 ATTEMPT_STRIDE = 100
 
@@ -95,7 +94,7 @@ ATTEMPT_STRIDE = 100
 class GaugeSet:
     """Sum of per-attempt contribution callables, read by the ticker.
 
-    Reduce attempts come and go (restarts, speculative backups); each
+    Reduce attempts come and go (restarts, preemptions); each
     registers a zero-argument contribution for its lifetime and the
     registered engine gauge reads the sum of whatever is live right now.
     """
@@ -428,8 +427,8 @@ def run_pipelined_reduce_attempt(
     of the recovery asymmetry: barrier-less re-fetch must dedup).
 
     The fold itself is :mod:`repro.engine.fold`'s: ``recovery`` (one per
-    reducer, shared by its attempts; a speculative backup runs on a
-    throw-away one) decides at :meth:`~ReduceTaskRecovery.begin` whether
+    reducer, shared by its attempts; ``None`` means a throw-away one)
+    decides at :meth:`~ReduceTaskRecovery.begin` whether
     a snapshot is restored — valid only while every source mapper's
     epoch still matches the service — and each fetch stream then starts
     at its persisted sequence number, so only the un-consumed tail is

@@ -23,15 +23,14 @@ Fault tolerance (§8) is real here, not assumed: fetch threads retry with
 backoff through :func:`~repro.engine.recovery.run_fetch_stream`, lost map
 outputs are regenerated by re-executing the map task under a new epoch,
 re-fetched records are deduplicated by sequence number so barrier-less
-reducers never double-consume, crashed reduce attempts are restarted with
-a rebuilt partial store, and straggling reduce tasks can be raced by
-speculative backup attempts.
+reducers never double-consume, and crashed reduce attempts are restarted
+with a rebuilt partial store.
 
 The reduce-attempt executors themselves live in
 :mod:`repro.engine.runtime` — the transport-agnostic services layer this
 engine shares with the networked cluster runtime (:mod:`repro.cluster`).
 This module keeps what is engine-specific: thread scheduling, the
-map-slot pool, attempt retry/speculation orchestration, and commit.
+map-slot pool, attempt retry, and commit.
 
 A run's stage timeline is its trace: ``task`` spans per map and reduce
 task, with the ``shuffle`` / ``sort`` / ``reduce`` (barrier) or
@@ -46,7 +45,6 @@ from __future__ import annotations
 import queue
 import tempfile
 import threading
-import time
 from typing import Sequence
 
 from repro.core.job import JobSpec, split_input
@@ -94,7 +92,7 @@ class ThreadedEngine(Engine):
     to ``max_attempts`` times) plus shuffle-level faults: a
     ``fetch_injector`` can fail/stall/drop individual fetches, lose map
     outputs, and crash reducers mid-consumption; ``recovery`` tunes the
-    backoff, timeout and speculation policy used to survive them.
+    backoff and timeout policy used to survive them.
     """
 
     def __init__(
@@ -255,55 +253,26 @@ class ThreadedEngine(Engine):
         ]
 
         output: dict[int, list[Record]] = {}
-        committed: set[int] = set()
         output_lock = threading.Lock()
-        done_events = [threading.Event() for _ in range(job.num_reducers)]
-
-        def commit_reduce(reducer_index, produced, local_counters) -> bool:
-            # Exactly one attempt (primary or speculative backup) commits
-            # a reducer's output and counters — first one wins.
-            with output_lock:
-                if reducer_index in committed:
-                    return False
-                committed.add(reducer_index)
-                output[reducer_index] = produced
-            with counters_lock:
-                counters.merge(local_counters)
-                counters.increment("reduce.tasks")
-            obs.counters.merge_counters(local_counters)
-            obs.counters.increment("reduce.tasks")
-            # Materialise the fetch-accounting keys even for an empty
-            # partition, keeping clean-run counter dicts identical across
-            # engines.
-            obs.counters.increment("shuffle.records.fetched", 0)
-            obs.counters.increment("shuffle.records.consumed", 0)
-            return True
 
         def reduce_worker(reducer_index: int) -> None:
             task_span = obs.tracer.open(
                 f"reduce-{reducer_index}", "task", parent=reduce_stage
             )
             try:
-                variant_attempt = 0
+                next_attempt = 0
 
                 def attempt_body():
-                    nonlocal variant_attempt
-                    this_attempt = variant_attempt
-                    variant_attempt += 1
-                    if injector is not None and this_attempt == 0:
-                        # Injected straggler: the first primary attempt
-                        # lags, giving speculation something to race.
-                        stall = injector.reducer_stall(reducer_index, 0)
-                        if stall > 0.0:
-                            time.sleep(stall)
+                    nonlocal next_attempt
+                    this_attempt = next_attempt
+                    next_attempt += 1
                     return self._reduce_attempt(
                         job,
                         service,
                         reducer_index,
                         actual_maps,
                         task_span,
-                        variant=0,
-                        variant_attempt=this_attempt,
+                        this_attempt,
                         inst=inst,
                         recovery=recoveries[reducer_index],
                     )
@@ -320,63 +289,30 @@ class ThreadedEngine(Engine):
                     obs.counters.increment("reduce.restarts", retries)
                     if reducer_is_store_backed(job):
                         obs.counters.increment("store.resets", retries)
-                commit_reduce(reducer_index, produced, local_counters)
+                with output_lock:
+                    output[reducer_index] = produced
+                with counters_lock:
+                    counters.merge(local_counters)
+                    counters.increment("reduce.tasks")
+                obs.counters.merge_counters(local_counters)
+                obs.counters.increment("reduce.tasks")
+                # Materialise the fetch-accounting keys even for an empty
+                # partition, keeping clean-run counter dicts identical
+                # across engines.
+                obs.counters.increment("shuffle.records.fetched", 0)
+                obs.counters.increment("shuffle.records.consumed", 0)
             except BaseException as exc:
                 with errors_lock:
                     errors.append(exc)
                 with output_lock:
                     output.setdefault(reducer_index, [])
             finally:
-                done_events[reducer_index].set()
                 obs.tracer.close(task_span)
 
         reduce_threads = [
             threading.Thread(target=reduce_worker, args=(i,), name=f"reduce-{i}")
             for i in range(job.num_reducers)
         ]
-
-        backup_threads: list[threading.Thread] = []
-
-        def speculation_monitor() -> None:
-            # LATE-style straggler handling for reduce tasks, mirroring
-            # the simulator's map-side speculation: once the maps are done
-            # a reducer that misses the straggler threshold gets a backup
-            # attempt racing it; the first to commit wins.
-            for reducer_index in range(job.num_reducers):
-                if done_events[reducer_index].wait(
-                    timeout=config.straggler_threshold_s
-                ):
-                    continue
-                obs.counters.increment("speculative.reduces")
-
-                def backup(reducer_index=reducer_index) -> None:
-                    try:
-                        produced, local_counters = self._reduce_attempt(
-                            job,
-                            service,
-                            reducer_index,
-                            actual_maps,
-                            None,  # no spans: the task span belongs to the primary
-                            variant=1,
-                            variant_attempt=0,
-                            inst=inst,
-                        )
-                    except BaseException:
-                        return  # a failed backup never fails the job
-                    if commit_reduce(reducer_index, produced, local_counters):
-                        obs.counters.increment("speculative.reduce_wins")
-
-                thread = threading.Thread(
-                    target=backup, name=f"reduce-{reducer_index}-spec"
-                )
-                backup_threads.append(thread)
-                thread.start()
-
-        speculate = (
-            config.speculative_reduce
-            and injector is not None
-            and injector.may_stall_reduce
-        )
 
         ticker.start()
         try:
@@ -387,17 +323,7 @@ class ThreadedEngine(Engine):
             for thread in map_threads:
                 thread.join()
             obs.tracer.close(map_stage)
-            monitor = None
-            if speculate:
-                monitor = threading.Thread(
-                    target=speculation_monitor, name="reduce-speculation"
-                )
-                monitor.start()
             for thread in reduce_threads:
-                thread.join()
-            if monitor is not None:
-                monitor.join()
-            for thread in backup_threads:
                 thread.join()
         finally:
             ticker.stop()
@@ -421,24 +347,19 @@ class ThreadedEngine(Engine):
         reducer_index: int,
         num_maps: int,
         task_span,
-        variant: int,
-        variant_attempt: int,
+        attempt: int,
         inst: RunInstruments | None = None,
         recovery: ReduceTaskRecovery | None = None,
     ) -> tuple[list[Record], Counters]:
         """One reduce-task attempt: fetch, (sort,) reduce.
 
         Delegates to the shared executors in :mod:`repro.engine.runtime`.
-        ``variant`` distinguishes the primary task (0) from speculative
-        backups (1); together with ``variant_attempt`` it offsets fetch
-        attempt numbering so every attempt draws independent fault
-        injections.  ``inst`` carries the run's gauge plumbing;
-        ``recovery`` (primary attempts only) carries checkpoint/resume
-        state across this reducer's attempts.
+        ``attempt`` (0 for the first) offsets fetch attempt numbering so
+        every attempt draws independent fault injections.  ``inst``
+        carries the run's gauge plumbing; ``recovery`` carries
+        checkpoint/resume state across this reducer's attempts.
         """
-        attempt_base = (
-            variant * self._max_attempts + variant_attempt
-        ) * ATTEMPT_STRIDE
+        attempt_base = attempt * ATTEMPT_STRIDE
         if job.mode is ExecutionMode.BARRIER:
             return run_barrier_reduce_attempt(
                 job, service, reducer_index, num_maps, task_span,

@@ -49,7 +49,6 @@ CHECKPOINTABLE = ("knn", "pp", "sort", "wc")
 def _recovery(checkpoint_dir=None, *, every_records=20):
     return RecoveryConfig(
         fetch_timeout_s=0.02,
-        straggler_threshold_s=0.02,
         backoff=BackoffPolicy(base_s=0.0005, cap_s=0.005),
         checkpoint=CheckpointPolicy(every_records=every_records),
         checkpoint_dir=checkpoint_dir,
@@ -59,7 +58,6 @@ def _recovery(checkpoint_dir=None, *, every_records=20):
 #: Same fast-failing tuning with checkpointing off: the refold baseline.
 FAST = RecoveryConfig(
     fetch_timeout_s=0.02,
-    straggler_threshold_s=0.02,
     backoff=BackoffPolicy(base_s=0.0005, cap_s=0.005),
 )
 

@@ -5,10 +5,9 @@ threaded, cluster, streaming).  The codec-free reference and stagebench's
 walk compose the public functions — ``run_map_task``, then
 ``partition_records``, then ``encode_record_batches`` — and this file
 pins the collector to that composition frame for frame and counter for
-counter (a spilling job: to its output sorted by key), pins where frames
-are cut, and pins what the hash-partition memo may and may not remember.
-``make mapside`` runs it with ``test_mapside.py`` and the wire golden
-digest.
+counter, pins where frames are cut, and pins what the hash-partition
+memo may and may not remember.  ``make mapside`` runs it with the wire
+golden digest.
 """
 
 from __future__ import annotations
@@ -95,38 +94,6 @@ def test_combiner_output_feeds_the_same_collector():
     assert 0 < counters.get("combine.output_records") < counters.get(
         "map.output_records"
     )
-
-
-@pytest.mark.parametrize(
-    "wire",
-    (WIRE, WireConfig(max_batch_records=7, max_batch_bytes=64)),
-    ids=("wire", "small"),
-)
-def test_sort_and_spill_buffer_feeds_the_same_collector(tmp_path, wire):
-    job = wordcount.make_job(ExecutionMode.BARRIERLESS, num_reducers=3)
-    job.map_output_buffer_bytes = 2048  # tiny: every split spills
-    job.memory.spill_dir = str(tmp_path)
-    pairs = generate_documents(12, words_per_doc=40, vocab_size=30, seed=3)
-    for split in split_input(pairs, NUM_MAPS):
-        want_counters, got_counters = Counters(), Counters()
-        parts = _three_pass(job, split, want_counters)
-        got = run_map_task_encoded(job, split, got_counters, wire)
-        # The spill merge is the in-memory output, stably sorted by key.
-        assert got == {
-            reducer: encode_record_batches(
-                sorted(part, key=lambda record: record.key), wire
-            )
-            for reducer, part in parts.items()
-        }
-        counted = got_counters.as_dict()
-        spills = {
-            name: counted.pop(name)
-            for name in list(counted)
-            if name.startswith(("map.output_spills", "map.spill_bytes"))
-        }
-        assert counted == want_counters.as_dict()
-        assert spills["map.output_spills"] > 0
-    assert list(tmp_path.iterdir()) == []
 
 
 def test_an_empty_split_counts_nothing_and_publishes_every_stream():

@@ -26,15 +26,20 @@ class TestThreadedEngine:
         assert threaded.output_as_dict() == local.output_as_dict()
 
     def test_output_is_keyed_in_reducer_order(self, local_engine, small_corpus):
-        # Reducer 0's attempt stalls and no backup races it, so reducer 1
-        # commits first; the result is still keyed 0, 1 like LocalEngine's.
+        # Reducer 0's first fetch stalls inside the fetch timeout, so
+        # reducer 1 commits first; the result is still keyed 0, 1 like
+        # LocalEngine's.
         job = wordcount.make_job(ExecutionMode.BARRIERLESS, num_reducers=2)
         engine = ThreadedEngine(
             map_slots=2,
-            fetch_injector=FetchFaultInjector(stall_reducer_seconds={0: 0.2}),
-            recovery=RecoveryConfig(speculative_reduce=False),
+            fetch_injector=FetchFaultInjector(
+                stall_first_fetch_of=frozenset({(0, 0)}), stall_seconds=0.2
+            ),
+            recovery=RecoveryConfig(fetch_timeout_s=1.0),
         )
         result = engine.run(job, small_corpus, num_maps=3)
+        ends = {s.name: s.end for s in engine.obs.tracer.spans("task")}
+        assert ends["reduce-1"] < ends["reduce-0"]
         assert list(result.output) == sorted(result.output) == [0, 1]
         assert result.output == local_engine.run(job, small_corpus, num_maps=3).output
 

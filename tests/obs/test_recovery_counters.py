@@ -73,8 +73,6 @@ def test_clean_run_reconciles_with_zero_recovery(mode):
         "shuffle.map_output_lost",
         "map.reexecutions",
         "reduce.restarts",
-        "speculative.fetches",
-        "speculative.reduces",
     ):
         assert name not in as_dict
 
