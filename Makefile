@@ -39,12 +39,15 @@ codec:
 		--hypothesis-profile=ci
 
 # The partial-result stores' contract in one command: tests/memory with
-# the spill store's golden runs (same spill points, same bytes as when
-# its buffer was a red-black tree), the in-memory store's pinned wc
-# checkpoint digest (taken on the tree it replaced) and the
-# write-back-over-spill state machine, as CI's store job runs them.  Run
-# it before and after any change to memory/spill.py, memory/store.py,
-# memory/writeback.py or memory/checkpoint.py.
+# the spill store's golden runs (same spill points as when its buffer
+# was a red-black tree; raw runs, deflated checkpoints), the in-memory
+# store's pinned wc checkpoint digest (taken on the tree it replaced),
+# the put_many property (one call per batch leaves the state a put per
+# entry would, for both stores, thresholds and heap limits crossed
+# mid-batch) and the batch write-back over the spill store as a state
+# machine, as CI's store job runs them.  Run it before and after any
+# change to memory/spill.py, memory/store.py, memory/writeback.py or
+# memory/checkpoint.py.
 store:
 	pytest tests/memory -q -p no:cacheprovider --hypothesis-profile=ci
 

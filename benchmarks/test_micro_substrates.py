@@ -18,6 +18,7 @@ from repro.memory.kvstore import SpillingKVStore
 from repro.memory.spill import SpillMergeStore
 from repro.memory.store import TreeMapStore
 from repro.memory.treemap import TreeMap
+from repro.memory.writeback import WriteBackStore
 
 N_KEYS = 3_000
 
@@ -78,6 +79,41 @@ def test_spillmerge_insert_and_drain(benchmark):
         benchmark,
         lambda mean: f"SpillMergeStore insert+drain, 20,000 distinct keys at "
         f"256 KiB ({spills} runs): {20_000 / mean:,.0f} ops/s",
+    )
+
+
+def test_writeback_spillmerge_sort_batches(benchmark):
+    """The barrier-less fold's store path at `sort`'s shape: the same
+    20,000 distinct keys through ``WriteBackStore(SpillMergeStore)`` at
+    the 256 KiB threshold, Algorithm 2's ``contains``/``put``/``get``/
+    ``put`` per record, each 256-key batch flushed with one ``put_many``,
+    then the merge."""
+    rng = np.random.default_rng(4)
+    keys = [int(k) for k in rng.permutation(1_000_000)[:20_000]]
+    batches = [keys[start : start + 256] for start in range(0, len(keys), 256)]
+
+    def fold_and_drain():
+        inner = SpillMergeStore(lambda a, b: a + b, spill_threshold_bytes=256 << 10)
+        store = WriteBackStore(inner)
+        for batch in batches:
+            for key in batch:
+                if not store.contains(key):
+                    store.put(key, 0)
+                store.put(key, store.get(key) + 1)
+            store.flush()
+        store.finalize()
+        drained = sum(count for _key, count in store.items())
+        spills = inner.spill_count
+        inner.close()
+        return drained, spills
+
+    drained, spills = benchmark(fold_and_drain)
+    assert drained == 20_000 and spills >= 2
+    emit_timed(
+        benchmark,
+        lambda mean: f"WriteBackStore(SpillMergeStore) fold+drain, 20,000 "
+        f"distinct keys in 256-key batches ({spills} runs): "
+        f"{20_000 / mean:,.0f} records/s",
     )
 
 

@@ -70,6 +70,8 @@ class SpillingKVStore:
         self._cache = LRUCache(cache_bytes, on_evict=self._persist)
         self._dirty: set[Key] = set()
         self._write_buffer: list[tuple[Key, Value]] = []
+        #: The write buffer as key -> newest value, for lookups.
+        self._pending: dict[Key, Value] = {}
         self._write_buffer_bytes = 0
         self._write_buffer_cap = write_buffer_bytes
         self._on_sample = on_sample
@@ -89,10 +91,9 @@ class SpillingKVStore:
         cached = self._cache.get(key, sentinel)
         if cached is not sentinel:
             return cached
-        if key in self._pending_keys():
-            for pending_key, pending_value in reversed(self._write_buffer):
-                if pending_key == key:
-                    return pending_value
+        pending = self._pending.get(key, sentinel)
+        if pending is not sentinel:
+            return pending
         location = self._index.get(key)
         if location is None:
             return default
@@ -111,7 +112,7 @@ class SpillingKVStore:
         return (
             key in self._cache
             or key in self._index
-            or key in self._pending_keys()
+            or key in self._pending
         )
 
     def items(self) -> Iterator[tuple[Key, Value]]:
@@ -193,18 +194,16 @@ class SpillingKVStore:
 
     # -- internals ------------------------------------------------------------------
 
-    def _pending_keys(self) -> set[Key]:
-        return {key for key, _ in self._write_buffer}
-
     def _all_keys(self) -> set[Key]:
         keys = set(self._index)
         keys.update(key for key, _ in self._cache.items())
-        keys.update(self._pending_keys())
+        keys.update(self._pending)
         return keys
 
     def _persist(self, key: Key, value: Value) -> None:
         """Eviction callback: queue the entry for append to the log."""
         self._write_buffer.append((key, value))
+        self._pending[key] = value
         self._write_buffer_bytes += entry_size(key, value)
         self._dirty.discard(key)
         if self._write_buffer_bytes >= self._write_buffer_cap:
@@ -218,6 +217,7 @@ class SpillingKVStore:
             self._append_entry(key, value)
         self._log.flush()
         self._write_buffer.clear()
+        self._pending.clear()
         self._write_buffer_bytes = 0
 
     def _append_entry(self, key: Key, value: Value) -> None:

@@ -13,12 +13,22 @@ ascending order.  A run sorted when it is cut holds exactly what a tree
 drained in order would have written, so spill points and file bytes do
 not depend on how the buffer is organised in between.
 
+The engines write a batch back with :meth:`~SpillMergeStore.put_many`,
+one call that charges the whole batch in C-level passes and takes in the
+entries below the threshold with one ``dict.update``; the entry that
+crosses it spills as a per-entry ``put`` would, holding back the entries
+of the call still to be written, so spill points do not depend on how
+the writes were grouped.
+
 Spill files are real files in the :mod:`repro.dfs.wire` framed format
-(varint batch headers, optional zlib, CRC32 trailer per frame), so a
-truncated or bit-flipped spill raises :class:`SerializationError` instead
-of silently yielding corrupt partial results, and the merge streams from
-disk with O(#files) resident batches rather than reloading spills
-wholesale.  The number of files is bounded too: once :data:`MERGE_FAN_IN`
+(varint batch headers, CRC32 trailer per frame), so a truncated or
+bit-flipped spill raises :class:`SerializationError` instead of silently
+yielding corrupt partial results, and the merge streams from disk with
+O(#files) resident batches rather than reloading spills wholesale.  Runs
+are sealed raw (:data:`_RUN_WIRE`): only the process that cut a run
+reads it back, soon after, so deflating it bought disk bytes at the cost
+of CPU on the fold's path.  Checkpoints, which outlive the attempt, keep
+deflate.  The number of files is bounded too: once :data:`MERGE_FAN_IN`
 runs exist they are merged into one before the next is cut, so neither
 the final merge nor a periodic checkpoint opens more than that many
 descriptors however small the threshold is against the data.
@@ -29,10 +39,9 @@ from __future__ import annotations
 import os
 import tempfile
 from bisect import bisect_right
-from itertools import islice
+from itertools import compress, count, islice
 from operator import eq, itemgetter
-from sys import getsizeof
-from typing import Any, Callable, Iterable, Iterator
+from typing import Any, Callable, Iterable, Iterator, Mapping
 
 from repro.core.partial import MergeFunction
 from repro.core.types import Key, Value
@@ -43,12 +52,12 @@ from repro.memory.checkpoint import (
     read_entry_frames,
     write_checkpoint,
 )
-from repro.dfs.wire import write_batch
+from repro.dfs.wire import WireConfig, write_batch
 from repro.memory.estimator import (
-    ENTRY_OVERHEAD_BYTES,
-    FLAT_TYPES,
     MemoryTracker,
-    deep_size,
+    entry_size,
+    entry_sizes,
+    running_use,
 )
 
 #: Most sorted runs a store keeps, and so the most files one merge opens.
@@ -56,7 +65,9 @@ from repro.memory.estimator import (
 #: because nothing about a job changes the right answer.
 MERGE_FAN_IN = 64
 
-_MISSING = object()
+#: Framing of spill and compaction runs: store framing, never deflated.
+_RUN_WIRE = WireConfig(compress=False)
+
 _KEY = itemgetter(0)
 
 
@@ -77,7 +88,8 @@ class SpillMergeStore:
     """Partial-result store with threshold-triggered spills and k-way merge.
 
     Implements :class:`repro.core.partial.PartialResultStore`.  Lookups
-    (``get``/``contains``) see only the in-memory buffer — a key whose
+    (``get``/``contains``, the buffer dict's own bound methods) see only
+    the in-memory buffer — a key whose
     partial result was spilled starts a fresh partial, and the merge phase
     reconciles the pieces.  That is exactly the paper's design: "partial
     results for a single key may be spilled onto multiple different spill
@@ -88,16 +100,14 @@ class SpillMergeStore:
     raise ``TypeError`` where order is first needed — the spill, snapshot
     or merge that sorts them — not at the ``put`` that brought them in.
 
-    A partial that ``get`` has handed out is *checked out* until the
-    key's next ``put`` or the next :meth:`check_in`: the caller is about
-    to fold into it and write the result back, so spilling it meanwhile
+    A spill inside :meth:`put_many` holds back, in the buffer, the
+    entries of that call not yet written: each is about to be replaced
+    by a value folded from the one buffered, so spilling the old value
     would put the same folds on disk and in the buffer, and the merge
-    would count them twice.  A spill therefore holds checked-out entries
-    back in the buffer.  With record-at-a-time use the window is empty
-    (``put`` follows ``get``); behind a
-    :class:`~repro.memory.writeback.WriteBackStore` it spans a batch,
-    another key's write-back can spill inside it, and the write-back
-    checks in at the batch boundary what it read and never wrote.
+    would count them twice.  Nothing a read hands out is tracked: a
+    :class:`~repro.memory.writeback.WriteBackStore` writes everything it
+    folded in one ``put_many``, so that call's pending entries are
+    exactly the partials still in flight.
 
     ``on_sample`` receives the footprint estimate after every mutation so
     heap traces (Figure 5(b)) can be collected.
@@ -117,8 +127,11 @@ class SpillMergeStore:
         self._buffer: dict[Key, Value] = {}
         self._tracker = MemoryTracker()
         self._sizes: dict[Key, int] = {}
-        #: Keys read since they were last written (see the class docstring).
-        self._checked_out: set[Key] = set()
+        self.get = self._buffer.get
+        self.contains = self._buffer.__contains__
+        #: Keys of the running ``put_many`` still to be written (see the
+        #: class docstring); a spill holds them back.
+        self._pending: list[Key] = []
         #: Sorted runs on disk, oldest first.
         self._spill_paths: list[str] = []
         self._runs_cut = 0
@@ -142,28 +155,10 @@ class SpillMergeStore:
 
     # -- PartialResultStore protocol ----------------------------------------
 
-    def get(self, key: Key, default: Value = None) -> Value:
-        value = self._buffer.get(key, _MISSING)
-        if value is _MISSING:
-            return default
-        self._checked_out.add(key)
-        return value
-
     def put(self, key: Key, value: Value) -> None:
         if self._finalized:
             raise RuntimeError("store already finalized")
-        self._checked_out.discard(key)
-        # ``entry_size(key, value)`` written out, one call fewer per
-        # write-back; ``tests/memory/test_spill.py`` pins the two together.
-        new_cost = (
-            ENTRY_OVERHEAD_BYTES
-            + (getsizeof(key) if type(key) in FLAT_TYPES else deep_size(key))
-            + (
-                getsizeof(value)
-                if type(value) in FLAT_TYPES
-                else deep_size(value)
-            )
-        )
+        new_cost = entry_size(key, value)
         sizes = self._sizes
         old_cost = sizes.get(key, 0)
         tracker = self._tracker
@@ -192,8 +187,45 @@ class SpillMergeStore:
         if self._on_sample is not None:
             self._on_sample(used)
 
-    def contains(self, key: Key) -> bool:
-        return key in self._buffer
+    def put_many(self, entries: Mapping[Key, Value]) -> None:
+        """:meth:`put` every entry, in order, in one call.
+
+        Leaves exactly the state per-entry ``put`` would — spill points,
+        ``on_sample`` values, peak — but pays per batch: the sizes and
+        the running footprint are C-level passes, and each run of
+        entries that stays below the threshold goes in with one
+        ``dict.update``.  The entry whose write crosses it goes through
+        ``put``, whose spill holds back the entries after it.
+        """
+        if self._finalized:
+            raise RuntimeError("store already finalized")
+        keys = list(entries)
+        values = list(entries.values())
+        costs = entry_sizes(keys, values)
+        buffer, sizes, tracker = self._buffer, self._sizes, self._tracker
+        crosses = self._threshold.__le__
+        start, end = 0, len(keys)
+        while start < end:
+            after = running_use(tracker.used, keys[start:], costs[start:], sizes)
+            cross = next(compress(count(start), map(crosses, after)), end)
+            if cross > start:
+                span = slice(start, cross)
+                buffer.update(zip(keys[span], values[span]))
+                sizes.update(zip(keys[span], costs[span]))
+                taken = after[: cross - start]
+                tracker.used = taken[-1]
+                tracker.peak = max(tracker.peak, max(taken))
+                if self._on_sample is not None:
+                    for used in taken:
+                        self._on_sample(used)
+            if cross == end:
+                return
+            self._pending = keys[cross + 1 :]
+            try:
+                self.put(keys[cross], values[cross])
+            finally:
+                self._pending = []
+            start = cross + 1
 
     def items(self) -> Iterator[tuple[Key, Value]]:
         """Merged (key, partial) stream in ascending key order.
@@ -219,16 +251,6 @@ class SpillMergeStore:
         return len(self._buffer) + self.spilled_entries
 
     # -- extras -------------------------------------------------------------------
-
-    def check_in(self) -> None:
-        """Every partial handed out has been written back or let go.
-
-        A reader that decided not to write (a membership test, a fold
-        that changed nothing) calls this when its batch ends; a check-out
-        that outlived the batch would keep the entry out of every later
-        spill and shrink the buffer by its size for good.
-        """
-        self._checked_out.clear()
 
     @property
     def peak_memory(self) -> int:
@@ -288,10 +310,10 @@ class SpillMergeStore:
         """
         if len(self._spill_paths) >= MERGE_FAN_IN:
             self._compact()
-        count, written = _write_run(path, entries)
+        added, written = _write_run(path, entries)
         self._spill_paths.append(path)
         self._runs_cut += 1
-        self.spilled_entries += count
+        self.spilled_entries += added
         return written
 
     def _compact(self) -> None:
@@ -312,25 +334,28 @@ class SpillMergeStore:
     def _spill(self) -> None:
         """Sort the buffer and drain it to a new spill file.
 
-        Checked-out entries stay behind, still charged.
+        The pending entries of a running :meth:`put_many` stay behind,
+        still charged.
         """
         buffer = self._buffer
         if not buffer:
             return
+        sizes = self._sizes
         held = [
-            (key, buffer.pop(key), self._sizes[key])
-            for key in self._checked_out
+            (key, buffer.pop(key), sizes[key])
+            for key in self._pending
+            if key in buffer
         ]
         if buffer:
             path = os.path.join(self._dir, f"spill-{self.spill_count:05d}.wire")
             self.spill_bytes_written += self._add_run(path, self._sorted_buffer())
             self.spill_count += 1
             buffer.clear()
-        self._sizes.clear()
+        sizes.clear()
         self._tracker.reset()
         for key, value, cost in held:
             buffer[key] = value
-            self._sizes[key] = cost
+            sizes[key] = cost
             self._tracker.charge(cost)
         if self._on_sample is not None:
             self._on_sample(self._tracker.used)
@@ -415,11 +440,11 @@ class SpillMergeStore:
 def _write_run(
     path: str, entries: Iterable[tuple[Key, Value]]
 ) -> tuple[int, int]:
-    """Write sorted entries as wire frames; returns (entries, bytes)."""
-    count = 0
+    """Write sorted entries as raw wire frames; returns (entries, bytes)."""
+    entries_written = 0
     written = 0
     with open(path, "wb") as fh:
-        for batch in encode_entry_frames(entries):
+        for batch in encode_entry_frames(entries, _RUN_WIRE):
             written += write_batch(fh, batch)
-            count += batch.count
-    return count, written
+            entries_written += batch.count
+    return entries_written, written

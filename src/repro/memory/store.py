@@ -17,12 +17,19 @@ touches a key far more often than the sweep reads it, so a red-black
 descent per write-back bought nothing the one sort does not.  What
 Figure 5(a) measures, the footprint estimate, is charged per entry
 (:func:`~repro.memory.estimator.entry_size`) either way.
+
+Barrier-less, the engines write a batch back with
+:meth:`~TreeMapStore.put_many`: the batch is charged with C-level passes
+and inserted with one ``dict.update`` up to the entry that would cross
+the heap limit, which goes through ``put`` and raises there, exactly
+where a ``put`` per entry would.
 """
 
 from __future__ import annotations
 
+from itertools import compress, count
 from operator import itemgetter
-from typing import Any, Callable, Iterator
+from typing import Any, Callable, Iterator, Mapping
 
 from repro.core.types import Key, ReducerOutOfMemoryError, Value
 from repro.memory.checkpoint import (
@@ -30,7 +37,12 @@ from repro.memory.checkpoint import (
     read_checkpoint,
     write_checkpoint,
 )
-from repro.memory.estimator import MemoryTracker, entry_size
+from repro.memory.estimator import (
+    MemoryTracker,
+    entry_size,
+    entry_sizes,
+    running_use,
+)
 
 _KEY = itemgetter(0)
 
@@ -38,7 +50,8 @@ _KEY = itemgetter(0)
 class TreeMapStore:
     """Partial-result store holding everything in memory, output in key order.
 
-    Implements :class:`repro.core.partial.PartialResultStore`.  A
+    Implements :class:`repro.core.partial.PartialResultStore`; ``get``
+    and ``contains`` are the entry dict's own bound methods.  A
     ``heap_limit_bytes`` of ``None`` disables the OOM model (tests that only
     care about semantics use that).  ``on_sample`` is an optional callback
     ``(used_bytes) -> None`` invoked after every mutation, which the
@@ -60,11 +73,10 @@ class TreeMapStore:
         self._sizes: dict[Key, int] = {}  # charged bytes, for replace accounting
         self._heap_limit = heap_limit_bytes
         self._on_sample = on_sample
+        self.get = self._entries.get
+        self.contains = self._entries.__contains__
 
     # -- PartialResultStore protocol ----------------------------------------
-
-    def get(self, key: Key, default: Value = None) -> Value:
-        return self._entries.get(key, default)
 
     def put(self, key: Key, value: Value) -> None:
         new_cost = entry_size(key, value)
@@ -79,8 +91,35 @@ class TreeMapStore:
         if self._on_sample is not None:
             self._on_sample(self._tracker.used)
 
-    def contains(self, key: Key) -> bool:
-        return key in self._entries
+    def put_many(self, entries: Mapping[Key, Value]) -> None:
+        """:meth:`put` every entry, in order, in one call.
+
+        Leaves exactly the state per-entry ``put`` would, raising
+        :class:`ReducerOutOfMemoryError` at the same entry: everything
+        before the entry that crosses the heap limit goes in with one
+        ``dict.update``, charged with C-level passes; from that entry on
+        it is ``put``.
+        """
+        keys = list(entries)
+        values = list(entries.values())
+        costs = entry_sizes(keys, values)
+        tracker = self._tracker
+        after = running_use(tracker.used, keys, costs, self._sizes)
+        fits = len(keys)
+        if self._heap_limit is not None:
+            over = map(self._heap_limit.__lt__, after)
+            fits = next(compress(count(), over), fits)
+        if fits:
+            self._entries.update(zip(keys[:fits], values[:fits]))
+            self._sizes.update(zip(keys[:fits], costs[:fits]))
+            taken = after[:fits]
+            tracker.used = taken[-1]
+            tracker.peak = max(tracker.peak, max(taken))
+            if self._on_sample is not None:
+                for used in taken:
+                    self._on_sample(used)
+        for key, value in zip(keys[fits:], values[fits:]):
+            self.put(key, value)
 
     def items(self) -> Iterator[tuple[Key, Value]]:
         return iter(self._sorted())
@@ -100,16 +139,6 @@ class TreeMapStore:
     def peak_memory(self) -> int:
         """High-water mark of the footprint estimate (Figure 5 y-axis)."""
         return self._tracker.peak
-
-    def remove(self, key: Key) -> bool:
-        """Drop a key (used by window-style reducers retiring results)."""
-        if key not in self._entries:
-            return False
-        del self._entries[key]
-        self._tracker.discharge(self._sizes.pop(key, 0))
-        if self._on_sample is not None:
-            self._on_sample(self._tracker.used)
-        return True
 
     def checkpoint(
         self, directory: str, *, meta: dict[str, Any] | None = None

@@ -7,12 +7,12 @@ accounting, spill checks, an LRU cache update).  Records arrive in wire
 batches, and inside one batch keys repeat — so, following the in-node
 combiner of Lee et al. (PAPERS.md: absorb repeats in a
 process-local hash map before touching the expensive structure),
-:class:`WriteBackStore` answers a batch's reads and writes from a plain
-dict and writes each dirty key back *once*, through the store's ordinary
-``put``, when the engine calls :meth:`~WriteBackStore.flush` at the batch
-boundary.  The store behind it is unchanged and still decides ordering,
-spilling and the heap model; it just sees one operation per distinct
-key per batch.
+:class:`WriteBackStore` keeps a batch's writes in a plain dict and hands
+them to the store in *one* ``put_many`` call when the engine calls
+:meth:`~WriteBackStore.flush` at the batch boundary.  Reads look in that
+dict, then ask the store; nothing read is cached.  The store behind it
+is unchanged and still decides ordering, spilling and the heap model; it
+sees one write per distinct key per batch, and one call per batch.
 
 Application code does not change: the write-back implements the same
 :class:`~repro.core.partial.PartialResultStore` protocol and
@@ -22,7 +22,7 @@ store a barrier-less job uses.
 
 from __future__ import annotations
 
-from typing import Any, Iterator
+from typing import Any, Callable, Iterator, Mapping
 
 from repro.core.types import Key, Value
 
@@ -42,20 +42,43 @@ def innermost_store(store: Any) -> Any:
         store = inner
 
 
+def batch_writer(store: Any) -> Callable[[Mapping[Key, Value]], None]:
+    """``store.put_many``, or one ``put`` per entry for a store without it.
+
+    Raises :class:`TypeError` when ``store`` is a proxy that hides the
+    ``put_many`` of the store it wraps: per-entry writes through it
+    would spill partials a ``put_many`` holds back.
+    """
+    put_many = getattr(store, "put_many", None)
+    if put_many is not None:
+        return put_many
+    innermost = innermost_store(store)
+    if hasattr(innermost, "put_many"):
+        raise TypeError(
+            f"{type(store).__name__} hides put_many of the "
+            f"{type(innermost).__name__} it wraps"
+        )
+    put = store.put
+
+    def put_each(entries: Mapping[Key, Value]) -> None:
+        for key, value in entries.items():
+            put(key, value)
+
+    return put_each
+
+
 class WriteBackStore:
     """Dict-backed write-back over any :class:`PartialResultStore`.
 
-    Between two flushes the dict holds every key the batch has read or
-    written; entries read through from the store are *clean*, entries
-    written are *dirty*.  :meth:`flush` writes the dirty ones back in
-    first-touch order (deterministic, so spill points repeat run to run)
-    and empties the dict, so its footprint is bounded by one batch and
-    the store's own accounting (``memory_used``, ``on_sample``, the heap
-    limit) lags the reducer by at most one batch.  A store that tracks
-    what it has handed out (``check_in``, see
-    :class:`~repro.memory.spill.SpillMergeStore`) is then told the batch
-    is over, so a read that was never written back stops holding its
-    entry.
+    Between two flushes the dict holds every key the batch has written,
+    newest value, in first-write order.  :meth:`flush` hands it to the
+    store's ``put_many`` in one call (deterministic order, so spill
+    points repeat run to run) and empties it, so its footprint is
+    bounded by one batch and the store's own accounting
+    (``memory_used``, ``on_sample``, the heap limit) lags the reducer by
+    at most one batch.  A store without ``put_many`` gets one ``put``
+    per entry; one whose ``put_many`` a proxy hides is refused when the
+    write-back is built (:func:`batch_writer`).
 
     Everything that must see a consistent store — ``items``,
     ``finalize``, ``checkpoint`` — flushes first; ``len`` and
@@ -67,39 +90,27 @@ class WriteBackStore:
 
     def __init__(self, inner: Any) -> None:
         self._inner = inner
-        self._cache: dict[Key, Value] = {}
-        self._dirty: set[Key] = set()
-        self._check_in = getattr(inner, "check_in", None)
+        self._dirty: dict[Key, Value] = {}
+        self._put_many = batch_writer(inner)
         self._inner_get = inner.get
+        self._inner_contains = inner.contains
+        # The write itself is the dict's: no Python frame per ``put``.
+        self.put = self._dirty.__setitem__
 
     # -- PartialResultStore protocol ----------------------------------------
 
     def contains(self, key: Key) -> bool:
-        # A miss reads through, not ``inner.contains``: the reducer's
-        # next call is ``get`` for the same key, and one lookup in the
-        # store can serve both.
-        cache = self._cache
-        if key in cache:
-            return True
-        value = self._inner_get(key, _MISSING)
-        if value is _MISSING:
-            return False
-        cache[key] = value
-        return True
+        return key in self._dirty or self._inner_contains(key)
 
     def get(self, key: Key, default: Value = None) -> Value:
-        value = self._cache.get(key, _MISSING)
-        if value is not _MISSING:
-            return value
-        value = self._inner_get(key, _MISSING)
+        value = self._dirty.get(key, _MISSING)
         if value is _MISSING:
-            return default
-        self._cache[key] = value
+            return self._inner_get(key, default)
         return value
 
     def put(self, key: Key, value: Value) -> None:
-        self._cache[key] = value
-        self._dirty.add(key)
+        # Shadowed per instance by ``self._dirty.__setitem__``.
+        self._dirty[key] = value
 
     def items(self) -> Iterator[tuple[Key, Value]]:
         self.flush()
@@ -118,21 +129,11 @@ class WriteBackStore:
     # -- the batch boundary ---------------------------------------------------
 
     def flush(self) -> None:
-        """Write every dirty key back once and forget the batch."""
-        cache = self._cache
-        if not cache:
-            return
+        """Hand the batch's writes to the store in one call; forget them."""
         dirty = self._dirty
-        put = self._inner.put
-        for key, value in cache.items():
-            if key in dirty:
-                put(key, value)
-        # After the write-backs: a spill inside the loop above must still
-        # hold back the partials whose own write-back was yet to come.
-        if self._check_in is not None:
-            self._check_in()
-        cache.clear()
-        dirty.clear()
+        if dirty:
+            self._put_many(dirty)
+            dirty.clear()
 
     # -- snapshots ----------------------------------------------------------------
 

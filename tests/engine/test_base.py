@@ -133,7 +133,8 @@ class TestPrepareReducer:
 
 
 class _CountingProxy:
-    """A ``store_factory`` proxy in stagebench's shape: ``_inner`` + puts."""
+    """A ``store_factory`` proxy in stagebench's shape: ``_inner`` + the
+    entries written, one per ``put`` or per ``put_many`` entry."""
 
     def __init__(self, inner):
         self._inner = inner
@@ -142,6 +143,10 @@ class _CountingProxy:
     def put(self, key, value):
         self.puts += 1
         self._inner.put(key, value)
+
+    def put_many(self, entries):
+        self.puts += len(entries)
+        self._inner.put_many(entries)
 
     def __getattr__(self, name):
         return getattr(self._inner, name)

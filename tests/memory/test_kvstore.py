@@ -106,6 +106,30 @@ class TestSpilling:
         assert len(store) == 40
         store.close()
 
+    def test_lookups_do_not_scan_the_write_buffer(self):
+        """``contains`` and ``get`` answer pending entries from a dict:
+        rebuilding a set of the whole write buffer per call cost up to
+        256 KiB of entries on every miss."""
+
+        class Unscannable(list):
+            def __iter__(self):
+                raise AssertionError("lookup iterated the write buffer")
+
+            __reversed__ = __iter__
+
+        store = SpillingKVStore(cache_bytes=256, write_buffer_bytes=1 << 20)
+        for i in range(40):
+            store.put(f"k{i:02d}", i)
+        for i in range(40):  # re-evict with newer values, still unflushed
+            store.put(f"k{i:02d}", store.get(f"k{i:02d}") + 100)
+        assert store._write_buffer and not store._index  # all still pending
+        store._write_buffer = Unscannable(store._write_buffer)
+        assert store.contains("k00") and not store.contains("absent")
+        assert store.get("k00") == 100 and store.get("absent", "d") == "d"
+        store._write_buffer = list.copy(store._write_buffer)
+        assert dict(store.items()) == {f"k{i:02d}": i + 100 for i in range(40)}
+        store.close()
+
     def test_persistent_dir(self, tmp_path):
         store = SpillingKVStore(cache_bytes=256, dir_path=str(tmp_path))
         for i in range(20):

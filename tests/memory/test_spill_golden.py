@@ -6,9 +6,11 @@ hash-buffer store (red-black tree buffer, ``Record`` round trip on the
 run path) by running this file's own ``observe`` there: per reduce task
 the spill accounting and heap peak, the sha256 of every run file in the
 order it was cut, and the sha256 of a checkpoint of the merged view. The
-bytes written and the digests were re-pinned twice, when store files
-gained columnar frames and when int columns became narrow byte planes;
-spill counts, spilled entries and heap peaks were not touched. A change that spills on a different ``put``, orders a
+bytes written and the run digests were re-pinned three times, when store
+files gained columnar frames, when int columns became narrow byte planes
+and when spill runs stopped being deflated (the checkpoint digests did
+not move that time); spill counts, spilled entries and heap peaks were
+not touched. A change that spills on a different ``put``, orders a
 run differently, frames it differently or snapshots different bytes
 fails here — the way ``tests/dfs/test_wire_golden.py`` pins the frames
 themselves. Never update a constant to make a speed-up pass.
@@ -23,7 +25,9 @@ import pytest
 
 from repro.apps.demo import demo_job_and_input
 from repro.core.types import ExecutionMode
+from repro.dfs.wire import FLAG_COMPRESSED, frame_size
 from repro.engine.local import LocalEngine
+from repro.memory.checkpoint import checkpoint_path
 from repro.memory.spill import SpillMergeStore
 
 
@@ -79,10 +83,10 @@ def observe(app: str, records: int, reducers: int, threshold: int | None):
 #: The ``sort`` demo job stagebench's ``sort_spill`` runs: 20,000 records,
 #: 4 reducers, the demo's 256 KiB threshold, seed 1.
 SORT_GOLDEN: list[tuple] = [
-    (2, 4366, 9018, 262080, ("640472b69753e08d", "12db54ec11376d07"), "1e87308d7b65cea6"),
-    (2, 4365, 8983, 262080, ("c2b7db1d0a419288", "0c678f25065f419c"), "0ec70efde45220e5"),
-    (2, 4366, 9041, 262080, ("10a9695af67f8217", "7d2a51766073968a"), "c0fa6c4a1d8e6d42"),
-    (2, 4365, 9027, 262080, ("141ae77d1aa27113", "2afa51de79468b6d"), "8059f8d995ba01c0"),
+    (2, 4366, 21040, 262080, ("6e3876038aa77871", "8df4f158b5f6479b"), "1e87308d7b65cea6"),
+    (2, 4365, 22059, 262080, ("850f0743564b0256", "4ea5b55ebbbaca83"), "0ec70efde45220e5"),
+    (2, 4366, 22064, 262080, ("127c74cd9f436408", "23fa780a97a6c168"), "c0fa6c4a1d8e6d42"),
+    (2, 4365, 22059, 262080, ("b008c3a10034b7dd", "b87a1f5d6fc79c29"), "8059f8d995ba01c0"),
 ]
 
 #: ``wc`` with a 16 KiB threshold: ~500 hot keys, so the same key lands in
@@ -90,24 +94,24 @@ SORT_GOLDEN: list[tuple] = [
 #: in the middle of a write-back.
 WC_GOLDEN: list[tuple] = [
     (
-        20, 1969, 5902, 16280,
+        20, 1969, 19800, 16280,
         (
-            "6642b72982548e20", "c89110653e04ea5a", "abeecd2f68af5ab7", "394b0fe88fe9997e",
-            "756520a6814f423e", "5cbd9f90c0295bee", "9a3c8fd42044c388", "153303722d7a3239",
-            "dbf999ccad1edac1", "6a70b492db099af3", "c842c99bde154011", "6e3933c8bba6ba5f",
-            "30cff5424ced1b12", "e509199af3568bf0", "43e9962403736d47", "c2da6b607bc2535b",
-            "7153cb1ee5b97bd2", "ce3df3a290966bb2", "55047b6f63570d93", "b3d0a25869906116",
+            "fe3704e23412b7f8", "52916e7b9886f2c9", "5965fc4ab011353e", "2a67b5b217d15073",
+            "4b1f811291eced6d", "88d93b9d99823d5c", "fa2cfbee1263f17a", "3378840b5f385bec",
+            "1e65ffe7ed8407b9", "cc00998b9f5a3cba", "1fbf15b7c425b16f", "33d9986ea73284e9",
+            "14ee85d90493aae8", "706c8d879f20b8cb", "9b19af4f4bd45daa", "afc2684af7f201fa",
+            "2b37aff496fbb4fb", "107cf24c78123812", "69d4828fdee49105", "c4333030a5b0c89b",
         ),
         "c8a19548f4ad7b0b",
     ),
     (
-        20, 1900, 5709, 16280,
+        20, 1900, 17320, 16280,
         (
-            "8f31e3d542ade49e", "15142659d8112305", "b546686975424735", "5292bf8c82d579b4",
-            "5444012104402db6", "17c1f1f8cfcb1869", "378b7b4202c5f6b4", "f802c024c6c628a0",
-            "7a01769a1d609860", "30a0a8166c45cd26", "bd0610a85d482118", "cf8f22c7e89fb2f7",
-            "0c59ca6965d632b9", "c2f97585de734074", "a9c0c2d23e2949c1", "741039a1053569da",
-            "e0e273ad90b34d08", "398013269bd03547", "65be9eb781e32eb6", "2346bc416f357711",
+            "bfd39234b868b5eb", "4f84fb64fcbaa802", "c310df976ffa50d4", "fafa94d226854ea8",
+            "d70eda1c2fc7e741", "78b161106b42e61d", "51df5e1e56d30920", "eade6b99e8b2a2fa",
+            "683b1138ab05af2b", "8d63d9dc1b374d66", "91e1570dcfaa3429", "e366877433549a87",
+            "d5acbe2d25a4b07a", "d85796c4d649c0d8", "5d04871b44a2250c", "80ac6fba31069107",
+            "f6cdc84c67dde77b", "8de09325351a6f77", "37a51e8198db9d2d", "553e3f5fd1cd0bbc",
         ),
         "e84c742c74d07fb0",
     ),
@@ -132,6 +136,37 @@ def test_the_golden_jobs_do_spill():
     # A golden that never cut a run would pin nothing.
     assert sum(task[0] for task in SORT_GOLDEN) == 8
     assert all(task[0] >= 4 for task in WC_GOLDEN)
+
+
+def _frame_flags(path: str) -> list[int]:
+    with open(path, "rb") as fh:
+        data = fh.read()
+    flags, offset = [], 0
+    while offset < len(data):
+        flags.append(data[offset])
+        offset += frame_size(data, offset)
+    return flags
+
+
+@pytest.mark.parametrize(
+    "threshold, puts", [(2_000, 400), (1, 80)], ids=["spills", "compaction"]
+)
+def test_runs_are_raw_and_checkpoints_deflated(tmp_path, threshold, puts):
+    """Spill and compaction runs are read back only by the process that
+    cut them, so they are sealed raw; a checkpoint outlives the attempt
+    and keeps deflate wherever it makes a frame smaller."""
+    store = SpillMergeStore(lambda a, b: a + b, spill_threshold_bytes=threshold)
+    for i in range(puts):
+        store.put(f"word-{i:05d}", "payload " * 4)
+    assert store.spill_count >= 4
+    if threshold == 1:
+        assert store.compactions >= 1
+    run_flags = [flags for path in store._spill_paths for flags in _frame_flags(path)]
+    assert run_flags and not any(flags & FLAG_COMPRESSED for flags in run_flags)
+    store.checkpoint(str(tmp_path))
+    body = _frame_flags(checkpoint_path(str(tmp_path)))[1:-1]  # meta, trailer
+    assert body and all(flags & FLAG_COMPRESSED for flags in body)
+    store.close()
 
 
 if __name__ == "__main__":  # regenerate: run at the *parent* commit only

@@ -121,14 +121,15 @@ class WriteBackOverSpillMerge(RuleBasedStateMachine):
     @rule()
     def flush(self):
         batch = sum(
-            entry_size(key, value) for key, value in self.backed._cache.items()
+            entry_size(key, value) for key, value in self.backed._dirty.items()
         )
         self.largest_batch = max(self.largest_batch, batch)
         self.backed.flush()
         # Spill-before-insert bounds the buffer by the threshold plus what
-        # one batch checked out or wrote; nothing older may be pinned.
+        # one batch wrote; nothing older may be pinned, and no entry of
+        # the finished put_many is still held back from later spills.
         assert self.inner.memory_used() <= self.threshold + self.largest_batch
-        assert not self.inner._checked_out
+        assert not self.backed._dirty and not self.inner._pending
 
     @rule()
     def checkpoint_into_a_fresh_store(self):

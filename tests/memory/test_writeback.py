@@ -2,7 +2,8 @@
 
 The write-back must be invisible in the result — whatever store is
 behind it, wherever the batch boundaries fall — while the store itself
-sees one ``put`` per distinct key per batch, and sees it at the boundary.
+sees one write per distinct key per batch, all of them in one
+``put_many`` call at the boundary, and every read goes straight to it.
 """
 
 from __future__ import annotations
@@ -16,6 +17,7 @@ from hypothesis import strategies as st
 from repro.core.partial import PartialResultStore
 from repro.core.types import ReducerOutOfMemoryError
 from repro.memory import WriteBackStore
+from repro.memory.checkpoint import read_entry_frames
 from repro.memory.kvstore import SpillingKVStore
 from repro.memory.spill import SpillMergeStore
 from repro.memory.store import TreeMapStore
@@ -61,6 +63,11 @@ def _apply(store, ops, cut) -> None:
 def _drain(store) -> list:
     store.finalize()
     return list(store.items())
+
+
+def run_keys(path: str) -> list:
+    with open(path, "rb") as fh:
+        return [key for entries in read_entry_frames(fh) for key, _ in entries]
 
 
 def _close(store) -> None:
@@ -119,49 +126,63 @@ def test_reads_and_writes_stay_in_the_batch_until_the_boundary():
 
 
 def test_clean_reads_are_not_written_back():
-    puts = []
+    written = []
 
     class Spy(TreeMapStore):
-        def put(self, key, value):
-            puts.append(key)
-            super().put(key, value)
+        def put_many(self, entries):
+            written.append(dict(entries))
+            super().put_many(entries)
 
     inner = Spy()
     inner.put("seen", 1)
     inner.put("untouched", 1)
-    del puts[:]
     backed = WriteBackStore(inner)
     backed.get("untouched")
     for _ in range(5):
         backed.put("seen", backed.get("seen") + 1)
     backed.flush()
-    assert puts == ["seen"]
+    assert written == [{"seen": 6}]
     assert inner.get("seen") == 6
+    backed.flush()  # an empty batch makes no call
+    assert len(written) == 1
 
 
-def test_contains_reads_through_once_for_the_get_that_follows():
-    """Algorithm 2 asks ``contains`` then ``get``: one store descent."""
+class _Spy:
+    """Logs the reads that reach the store; forwards everything else."""
+
+    def __init__(self, inner, calls):
+        self._inner = inner
+        self._calls = calls
+
+    def contains(self, key):
+        self._calls.append(("contains", key))
+        return self._inner.contains(key)
+
+    def get(self, key, default=None):
+        self._calls.append(("get", key))
+        return self._inner.get(key, default)
+
+    def __getattr__(self, name):
+        if name == "_inner":
+            raise AttributeError(name)
+        return getattr(self._inner, name)
+
+
+def test_reads_go_straight_to_the_store():
+    """Algorithm 2 asks ``contains`` then ``get``: each asks the store
+    once unless the batch has written the key, and nothing is cached."""
     calls = []
-
-    class Spy(TreeMapStore):
-        def contains(self, key):
-            calls.append(("contains", key))
-            return super().contains(key)
-
-        def get(self, key, default=None):
-            calls.append(("get", key))
-            return super().get(key, default)
-
-    inner = Spy()
+    inner = TreeMapStore()
     inner.put("seen", None)  # a stored None is still present
-    backed = WriteBackStore(inner)
+    backed = WriteBackStore(_Spy(inner, calls))
     assert backed.contains("seen") and backed.get("seen", "dflt") is None
     assert not backed.contains("new") and backed.get("new", "dflt") == "dflt"
-    # Hit: one read serves both calls.  Miss: nothing to cache, so the
-    # ``get`` asks again — and ``inner.contains`` is never needed.
-    assert calls == [("get", "seen"), ("get", "new"), ("get", "new")]
+    assert calls == [
+        ("contains", "seen"), ("get", "seen"), ("contains", "new"), ("get", "new"),
+    ]
     backed.put("new", 0)
-    assert backed.contains("new") and len(calls) == 3
+    assert backed.contains("new") and backed.get("new") == 0
+    assert len(calls) == 4  # a written key is answered by the batch
     backed.flush()
     assert dict(inner.items()) == {"new": 0, "seen": None}  # clean read stayed clean
 
@@ -184,7 +205,7 @@ def test_heap_limit_and_samples_fire_at_the_write_back():
 
 
 def test_spill_in_the_middle_of_one_write_back_does_not_double_count():
-    """Regression for the checked-out rule of :class:`SpillMergeStore`.
+    """Regression for the held-back rule of :class:`SpillMergeStore`.
 
     Batch 2 reads ``hot``'s partial from the buffer, folds into it, and
     also brings enough new keys that writing *them* back spills the
@@ -198,7 +219,7 @@ def test_spill_in_the_middle_of_one_write_back_does_not_double_count():
     backed.flush()
     assert inner.num_spill_files == 0
 
-    for i in range(40):  # first touched, so written back first
+    for i in range(40):  # first written, so written back first
         backed.put(f"new-{i:02d}", 1)
     backed.put("hot", backed.get("hot") + 1)
     backed.flush()
@@ -211,11 +232,12 @@ def test_spill_in_the_middle_of_one_write_back_does_not_double_count():
 
 
 def test_reads_never_written_back_are_released_at_the_batch_boundary():
-    """Regression: ``contains`` reads through with ``get``, which checks
-    the entry out of the spill-merge store; only a ``put`` used to check
-    it back in.  120 membership tests that wrote nothing pinned 17,880 B
-    of a 20,000 B threshold for the rest of the task, and the next 2,000
-    puts cut 142 runs of ~15 entries instead of 15 runs of ~140."""
+    """Regression from the read check-out this write-back used to rely
+    on: ``contains`` read through with ``get``, which checked the entry
+    out of the spill-merge store until a ``put``.  120 membership tests
+    that wrote nothing pinned 17,880 B of a 20,000 B threshold for the
+    rest of the task, and the next 2,000 puts cut 142 runs of ~15
+    entries instead of 15 runs of ~140.  Reads now pin nothing."""
     inner = SpillMergeStore(add, spill_threshold_bytes=20_000)
     backed = WriteBackStore(inner)
     for i in range(120):
@@ -238,10 +260,10 @@ def test_reads_never_written_back_are_released_at_the_batch_boundary():
     inner.close()
 
 
-def test_check_in_waits_for_the_dirty_write_backs():
-    """The release comes *after* the write-backs: a spill in the middle
-    of a flush must still hold back a partial whose put is yet to come,
-    and a clean read in the same batch is released with the rest."""
+def test_a_spill_in_the_flush_holds_back_only_the_writes_to_come():
+    """A spill inside the flush's ``put_many`` keeps back a partial whose
+    write is yet to come (``hot``), while a clean read of the same batch
+    (``cold``) is spilled like any other entry."""
     inner = SpillMergeStore(add, spill_threshold_bytes=2_000)
     backed = WriteBackStore(inner)
     backed.put("hot", 7)
@@ -253,7 +275,10 @@ def test_check_in_waits_for_the_dirty_write_backs():
         backed.put(f"new-{i:02d}", 1)
     backed.put("hot", backed.get("hot") + 1)
     backed.flush()
-    assert inner.num_spill_files >= 1 and not inner._checked_out
+    runs = [run_keys(path) for path in inner._spill_paths]
+    assert runs and "cold" in runs[0]
+    assert not any("hot" in keys for keys in runs)
+    assert not inner._pending
     backed.finalize()
     merged = dict(backed.items())
     assert merged["hot"] == 8 and merged["cold"] == 1
@@ -284,10 +309,47 @@ def test_a_miss_caches_and_checks_out_nothing():
     assert not backed.contains("absent")
     assert backed.get("absent", "dflt") == "dflt"
     assert backed.get("absent") is None
-    assert backed._cache == {} and not inner._checked_out
-    # A hit is cached and, in the spill store, checked out until written.
-    assert backed.contains("present")
-    assert backed._cache == {"present": 1} and inner._checked_out == {"present"}
+    assert backed.contains("present") and backed.get("present") == 1
+    assert backed._dirty == {}  # reads keep nothing
+    # Nor does the store hold anything back for the read: the next cut
+    # takes the entry that was read.
+    inner.put("filler", "x" * (1 << 20))
+    assert [run_keys(path) for path in inner._spill_paths] == [["present"]]
+    inner.close()
+
+
+class _Hiding:
+    """A ``store_factory`` proxy that names only the protocol's methods."""
+
+    def __init__(self, inner):
+        self._inner = inner
+        self.get, self.put = inner.get, inner.put
+        self.contains, self.items = inner.contains, inner.items
+
+
+@pytest.mark.parametrize("kind", ["treemap", "spillmerge"])
+def test_a_proxy_hiding_put_many_is_refused(kind):
+    inner = STORE_FACTORIES[kind]()
+    try:
+        with pytest.raises(TypeError, match="hides put_many"):
+            WriteBackStore(_Hiding(inner))
+    finally:
+        _close(inner)
+
+
+def test_a_store_without_put_many_gets_a_put_per_entry():
+    puts = []
+
+    class Plain(SpillingKVStore):
+        def put(self, key, value):
+            puts.append((key, value))
+            super().put(key, value)
+
+    inner = Plain()
+    backed = WriteBackStore(_Hiding(inner))  # nothing to hide
+    backed.put("b", 1)
+    backed.put("a", 2)
+    backed.put("b", 3)
     backed.flush()
-    assert backed._cache == {} and not inner._checked_out
+    assert puts == [("b", 3), ("a", 2)]  # first-write order, newest value
     inner.close()
