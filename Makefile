@@ -44,8 +44,8 @@ codec:
 # store's pinned wc checkpoint digest (taken on the tree it replaced),
 # the put_many property (one call per batch leaves the state a put per
 # entry would, for both stores, thresholds and heap limits crossed
-# mid-batch) and the batch write-back over the spill store as a state
-# machine, as CI's store job runs them.  Run it before and after any
+# mid-batch), the batch write-back's tests and the write-back over the
+# spill store as a state machine, as CI's store job runs them.  Run it before and after any
 # change to memory/spill.py, memory/store.py, memory/writeback.py or
 # memory/checkpoint.py.
 store:

@@ -86,8 +86,8 @@ def test_writeback_spillmerge_sort_batches(benchmark):
     """The barrier-less fold's store path at `sort`'s shape: the same
     20,000 distinct keys through ``WriteBackStore(SpillMergeStore)`` at
     the 256 KiB threshold, Algorithm 2's ``contains``/``put``/``get``/
-    ``put`` per record, each 256-key batch flushed with one ``put_many``,
-    then the merge."""
+    ``put`` per record, each 256-key batch written back with one
+    ``put_many``, then the merge."""
     rng = np.random.default_rng(4)
     keys = [int(k) for k in rng.permutation(1_000_000)[:20_000]]
     batches = [keys[start : start + 256] for start in range(0, len(keys), 256)]

@@ -86,7 +86,6 @@ from repro.engine.recovery import (
 )
 from repro.engine.runtime import checkpoint_gate
 from repro.memory import WriteBackStore
-from repro.memory.writeback import batch_writer
 from repro.obs import JobObservability, LiveGauge, MetricsTicker, stage_times
 
 _SENTINEL = None
@@ -116,7 +115,6 @@ class _LockedStore:
     def __init__(self, inner, lock: threading.Lock):
         self._inner = inner
         self._lock = lock
-        self._put_many = batch_writer(inner)
 
     def get(self, key, default=None):
         with self._lock:
@@ -125,11 +123,6 @@ class _LockedStore:
     def put(self, key, value):
         with self._lock:
             self._inner.put(key, value)
-
-    def put_many(self, entries):
-        # The write-back's one call per batch: one lock acquisition.
-        with self._lock:
-            self._put_many(entries)
 
     def contains(self, key):
         with self._lock:
@@ -154,6 +147,13 @@ class _LockedStore:
     def restore(self, directory):
         with self._lock:
             return self._inner.restore(directory)
+
+    def check_in(self):
+        # Optional on a store; the write-back in front calls it per batch.
+        check_in = getattr(self._inner, "check_in", None)
+        if check_in is not None:
+            with self._lock:
+                check_in()
 
     def __len__(self):
         with self._lock:

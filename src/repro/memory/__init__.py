@@ -13,8 +13,9 @@ implementations:
 
 :class:`WriteBackStore` is not a fourth technique but what the engines
 put in front of any of the three in barrier-less mode: a dict that
-absorbs one wire batch's writes and hands them to the store in one
-``put_many`` call at the batch boundary.
+absorbs one wire batch's writes and writes each key back once at the
+batch boundary, in one ``put_many`` call where the store's class has
+one.
 
 All three stores support atomic, CRC-verified ``checkpoint``/``restore``
 (:mod:`repro.memory.checkpoint`) so a restarted reduce attempt can resume

@@ -68,7 +68,8 @@ _END_KEY = "__repro_checkpoint_end__"
 #: and periodic cuts identically (same progress map, same CRC story).
 PREEMPT_META_KEY = "preempted"
 
-#: Default framing for store files (checkpoints, spills, kvstore logs).
+#: Default framing for store files (checkpoints, kvstore logs); spill
+#: runs are sealed raw (:data:`repro.memory.spill._RUN_WIRE`).
 STORE_WIRE = WireConfig()
 
 

@@ -11,9 +11,9 @@ entries and in value payload so thresholds behave like the paper's.
 from __future__ import annotations
 
 import sys
-from itertools import accumulate, repeat
+from itertools import accumulate, compress, count, repeat
 from operator import add, sub
-from typing import Any, Iterator, Sequence
+from typing import Any, Callable, Iterator, Sequence
 
 #: Fixed per-entry overhead charged by stores, approximating a TreeMap.Entry
 #: (object header, three references, color bit, alignment) on a 64-bit JVM.
@@ -67,7 +67,10 @@ def entry_size(key: Any, value: Any) -> int:
     Always ``ENTRY_OVERHEAD_BYTES + deep_size(key) + deep_size(value)``;
     flat scalars — nearly every key and most aggregation partials — take
     a shortcut to the same number, so spill points do not move.
-    :func:`entry_sizes` is the same charge for a whole batch.
+    :meth:`SpillMergeStore.put <repro.memory.spill.SpillMergeStore.put>`
+    writes this expression out in line; ``tests/memory/test_spill.py``
+    pins the two to each other.  :func:`entry_sizes` is the same charge
+    for a whole batch.
     """
     getsizeof = sys.getsizeof
     return (
@@ -82,9 +85,11 @@ def _flat_sizes(items: Sequence[Any]) -> Iterator[int] | None:
     :data:`FLAT_TYPES` type, else ``None``.
 
     None of those types is tracked by the garbage collector, so
-    ``getsizeof`` adds no header and equals ``type(item).__sizeof__``;
-    calling that slot directly skips ``getsizeof``'s method lookup,
-    about a sixth of the cost when a column has one type.
+    ``getsizeof`` adds no header and equals ``type(item).__sizeof__``.
+    A column of one type — every key of a ``sort`` or ``wc`` batch —
+    calls that slot directly, which skips ``getsizeof``'s special-method
+    lookup, about two thirds of the sizing cost of such a column
+    (EXPERIMENTS.md "Issue 43").
     """
     kinds = set(map(type, items))
     if not kinds <= FLAT_TYPES:
@@ -98,7 +103,7 @@ def entry_sizes(keys: Sequence[Any], values: Sequence[Any]) -> list[int]:
     """:func:`entry_size` of each ``(keys[i], values[i])``.
 
     When every key and value is of a :data:`FLAT_TYPES` type — a batch
-    of ``sort`` or ``wc`` partials — the sizes come from C-level passes
+    of ``sort`` or ``wc`` partials — the sizes come from C-level passes,
     with no Python frame per entry.
     """
     key_sizes = _flat_sizes(keys)
@@ -108,22 +113,6 @@ def entry_sizes(keys: Sequence[Any], values: Sequence[Any]) -> list[int]:
     return list(
         map(ENTRY_OVERHEAD_BYTES.__add__, map(add, key_sizes, value_sizes))
     )
-
-
-def running_use(
-    used: int, keys: Sequence[Any], costs: Sequence[int], sizes: dict
-) -> list[int]:
-    """The footprint after each entry of a batch written in key order.
-
-    ``used`` is the footprint before the batch and ``sizes`` what each
-    key is charged now (keys must be distinct); entry ``i`` replaces
-    ``sizes.get(keys[i], 0)`` with ``costs[i]``.  C-level passes only.
-    """
-    after = list(
-        accumulate(map(sub, costs, map(sizes.get, keys, repeat(0))), initial=used)
-    )
-    del after[0]
-    return after
 
 
 class MemoryTracker:
@@ -151,3 +140,44 @@ class MemoryTracker:
     def reset(self) -> None:
         """Zero the running total (peak is preserved)."""
         self.used = 0
+
+    def admit(
+        self,
+        entries: dict,
+        sizes: dict,
+        keys: Sequence[Any],
+        values: Sequence[Any],
+        costs: Sequence[int],
+        crosses: Callable[[int], bool] | None = None,
+        on_sample: Callable[[int], None] | None = None,
+    ) -> int:
+        """Write the longest prefix of a batch that stays clear of a limit.
+
+        Entry ``i`` (``keys`` distinct) goes into ``entries`` charged
+        ``costs[i]``, replacing the ``sizes`` charge of its key, exactly
+        as a store's ``put`` charges it; the batch stops before the first
+        entry whose footprint after writing satisfies ``crosses``, which
+        is left to the caller with everything after it.  Returns how many
+        entries were written.  One ``dict.update`` per map and C-level
+        passes, no Python frame per entry; ``on_sample`` sees the
+        footprint after each entry written.
+        """
+        after = list(
+            accumulate(
+                map(sub, costs, map(sizes.get, keys, repeat(0))), initial=self.used
+            )
+        )
+        del after[0]
+        fits = len(after)
+        if crosses is not None:
+            fits = next(compress(count(), map(crosses, after)), fits)
+        if fits:
+            entries.update(zip(keys[:fits], values[:fits]))
+            sizes.update(zip(keys[:fits], costs[:fits]))
+            taken = after[:fits]
+            self.used = taken[-1]
+            self.peak = max(self.peak, max(taken))
+            if on_sample is not None:
+                for used in taken:
+                    on_sample(used)
+        return fits

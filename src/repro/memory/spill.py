@@ -16,9 +16,8 @@ not depend on how the buffer is organised in between.
 The engines write a batch back with :meth:`~SpillMergeStore.put_many`,
 one call that charges the whole batch in C-level passes and takes in the
 entries below the threshold with one ``dict.update``; the entry that
-crosses it spills as a per-entry ``put`` would, holding back the entries
-of the call still to be written, so spill points do not depend on how
-the writes were grouped.
+crosses it spills through ``put``, as a ``put`` per entry would, so
+spill points do not depend on how the writes were grouped.
 
 Spill files are real files in the :mod:`repro.dfs.wire` framed format
 (varint batch headers, CRC32 trailer per frame), so a truncated or
@@ -39,8 +38,9 @@ from __future__ import annotations
 import os
 import tempfile
 from bisect import bisect_right
-from itertools import compress, count, islice
+from itertools import islice
 from operator import eq, itemgetter
+from sys import getsizeof
 from typing import Any, Callable, Iterable, Iterator, Mapping
 
 from repro.core.partial import MergeFunction
@@ -54,10 +54,11 @@ from repro.memory.checkpoint import (
 )
 from repro.dfs.wire import WireConfig, write_batch
 from repro.memory.estimator import (
+    ENTRY_OVERHEAD_BYTES,
+    FLAT_TYPES,
     MemoryTracker,
-    entry_size,
+    deep_size,
     entry_sizes,
-    running_use,
 )
 
 #: Most sorted runs a store keeps, and so the most files one merge opens.
@@ -68,6 +69,7 @@ MERGE_FAN_IN = 64
 #: Framing of spill and compaction runs: store framing, never deflated.
 _RUN_WIRE = WireConfig(compress=False)
 
+_MISSING = object()
 _KEY = itemgetter(0)
 
 
@@ -88,26 +90,32 @@ class SpillMergeStore:
     """Partial-result store with threshold-triggered spills and k-way merge.
 
     Implements :class:`repro.core.partial.PartialResultStore`.  Lookups
-    (``get``/``contains``, the buffer dict's own bound methods) see only
-    the in-memory buffer — a key whose
-    partial result was spilled starts a fresh partial, and the merge phase
-    reconciles the pieces.  That is exactly the paper's design: "partial
-    results for a single key may be spilled onto multiple different spill
-    files", requiring the merge function to be commutative/associative.
+    (``get``, and ``contains``, the buffer dict's own bound
+    ``__contains__``, set per instance) see only the in-memory buffer — a
+    key whose partial result was spilled starts a fresh partial, and the
+    merge phase reconciles the pieces.  That is exactly the paper's
+    design: "partial results for a single key may be spilled onto
+    multiple different spill files", requiring the merge function to be
+    commutative/associative.
 
     Keys must be hashable and mutually comparable.  The buffer never
     compares them, so keys that cannot be ordered (``1`` and ``"a"``)
     raise ``TypeError`` where order is first needed — the spill, snapshot
     or merge that sorts them — not at the ``put`` that brought them in.
 
-    A spill inside :meth:`put_many` holds back, in the buffer, the
-    entries of that call not yet written: each is about to be replaced
-    by a value folded from the one buffered, so spilling the old value
+    A partial that ``get`` has handed out is *checked out* until the
+    key's next ``put`` or the next :meth:`check_in`: the caller is about
+    to fold into it and write the result back, so spilling it meanwhile
     would put the same folds on disk and in the buffer, and the merge
-    would count them twice.  Nothing a read hands out is tracked: a
-    :class:`~repro.memory.writeback.WriteBackStore` writes everything it
-    folded in one ``put_many``, so that call's pending entries are
-    exactly the partials still in flight.
+    would count them twice.  A spill therefore holds checked-out entries
+    back in the buffer.  With record-at-a-time use the window is empty
+    (``put`` follows ``get``); behind a
+    :class:`~repro.memory.writeback.WriteBackStore` it spans a batch,
+    another key's write-back can spill inside it — in its ``put`` or in
+    the ``put`` a :meth:`put_many` makes for the entry that crosses the
+    threshold — and the write-back checks in at the batch boundary what
+    it read and never wrote.  The rule lives in ``get``, so it holds
+    through any proxy that forwards ``get``.
 
     ``on_sample`` receives the footprint estimate after every mutation so
     heap traces (Figure 5(b)) can be collected.
@@ -127,11 +135,9 @@ class SpillMergeStore:
         self._buffer: dict[Key, Value] = {}
         self._tracker = MemoryTracker()
         self._sizes: dict[Key, int] = {}
-        self.get = self._buffer.get
+        #: Keys read since they were last written (see the class docstring).
+        self._checked_out: set[Key] = set()
         self.contains = self._buffer.__contains__
-        #: Keys of the running ``put_many`` still to be written (see the
-        #: class docstring); a spill holds them back.
-        self._pending: list[Key] = []
         #: Sorted runs on disk, oldest first.
         self._spill_paths: list[str] = []
         self._runs_cut = 0
@@ -155,10 +161,28 @@ class SpillMergeStore:
 
     # -- PartialResultStore protocol ----------------------------------------
 
+    def get(self, key: Key, default: Value = None) -> Value:
+        value = self._buffer.get(key, _MISSING)
+        if value is _MISSING:
+            return default
+        self._checked_out.add(key)
+        return value
+
     def put(self, key: Key, value: Value) -> None:
         if self._finalized:
             raise RuntimeError("store already finalized")
-        new_cost = entry_size(key, value)
+        self._checked_out.discard(key)
+        # ``entry_size(key, value)`` written out, one call fewer per
+        # write-back; ``tests/memory/test_spill.py`` pins the two together.
+        new_cost = (
+            ENTRY_OVERHEAD_BYTES
+            + (getsizeof(key) if type(key) in FLAT_TYPES else deep_size(key))
+            + (
+                getsizeof(value)
+                if type(value) in FLAT_TYPES
+                else deep_size(value)
+            )
+        )
         sizes = self._sizes
         old_cost = sizes.get(key, 0)
         tracker = self._tracker
@@ -190,42 +214,31 @@ class SpillMergeStore:
     def put_many(self, entries: Mapping[Key, Value]) -> None:
         """:meth:`put` every entry, in order, in one call.
 
-        Leaves exactly the state per-entry ``put`` would — spill points,
-        ``on_sample`` values, peak — but pays per batch: the sizes and
-        the running footprint are C-level passes, and each run of
-        entries that stays below the threshold goes in with one
-        ``dict.update``.  The entry whose write crosses it goes through
-        ``put``, whose spill holds back the entries after it.
+        Leaves exactly the state a ``put`` per entry would — spill
+        points, ``on_sample`` values, peak, check-outs — but pays per
+        batch: the entries that stay below the threshold go in with one
+        ``dict.update``, charged in C-level passes
+        (:meth:`~repro.memory.estimator.MemoryTracker.admit`); the entry
+        whose write crosses it goes through ``put`` and spills there.
         """
         if self._finalized:
             raise RuntimeError("store already finalized")
         keys = list(entries)
         values = list(entries.values())
         costs = entry_sizes(keys, values)
-        buffer, sizes, tracker = self._buffer, self._sizes, self._tracker
-        crosses = self._threshold.__le__
-        start, end = 0, len(keys)
-        while start < end:
-            after = running_use(tracker.used, keys[start:], costs[start:], sizes)
-            cross = next(compress(count(start), map(crosses, after)), end)
-            if cross > start:
-                span = slice(start, cross)
-                buffer.update(zip(keys[span], values[span]))
-                sizes.update(zip(keys[span], costs[span]))
-                taken = after[: cross - start]
-                tracker.used = taken[-1]
-                tracker.peak = max(tracker.peak, max(taken))
-                if self._on_sample is not None:
-                    for used in taken:
-                        self._on_sample(used)
-            if cross == end:
-                return
-            self._pending = keys[cross + 1 :]
-            try:
-                self.put(keys[cross], values[cross])
-            finally:
-                self._pending = []
-            start = cross + 1
+        admit, crosses = self._tracker.admit, self._threshold.__le__
+        start = 0
+        while start < len(keys):
+            fits = admit(
+                self._buffer, self._sizes, keys[start:], values[start:],
+                costs[start:], crosses, self._on_sample,
+            )
+            if self._checked_out:
+                self._checked_out.difference_update(keys[start : start + fits])
+            start += fits
+            if start < len(keys):
+                self.put(keys[start], values[start])
+                start += 1
 
     def items(self) -> Iterator[tuple[Key, Value]]:
         """Merged (key, partial) stream in ascending key order.
@@ -251,6 +264,16 @@ class SpillMergeStore:
         return len(self._buffer) + self.spilled_entries
 
     # -- extras -------------------------------------------------------------------
+
+    def check_in(self) -> None:
+        """Every partial handed out has been written back or let go.
+
+        A reader that decided not to write (a membership test, a fold
+        that changed nothing) calls this when its batch ends; a check-out
+        that outlived the batch would keep the entry out of every later
+        spill and shrink the buffer by its size for good.
+        """
+        self._checked_out.clear()
 
     @property
     def peak_memory(self) -> int:
@@ -310,10 +333,10 @@ class SpillMergeStore:
         """
         if len(self._spill_paths) >= MERGE_FAN_IN:
             self._compact()
-        added, written = _write_run(path, entries)
+        count, written = _write_run(path, entries)
         self._spill_paths.append(path)
         self._runs_cut += 1
-        self.spilled_entries += added
+        self.spilled_entries += count
         return written
 
     def _compact(self) -> None:
@@ -334,28 +357,25 @@ class SpillMergeStore:
     def _spill(self) -> None:
         """Sort the buffer and drain it to a new spill file.
 
-        The pending entries of a running :meth:`put_many` stay behind,
-        still charged.
+        Checked-out entries stay behind, still charged.
         """
         buffer = self._buffer
         if not buffer:
             return
-        sizes = self._sizes
         held = [
-            (key, buffer.pop(key), sizes[key])
-            for key in self._pending
-            if key in buffer
+            (key, buffer.pop(key), self._sizes[key])
+            for key in self._checked_out
         ]
         if buffer:
             path = os.path.join(self._dir, f"spill-{self.spill_count:05d}.wire")
             self.spill_bytes_written += self._add_run(path, self._sorted_buffer())
             self.spill_count += 1
             buffer.clear()
-        sizes.clear()
+        self._sizes.clear()
         self._tracker.reset()
         for key, value, cost in held:
             buffer[key] = value
-            sizes[key] = cost
+            self._sizes[key] = cost
             self._tracker.charge(cost)
         if self._on_sample is not None:
             self._on_sample(self._tracker.used)
@@ -441,10 +461,10 @@ def _write_run(
     path: str, entries: Iterable[tuple[Key, Value]]
 ) -> tuple[int, int]:
     """Write sorted entries as raw wire frames; returns (entries, bytes)."""
-    entries_written = 0
+    count = 0
     written = 0
     with open(path, "wb") as fh:
         for batch in encode_entry_frames(entries, _RUN_WIRE):
             written += write_batch(fh, batch)
-            entries_written += batch.count
-    return entries_written, written
+            count += batch.count
+    return count, written

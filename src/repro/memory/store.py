@@ -27,7 +27,6 @@ where a ``put`` per entry would.
 
 from __future__ import annotations
 
-from itertools import compress, count
 from operator import itemgetter
 from typing import Any, Callable, Iterator, Mapping
 
@@ -37,12 +36,7 @@ from repro.memory.checkpoint import (
     read_checkpoint,
     write_checkpoint,
 )
-from repro.memory.estimator import (
-    MemoryTracker,
-    entry_size,
-    entry_sizes,
-    running_use,
-)
+from repro.memory.estimator import MemoryTracker, entry_size, entry_sizes
 
 _KEY = itemgetter(0)
 
@@ -51,7 +45,8 @@ class TreeMapStore:
     """Partial-result store holding everything in memory, output in key order.
 
     Implements :class:`repro.core.partial.PartialResultStore`; ``get``
-    and ``contains`` are the entry dict's own bound methods.  A
+    and ``contains`` are the entry dict's own bound methods, set per
+    instance (a subclass that wraps them does so in ``__init__``).  A
     ``heap_limit_bytes`` of ``None`` disables the OOM model (tests that only
     care about semantics use that).  ``on_sample`` is an optional callback
     ``(used_bytes) -> None`` invoked after every mutation, which the
@@ -94,30 +89,18 @@ class TreeMapStore:
     def put_many(self, entries: Mapping[Key, Value]) -> None:
         """:meth:`put` every entry, in order, in one call.
 
-        Leaves exactly the state per-entry ``put`` would, raising
-        :class:`ReducerOutOfMemoryError` at the same entry: everything
-        before the entry that crosses the heap limit goes in with one
-        ``dict.update``, charged with C-level passes; from that entry on
-        it is ``put``.
+        Leaves exactly the state a ``put`` per entry would, raising
+        :class:`ReducerOutOfMemoryError` at the same entry: the entries
+        below the heap limit go in with one ``dict.update``, charged in
+        C-level passes; from the entry that crosses it on, it is ``put``.
         """
         keys = list(entries)
         values = list(entries.values())
-        costs = entry_sizes(keys, values)
-        tracker = self._tracker
-        after = running_use(tracker.used, keys, costs, self._sizes)
-        fits = len(keys)
-        if self._heap_limit is not None:
-            over = map(self._heap_limit.__lt__, after)
-            fits = next(compress(count(), over), fits)
-        if fits:
-            self._entries.update(zip(keys[:fits], values[:fits]))
-            self._sizes.update(zip(keys[:fits], costs[:fits]))
-            taken = after[:fits]
-            tracker.used = taken[-1]
-            tracker.peak = max(tracker.peak, max(taken))
-            if self._on_sample is not None:
-                for used in taken:
-                    self._on_sample(used)
+        limit = self._heap_limit
+        fits = self._tracker.admit(
+            self._entries, self._sizes, keys, values, entry_sizes(keys, values),
+            None if limit is None else limit.__lt__, self._on_sample,
+        )
         for key, value in zip(keys[fits:], values[fits:]):
             self.put(key, value)
 

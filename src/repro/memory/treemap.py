@@ -208,7 +208,7 @@ class TreeMap:
 
     # -- invariant checking (used by property tests) -------------------------
 
-    def assert_invariants(self) -> None:
+    def check_invariants(self) -> None:
         """Assert the red-black invariants; raises AssertionError on breach.
 
         1. The root is black.

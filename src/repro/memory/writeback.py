@@ -7,12 +7,14 @@ accounting, spill checks, an LRU cache update).  Records arrive in wire
 batches, and inside one batch keys repeat — so, following the in-node
 combiner of Lee et al. (PAPERS.md: absorb repeats in a
 process-local hash map before touching the expensive structure),
-:class:`WriteBackStore` keeps a batch's writes in a plain dict and hands
-them to the store in *one* ``put_many`` call when the engine calls
-:meth:`~WriteBackStore.flush` at the batch boundary.  Reads look in that
-dict, then ask the store; nothing read is cached.  The store behind it
-is unchanged and still decides ordering, spilling and the heap model; it
-sees one write per distinct key per batch, and one call per batch.
+:class:`WriteBackStore` keeps a batch's writes in a plain dict and writes
+each key back *once* when the engine calls
+:meth:`~WriteBackStore.flush` at the batch boundary — in one
+``put_many`` call to a store whose class has one, which leaves exactly
+what a ``put`` per key would, and otherwise through ``put``.  Reads look
+in that dict, then ask the store; nothing read is cached.  The store
+behind it is unchanged and still decides ordering, spilling and the heap
+model; it just sees one write per distinct key per batch.
 
 Application code does not change: the write-back implements the same
 :class:`~repro.core.partial.PartialResultStore` protocol and
@@ -22,7 +24,7 @@ store a barrier-less job uses.
 
 from __future__ import annotations
 
-from typing import Any, Callable, Iterator, Mapping
+from typing import Any, Iterator
 
 from repro.core.types import Key, Value
 
@@ -42,43 +44,23 @@ def innermost_store(store: Any) -> Any:
         store = inner
 
 
-def batch_writer(store: Any) -> Callable[[Mapping[Key, Value]], None]:
-    """``store.put_many``, or one ``put`` per entry for a store without it.
-
-    Raises :class:`TypeError` when ``store`` is a proxy that hides the
-    ``put_many`` of the store it wraps: per-entry writes through it
-    would spill partials a ``put_many`` holds back.
-    """
-    put_many = getattr(store, "put_many", None)
-    if put_many is not None:
-        return put_many
-    innermost = innermost_store(store)
-    if hasattr(innermost, "put_many"):
-        raise TypeError(
-            f"{type(store).__name__} hides put_many of the "
-            f"{type(innermost).__name__} it wraps"
-        )
-    put = store.put
-
-    def put_each(entries: Mapping[Key, Value]) -> None:
-        for key, value in entries.items():
-            put(key, value)
-
-    return put_each
-
-
 class WriteBackStore:
     """Dict-backed write-back over any :class:`PartialResultStore`.
 
     Between two flushes the dict holds every key the batch has written,
-    newest value, in first-write order.  :meth:`flush` hands it to the
-    store's ``put_many`` in one call (deterministic order, so spill
-    points repeat run to run) and empties it, so its footprint is
-    bounded by one batch and the store's own accounting
-    (``memory_used``, ``on_sample``, the heap limit) lags the reducer by
-    at most one batch.  A store without ``put_many`` gets one ``put``
-    per entry; one whose ``put_many`` a proxy hides is refused when the
-    write-back is built (:func:`batch_writer`).
+    newest value, in first-write order; ``put`` is that dict's own
+    ``__setitem__``.  :meth:`flush` writes the entries back in that order
+    (deterministic, so spill points repeat run to run) — with the
+    store's ``put_many`` when its class defines one, so a proxy that
+    forwards everything through ``__getattr__`` still sees every write
+    as a ``put`` — and empties the dict, so its footprint is bounded by
+    one batch and the store's own accounting (``memory_used``,
+    ``on_sample``, the heap limit) lags the reducer by at most one
+    batch.  A store that
+    tracks what it has handed out (``check_in``, see
+    :class:`~repro.memory.spill.SpillMergeStore`) is then told the batch
+    is over, so a read that was never written back stops holding its
+    entry.
 
     Everything that must see a consistent store — ``items``,
     ``finalize``, ``checkpoint`` — flushes first; ``len`` and
@@ -91,11 +73,16 @@ class WriteBackStore:
     def __init__(self, inner: Any) -> None:
         self._inner = inner
         self._dirty: dict[Key, Value] = {}
-        self._put_many = batch_writer(inner)
+        self._check_in = getattr(inner, "check_in", None)
         self._inner_get = inner.get
         self._inner_contains = inner.contains
-        # The write itself is the dict's: no Python frame per ``put``.
         self.put = self._dirty.__setitem__
+        # Only a store whose class writes a batch in one call is handed
+        # the batch; anything else, such as a proxy that times or counts
+        # ``put``, sees one ``put`` per key.
+        self._put_many = (
+            inner.put_many if hasattr(type(inner), "put_many") else None
+        )
 
     # -- PartialResultStore protocol ----------------------------------------
 
@@ -107,10 +94,6 @@ class WriteBackStore:
         if value is _MISSING:
             return self._inner_get(key, default)
         return value
-
-    def put(self, key: Key, value: Value) -> None:
-        # Shadowed per instance by ``self._dirty.__setitem__``.
-        self._dirty[key] = value
 
     def items(self) -> Iterator[tuple[Key, Value]]:
         self.flush()
@@ -129,11 +112,20 @@ class WriteBackStore:
     # -- the batch boundary ---------------------------------------------------
 
     def flush(self) -> None:
-        """Hand the batch's writes to the store in one call; forget them."""
+        """Write every key the batch wrote back once and forget the batch."""
         dirty = self._dirty
         if dirty:
-            self._put_many(dirty)
+            if self._put_many is not None:
+                self._put_many(dirty)
+            else:
+                put = self._inner.put
+                for key, value in dirty.items():
+                    put(key, value)
             dirty.clear()
+        # After the write-backs: a spill inside them must still hold back
+        # the partials whose own write-back was yet to come.
+        if self._check_in is not None:
+            self._check_in()
 
     # -- snapshots ----------------------------------------------------------------
 

@@ -133,8 +133,7 @@ class TestPrepareReducer:
 
 
 class _CountingProxy:
-    """A ``store_factory`` proxy in stagebench's shape: ``_inner`` + the
-    entries written, one per ``put`` or per ``put_many`` entry."""
+    """A ``store_factory`` proxy in stagebench's shape: ``_inner`` + puts."""
 
     def __init__(self, inner):
         self._inner = inner
@@ -143,10 +142,6 @@ class _CountingProxy:
     def put(self, key, value):
         self.puts += 1
         self._inner.put(key, value)
-
-    def put_many(self, entries):
-        self.puts += len(entries)
-        self._inner.put_many(entries)
 
     def __getattr__(self, name):
         return getattr(self._inner, name)

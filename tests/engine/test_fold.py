@@ -363,8 +363,7 @@ WIRE = WireConfig(max_batch_records=BATCH)
 
 
 class CountingStore:
-    """Counts the writes that reach the real store, one per ``put`` or
-    per ``put_many`` entry; notes its size at the end."""
+    """Counts the puts that reach the real store; notes its size at the end."""
 
     def __init__(self, inner) -> None:
         self._inner = inner
@@ -374,15 +373,6 @@ class CountingStore:
     def put(self, key, value) -> None:
         self.puts += 1
         self._inner.put(key, value)
-
-    def put_many(self, entries) -> None:
-        self.puts += len(entries)
-        put_many = getattr(self._inner, "put_many", None)
-        if put_many is None:  # the kvstore: one put per entry
-            for key, value in entries.items():
-                self._inner.put(key, value)
-        else:
-            put_many(entries)
 
     def finalize(self) -> None:
         self._inner.finalize()

@@ -1,14 +1,13 @@
 """``put_many`` is ``put`` per entry, in order, paid per batch.
 
-The batch write-back hands each flush to the store in one ``put_many``.
-Whatever a store does inside it — a C-level charge of the batch, one
-``dict.update`` for the entries below the spill threshold or heap limit,
-per-entry ``put`` from the entry that crosses it — it must leave exactly
-the state the per-entry calls would: items, footprint, peak, every
-``on_sample`` value, spill points, spilled entries, run bytes, and the
-entry at which the heap limit raises.  For the spill store "the
-per-entry calls" include its one batch rule: a spill holds back the
-entries of the batch not yet written.
+The batch write-back hands each flush to a store whose class has
+``put_many`` in one call.  Whatever a store does inside it — a C-level
+charge of the batch, one ``dict.update`` for the entries below the spill
+threshold or heap limit, ``put`` for the entry that crosses it — it must
+leave exactly the state the per-entry calls would: items, footprint,
+peak, every ``on_sample`` value, spill points, spilled entries, run
+bytes, what stays checked out, and the entry at which the heap limit
+raises.
 """
 
 from __future__ import annotations
@@ -35,31 +34,25 @@ _values = st.one_of(
     st.text(max_size=60),
     st.tuples(st.integers(0, 9), st.text(max_size=8)),
 )
-_batches = st.lists(st.dictionaries(_keys, _values, max_size=30), max_size=8)
-
-
-def _put_each(store, batch) -> None:
-    """The reference: ``put`` per entry, in order.  A spill holds back
-    the entries of the batch still to be written — each replaces a
-    partial it was folded from — so the spill store is told which those
-    are before each ``put``."""
-    keys = list(batch)
-    for index, key in enumerate(keys):
-        if isinstance(store, SpillMergeStore):
-            store._pending = keys[index + 1 :]
-        store.put(key, batch[key])
-    if isinstance(store, SpillMergeStore):
-        store._pending = []
+#: Each batch: the keys read (checked out, in the spill store) before
+#: it is written, then the batch itself.
+_batches = st.lists(
+    st.tuples(st.lists(_keys, max_size=6), st.dictionaries(_keys, _values, max_size=30)),
+    max_size=8,
+)
 
 
 def _apply(store, batches, batched: bool):
     """Feed ``batches`` one way; the OOM raised, if any, ends the feed."""
     try:
-        for batch in batches:
+        for reads, batch in batches:
+            for key in reads:
+                store.get(key)
             if batched:
                 store.put_many(batch)
             else:
-                _put_each(store, batch)
+                for key, value in batch.items():
+                    store.put(key, value)
     except ReducerOutOfMemoryError as exc:
         return (exc.used_bytes, exc.limit_bytes)
     return None
@@ -101,8 +94,8 @@ def test_spill_merge_put_many_equals_put_per_entry(batches, threshold):
                 store.compactions,
                 _runs(store),
                 sorted(store._buffer.items()),
+                sorted(store._checked_out),
             )
-            assert not store._pending
             store.finalize()
             seen[batched] += (list(store.items()),)
         assert seen[True] == seen[False]
@@ -145,6 +138,21 @@ def test_a_heap_limit_crossed_mid_batch_raises_at_that_entry():
     # ``put`` inserts before it checks; none after it.
     assert 0 < len(samples) < len(store) < len(batch)
     assert store.memory_used() > 1_000 >= max(samples)
+
+
+def test_a_spill_inside_put_many_holds_back_what_was_read():
+    """The crossing entry spills through ``put``, which keeps a read
+    partial whose write is still to come in the buffer: spilling it
+    would put its folds on disk and in the new value."""
+    store = SpillMergeStore(lambda a, b: a + b, spill_threshold_bytes=1_000)
+    store.put("k", 5)
+    store.put("bystander", 1)
+    store.put_many({"filler": "x" * 2_000, "k": store.get("k") + 1})
+    assert store.num_spill_files == 2 and not store._checked_out
+    store.finalize()
+    merged = dict(store.items())
+    assert merged["k"] == 6 and merged["bystander"] == 1
+    store.close()
 
 
 class _Fat(str):

@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 
 from repro.dfs.wire import WireConfig
 from repro.memory import checkpoint
-from repro.memory.checkpoint import read_checkpoint, read_entry_frames
+from repro.memory.checkpoint import read_checkpoint
 from repro.memory.estimator import entry_size
 from repro.memory.spill import MERGE_FAN_IN, SpillMergeStore
 from repro.memory.store import TreeMapStore
@@ -23,11 +23,6 @@ from tests.fdutil import open_fd_count
 
 def add(a, b):
     return a + b
-
-
-def run_keys(path: str) -> list:
-    with open(path, "rb") as fh:
-        return [key for entries in read_entry_frames(fh) for key, _ in entries]
 
 
 class TestBasics:
@@ -177,19 +172,19 @@ class TestReplacementDuringSpill:
         assert merged["big"] == total + 1_000_000
         store.close()
 
-    def test_pending_entries_are_held_back_from_a_spill(self):
-        # put_many writes in order; when one entry's write spills the
-        # buffer, the entries still to come stay behind: each is about to
-        # be replaced by a value folded from the buffered one, so spilling
-        # it would make the merge add it twice.
+    def test_checked_out_partial_is_held_back_from_a_spill(self):
+        # get() hands a partial out; until that key's put() lands, another
+        # key's put may spill the buffer.  The handed-out entry must stay
+        # behind (it is about to be replaced), or the merge adds it twice.
         store = SpillMergeStore(add, spill_threshold_bytes=1_000)
         store.put("k", 5)
         store.put("bystander", 1)
-        store.put_many({"filler": "x" * 2_000, "k": store.get("k") + 1})
-        assert store.num_spill_files == 2
-        first, second = (run_keys(path) for path in store._spill_paths)
-        assert first == ["bystander"] and second == ["filler"]
-        assert store.get("k") == 6
+        partial = store.get("k")
+        store.put("filler", "x" * 2_000)  # spills everything it may
+        assert store.num_spill_files == 1
+        assert store.contains("k") and not store.contains("bystander")
+        assert store.memory_used() > 0  # the held entry is still charged
+        store.put("k", partial + 1)
         store.finalize()
         merged = dict(store.items())
         assert merged["k"] == 6 and merged["bystander"] == 1
@@ -376,7 +371,7 @@ class TestBoundedMergeFanIn:
 
 
 class TestPutAccounting:
-    """``put`` and ``put_many`` charge exactly :func:`entry_size`."""
+    """``put`` writes :func:`entry_size` out in line; the two must agree."""
 
     @pytest.mark.parametrize(
         "key, value",
@@ -394,7 +389,7 @@ class TestPutAccounting:
     )
     def test_charge_is_entry_size(self, key, value):
         store = SpillMergeStore(add, spill_threshold_bytes=1 << 20)
-        store.put_many({key: value})
+        store.put(key, value)
         assert store._sizes[key] == store.memory_used() == entry_size(key, value)
         store.put(key, 0)  # a replacement charges the difference
         assert store.memory_used() == entry_size(key, 0)

@@ -120,16 +120,17 @@ class WriteBackOverSpillMerge(RuleBasedStateMachine):
 
     @rule()
     def flush(self):
+        # What the batch wrote, plus what it read: a read entry is
+        # checked out, so a spill inside the flush holds it back.
         batch = sum(
             entry_size(key, value) for key, value in self.backed._dirty.items()
-        )
+        ) + sum(self.inner._sizes.get(key, 0) for key in self.inner._checked_out)
         self.largest_batch = max(self.largest_batch, batch)
         self.backed.flush()
         # Spill-before-insert bounds the buffer by the threshold plus what
-        # one batch wrote; nothing older may be pinned, and no entry of
-        # the finished put_many is still held back from later spills.
+        # one batch read or wrote; nothing older may be pinned.
         assert self.inner.memory_used() <= self.threshold + self.largest_batch
-        assert not self.backed._dirty and not self.inner._pending
+        assert not self.inner._checked_out
 
     @rule()
     def checkpoint_into_a_fresh_store(self):

@@ -117,15 +117,15 @@ class TestInvariantsUnit:
         for i in range(500):  # sorted insertion is the classic worst case
             tree.put(i, i)
             if i % 50 == 0:
-                tree.assert_invariants()
-        tree.assert_invariants()
+                tree.check_invariants()
+        tree.check_invariants()
         assert list(tree.keys()) == list(range(500))
 
     def test_reverse_inserts(self):
         tree = TreeMap()
         for i in reversed(range(300)):
             tree.put(i, i)
-        tree.assert_invariants()
+        tree.check_invariants()
 
     def test_delete_half(self):
         tree = TreeMap()
@@ -133,7 +133,7 @@ class TestInvariantsUnit:
             tree.put(i, i)
         for i in range(0, 200, 2):
             assert tree.remove(i)
-        tree.assert_invariants()
+        tree.check_invariants()
         assert list(tree.keys()) == list(range(1, 200, 2))
 
 
@@ -146,7 +146,7 @@ def test_property_matches_dict(pairs):
         model[key] = value
     assert len(tree) == len(model)
     assert list(tree.items()) == sorted(model.items())
-    tree.assert_invariants()
+    tree.check_invariants()
 
 
 @given(
@@ -163,7 +163,7 @@ def test_property_insert_then_delete(inserts, deletes):
         assert tree.remove(key) == (key in model)
         model.pop(key, None)
     assert list(tree.items()) == sorted(model.items())
-    tree.assert_invariants()
+    tree.check_invariants()
 
 
 class TreeMapMachine(RuleBasedStateMachine):
@@ -202,7 +202,7 @@ class TreeMapMachine(RuleBasedStateMachine):
 
     @invariant()
     def red_black_invariants_hold(self):
-        self.tree.assert_invariants()
+        self.tree.check_invariants()
 
 
 TestTreeMapStateful = TreeMapMachine.TestCase

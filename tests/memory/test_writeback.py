@@ -2,8 +2,8 @@
 
 The write-back must be invisible in the result — whatever store is
 behind it, wherever the batch boundaries fall — while the store itself
-sees one write per distinct key per batch, all of them in one
-``put_many`` call at the boundary, and every read goes straight to it.
+sees one ``put`` per distinct key per batch, and sees it at the boundary,
+while every read goes straight to it.
 """
 
 from __future__ import annotations
@@ -17,7 +17,6 @@ from hypothesis import strategies as st
 from repro.core.partial import PartialResultStore
 from repro.core.types import ReducerOutOfMemoryError
 from repro.memory import WriteBackStore
-from repro.memory.checkpoint import read_entry_frames
 from repro.memory.kvstore import SpillingKVStore
 from repro.memory.spill import SpillMergeStore
 from repro.memory.store import TreeMapStore
@@ -63,11 +62,6 @@ def _apply(store, ops, cut) -> None:
 def _drain(store) -> list:
     store.finalize()
     return list(store.items())
-
-
-def run_keys(path: str) -> list:
-    with open(path, "rb") as fh:
-        return [key for entries in read_entry_frames(fh) for key, _ in entries]
 
 
 def _close(store) -> None:
@@ -141,7 +135,7 @@ def test_clean_reads_are_not_written_back():
     for _ in range(5):
         backed.put("seen", backed.get("seen") + 1)
     backed.flush()
-    assert written == [{"seen": 6}]
+    assert written == [{"seen": 6}]  # one call per batch
     assert inner.get("seen") == 6
     backed.flush()  # an empty batch makes no call
     assert len(written) == 1
@@ -205,7 +199,7 @@ def test_heap_limit_and_samples_fire_at_the_write_back():
 
 
 def test_spill_in_the_middle_of_one_write_back_does_not_double_count():
-    """Regression for the held-back rule of :class:`SpillMergeStore`.
+    """Regression for the checked-out rule of :class:`SpillMergeStore`.
 
     Batch 2 reads ``hot``'s partial from the buffer, folds into it, and
     also brings enough new keys that writing *them* back spills the
@@ -232,12 +226,11 @@ def test_spill_in_the_middle_of_one_write_back_does_not_double_count():
 
 
 def test_reads_never_written_back_are_released_at_the_batch_boundary():
-    """Regression from the read check-out this write-back used to rely
-    on: ``contains`` read through with ``get``, which checked the entry
-    out of the spill-merge store until a ``put``.  120 membership tests
-    that wrote nothing pinned 17,880 B of a 20,000 B threshold for the
-    rest of the task, and the next 2,000 puts cut 142 runs of ~15
-    entries instead of 15 runs of ~140.  Reads now pin nothing."""
+    """Regression: a ``get`` checks the entry out of the spill-merge
+    store, and only a ``put`` used to check it back in.  120 reads that
+    wrote nothing pinned 17,880 B of a 20,000 B threshold for the rest of
+    the task, and the next 2,000 puts cut 142 runs of ~15 entries
+    instead of 15 runs of ~140."""
     inner = SpillMergeStore(add, spill_threshold_bytes=20_000)
     backed = WriteBackStore(inner)
     for i in range(120):
@@ -246,8 +239,10 @@ def test_reads_never_written_back_are_released_at_the_batch_boundary():
     pinned = inner.memory_used()
     assert 17_000 < pinned < 20_000 and inner.num_spill_files == 0
 
-    assert all(backed.contains(f"seen-{i:03d}") for i in range(120))
+    assert all(backed.get(f"seen-{i:03d}") == 1 for i in range(120))
+    assert len(inner._checked_out) == 120
     backed.flush()  # the batch that only looked ends here
+    assert not inner._checked_out
 
     for i in range(2_000):
         backed.put(f"new-{i:04d}", 1)
@@ -260,10 +255,10 @@ def test_reads_never_written_back_are_released_at_the_batch_boundary():
     inner.close()
 
 
-def test_a_spill_in_the_flush_holds_back_only_the_writes_to_come():
-    """A spill inside the flush's ``put_many`` keeps back a partial whose
-    write is yet to come (``hot``), while a clean read of the same batch
-    (``cold``) is spilled like any other entry."""
+def test_check_in_waits_for_the_dirty_write_backs():
+    """The release comes *after* the write-backs: a spill in the middle
+    of a flush must still hold back a partial whose put is yet to come,
+    and a clean read in the same batch is released with the rest."""
     inner = SpillMergeStore(add, spill_threshold_bytes=2_000)
     backed = WriteBackStore(inner)
     backed.put("hot", 7)
@@ -275,10 +270,7 @@ def test_a_spill_in_the_flush_holds_back_only_the_writes_to_come():
         backed.put(f"new-{i:02d}", 1)
     backed.put("hot", backed.get("hot") + 1)
     backed.flush()
-    runs = [run_keys(path) for path in inner._spill_paths]
-    assert runs and "cold" in runs[0]
-    assert not any("hot" in keys for keys in runs)
-    assert not inner._pending
+    assert inner.num_spill_files >= 1 and not inner._checked_out
     backed.finalize()
     merged = dict(backed.items())
     assert merged["hot"] == 8 and merged["cold"] == 1
@@ -309,47 +301,73 @@ def test_a_miss_caches_and_checks_out_nothing():
     assert not backed.contains("absent")
     assert backed.get("absent", "dflt") == "dflt"
     assert backed.get("absent") is None
-    assert backed.contains("present") and backed.get("present") == 1
-    assert backed._dirty == {}  # reads keep nothing
-    # Nor does the store hold anything back for the read: the next cut
-    # takes the entry that was read.
-    inner.put("filler", "x" * (1 << 20))
-    assert [run_keys(path) for path in inner._spill_paths] == [["present"]]
+    assert backed._dirty == {} and not inner._checked_out
+    # ``contains`` checks nothing out; a hit by ``get`` is checked out,
+    # in the spill store, until the batch boundary — nothing is cached.
+    assert backed.contains("present") and not inner._checked_out
+    assert backed.get("present") == 1
+    assert backed._dirty == {} and inner._checked_out == {"present"}
+    backed.flush()
+    assert not inner._checked_out
     inner.close()
 
 
-class _Hiding:
-    """A ``store_factory`` proxy that names only the protocol's methods."""
+class _ProtocolOnly:
+    """A ``store_factory`` proxy that names only the protocol's methods:
+    no ``_inner``, no ``check_in``."""
 
     def __init__(self, inner):
-        self._inner = inner
         self.get, self.put = inner.get, inner.put
         self.contains, self.items = inner.contains, inner.items
+        self.finalize = inner.finalize
 
 
-@pytest.mark.parametrize("kind", ["treemap", "spillmerge"])
-def test_a_proxy_hiding_put_many_is_refused(kind):
-    inner = STORE_FACTORIES[kind]()
-    try:
-        with pytest.raises(TypeError, match="hides put_many"):
-            WriteBackStore(_Hiding(inner))
-    finally:
-        _close(inner)
+def test_a_protocol_only_proxy_still_holds_back_the_partials_in_flight():
+    """The hold-back rides on the store's own ``get``, so a proxy that
+    forwards only the protocol keeps it: the spill inside the flush
+    leaves ``hot`` behind and the merge counts its folds once."""
+    inner = SpillMergeStore(add, spill_threshold_bytes=2_000)
+    backed = WriteBackStore(_ProtocolOnly(inner))
+    backed.put("hot", 7)
+    backed.flush()
+    for i in range(40):
+        backed.put(f"new-{i:02d}", 1)
+    backed.put("hot", backed.get("hot") + 1)
+    backed.flush()
+    assert inner.num_spill_files >= 1
+    backed.finalize()
+    merged = dict(backed.items())
+    assert merged["hot"] == 8 and sum(merged.values()) == 48
+    inner.close()
 
 
-def test_a_store_without_put_many_gets_a_put_per_entry():
-    puts = []
+def test_a_proxy_without_put_many_sees_every_write_as_a_put():
+    """Only a store whose class defines ``put_many`` is handed a batch.
+    A proxy that intercepts ``put`` and forwards the rest through
+    ``__getattr__`` — a timing or counting ``store_factory`` — would
+    otherwise be bypassed by a forwarded ``put_many``."""
 
-    class Plain(SpillingKVStore):
+    class Timing:
+        def __init__(self, inner):
+            self._inner = inner
+            self.puts = []
+
         def put(self, key, value):
-            puts.append((key, value))
-            super().put(key, value)
+            self.puts.append(key)
+            self._inner.put(key, value)
 
-    inner = Plain()
-    backed = WriteBackStore(_Hiding(inner))  # nothing to hide
+        def __getattr__(self, name):
+            if name == "_inner":
+                raise AttributeError(name)
+            return getattr(self._inner, name)
+
+    inner = SpillMergeStore(add, spill_threshold_bytes=1 << 20)
+    proxy = Timing(inner)
+    backed = WriteBackStore(proxy)
     backed.put("b", 1)
     backed.put("a", 2)
     backed.put("b", 3)
     backed.flush()
-    assert puts == [("b", 3), ("a", 2)]  # first-write order, newest value
+    assert proxy.puts == ["b", "a"]  # first-write order, newest value
+    assert dict(inner.items()) == {"a": 2, "b": 3}
     inner.close()
